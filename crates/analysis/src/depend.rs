@@ -33,10 +33,14 @@
 //! * **Partition by base variable** — references to different variables
 //!   never alias under the layout, so cross-variable pairs are never
 //!   enumerated, and a variable with no write site skips pairing entirely.
-//! * **Flat site arena** — per-site facts the tester used to recompute per
-//!   pair per level (the [`IndexBounds`] walk and the parameter-folded
-//!   affine view of every subscript) are computed once per site into
-//!   dense, index-addressed vectors.
+//! * **Flat site arena** — per-site facts the tester would otherwise
+//!   recompute per pair per level (the [`IndexBounds`] walk and every
+//!   subscript, parameter-folded and split into one coefficient per
+//!   enclosing loop) are computed once per site into dense,
+//!   index-addressed vectors.
+//! * **Dense difference rows** — per level, each subscript dimension's
+//!   difference is a row of meta-variable coefficients in reused scratch
+//!   buffers, so testing a pair allocates nothing.
 //! * **Signature interning + verdict memoization** — each site's access
 //!   signature (access kind, guard context, enclosing-loop vector,
 //!   subscript coefficient vectors) is interned into a dedup table, and
@@ -49,14 +53,19 @@
 //!   `SweepExec`, which sits above this crate) with a deterministic
 //!   ordered merge, so the emitted [`DependenceSet`] is byte-identical at
 //!   any worker count.
+//!
+//! The emitted set is immutable and shared: cloning it copies one `Arc`,
+//! and its per-reference sink and source indexes are CSR arrays built in
+//! one pass after emission.
 
 use crate::bounds::IndexBounds;
 use refidem_ir::affine::{gcd, AffineExpr};
 use refidem_ir::ids::{RefId, StmtId, VarId};
-use refidem_ir::sites::{AccessKind, LoopContext, RefSite, RefTable};
+use refidem_ir::sites::{AccessKind, RefSite, RefTable};
 use refidem_ir::stmt::{LoopStmt, Stmt};
 use refidem_ir::var::VarTable;
-use std::collections::{BTreeMap, HashMap};
+use std::collections::HashMap;
+use std::sync::Arc;
 
 /// The kind of a data dependence.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
@@ -96,64 +105,189 @@ pub struct Dependence {
     pub distance: Option<i64>,
 }
 
-/// The set of may-dependences of one region.
-#[derive(Clone, Debug, Default, PartialEq, Eq)]
+/// The set of may-dependences of one region: the dependences in emission
+/// order plus per-reference sink and source indexes, immutable once built
+/// and shared behind one `Arc` — cloning a set (a cache hit, a labeling
+/// input) copies a pointer, not the dependences.
+#[derive(Clone, Default)]
 pub struct DependenceSet {
+    shared: Arc<DepTable>,
+}
+
+/// The shared body of a [`DependenceSet`]. Both indexes are CSR arrays over
+/// a dense `RefId` range starting at `base`: the dependences into reference
+/// `base + k` are `deps[by_sink.items[by_sink.offsets[k]..by_sink.offsets[k
+/// + 1]]]`, in emission order, and likewise out of it through `by_source`.
+#[derive(Default)]
+struct DepTable {
     deps: Vec<Dependence>,
-    sink_index: BTreeMap<RefId, Vec<usize>>,
-    source_index: BTreeMap<RefId, Vec<usize>>,
+    base: u32,
+    by_sink: Csr,
+    by_source: Csr,
+}
+
+#[derive(Default)]
+struct Csr {
+    offsets: Vec<u32>,
+    items: Vec<u32>,
+}
+
+impl Csr {
+    fn slot(&self, k: Option<usize>) -> &[u32] {
+        match k {
+            Some(k) if k + 1 < self.offsets.len() => {
+                &self.items[self.offsets[k] as usize..self.offsets[k + 1] as usize]
+            }
+            _ => &[],
+        }
+    }
+}
+
+/// Builds a [`DependenceSet`]'s indexes: per-reference counts accumulate
+/// while the dependences are emitted, then one pass places every
+/// dependence in both indexes.
+struct Indexer {
+    base: u32,
+    sinks: Vec<u32>,
+    sources: Vec<u32>,
+}
+
+impl Indexer {
+    /// An indexer for dependences between references `lo ..= hi`.
+    fn new(lo: u32, hi: u32) -> Self {
+        let slots = (hi - lo) as usize + 2;
+        Indexer {
+            base: lo,
+            sinks: vec![0; slots],
+            sources: vec![0; slots],
+        }
+    }
+
+    fn count(&mut self, d: &Dependence) {
+        self.sinks[(d.sink.0 - self.base) as usize + 1] += 1;
+        self.sources[(d.source.0 - self.base) as usize + 1] += 1;
+    }
+
+    /// Indexes `deps`, every one of which was counted.
+    fn finish(self, deps: Vec<Dependence>) -> DependenceSet {
+        let Indexer {
+            base,
+            mut sinks,
+            mut sources,
+        } = self;
+        for offsets in [&mut sinks, &mut sources] {
+            for k in 1..offsets.len() {
+                offsets[k] += offsets[k - 1];
+            }
+        }
+        // Fill through `offsets[k]` as the cursor of slot `k`; afterwards
+        // every cursor sits at its slot's end, which is the next slot's
+        // start, so shifting right by one restores the offsets.
+        let mut sink_items = vec![0u32; deps.len()];
+        let mut source_items = vec![0u32; deps.len()];
+        for (i, d) in deps.iter().enumerate() {
+            let cursor = &mut sinks[(d.sink.0 - base) as usize];
+            sink_items[*cursor as usize] = i as u32;
+            *cursor += 1;
+            let cursor = &mut sources[(d.source.0 - base) as usize];
+            source_items[*cursor as usize] = i as u32;
+            *cursor += 1;
+        }
+        for offsets in [&mut sinks, &mut sources] {
+            let last = offsets.len() - 1;
+            offsets.copy_within(..last, 1);
+            offsets[0] = 0;
+        }
+        DependenceSet {
+            shared: Arc::new(DepTable {
+                deps,
+                base,
+                by_sink: Csr {
+                    offsets: sinks,
+                    items: sink_items,
+                },
+                by_source: Csr {
+                    offsets: sources,
+                    items: source_items,
+                },
+            }),
+        }
+    }
+}
+
+impl DepTable {
+    fn key(&self, r: RefId) -> Option<usize> {
+        r.0.checked_sub(self.base).map(|k| k as usize)
+    }
+}
+
+impl PartialEq for DependenceSet {
+    fn eq(&self, other: &Self) -> bool {
+        Arc::ptr_eq(&self.shared, &other.shared) || self.deps() == other.deps()
+    }
+}
+
+impl Eq for DependenceSet {}
+
+impl std::fmt::Debug for DependenceSet {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("DependenceSet")
+            .field("deps", &self.deps())
+            .finish()
+    }
 }
 
 impl DependenceSet {
-    /// Builds a dependence set from an explicit list of dependences. Used by
-    /// front-ends (e.g. the abstract segment-graph regions of the paper's
-    /// Figures 1–3) that compute dependences themselves.
+    /// Builds a dependence set from an explicit list of dependences, kept in
+    /// the given order. Used by the analyzer and by front-ends (e.g. the
+    /// abstract segment-graph regions of the paper's Figures 1–3) that
+    /// compute dependences themselves. Reference ids need not be
+    /// contiguous; the indexes take memory in proportion to the span of ids
+    /// the dependences mention.
     pub fn from_deps(deps: Vec<Dependence>) -> Self {
-        let mut out = DependenceSet::default();
-        for d in deps {
-            out.push(d);
+        let mut ids = deps.iter().flat_map(|d| [d.source.0, d.sink.0]);
+        let Some(first) = ids.next() else {
+            return DependenceSet::default();
+        };
+        let (lo, hi) = ids.fold((first, first), |(lo, hi), id| (lo.min(id), hi.max(id)));
+        let mut index = Indexer::new(lo, hi);
+        for d in &deps {
+            index.count(d);
         }
-        out
+        index.finish(deps)
     }
 
     /// All dependences.
     pub fn deps(&self) -> &[Dependence] {
-        &self.deps
+        &self.shared.deps
     }
 
     /// Number of dependences.
     pub fn len(&self) -> usize {
-        self.deps.len()
+        self.shared.deps.len()
     }
 
     /// True when the region has no dependences at all.
     pub fn is_empty(&self) -> bool {
-        self.deps.is_empty()
+        self.shared.deps.is_empty()
     }
 
-    fn push(&mut self, d: Dependence) {
-        let idx = self.deps.len();
-        self.sink_index.entry(d.sink).or_default().push(idx);
-        self.source_index.entry(d.source).or_default().push(idx);
-        self.deps.push(d);
-    }
-
-    /// Dependences whose sink is `r`.
+    /// Dependences whose sink is `r`, in emission order.
     pub fn deps_into(&self, r: RefId) -> impl Iterator<Item = &Dependence> {
-        self.sink_index
-            .get(&r)
-            .into_iter()
-            .flatten()
-            .map(move |&i| &self.deps[i])
+        let t = &*self.shared;
+        t.by_sink
+            .slot(t.key(r))
+            .iter()
+            .map(move |&i| &t.deps[i as usize])
     }
 
-    /// Dependences whose source is `r`.
+    /// Dependences whose source is `r`, in emission order.
     pub fn deps_from(&self, r: RefId) -> impl Iterator<Item = &Dependence> {
-        self.source_index
-            .get(&r)
-            .into_iter()
-            .flatten()
-            .map(move |&i| &self.deps[i])
+        let t = &*self.shared;
+        t.by_source
+            .slot(t.key(r))
+            .iter()
+            .map(move |&i| &t.deps[i as usize])
     }
 
     /// True when `r` is the sink of a cross-segment dependence (Lemma 3's
@@ -169,7 +303,9 @@ impl DependenceSet {
 
     /// True when the region carries at least one cross-segment dependence.
     pub fn has_cross_segment_deps(&self) -> bool {
-        self.deps.iter().any(|d| d.scope == DepScope::CrossSegment)
+        self.deps()
+            .iter()
+            .any(|d| d.scope == DepScope::CrossSegment)
     }
 
     /// True when the region carries at least one cross-segment dependence
@@ -180,7 +316,7 @@ impl DependenceSet {
         table: &RefTable,
         ignored: &dyn Fn(VarId) -> bool,
     ) -> bool {
-        self.deps.iter().any(|d| {
+        self.deps().iter().any(|d| {
             d.scope == DepScope::CrossSegment
                 && table
                     .get(d.sink)
@@ -215,6 +351,10 @@ impl DependenceSet {
     ) -> Self {
         let tester = Tester::new(vars, region);
         let sites = table.sites();
+        let ids = sites.iter().map(|s| s.id.0);
+        let (Some(lo), Some(hi)) = (ids.clone().min(), ids.max()) else {
+            return DependenceSet::default();
+        };
 
         // --- Partition sites by base variable (in table order). Only
         // partitions of a data variable with at least one write site can
@@ -229,10 +369,10 @@ impl DependenceSet {
             let group = groups.entry(s.var).or_default();
             group.members.push(i);
             if s.access == AccessKind::Write {
-                group.writes += 1;
+                group.writes.push(i);
             }
         }
-        groups.retain(|_, g| g.writes > 0);
+        groups.retain(|_, g| !g.writes.is_empty());
 
         // --- Flat site-arena pass: intern each pairable site's access
         // signature into a dedup table and precompute, once per *distinct
@@ -242,40 +382,38 @@ impl DependenceSet {
         // nests and subscripts, so they share one arena entry: a giant
         // block's hundreds of same-shape references pay for one walk.)
         let mut interner: HashMap<Vec<i64>, u32> = HashMap::new();
+        let mut tokens: Vec<i64> = Vec::new();
         let mut sig: Vec<u32> = vec![0; sites.len()];
         let mut pre: Vec<SitePre> = Vec::new();
         for group in groups.values() {
             for &i in &group.members {
                 let s = &sites[i];
-                let tokens = signature_tokens(s);
-                let next = interner.len() as u32;
-                let id = *interner.entry(tokens).or_insert(next);
+                signature_tokens(s, &mut tokens);
+                let id = match interner.get(tokens.as_slice()) {
+                    Some(&id) => id,
+                    None => {
+                        let id = interner.len() as u32;
+                        interner.insert(tokens.clone(), id);
+                        id
+                    }
+                };
                 sig[i] = id;
                 if id as usize == pre.len() {
-                    pre.push(SitePre {
-                        bounds: IndexBounds::for_site(vars, region, &s.loops),
-                        subs: s
-                            .reference
-                            .subs
-                            .iter()
-                            .map(|sub| {
-                                sub.as_affine()
-                                    .map(|e| e.substitute_params(&|v| vars.param_value(v)))
-                            })
-                            .collect(),
-                    });
+                    pre.push(SitePre::new(vars, region, s));
                 }
             }
         }
         let mut memo = MemoTable::new(interner.len());
-        let run_one = |a_idx: usize, b_idx: usize| -> Verdict {
+        let run_one = |scratch: &mut Scratch, a_idx: usize, b_idx: usize| -> Verdict {
             let (pa, pb) = (&pre[sig[a_idx] as usize], &pre[sig[b_idx] as usize]);
-            tester.test_pair_verdict(&sites[a_idx], &sites[b_idx], pa, pb)
+            tester.test_pair_verdict(&sites[a_idx], &sites[b_idx], pa, pb, scratch)
         };
+        let mut scratch = Scratch::default();
 
         // Pair enumeration, shared by both strategies below: the original
         // nested-loop order, restricted to a variable's own partition (the
-        // inner loop visits exactly the sites the unpartitioned scan kept).
+        // inner loop visits exactly the sites the unpartitioned scan kept:
+        // a write pairs with every member, a read with the writes only).
         // `a.order < b.order` is the only pair-level fact the tester reads
         // beyond the two signatures (site orders are unique, so it also
         // subsumes the `a.id != b.id` gate) — together they form the memo
@@ -287,12 +425,13 @@ impl DependenceSet {
                     let Some(group) = groups.get(&a.var) else {
                         continue;
                     };
-                    for &b_idx in &group.members {
-                        let b = &sites[b_idx];
-                        if a.access == AccessKind::Read && b.access == AccessKind::Read {
-                            continue;
-                        }
-                        visit(a_idx, b_idx, sig[a_idx], sig[b_idx], a.order < b.order);
+                    let partners = match a.access {
+                        AccessKind::Write => &group.members,
+                        AccessKind::Read => &group.writes,
+                    };
+                    for &b_idx in partners {
+                        let lt = a.order < sites[b_idx].order;
+                        visit(a_idx, b_idx, sig[a_idx], sig[b_idx], lt);
                     }
                 }
             }};
@@ -323,13 +462,16 @@ impl DependenceSet {
                 let cursor = std::sync::atomic::AtomicUsize::new(0);
                 std::thread::scope(|scope| {
                     for _ in 0..workers.min(worklist.len()) {
-                        scope.spawn(|| loop {
-                            let i = cursor.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                            let Some(&(a_idx, b_idx)) = worklist.get(i) else {
-                                break;
-                            };
-                            let v = run_one(a_idx, b_idx);
-                            *slots[i].lock().expect("verdict slot poisoned") = Some(v);
+                        scope.spawn(|| {
+                            let mut scratch = Scratch::default();
+                            loop {
+                                let i = cursor.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+                                let Some(&(a_idx, b_idx)) = worklist.get(i) else {
+                                    break;
+                                };
+                                let v = run_one(&mut scratch, a_idx, b_idx);
+                                *slots[i].lock().expect("verdict slot poisoned") = Some(v);
+                            }
                         });
                     }
                 });
@@ -344,27 +486,25 @@ impl DependenceSet {
             } else {
                 verdicts = worklist
                     .iter()
-                    .map(|&(a_idx, b_idx)| run_one(a_idx, b_idx))
+                    .map(|&(a_idx, b_idx)| run_one(&mut scratch, a_idx, b_idx))
                     .collect();
             }
         }
 
         // --- Emission in the original pair order: per pair, the
         // cross-segment dependence (if feasible) precedes the intra-segment
-        // one, exactly as the unmemoized tester pushed them. Sink/source
-        // indices accumulate in dense site-indexed vectors and fold into
-        // the `BTreeMap`s once at the end (site ids are dense table
-        // positions), instead of paying a tree update per push.
+        // one, exactly as the unmemoized tester pushed them. The sink and
+        // source indexes count as dependences are emitted and fill in one
+        // pass afterwards.
         let mut deps: Vec<Dependence> = Vec::new();
-        let mut by_sink: Vec<Vec<usize>> = (0..sites.len()).map(|_| Vec::new()).collect();
-        let mut by_source: Vec<Vec<usize>> = (0..sites.len()).map(|_| Vec::new()).collect();
+        let mut index = Indexer::new(lo, hi);
         for_each_pair!(|a_idx: usize, b_idx: usize, sa: u32, sb: u32, lt: bool| {
             let slot = match memo.slot(sa, sb, lt) {
                 Some(slot) => slot as usize,
                 None => {
                     let slot = verdicts.len();
                     memo.record(sa, sb, lt, slot as u32);
-                    verdicts.push(run_one(a_idx, b_idx));
+                    verdicts.push(run_one(&mut scratch, a_idx, b_idx));
                     slot
                 }
             };
@@ -377,44 +517,27 @@ impl DependenceSet {
                 (AccessKind::Write, AccessKind::Read) => DepKind::Flow,
                 (AccessKind::Read, AccessKind::Write) => DepKind::Anti,
                 (AccessKind::Write, AccessKind::Write) => DepKind::Output,
-                (AccessKind::Read, AccessKind::Read) => unreachable!("filtered above"),
+                (AccessKind::Read, AccessKind::Read) => unreachable!("reads pair only with writes"),
+            };
+            let mut emit = |scope, distance| {
+                let d = Dependence {
+                    source: a.id,
+                    sink: b.id,
+                    kind,
+                    scope,
+                    distance,
+                };
+                index.count(&d);
+                deps.push(d);
             };
             if let Some(distance) = verdict.cross {
-                by_sink[b_idx].push(deps.len());
-                by_source[a_idx].push(deps.len());
-                deps.push(Dependence {
-                    source: a.id,
-                    sink: b.id,
-                    kind,
-                    scope: DepScope::CrossSegment,
-                    distance,
-                });
+                emit(DepScope::CrossSegment, distance);
             }
             if verdict.intra {
-                by_sink[b_idx].push(deps.len());
-                by_source[a_idx].push(deps.len());
-                deps.push(Dependence {
-                    source: a.id,
-                    sink: b.id,
-                    kind,
-                    scope: DepScope::IntraSegment,
-                    distance: None,
-                });
+                emit(DepScope::IntraSegment, None);
             }
         });
-        let fold = |dense: Vec<Vec<usize>>| -> BTreeMap<RefId, Vec<usize>> {
-            dense
-                .into_iter()
-                .enumerate()
-                .filter(|(_, v)| !v.is_empty())
-                .map(|(i, v)| (sites[i].id, v))
-                .collect()
-        };
-        DependenceSet {
-            deps,
-            sink_index: fold(by_sink),
-            source_index: fold(by_source),
-        }
+        index.finish(deps)
     }
 }
 
@@ -500,26 +623,71 @@ fn analysis_jobs() -> usize {
 }
 
 /// Per-variable partition of the site list: member site indices in table
-/// order, plus the write count (a partition with no write never produces a
-/// dependence and is skipped wholesale).
+/// order, and the write members among them (a partition with no write
+/// never produces a dependence and is skipped wholesale).
 #[derive(Default)]
 struct VarGroup {
     members: Vec<usize>,
-    writes: usize,
+    writes: Vec<usize>,
 }
 
 /// Per-site precomputed facts (the flat site arena): the per-site bounds
-/// walk and the parameter-folded affine view of each subscript (`None` for
-/// indirect subscripts, which stay conservatively may-dependent).
+/// walk and each subscript split by loop position (`None` for indirect
+/// subscripts, which stay conservatively may-dependent).
 struct SitePre {
     bounds: IndexBounds,
-    subs: Vec<Option<AffineExpr>>,
+    subs: Vec<Option<DimPre>>,
+}
+
+/// One parameter-folded affine subscript,
+/// `constant + Σ by_pos[p]·index(p) + Σ program`, where loop position 0 is
+/// the region loop and position `p` is the site's `loops[p - 1]`. An index
+/// variable re-bound by an inner loop of the same nest belongs to its
+/// innermost position, the binding the tester's substitution sees.
+struct DimPre {
+    constant: i64,
+    by_pos: Vec<i64>,
+    /// Terms over variables that index no enclosing loop, sorted by
+    /// variable.
+    program: Vec<(VarId, i64)>,
+}
+
+impl SitePre {
+    fn new(vars: &VarTable, region: &LoopStmt, s: &RefSite) -> Self {
+        let positions: Vec<VarId> = std::iter::once(region.index)
+            .chain(s.loops.iter().map(|l| l.index))
+            .collect();
+        let subs = s
+            .reference
+            .subs
+            .iter()
+            .map(|sub| {
+                let folded = sub.as_affine()?.substitute_params(&|v| vars.param_value(v));
+                let mut dim = DimPre {
+                    constant: folded.constant,
+                    by_pos: vec![0; positions.len()],
+                    program: Vec::new(),
+                };
+                for (&v, &c) in &folded.terms {
+                    match positions.iter().rposition(|&p| p == v) {
+                        Some(p) => dim.by_pos[p] = c,
+                        None => dim.program.push((v, c)),
+                    }
+                }
+                Some(dim)
+            })
+            .collect();
+        SitePre {
+            bounds: IndexBounds::for_site(vars, region, &s.loops),
+            subs,
+        }
+    }
 }
 
 /// The memoizable outcome of testing one ordered pair: whether a
 /// cross-segment dependence may exist (with its exact distance when known)
 /// and whether an intra-segment one may.
-#[derive(Clone, Copy, Debug)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 struct Verdict {
     cross: Option<Option<i64>>,
     intra: bool,
@@ -533,7 +701,7 @@ struct Verdict {
 /// them). Two sites with equal tokens are indistinguishable to
 /// `test_pair`, which is what makes the per-signature-pair verdict memo
 /// sound.
-fn signature_tokens(s: &RefSite) -> Vec<i64> {
+fn signature_tokens(s: &RefSite, t: &mut Vec<i64>) {
     fn push_affine(t: &mut Vec<i64>, e: &AffineExpr) {
         t.push(e.constant);
         t.push(e.terms.len() as i64);
@@ -542,15 +710,15 @@ fn signature_tokens(s: &RefSite) -> Vec<i64> {
             t.push(c);
         }
     }
-    let mut t = Vec::with_capacity(8 + 8 * s.loops.len() + 4 * s.reference.subs.len());
+    t.clear();
     t.push((s.access == AccessKind::Write) as i64);
     t.push(s.conditional as i64);
     t.push(s.loops.len() as i64);
     for l in &s.loops {
         t.push(l.stmt.index() as i64);
         t.push(l.index.index() as i64);
-        push_affine(&mut t, &l.lower);
-        push_affine(&mut t, &l.upper);
+        push_affine(t, &l.lower);
+        push_affine(t, &l.upper);
         t.push(l.step);
     }
     t.push(s.reference.subs.len() as i64);
@@ -558,12 +726,11 @@ fn signature_tokens(s: &RefSite) -> Vec<i64> {
         match sub.as_affine() {
             Some(e) => {
                 t.push(1);
-                push_affine(&mut t, e);
+                push_affine(t, e);
             }
             None => t.push(0),
         }
     }
-    t
 }
 
 /// Internal: hierarchical dependence tester for one region. Parameter
@@ -572,34 +739,6 @@ fn signature_tokens(s: &RefSite) -> Vec<i64> {
 struct Tester<'a> {
     region: &'a LoopStmt,
     region_bounds: IndexBounds,
-}
-
-/// Meta-variable ids start here so they never collide with program
-/// variables.
-const META_BASE: u32 = 1 << 24;
-
-/// Meta-variable allocator with a dense bounds table: meta ids are
-/// consecutive from [`META_BASE`], so their bounds live in a flat vector
-/// indexed by allocation order instead of a per-pair `BTreeMap`.
-#[derive(Default)]
-struct MetaAlloc {
-    bounds: Vec<(i64, i64)>,
-}
-
-impl MetaAlloc {
-    fn fresh(&mut self, lo: i64, hi: i64) -> VarId {
-        let id = VarId(META_BASE + self.bounds.len() as u32);
-        self.bounds.push((lo.min(hi), lo.max(hi)));
-        id
-    }
-
-    /// Bounds of a meta variable; `None` for program variables (which the
-    /// allocator never bounds).
-    fn get(&self, v: VarId) -> Option<(i64, i64)> {
-        v.index()
-            .checked_sub(META_BASE as usize)
-            .and_then(|i| self.bounds.get(i).copied())
-    }
 }
 
 /// How the source and sink instances relate at one loop level.
@@ -611,6 +750,34 @@ enum LevelRelation {
     Carried,
     /// The indices are unrelated (inner levels of a carried dependence).
     Free,
+}
+
+/// Bounds of an index the bounds walk could not evaluate.
+const UNBOUNDED: (i64, i64) = (i64::MIN / 4, i64::MAX / 4);
+
+/// Per-worker buffers of the pair tester, reused across pairs and levels so
+/// the hot loop allocates nothing once warm.
+#[derive(Default)]
+struct Scratch {
+    /// Bounds of each meta variable of the current level, in allocation
+    /// order (a meta variable is its index here).
+    metas: Vec<(i64, i64)>,
+    /// The meta variable each source loop position maps to.
+    src: Vec<usize>,
+    /// The meta variable each sink loop position maps to, plus the
+    /// `(distance meta, step)` term a carried position adds.
+    sink: Vec<(usize, Option<(usize, i64)>)>,
+    /// One dimension's difference: meta coefficients, then the nonzero
+    /// program-variable coefficients.
+    row: Vec<i64>,
+    program: Vec<i64>,
+}
+
+impl Scratch {
+    fn meta(&mut self, (lo, hi): (i64, i64)) -> usize {
+        self.metas.push((lo.min(hi), lo.max(hi)));
+        self.metas.len() - 1
+    }
 }
 
 impl<'a> Tester<'a> {
@@ -629,46 +796,42 @@ impl<'a> Tester<'a> {
         }
     }
 
-    /// Longest common prefix of the two sites' inner-loop nests (loops are
-    /// identified by their statement id).
-    fn common_loops<'s>(&self, a: &'s RefSite, b: &'s RefSite) -> Vec<&'s LoopContext> {
-        let mut out = Vec::new();
-        for (la, lb) in a.loops.iter().zip(&b.loops) {
-            if la.stmt == lb.stmt {
-                out.push(la);
-            } else {
-                break;
-            }
-        }
-        out
-    }
-
     /// Tests all dependence levels for the ordered pair (source = `a`,
     /// sink = `b`) and returns the memoizable verdict. The verdict depends
     /// only on the two sites' access signatures and on whether `a`
     /// textually precedes `b` — the invariant the per-signature-pair memo
     /// in [`DependenceSet::analyze_with_jobs`] relies on.
-    fn test_pair_verdict(&self, a: &RefSite, b: &RefSite, pa: &SitePre, pb: &SitePre) -> Verdict {
-        let common = self.common_loops(a, b);
+    fn test_pair_verdict(
+        &self,
+        a: &RefSite,
+        b: &RefSite,
+        pa: &SitePre,
+        pb: &SitePre,
+        scratch: &mut Scratch,
+    ) -> Verdict {
+        // Common inner loops: the longest common prefix of the two nests
+        // (loops are identified by their statement id).
+        let common = a
+            .loops
+            .iter()
+            .zip(&b.loops)
+            .take_while(|(la, lb)| la.stmt == lb.stmt)
+            .count();
 
         // Cross-segment: carried by the region loop.
-        let cross = self.test_level(a, b, pa, pb, &common, 0);
+        let cross = self.test_level(a, b, pa, pb, common, 0, scratch);
 
         // Intra-segment: carried by one of the common inner loops.
-        let mut intra = false;
-        for level in 1..=common.len() {
-            if self.test_level(a, b, pa, pb, &common, level).is_some() {
-                intra = true;
-                break;
-            }
-        }
+        let mut intra = (1..=common).any(|level| {
+            self.test_level(a, b, pa, pb, common, level, scratch)
+                .is_some()
+        });
         // Intra-segment: loop-independent (same instance of every common
         // loop), requires the source to precede the sink textually.
         if !intra && a.id != b.id && a.order < b.order {
-            let level = common.len() + 1;
-            if self.test_level(a, b, pa, pb, &common, level).is_some() {
-                intra = true;
-            }
+            intra = self
+                .test_level(a, b, pa, pb, common, common + 1, scratch)
+                .is_some();
         }
         Verdict { cross, intra }
     }
@@ -676,8 +839,14 @@ impl<'a> Tester<'a> {
     /// Tests one dependence level.
     ///
     /// `level == 0` is the region loop (cross-segment). `level == i` for
-    /// `1 <= i <= common.len()` is carried by the i-th common inner loop.
-    /// `level == common.len() + 1` is the loop-independent level.
+    /// `1 <= i <= common` is carried by the i-th common inner loop.
+    /// `level == common + 1` is the loop-independent level.
+    ///
+    /// Every loop position of the source and the sink is bound to fresh
+    /// meta variables (shared by both sides where the level makes the
+    /// indices equal), and each subscript dimension's difference is
+    /// accumulated as a dense row of meta coefficients — no per-level
+    /// maps, no affine-expression algebra.
     ///
     /// Returns `Some(distance)` when a dependence may exist (the distance is
     /// known only for exactly-solved region-level dependences).
@@ -688,83 +857,72 @@ impl<'a> Tester<'a> {
         b: &RefSite,
         pa: &SitePre,
         pb: &SitePre,
-        common: &[&LoopContext],
+        common: usize,
         level: usize,
+        scratch: &mut Scratch,
     ) -> Option<Option<i64>> {
-        let mut alloc = MetaAlloc::default();
-        let bounds_a = &pa.bounds;
-        let bounds_b = &pb.bounds;
+        scratch.metas.clear();
+        scratch.src.clear();
+        scratch.sink.clear();
+        let mut distance: Option<usize> = None;
 
-        // Mapping from real index variables to meta expressions, separately
-        // for the source and the sink.
-        let mut map_a: BTreeMap<VarId, AffineExpr> = BTreeMap::new();
-        let mut map_b: BTreeMap<VarId, AffineExpr> = BTreeMap::new();
-        // The carried-distance meta variable, if this level is carried.
-        let mut distance_var: Option<VarId> = None;
-
-        // Region loop.
-        let (klo, khi) = self
-            .region_bounds
-            .get(self.region.index)
-            .unwrap_or((i64::MIN / 4, i64::MAX / 4));
-        let max_trip = (khi - klo + 1).max(0) as usize;
-        let relation = |lvl: usize| -> LevelRelation {
-            use std::cmp::Ordering::*;
-            match lvl.cmp(&level) {
-                Less => LevelRelation::Equal,
-                Equal => LevelRelation::Carried,
-                Greater => LevelRelation::Free,
+        // Shared positions: the region loop (position 0) and the common
+        // inner loops (position i + 1 is common loop i).
+        for pos in 0..=common {
+            let (bounds, step) = if pos == 0 {
+                let bounds = self.region_bounds.get(self.region.index);
+                (bounds.unwrap_or(UNBOUNDED), self.region.step)
+            } else {
+                let l = &a.loops[pos - 1];
+                let bounds = pa.bounds.get(l.index).or_else(|| pb.bounds.get(l.index));
+                (bounds.unwrap_or(UNBOUNDED), l.step)
+            };
+            let relation = match pos.cmp(&level) {
+                std::cmp::Ordering::Less => LevelRelation::Equal,
+                std::cmp::Ordering::Equal => LevelRelation::Carried,
+                std::cmp::Ordering::Greater => LevelRelation::Free,
+            };
+            match relation {
+                LevelRelation::Equal => {
+                    let m = scratch.meta(bounds);
+                    scratch.src.push(m);
+                    scratch.sink.push((m, None));
+                }
+                LevelRelation::Carried => {
+                    let trip = (bounds.1 - bounds.0 + 1).max(0) as usize;
+                    if trip < 2 {
+                        // The loop cannot carry a dependence.
+                        return None;
+                    }
+                    let m = scratch.meta(bounds);
+                    let t = scratch.meta((1, trip as i64 - 1));
+                    distance = Some(t);
+                    scratch.src.push(m);
+                    scratch.sink.push((m, Some((t, step))));
+                }
+                LevelRelation::Free => {
+                    let ma = scratch.meta(bounds);
+                    let mb = scratch.meta(bounds);
+                    scratch.src.push(ma);
+                    scratch.sink.push((mb, None));
+                }
             }
-        };
-        // Level indices: region loop is level 0; common inner loop i is
-        // level i+1; the loop-independent level never marks anything
-        // Carried.
-        self.bind_level(
-            &mut alloc,
-            &mut map_a,
-            &mut map_b,
-            &mut distance_var,
-            self.region.index,
-            (klo, khi),
-            self.region.step,
-            max_trip,
-            relation(0),
-        )?;
-        for (i, l) in common.iter().enumerate() {
-            let bounds = bounds_a.get(l.index).or_else(|| bounds_b.get(l.index));
-            let (lo, hi) = bounds.unwrap_or((i64::MIN / 4, i64::MAX / 4));
-            let trip = (hi - lo + 1).max(0) as usize;
-            self.bind_level(
-                &mut alloc,
-                &mut map_a,
-                &mut map_b,
-                &mut distance_var,
-                l.index,
-                (lo, hi),
-                l.step,
-                trip,
-                relation(i + 1),
-            )?;
         }
         // Non-common inner loops: always independent.
-        for l in a.loops.iter().skip(common.len()) {
-            let (lo, hi) = bounds_a
-                .get(l.index)
-                .unwrap_or((i64::MIN / 4, i64::MAX / 4));
-            let meta = alloc.fresh(lo, hi);
-            map_a.insert(l.index, AffineExpr::var(meta));
+        for l in &a.loops[common..] {
+            let m = scratch.meta(pa.bounds.get(l.index).unwrap_or(UNBOUNDED));
+            scratch.src.push(m);
         }
-        for l in b.loops.iter().skip(common.len()) {
-            let (lo, hi) = bounds_b
-                .get(l.index)
-                .unwrap_or((i64::MIN / 4, i64::MAX / 4));
-            let meta = alloc.fresh(lo, hi);
-            map_b.insert(l.index, AffineExpr::var(meta));
+        for l in &b.loops[common..] {
+            let m = scratch.meta(pb.bounds.get(l.index).unwrap_or(UNBOUNDED));
+            scratch.sink.push((m, None));
         }
 
-        // Scalars: no subscripts to constrain, dependence feasible.
+        // Scalars: no subscripts to constrain, dependence feasible. A
+        // scalar dependence at the region level can have any distance; we
+        // report the minimum one (1) for cross-segment dependences.
         if a.reference.subs.is_empty() && b.reference.subs.is_empty() {
-            return Some(self.scalar_distance(level, distance_var, &alloc));
+            return Some((level == 0 && distance.is_some()).then_some(1));
         }
         if a.reference.subs.len() != b.reference.subs.len() {
             // Mismatched arity (should not happen for well-formed programs);
@@ -774,19 +932,34 @@ impl<'a> Tester<'a> {
 
         let mut exact_distance: Option<i64> = None;
         for (sa, sb) in pa.subs.iter().zip(&pb.subs) {
-            let (ea, eb) = match (sa, sb) {
-                (Some(ea), Some(eb)) => (ea, eb),
+            let (Some(da), Some(db)) = (sa, sb) else {
                 // An indirect subscript: may-dependent in this dimension.
-                _ => continue,
+                continue;
             };
-            let da = self.substitute_folded(ea, &map_a);
-            let db = self.substitute_folded(eb, &map_b);
-            let diff = da - db;
-            match feasible(&diff, &alloc) {
+            let Scratch {
+                metas,
+                src,
+                sink,
+                row,
+                program,
+            } = &mut *scratch;
+            row.clear();
+            row.resize(metas.len(), 0);
+            for (&m, &c) in src.iter().zip(&da.by_pos) {
+                row[m] += c;
+            }
+            for (&(m, carried), &c) in sink.iter().zip(&db.by_pos) {
+                row[m] -= c;
+                if let Some((t, step)) = carried {
+                    row[t] -= step * c;
+                }
+            }
+            merge_difference(&da.program, &db.program, program);
+            match feasible(da.constant - db.constant, program, row, metas) {
                 Feasibility::Infeasible => return None,
                 Feasibility::Feasible => {}
-                Feasibility::Exact(var, value) => {
-                    if Some(var) == distance_var && level == 0 {
+                Feasibility::Exact(meta, value) => {
+                    if Some(meta) == distance && level == 0 {
                         exact_distance = Some(value);
                     }
                 }
@@ -794,80 +967,37 @@ impl<'a> Tester<'a> {
         }
         Some(exact_distance)
     }
+}
 
-    #[allow(clippy::too_many_arguments)]
-    fn bind_level(
-        &self,
-        alloc: &mut MetaAlloc,
-        map_a: &mut BTreeMap<VarId, AffineExpr>,
-        map_b: &mut BTreeMap<VarId, AffineExpr>,
-        distance_var: &mut Option<VarId>,
-        index: VarId,
-        bounds: (i64, i64),
-        step: i64,
-        max_trip: usize,
-        relation: LevelRelation,
-    ) -> Option<()> {
-        match relation {
-            LevelRelation::Equal => {
-                let meta = alloc.fresh(bounds.0, bounds.1);
-                map_a.insert(index, AffineExpr::var(meta));
-                map_b.insert(index, AffineExpr::var(meta));
+/// The nonzero coefficients of `a - b`, two term lists sorted by variable,
+/// in variable order.
+fn merge_difference(a: &[(VarId, i64)], b: &[(VarId, i64)], out: &mut Vec<i64>) {
+    out.clear();
+    let (mut i, mut j) = (0, 0);
+    while i < a.len() || j < b.len() {
+        let c = match (a.get(i), b.get(j)) {
+            (Some(&(va, ca)), Some(&(vb, cb))) if va == vb => {
+                i += 1;
+                j += 1;
+                ca - cb
             }
-            LevelRelation::Carried => {
-                if max_trip < 2 {
-                    // The loop cannot carry a dependence.
-                    return None;
-                }
-                let meta = alloc.fresh(bounds.0, bounds.1);
-                let t = alloc.fresh(1, max_trip as i64 - 1);
-                *distance_var = Some(t);
-                map_a.insert(index, AffineExpr::var(meta));
-                map_b.insert(
-                    index,
-                    AffineExpr::var(meta) + AffineExpr::scaled_var(t, step),
-                );
+            (Some(&(va, ca)), Some(&(vb, _))) if va < vb => {
+                i += 1;
+                ca
             }
-            LevelRelation::Free => {
-                let ma = alloc.fresh(bounds.0, bounds.1);
-                let mb = alloc.fresh(bounds.0, bounds.1);
-                map_a.insert(index, AffineExpr::var(ma));
-                map_b.insert(index, AffineExpr::var(mb));
+            (Some(&(_, ca)), None) => {
+                i += 1;
+                ca
             }
+            (_, Some(&(_, cb))) => {
+                j += 1;
+                -cb
+            }
+            (None, None) => unreachable!("loop condition"),
+        };
+        if c != 0 {
+            out.push(c);
         }
-        Some(())
-    }
-
-    fn scalar_distance(
-        &self,
-        level: usize,
-        distance_var: Option<VarId>,
-        _alloc: &MetaAlloc,
-    ) -> Option<i64> {
-        // A scalar dependence at the region level can have any distance; we
-        // report the minimum one (1) for cross-segment dependences.
-        if level == 0 && distance_var.is_some() {
-            Some(1)
-        } else {
-            None
-        }
-    }
-
-    /// Maps the index variables of an already parameter-folded affine
-    /// expression (see [`SitePre::subs`]) to their meta expressions.
-    fn substitute_folded(
-        &self,
-        folded: &AffineExpr,
-        map: &BTreeMap<VarId, AffineExpr>,
-    ) -> AffineExpr {
-        let mut out = AffineExpr::constant(folded.constant);
-        for (&v, &c) in &folded.terms {
-            match map.get(&v) {
-                Some(meta) => out = out + meta.clone() * c,
-                None => out.add_term(v, c),
-            }
-        }
-        out
     }
 }
 
@@ -878,51 +1008,70 @@ enum Feasibility {
     Feasible,
     /// The dimension is equal exactly when the given meta variable has the
     /// given value (strong-SIV exact solution).
-    Exact(VarId, i64),
+    Exact(usize, i64),
 }
 
-/// Decides whether `diff == 0` has a solution with every variable inside its
-/// bounds, using exact single-variable solving, a GCD test and an interval
-/// (Banerjee-style) test.
-fn feasible(diff: &AffineExpr, bounds: &MetaAlloc) -> Feasibility {
-    if diff.is_constant() {
-        return if diff.constant == 0 {
+/// Decides whether `constant + Σ program + Σ row[m]·meta(m) == 0` has a
+/// solution with every meta variable inside its bounds, using exact
+/// single-variable solving, a GCD test and an interval (Banerjee-style)
+/// test. Program variables are unbounded.
+fn feasible(constant: i64, program: &[i64], row: &[i64], metas: &[(i64, i64)]) -> Feasibility {
+    let meta_terms = || row.iter().enumerate().filter(|&(_, &c)| c != 0);
+    let terms = program.len() + meta_terms().count();
+    if terms == 0 {
+        return if constant == 0 {
             Feasibility::Feasible
         } else {
             Feasibility::Infeasible
         };
     }
     // Exact single-variable case: c * v + constant == 0.
-    if diff.terms.len() == 1 {
-        let (&v, &c) = diff.terms.iter().next().expect("one term");
-        if diff.constant % c != 0 {
+    if terms == 1 {
+        let (meta, c) = match program.first() {
+            Some(&c) => (None, c),
+            None => {
+                let (m, &c) = meta_terms().next().expect("one term");
+                (Some(m), c)
+            }
+        };
+        if constant % c != 0 {
             return Feasibility::Infeasible;
         }
-        let value = -diff.constant / c;
-        if let Some((lo, hi)) = bounds.get(v) {
-            if value < lo || value > hi {
-                return Feasibility::Infeasible;
-            }
+        let value = -constant / c;
+        // A program variable is never the distance variable.
+        let Some(meta) = meta else {
+            return Feasibility::Feasible;
+        };
+        let (lo, hi) = metas[meta];
+        if value < lo || value > hi {
+            return Feasibility::Infeasible;
         }
-        return Feasibility::Exact(v, value);
+        return Feasibility::Exact(meta, value);
     }
     // GCD test.
-    let g = diff.terms.values().fold(0i64, |acc, &c| gcd(acc, c));
-    if g != 0 && diff.constant % g != 0 {
+    let g = program
+        .iter()
+        .chain(meta_terms().map(|(_, c)| c))
+        .fold(0i64, |acc, &c| gcd(acc, c));
+    if g != 0 && constant % g != 0 {
         return Feasibility::Infeasible;
     }
-    // Interval (Banerjee bounds) test.
-    let range = diff.range(&|v| bounds.get(v));
-    match range {
-        Some((lo, hi)) => {
-            if lo <= 0 && 0 <= hi {
-                Feasibility::Feasible
-            } else {
-                Feasibility::Infeasible
-            }
-        }
-        // Unknown bounds: conservative.
-        None => Feasibility::Feasible,
+    // Interval (Banerjee bounds) test; an unbounded program variable makes
+    // it inconclusive, hence conservative.
+    if !program.is_empty() {
+        return Feasibility::Feasible;
+    }
+    let (mut lo, mut hi) = (constant, constant);
+    for (m, &c) in meta_terms() {
+        let (vl, vh) = metas[m];
+        let (x, y) = (c * vl, c * vh);
+        lo += x.min(y);
+        hi += x.max(y);
+    }
+    if lo <= 0 && 0 <= hi {
+        Feasibility::Feasible
+    } else {
+        Feasibility::Infeasible
     }
 }
 
@@ -980,6 +1129,281 @@ pub fn site_stmt(table: &RefTable, r: RefId) -> Option<StmtId> {
     table.get(r).map(|s| s.stmt)
 }
 
+/// The map-based pair tester: per-level `BTreeMap<VarId, AffineExpr>`
+/// substitution maps and affine-expression algebra over a per-pair
+/// meta-variable allocator. Kept as the reference implementation the dense
+/// [`Tester::test_level`] must agree with, verdict for verdict (exact
+/// distances included).
+#[cfg(test)]
+mod reference {
+    use super::{Tester, Verdict, UNBOUNDED};
+    use crate::bounds::IndexBounds;
+    use refidem_ir::affine::{gcd, AffineExpr};
+    use refidem_ir::ids::VarId;
+    use refidem_ir::sites::{LoopContext, RefSite};
+    use refidem_ir::stmt::LoopStmt;
+    use refidem_ir::var::VarTable;
+    use std::collections::BTreeMap;
+
+    /// Per-site facts of the reference tester: the bounds walk and the
+    /// parameter-folded affine view of each subscript.
+    pub(super) struct SitePre {
+        bounds: IndexBounds,
+        subs: Vec<Option<AffineExpr>>,
+    }
+
+    impl SitePre {
+        pub(super) fn new(vars: &VarTable, region: &LoopStmt, s: &RefSite) -> Self {
+            SitePre {
+                bounds: IndexBounds::for_site(vars, region, &s.loops),
+                subs: s
+                    .reference
+                    .subs
+                    .iter()
+                    .map(|sub| {
+                        sub.as_affine()
+                            .map(|e| e.substitute_params(&|v| vars.param_value(v)))
+                    })
+                    .collect(),
+            }
+        }
+    }
+
+    /// Meta-variable ids start here so they never collide with program
+    /// variables.
+    const META_BASE: u32 = 1 << 24;
+
+    #[derive(Default)]
+    struct MetaAlloc {
+        bounds: Vec<(i64, i64)>,
+    }
+
+    impl MetaAlloc {
+        fn fresh(&mut self, lo: i64, hi: i64) -> VarId {
+            let id = VarId(META_BASE + self.bounds.len() as u32);
+            self.bounds.push((lo.min(hi), lo.max(hi)));
+            id
+        }
+
+        fn get(&self, v: VarId) -> Option<(i64, i64)> {
+            v.index()
+                .checked_sub(META_BASE as usize)
+                .and_then(|i| self.bounds.get(i).copied())
+        }
+    }
+
+    #[derive(Clone, Copy, PartialEq, Eq)]
+    enum LevelRelation {
+        Equal,
+        Carried,
+        Free,
+    }
+
+    fn common_loops<'s>(a: &'s RefSite, b: &'s RefSite) -> Vec<&'s LoopContext> {
+        let mut out = Vec::new();
+        for (la, lb) in a.loops.iter().zip(&b.loops) {
+            if la.stmt == lb.stmt {
+                out.push(la);
+            } else {
+                break;
+            }
+        }
+        out
+    }
+
+    pub(super) fn test_pair_verdict(
+        t: &Tester<'_>,
+        a: &RefSite,
+        b: &RefSite,
+        pa: &SitePre,
+        pb: &SitePre,
+    ) -> Verdict {
+        let common = common_loops(a, b);
+        let cross = test_level(t, a, b, pa, pb, &common, 0);
+        let mut intra = false;
+        for level in 1..=common.len() {
+            if test_level(t, a, b, pa, pb, &common, level).is_some() {
+                intra = true;
+                break;
+            }
+        }
+        if !intra && a.id != b.id && a.order < b.order {
+            let level = common.len() + 1;
+            if test_level(t, a, b, pa, pb, &common, level).is_some() {
+                intra = true;
+            }
+        }
+        Verdict { cross, intra }
+    }
+
+    fn test_level(
+        t: &Tester<'_>,
+        a: &RefSite,
+        b: &RefSite,
+        pa: &SitePre,
+        pb: &SitePre,
+        common: &[&LoopContext],
+        level: usize,
+    ) -> Option<Option<i64>> {
+        let mut alloc = MetaAlloc::default();
+        let bounds_a = &pa.bounds;
+        let bounds_b = &pb.bounds;
+        let mut map_a: BTreeMap<VarId, AffineExpr> = BTreeMap::new();
+        let mut map_b: BTreeMap<VarId, AffineExpr> = BTreeMap::new();
+        let mut distance_var: Option<VarId> = None;
+        let (klo, khi) = t.region_bounds.get(t.region.index).unwrap_or(UNBOUNDED);
+        let max_trip = (khi - klo + 1).max(0) as usize;
+        let relation = |lvl: usize| -> LevelRelation {
+            use std::cmp::Ordering::*;
+            match lvl.cmp(&level) {
+                Less => LevelRelation::Equal,
+                Equal => LevelRelation::Carried,
+                Greater => LevelRelation::Free,
+            }
+        };
+        let mut bind = |index: VarId,
+                        bounds: (i64, i64),
+                        step: i64,
+                        max_trip: usize,
+                        relation: LevelRelation,
+                        alloc: &mut MetaAlloc|
+         -> Option<()> {
+            match relation {
+                LevelRelation::Equal => {
+                    let meta = alloc.fresh(bounds.0, bounds.1);
+                    map_a.insert(index, AffineExpr::var(meta));
+                    map_b.insert(index, AffineExpr::var(meta));
+                }
+                LevelRelation::Carried => {
+                    if max_trip < 2 {
+                        return None;
+                    }
+                    let meta = alloc.fresh(bounds.0, bounds.1);
+                    let t = alloc.fresh(1, max_trip as i64 - 1);
+                    distance_var = Some(t);
+                    map_a.insert(index, AffineExpr::var(meta));
+                    map_b.insert(
+                        index,
+                        AffineExpr::var(meta) + AffineExpr::scaled_var(t, step),
+                    );
+                }
+                LevelRelation::Free => {
+                    let ma = alloc.fresh(bounds.0, bounds.1);
+                    let mb = alloc.fresh(bounds.0, bounds.1);
+                    map_a.insert(index, AffineExpr::var(ma));
+                    map_b.insert(index, AffineExpr::var(mb));
+                }
+            }
+            Some(())
+        };
+        bind(
+            t.region.index,
+            (klo, khi),
+            t.region.step,
+            max_trip,
+            relation(0),
+            &mut alloc,
+        )?;
+        for (i, l) in common.iter().enumerate() {
+            let bounds = bounds_a.get(l.index).or_else(|| bounds_b.get(l.index));
+            let (lo, hi) = bounds.unwrap_or(UNBOUNDED);
+            let trip = (hi - lo + 1).max(0) as usize;
+            bind(l.index, (lo, hi), l.step, trip, relation(i + 1), &mut alloc)?;
+        }
+        for l in a.loops.iter().skip(common.len()) {
+            let (lo, hi) = bounds_a.get(l.index).unwrap_or(UNBOUNDED);
+            let meta = alloc.fresh(lo, hi);
+            map_a.insert(l.index, AffineExpr::var(meta));
+        }
+        for l in b.loops.iter().skip(common.len()) {
+            let (lo, hi) = bounds_b.get(l.index).unwrap_or(UNBOUNDED);
+            let meta = alloc.fresh(lo, hi);
+            map_b.insert(l.index, AffineExpr::var(meta));
+        }
+
+        if a.reference.subs.is_empty() && b.reference.subs.is_empty() {
+            return Some(if level == 0 && distance_var.is_some() {
+                Some(1)
+            } else {
+                None
+            });
+        }
+        if a.reference.subs.len() != b.reference.subs.len() {
+            return Some(None);
+        }
+
+        let mut exact_distance: Option<i64> = None;
+        for (sa, sb) in pa.subs.iter().zip(&pb.subs) {
+            let (ea, eb) = match (sa, sb) {
+                (Some(ea), Some(eb)) => (ea, eb),
+                _ => continue,
+            };
+            let da = substitute_folded(ea, &map_a);
+            let db = substitute_folded(eb, &map_b);
+            let diff = da - db;
+            match feasible(&diff, &alloc) {
+                Feasibility::Infeasible => return None,
+                Feasibility::Feasible => {}
+                Feasibility::Exact(var, value) => {
+                    if Some(var) == distance_var && level == 0 {
+                        exact_distance = Some(value);
+                    }
+                }
+            }
+        }
+        Some(exact_distance)
+    }
+
+    fn substitute_folded(folded: &AffineExpr, map: &BTreeMap<VarId, AffineExpr>) -> AffineExpr {
+        let mut out = AffineExpr::constant(folded.constant);
+        for (&v, &c) in &folded.terms {
+            match map.get(&v) {
+                Some(meta) => out = out + meta.clone() * c,
+                None => out.add_term(v, c),
+            }
+        }
+        out
+    }
+
+    enum Feasibility {
+        Infeasible,
+        Feasible,
+        Exact(VarId, i64),
+    }
+
+    fn feasible(diff: &AffineExpr, bounds: &MetaAlloc) -> Feasibility {
+        if diff.is_constant() {
+            return if diff.constant == 0 {
+                Feasibility::Feasible
+            } else {
+                Feasibility::Infeasible
+            };
+        }
+        if diff.terms.len() == 1 {
+            let (&v, &c) = diff.terms.iter().next().expect("one term");
+            if diff.constant % c != 0 {
+                return Feasibility::Infeasible;
+            }
+            let value = -diff.constant / c;
+            if let Some((lo, hi)) = bounds.get(v) {
+                if value < lo || value > hi {
+                    return Feasibility::Infeasible;
+                }
+            }
+            return Feasibility::Exact(v, value);
+        }
+        let g = diff.terms.values().fold(0i64, |acc, &c| gcd(acc, c));
+        if g != 0 && diff.constant % g != 0 {
+            return Feasibility::Infeasible;
+        }
+        match diff.range(&|v| bounds.get(v)) {
+            Some((lo, hi)) if lo <= 0 && 0 <= hi => Feasibility::Feasible,
+            Some(_) => Feasibility::Infeasible,
+            None => Feasibility::Feasible,
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -989,26 +1413,15 @@ mod tests {
         find_region(body, label).expect("region").clone()
     }
 
-    /// The pre-pruning pair loop, kept verbatim as a reference
-    /// implementation: every ordered same-variable pair is tested
-    /// individually, with per-pair arena facts and no memoization. The
-    /// pruned [`DependenceSet::analyze`] must be structurally identical to
-    /// this — including the emission order of `deps()`.
+    /// The pre-pruning pair loop over the reference tester, kept as a
+    /// reference implementation: every ordered same-variable pair is
+    /// tested individually, with per-pair arena facts and no memoization.
+    /// The pruned [`DependenceSet::analyze`] must be structurally identical
+    /// to this — including the emission order of `deps()`.
     fn analyze_reference(vars: &VarTable, region: &LoopStmt, table: &RefTable) -> DependenceSet {
         let tester = Tester::new(vars, region);
-        let site_pre = |s: &RefSite| SitePre {
-            bounds: IndexBounds::for_site(vars, region, &s.loops),
-            subs: s
-                .reference
-                .subs
-                .iter()
-                .map(|sub| {
-                    sub.as_affine()
-                        .map(|e| e.substitute_params(&|v| vars.param_value(v)))
-                })
-                .collect(),
-        };
-        let mut out = DependenceSet::default();
+        let site_pre = |s: &RefSite| reference::SitePre::new(vars, region, s);
+        let mut out = Vec::new();
         let sites = table.sites();
         for a in sites {
             for b in sites {
@@ -1027,7 +1440,8 @@ mod tests {
                     (AccessKind::Write, AccessKind::Write) => DepKind::Output,
                     (AccessKind::Read, AccessKind::Read) => continue,
                 };
-                let verdict = tester.test_pair_verdict(a, b, &site_pre(a), &site_pre(b));
+                let verdict =
+                    reference::test_pair_verdict(&tester, a, b, &site_pre(a), &site_pre(b));
                 if let Some(distance) = verdict.cross {
                     out.push(Dependence {
                         source: a.id,
@@ -1048,7 +1462,7 @@ mod tests {
                 }
             }
         }
-        out
+        DependenceSet::from_deps(out)
     }
 
     /// A TWLDRV-shaped giant block: `stmts` straight-line statements
@@ -1183,6 +1597,69 @@ mod tests {
         assert_eq!(sharded, reference);
         assert_eq!(serial, sharded);
         assert!(!reference.is_empty());
+    }
+
+    /// The dense-row tester and the reference `BTreeMap` tester agree on
+    /// every pairable site pair of every corpus region — cross verdict
+    /// with its exact distance, and intra verdict. (The reference runs
+    /// once per distinct signature pair, which the memo soundness tests
+    /// above justify; the dense tester runs on every pair.)
+    #[test]
+    fn dense_tester_matches_reference_tester_on_the_corpus() {
+        let mut compared = 0usize;
+        for (name, program, regions) in crate::test_corpus::programs() {
+            for spec in regions {
+                let proc = program.procedure(spec.proc);
+                let (_, region, _) = proc.split_at_loop(&spec.loop_label).expect("top level");
+                let view = crate::region::segment_view(region);
+                let table = RefTable::collect(&view);
+                let vars = &proc.vars;
+                let tester = Tester::new(vars, region);
+                let sites = table.sites();
+                let dense: Vec<SitePre> = sites
+                    .iter()
+                    .map(|s| SitePre::new(vars, region, s))
+                    .collect();
+                let refs: Vec<reference::SitePre> = sites
+                    .iter()
+                    .map(|s| reference::SitePre::new(vars, region, s))
+                    .collect();
+                let mut tokens = Vec::new();
+                let sigs: Vec<Vec<i64>> = sites
+                    .iter()
+                    .map(|s| {
+                        signature_tokens(s, &mut tokens);
+                        tokens.clone()
+                    })
+                    .collect();
+                let mut expected: HashMap<(&[i64], &[i64], bool), Verdict> = HashMap::new();
+                let mut scratch = Scratch::default();
+                for (i, a) in sites.iter().enumerate() {
+                    for (j, b) in sites.iter().enumerate() {
+                        if a.var != b.var
+                            || !vars.kind(a.var).is_data()
+                            || (a.access == AccessKind::Read && b.access == AccessKind::Read)
+                        {
+                            continue;
+                        }
+                        let got =
+                            tester.test_pair_verdict(a, b, &dense[i], &dense[j], &mut scratch);
+                        let want = *expected
+                            .entry((&sigs[i], &sigs[j], a.order < b.order))
+                            .or_insert_with(|| {
+                                reference::test_pair_verdict(&tester, a, b, &refs[i], &refs[j])
+                            });
+                        assert_eq!(
+                            got, want,
+                            "{name} region {}: pair {} -> {}",
+                            spec.loop_label, a.id, b.id
+                        );
+                        compared += 1;
+                    }
+                }
+            }
+        }
+        assert!(compared > 100_000, "only {compared} pairs compared");
     }
 
     /// do k = 1, 10:  a(k) = a(k-1) + 1   — classic loop-carried flow dep.

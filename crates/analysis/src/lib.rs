@@ -38,6 +38,9 @@ pub mod region;
 pub mod schedule;
 pub mod summary;
 
+#[cfg(test)]
+mod test_corpus;
+
 pub use classify::{VarClass, VarClassification};
 pub use depend::{DepKind, DepScope, Dependence, DependenceSet};
 pub use region::RegionAnalysis;

@@ -23,7 +23,9 @@ use refidem_ir::ids::VarId;
 use refidem_ir::program::{Procedure, Program, RegionSpec};
 use refidem_ir::sites::RefTable;
 use refidem_ir::stmt::{IfStmt, LoopStmt, Stmt};
+use std::borrow::Cow;
 use std::collections::BTreeSet;
+use std::sync::Arc;
 
 /// Errors produced while analyzing a region.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -58,14 +60,17 @@ impl std::fmt::Display for AnalysisError {
 impl std::error::Error for AnalysisError {}
 
 /// The complete prerequisite analysis of one region (Section 4.2.1).
+///
+/// The reference table and the dependence set — the two products that
+/// grow with the region body — are immutable and shared (`Arc`), so
+/// cloning an analysis (a cache hit, a labeling input) copies pointers to
+/// them rather than their contents.
 #[derive(Clone, Debug)]
 pub struct RegionAnalysis {
     /// The analyzed region.
     pub spec: RegionSpec,
-    /// The region's loop statement (cloned out of the program).
-    pub loop_stmt: LoopStmt,
     /// Reference table of the loop body.
-    pub table: RefTable,
+    pub table: Arc<RefTable>,
     /// Body summary (exposed reads, must writes, …) of one iteration.
     pub summary: BodySummary,
     /// May-dependences, classified intra-/cross-segment.
@@ -105,31 +110,9 @@ impl RegionAnalysis {
         let Some((_before, region, _after)) = proc.split_at_loop(&spec.loop_label) else {
             return Err(AnalysisError::RegionNotTopLevel(spec.loop_label));
         };
-        // A WHILE region is analyzed through its *segment view*: the
-        // runtime evaluates the continuation condition before every
-        // iteration's body, so one segment behaves exactly like
-        // `IF (cond) THEN body ENDIF`. Desugaring to that form makes the
-        // existing machinery sound for free — the condition's reads become
-        // unconditional exposed reads, and every body write becomes a
-        // conditional may-write (never RFW, never must-written), which is
-        // precisely what lets the engines discard segments past the
-        // dynamic termination point: non-private idempotent write-through
-        // classes are unreachable for while-body writes.
-        let segment_view: Vec<Stmt>;
-        let view: &[Stmt] = match &region.while_cond {
-            Some(cond) => {
-                segment_view = vec![Stmt::If(IfStmt {
-                    id: region.id,
-                    cond: cond.clone(),
-                    then_branch: region.body.clone(),
-                    else_branch: vec![],
-                })];
-                &segment_view
-            }
-            None => &region.body,
-        };
-        let table = RefTable::collect(view);
-        let summary = BodySummary::analyze(&proc.vars, Some(region), view);
+        let view = segment_view(region);
+        let table = RefTable::collect(&view);
+        let summary = BodySummary::analyze(&proc.vars, Some(region), &view);
         let deps = DependenceSet::analyze(&proc.vars, region, &table);
         let live_out =
             region_live_out(proc, &spec.loop_label).expect("region is top-level (checked above)");
@@ -145,8 +128,7 @@ impl RegionAnalysis {
             });
         Ok(RegionAnalysis {
             spec,
-            loop_stmt: region.clone(),
-            table,
+            table: Arc::new(table),
             summary,
             deps,
             classes,
@@ -159,6 +141,28 @@ impl RegionAnalysis {
     /// Total number of (static) reference sites in the region body.
     pub fn static_ref_count(&self) -> usize {
         self.table.len()
+    }
+}
+
+/// The statements one segment of `region` executes. A WHILE region is
+/// analyzed through this view: the runtime evaluates the continuation
+/// condition before every iteration's body, so one segment behaves exactly
+/// like `IF (cond) THEN body ENDIF`. Desugaring to that form makes the
+/// existing machinery sound for free — the condition's reads become
+/// unconditional exposed reads, and every body write becomes a conditional
+/// may-write (never RFW, never must-written), which is precisely what lets
+/// the engines discard segments past the dynamic termination point:
+/// non-private idempotent write-through classes are unreachable for
+/// while-body writes.
+pub(crate) fn segment_view(region: &LoopStmt) -> Cow<'_, [Stmt]> {
+    match &region.while_cond {
+        Some(cond) => Cow::Owned(vec![Stmt::If(IfStmt {
+            id: region.id,
+            cond: cond.clone(),
+            then_branch: region.body.clone(),
+            else_branch: vec![],
+        })]),
+        None => Cow::Borrowed(&region.body),
     }
 }
 

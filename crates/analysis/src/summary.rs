@@ -34,7 +34,7 @@ use refidem_ir::expr::{Reference, Subscript};
 use refidem_ir::ids::{RefId, VarId};
 use refidem_ir::stmt::{LoopStmt, Stmt};
 use refidem_ir::var::VarTable;
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::{BTreeMap, BTreeSet, HashMap};
 
 /// Facts about one write site gathered by the body walk.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -151,48 +151,21 @@ impl BodySummary {
     /// summarizing code outside any region (e.g. the statements after a
     /// region for liveness purposes).
     pub fn analyze(vars: &VarTable, region: Option<&LoopStmt>, stmts: &[Stmt]) -> Self {
-        let mut bounds = IndexBounds::new();
-        if let Some(r) = region {
-            bounds.enter_loop(vars, r.index, &r.lower, &r.upper, r.step);
-        }
-        let mut walker = Walker {
-            vars,
-            facts: BTreeMap::new(),
-            flow: BTreeMap::new(),
-            write_locs: BTreeMap::new(),
-            bounds,
-            loop_stack: Vec::new(),
-            conditional_depth: 0,
-        };
-        for s in stmts {
-            walker.walk_stmt(s);
-        }
-        // Finalize: copy the path-sensitive must facts into the summaries
-        // and resolve each write's `location_must_written` flag against the
-        // final must-location sets.
-        let mut per_var = walker.facts;
-        for (v, flow) in &walker.flow {
-            let entry = per_var.entry(*v).or_insert_with(VarSummary::fresh);
-            entry.must_written = flow.must_written;
-            for w in &mut entry.writes {
-                if let Some(Some(loc)) = walker.write_locs.get(&w.id) {
-                    w.location_must_written = flow.must_locs.contains(loc);
-                }
-            }
-        }
-        BodySummary { per_var }
+        Walker::new(vars, region).summarize(stmts)
     }
 }
 
-/// Canonical location descriptor: variable plus canonicalized subscripts.
-type CanonLoc = String;
+/// A canonical location descriptor — variable plus canonicalized
+/// subscripts — interned per walk: two references denote the same
+/// location exactly when their ids are equal.
+type LocId = u32;
 
 /// Path-sensitive state per variable (cloned and merged across `IF`
 /// branches).
 #[derive(Clone, Debug, Default)]
 struct FlowState {
     /// Canonical locations must-written so far on every path.
-    must_locs: BTreeSet<CanonLoc>,
+    must_locs: BTreeSet<LocId>,
     /// An exposed read has occurred so far on some path.
     exposed_so_far: bool,
     /// The variable is must-written (by a precise write) on every path so
@@ -201,12 +174,12 @@ struct FlowState {
 }
 
 #[derive(Clone, Debug)]
-struct LoopLevel {
-    index: VarId,
-    lower: AffineExpr,
-    upper: AffineExpr,
-    step: i64,
+struct LoopLevel<'a> {
+    stmt: &'a LoopStmt,
     always_executes: bool,
+    /// The loop's canonical name tokens: parameter-folded lower and upper
+    /// bounds, then the step (the stack position is added per use).
+    name: Vec<i64>,
 }
 
 struct Walker<'a> {
@@ -218,44 +191,140 @@ struct Walker<'a> {
     flow: BTreeMap<VarId, FlowState>,
     /// Canonical location of every write site (for the final
     /// `location_must_written` resolution).
-    write_locs: BTreeMap<RefId, Option<CanonLoc>>,
+    write_locs: BTreeMap<RefId, Option<LocId>>,
     bounds: IndexBounds,
-    loop_stack: Vec<LoopLevel>,
+    loop_stack: Vec<LoopLevel<'a>>,
     conditional_depth: usize,
+    /// The walk's interned canonical locations, keyed by token stream.
+    locs: HashMap<Vec<i64>, LocId>,
+    /// Reused buffer for the token stream of the location being named.
+    key: Vec<i64>,
+    /// Name locations with the `format!`-built strings of the reference
+    /// canonicalizer instead of token streams.
+    #[cfg(test)]
+    string_names: bool,
 }
 
-impl Walker<'_> {
-    /// Canonicalizes an affine subscript: inner-loop indices are replaced by
-    /// positional placeholders keyed by (position, folded bounds, step).
-    fn canon_affine(&self, e: &AffineExpr) -> String {
-        let folded = e.substitute_params(&|v| self.vars.param_value(v));
-        let mut rendered: Vec<String> = Vec::new();
-        for (&v, &c) in &folded.terms {
-            let name = self
-                .loop_stack
-                .iter()
-                .enumerate()
-                .find(|(_, l)| l.index == v)
-                .map(|(pos, l)| {
-                    let lo = l.lower.substitute_params(&|v| self.vars.param_value(v));
-                    let hi = l.upper.substitute_params(&|v| self.vars.param_value(v));
-                    format!("inner{pos}<{lo:?},{hi:?},{}>", l.step)
-                })
-                .unwrap_or_else(|| format!("{v}"));
-            rendered.push(format!("{c}*{name}"));
+/// Appends a parameter-folded affine expression as tokens: constant, term
+/// count, then `(variable, coefficient)` pairs in variable order.
+fn push_folded(vars: &VarTable, e: &AffineExpr, key: &mut Vec<i64>) {
+    let folded = e.substitute_params(&|v| vars.param_value(v));
+    key.push(folded.constant);
+    key.push(folded.terms.len() as i64);
+    for (&v, &c) in &folded.terms {
+        key.push(v.index() as i64);
+        key.push(c);
+    }
+}
+
+impl<'a> Walker<'a> {
+    fn new(vars: &'a VarTable, region: Option<&LoopStmt>) -> Self {
+        let mut bounds = IndexBounds::new();
+        if let Some(r) = region {
+            bounds.enter_loop(vars, r.index, &r.lower, &r.upper, r.step);
         }
-        format!("{}+{}", folded.constant, rendered.join("+"))
+        Walker {
+            vars,
+            facts: BTreeMap::new(),
+            flow: BTreeMap::new(),
+            write_locs: BTreeMap::new(),
+            bounds,
+            loop_stack: Vec::new(),
+            conditional_depth: 0,
+            locs: HashMap::new(),
+            key: Vec::new(),
+            #[cfg(test)]
+            string_names: false,
+        }
     }
 
-    fn canon_loc(&self, r: &Reference) -> Option<CanonLoc> {
-        let mut subs = Vec::with_capacity(r.subs.len());
-        for s in &r.subs {
-            match s {
-                Subscript::Affine(e) => subs.push(self.canon_affine(e)),
-                Subscript::Indirect(_) => return None,
+    fn summarize(mut self, stmts: &'a [Stmt]) -> BodySummary {
+        for s in stmts {
+            self.walk_stmt(s);
+        }
+        // Finalize: copy the path-sensitive must facts into the summaries
+        // and resolve each write's `location_must_written` flag against the
+        // final must-location sets.
+        let mut per_var = self.facts;
+        for (v, flow) in &self.flow {
+            let entry = per_var.entry(*v).or_insert_with(VarSummary::fresh);
+            entry.must_written = flow.must_written;
+            for w in &mut entry.writes {
+                if let Some(Some(loc)) = self.write_locs.get(&w.id) {
+                    w.location_must_written = flow.must_locs.contains(loc);
+                }
             }
         }
-        Some(format!("{}[{}]", r.var, subs.join(";")))
+        BodySummary { per_var }
+    }
+
+    /// Writes `r`'s canonical location into `key` as a token stream; false
+    /// for a reference with an indirect subscript, which has none. The
+    /// stream is the variable, then per subscript its parameter-folded
+    /// terms and constant. An inner-loop index is named by its loop's
+    /// stack position, folded bounds and step rather than by its variable,
+    /// so that `x(m)` written under `do m = 1, 5` and `x(l)` read under a
+    /// sibling `do l = 1, 5` name the same location.
+    fn loc_key(&self, r: &Reference, key: &mut Vec<i64>) -> bool {
+        #[cfg(test)]
+        if self.string_names {
+            return reference::loc_key(self, r, key);
+        }
+        key.clear();
+        key.push(r.var.index() as i64);
+        key.push(r.subs.len() as i64);
+        for sub in &r.subs {
+            let Subscript::Affine(e) = sub else {
+                return false;
+            };
+            let count_at = key.len();
+            key.push(0);
+            let (mut constant, mut terms) = (e.constant, 0);
+            for (&v, &c) in &e.terms {
+                if let Some(value) = self.vars.param_value(v) {
+                    constant += c * value;
+                    continue;
+                }
+                terms += 1;
+                key.push(c);
+                match self.loop_stack.iter().position(|l| l.stmt.index == v) {
+                    Some(pos) => {
+                        key.push(1);
+                        key.push(pos as i64);
+                        key.extend_from_slice(&self.loop_stack[pos].name);
+                    }
+                    None => {
+                        key.push(0);
+                        key.push(v.index() as i64);
+                    }
+                }
+            }
+            key[count_at] = terms;
+            key.push(constant);
+        }
+        true
+    }
+
+    /// The id of `r`'s canonical location: interned when `intern`, else
+    /// only looked up (`None` when no write named it yet, so it is in no
+    /// must-location set). `None` for indirect subscripts.
+    fn loc_id(&mut self, r: &Reference, intern: bool) -> Option<LocId> {
+        let mut key = std::mem::take(&mut self.key);
+        let id = if self.loc_key(r, &mut key) {
+            match self.locs.get(key.as_slice()) {
+                Some(&id) => Some(id),
+                None if intern => {
+                    let id = self.locs.len() as LocId;
+                    self.locs.insert(key.clone(), id);
+                    Some(id)
+                }
+                None => None,
+            }
+        } else {
+            None
+        };
+        self.key = key;
+        id
     }
 
     /// True when, on the *current path*, the reference is guaranteed to
@@ -266,7 +335,7 @@ impl Walker<'_> {
     fn loops_guarantee_execution(&self, r: &Reference) -> bool {
         self.loop_stack.iter().all(|l| {
             let used = r.subs.iter().any(|s| match s {
-                Subscript::Affine(e) => e.uses(l.index),
+                Subscript::Affine(e) => e.uses(l.stmt.index),
                 Subscript::Indirect(_) => false,
             });
             used || l.always_executes
@@ -287,16 +356,15 @@ impl Walker<'_> {
         if !self.vars.kind(r.var).is_data() {
             return;
         }
-        let loc = self.canon_loc(r);
         let precise = r.is_address_precise();
-        let covered = match &loc {
-            Some(loc) => self
-                .flow
-                .get(&r.var)
-                .map(|f| f.must_locs.contains(loc))
-                .unwrap_or(false),
-            None => false,
-        };
+        let may_be_covered = self
+            .flow
+            .get(&r.var)
+            .is_some_and(|f| !f.must_locs.is_empty());
+        let covered = may_be_covered
+            && self
+                .loc_id(r, false)
+                .is_some_and(|loc| self.flow[&r.var].must_locs.contains(&loc));
         let summary = self.facts_entry(r.var);
         summary.has_read = true;
         if !precise {
@@ -323,13 +391,13 @@ impl Walker<'_> {
         let precise = r.is_address_precise();
         let must_context = self.in_must_context(r);
         let on_path_guaranteed = self.loops_guarantee_execution(r);
-        let loc = self.canon_loc(r);
+        let loc = self.loc_id(r, true);
         let preceded_by_exposed_read = self
             .flow
             .get(&r.var)
             .map(|f| f.exposed_so_far)
             .unwrap_or(false);
-        self.write_locs.insert(r.id, loc.clone());
+        self.write_locs.insert(r.id, loc);
         let summary = self.facts_entry(r.var);
         summary.has_write = true;
         if !precise {
@@ -353,25 +421,17 @@ impl Walker<'_> {
         }
     }
 
-    fn walk_stmt(&mut self, s: &Stmt) {
+    fn walk_stmt(&mut self, s: &'a Stmt) {
         match s {
             Stmt::Assign(a) => {
                 // `for_each_read` already yields indirect-subscript reads as
                 // separate entries (inner before parent), so record them
                 // flatly to avoid double counting.
-                let mut reads = Vec::new();
-                a.rhs.for_each_read(&mut |r| reads.push(r));
-                for r in reads {
-                    self.record_read_flat(r);
-                }
+                a.rhs.for_each_read(&mut |r| self.record_read_flat(r));
                 self.record_write(&a.lhs);
             }
             Stmt::If(i) => {
-                let mut reads = Vec::new();
-                i.cond.for_each_read(&mut |r| reads.push(r));
-                for r in reads {
-                    self.record_read_flat(r);
-                }
+                i.cond.for_each_read(&mut |r| self.record_read_flat(r));
                 // Walk both branches from the pre-flow and merge: a location
                 // is must-written after the IF only if it is must-written on
                 // both branches; exposure is the union.
@@ -399,19 +459,17 @@ impl Walker<'_> {
                     && always_executes(self.vars, &self.bounds, &l.lower, &l.upper, l.step);
                 self.bounds
                     .enter_loop(self.vars, l.index, &l.lower, &l.upper, l.step);
+                let mut name = Vec::new();
+                push_folded(self.vars, &l.lower, &mut name);
+                push_folded(self.vars, &l.upper, &mut name);
+                name.push(l.step);
                 self.loop_stack.push(LoopLevel {
-                    index: l.index,
-                    lower: l.lower.clone(),
-                    upper: l.upper.clone(),
-                    step: l.step,
+                    stmt: l,
                     always_executes: always,
+                    name,
                 });
                 if let Some(cond) = &l.while_cond {
-                    let mut reads = Vec::new();
-                    cond.for_each_read(&mut |r| reads.push(r));
-                    for r in reads {
-                        self.record_read_flat(r);
-                    }
+                    cond.for_each_read(&mut |r| self.record_read_flat(r));
                     let pre = self.flow.clone();
                     self.conditional_depth += 1;
                     for st in &l.body {
@@ -446,13 +504,74 @@ fn merge_flows(
         out.insert(
             v,
             FlowState {
-                must_locs: t.must_locs.intersection(&e.must_locs).cloned().collect(),
+                must_locs: t.must_locs.intersection(&e.must_locs).copied().collect(),
                 exposed_so_far: t.exposed_so_far || e.exposed_so_far,
                 must_written: t.must_written && e.must_written,
             },
         );
     }
     out
+}
+
+/// The `format!`-built string canonicalizer, kept as the reference
+/// implementation: summaries naming locations either way must be
+/// identical.
+#[cfg(test)]
+mod reference {
+    use super::Walker;
+    use refidem_ir::affine::AffineExpr;
+    use refidem_ir::expr::{Reference, Subscript};
+    use refidem_ir::stmt::{LoopStmt, Stmt};
+    use refidem_ir::var::VarTable;
+
+    /// Canonicalizes an affine subscript: inner-loop indices are replaced by
+    /// positional placeholders keyed by (position, folded bounds, step).
+    fn canon_affine(w: &Walker<'_>, e: &AffineExpr) -> String {
+        let folded = e.substitute_params(&|v| w.vars.param_value(v));
+        let mut rendered: Vec<String> = Vec::new();
+        for (&v, &c) in &folded.terms {
+            let name = w
+                .loop_stack
+                .iter()
+                .enumerate()
+                .find(|(_, l)| l.stmt.index == v)
+                .map(|(pos, l)| {
+                    let lo = l.stmt.lower.substitute_params(&|v| w.vars.param_value(v));
+                    let hi = l.stmt.upper.substitute_params(&|v| w.vars.param_value(v));
+                    format!("inner{pos}<{lo:?},{hi:?},{}>", l.stmt.step)
+                })
+                .unwrap_or_else(|| format!("{v}"));
+            rendered.push(format!("{c}*{name}"));
+        }
+        format!("{}+{}", folded.constant, rendered.join("+"))
+    }
+
+    /// The string name of `r`'s location, as bytes in `key`.
+    pub(super) fn loc_key(w: &Walker<'_>, r: &Reference, key: &mut Vec<i64>) -> bool {
+        let mut subs = Vec::with_capacity(r.subs.len());
+        for s in &r.subs {
+            match s {
+                Subscript::Affine(e) => subs.push(canon_affine(w, e)),
+                Subscript::Indirect(_) => return false,
+            }
+        }
+        let name = format!("{}[{}]", r.var, subs.join(";"));
+        key.clear();
+        key.extend(name.bytes().map(i64::from));
+        true
+    }
+
+    /// [`BodySummary::analyze`](super::BodySummary::analyze) with the
+    /// reference canonicalizer.
+    pub(crate) fn analyze(
+        vars: &VarTable,
+        region: Option<&LoopStmt>,
+        stmts: &[Stmt],
+    ) -> super::BodySummary {
+        let mut walker = Walker::new(vars, region);
+        walker.string_names = true;
+        walker.summarize(stmts)
+    }
 }
 
 #[cfg(test)]
@@ -473,6 +592,41 @@ mod tests {
         };
         let summary = BodySummary::analyze(b.vars(), Some(&region), &region.body);
         (summary, region)
+    }
+
+    /// Interned token locations and the reference string canonicalizer
+    /// produce identical summaries for every corpus region body (WHILE
+    /// regions through their segment view) and for the code after every
+    /// top-level statement — the summaries liveness is computed from.
+    #[test]
+    fn interned_locations_match_the_string_canonicalizer_on_the_corpus() {
+        let mut compared = 0usize;
+        for (name, program, regions) in crate::test_corpus::programs() {
+            for spec in &regions {
+                let proc = program.procedure(spec.proc);
+                let (_, region, _) = proc.split_at_loop(&spec.loop_label).expect("top level");
+                let view = crate::region::segment_view(region);
+                assert_eq!(
+                    BodySummary::analyze(&proc.vars, Some(region), &view),
+                    reference::analyze(&proc.vars, Some(region), &view),
+                    "{name} region {}",
+                    spec.loop_label
+                );
+                compared += 1;
+            }
+            for proc in &program.procedures {
+                for start in 0..proc.body.len() {
+                    let tail = &proc.body[start..];
+                    assert_eq!(
+                        BodySummary::analyze(&proc.vars, None, tail),
+                        reference::analyze(&proc.vars, None, tail),
+                        "{name} statements {start}.."
+                    );
+                    compared += 1;
+                }
+            }
+        }
+        assert!(compared > 2000, "only {compared} summaries compared");
     }
 
     #[test]

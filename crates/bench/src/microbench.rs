@@ -9,10 +9,11 @@
 //!
 //! Two environment variables make the harness CI-friendly:
 //!
-//! * `BENCH_JSON=<path>` — append the results as machine-readable JSON
+//! * `BENCH_JSON=<path>` — write the results as machine-readable JSON
 //!   (`[{"name": ..., "ns_per_iter": ...}, ...]`) to `<path>`, merging
-//!   with any entries already present so several bench binaries can share
-//!   one file (this is how CI produces `BENCH_2.json`);
+//!   with any entries already present (one entry per name, the newest
+//!   value wins) so several bench binaries can share one file (this is how
+//!   CI produces `BENCH_2.json`);
 //! * `BENCH_SAMPLES=<n>` — override the per-benchmark sample count (the
 //!   short profile CI runs uses a small value);
 //! * `BENCH_FILTER=<substr>` — only run benchmarks whose full
@@ -186,23 +187,20 @@ impl Harness {
     /// Renders the results as a JSON array of `{"name", "ns_per_iter"}`
     /// objects.
     pub fn results_json(&self) -> String {
-        let entries: Vec<String> = self
-            .results
-            .iter()
-            .map(|(name, d)| {
-                format!(
-                    "  {{\"name\": \"{}\", \"ns_per_iter\": {}}}",
-                    json_escape(name),
-                    d.as_nanos()
-                )
-            })
-            .collect();
-        format!("[\n{}\n]\n", entries.join(",\n"))
+        render_results(
+            self.results
+                .iter()
+                .map(|(name, d)| (name.as_str(), d.as_nanos())),
+        )
     }
 
     /// Writes (or merges into) a JSON results file. When the file already
-    /// holds a JSON array — e.g. from another bench binary of the same
-    /// `cargo bench` run — the new entries are appended to it.
+    /// holds results — e.g. from another bench binary of the same
+    /// `cargo bench` run — the merge keeps one entry per name: a name
+    /// measured again takes the new value in its old place, and new names
+    /// are appended (the reading [`parse_results_json`] gives a file with
+    /// duplicate names). A file that does not parse is an error, not
+    /// overwritten.
     ///
     /// The write is atomic (rendered to a process-unique temp file beside
     /// the target and renamed into place), so a reader — or a bench binary
@@ -212,10 +210,20 @@ impl Harness {
     /// funnel through one reporter (CI runs the bench binaries of one
     /// `cargo bench` invocation sequentially, which is that funnel).
     pub fn write_json(&self, path: &str) -> std::io::Result<()> {
-        let rendered = match std::fs::read_to_string(path) {
-            Ok(old) => merge_json_arrays(&old, &self.results_json()),
-            Err(_) => self.results_json(),
+        let mut entries = match std::fs::read_to_string(path) {
+            Ok(old) => parse_results_json(&old).map_err(|e| {
+                std::io::Error::new(std::io::ErrorKind::InvalidData, format!("{path}: {e}"))
+            })?,
+            Err(_) => Vec::new(),
         };
+        for (name, d) in &self.results {
+            let ns = d.as_nanos() as u64;
+            match entries.iter_mut().find(|(n, _)| n == name) {
+                Some(entry) => entry.1 = ns,
+                None => entries.push((name.clone(), ns)),
+            }
+        }
+        let rendered = render_results(entries.iter().map(|(name, ns)| (name.as_str(), *ns)));
         let tmp = format!("{path}.tmp.{}", std::process::id());
         std::fs::write(&tmp, rendered)?;
         std::fs::rename(&tmp, path)
@@ -236,7 +244,7 @@ impl Harness {
         if let Ok(path) = std::env::var("BENCH_JSON") {
             if !path.is_empty() {
                 match self.write_json(&path) {
-                    Ok(()) => println!("results appended to {path}"),
+                    Ok(()) => println!("results merged into {path}"),
                     Err(e) => eprintln!("failed to write {path}: {e}"),
                 }
             }
@@ -254,9 +262,9 @@ fn json_escape(s: &str) -> String {
 /// `{"name", "ns_per_iter"}` objects [`Harness::write_json`] emits) back
 /// into `(name, ns)` pairs, in file order. The inverse of
 /// [`Harness::results_json`], and what the `bench_diff` binary compares
-/// two recorded trajectories with. Duplicate names (a re-measured bench
-/// merge-appended into the same file) keep the *last* entry, matching the
-/// merge-append semantics where the newest measurement wins a comparison.
+/// two recorded trajectories with. A name listed twice (files written
+/// before the merge kept one entry per name) keeps its first place and its
+/// *last* value — the newest measurement wins, as in the merge.
 pub fn parse_results_json(text: &str) -> Result<Vec<(String, u64)>, String> {
     let mut order: Vec<String> = Vec::new();
     let mut latest: std::collections::BTreeMap<String, u64> = std::collections::BTreeMap::new();
@@ -307,26 +315,21 @@ pub fn parse_results_json(text: &str) -> Result<Vec<(String, u64)>, String> {
         .collect())
 }
 
-/// Concatenates two rendered JSON arrays into one.
-fn merge_json_arrays(old: &str, new: &str) -> String {
-    let old_inner = old
-        .trim()
-        .strip_prefix('[')
-        .and_then(|s| s.strip_suffix(']'))
-        .map(str::trim)
-        .unwrap_or("");
-    let new_inner = new
-        .trim()
-        .strip_prefix('[')
-        .and_then(|s| s.strip_suffix(']'))
-        .map(str::trim)
-        .unwrap_or("");
-    match (old_inner.is_empty(), new_inner.is_empty()) {
-        (true, true) => "[]\n".to_string(),
-        (false, true) => format!("[\n{old_inner}\n]\n"),
-        (true, false) => format!("[\n{new_inner}\n]\n"),
-        (false, false) => format!("[\n{old_inner},\n{new_inner}\n]\n"),
+/// Renders `(name, ns)` entries as the results file's JSON array, one
+/// object per line.
+fn render_results<'a, N: std::fmt::Display>(entries: impl Iterator<Item = (&'a str, N)>) -> String {
+    let entries: Vec<String> = entries
+        .map(|(name, ns)| {
+            format!(
+                "  {{\"name\": \"{}\", \"ns_per_iter\": {ns}}}",
+                json_escape(name)
+            )
+        })
+        .collect();
+    if entries.is_empty() {
+        return "[]\n".to_string();
     }
+    format!("[\n{}\n]\n", entries.join(",\n"))
 }
 
 fn format_duration(d: Duration) -> String {
@@ -403,10 +406,10 @@ mod tests {
         let mut h = Harness::default().sample_size(1);
         h.results.push(("g/a".to_string(), Duration::from_nanos(7)));
         h.write_json(path_str).unwrap();
-        // Second write merge-appends into the same file.
+        // Second write merges into the same file.
         h.write_json(path_str).unwrap();
         let merged = std::fs::read_to_string(&path).unwrap();
-        assert_eq!(merged.matches("g/a").count(), 2);
+        assert_eq!(merged.matches("g/a").count(), 1);
         // The temp file used for the atomic rename is gone.
         let leftovers: Vec<_> = std::fs::read_dir(&dir)
             .unwrap()
@@ -414,6 +417,50 @@ mod tests {
             .filter(|n| n.to_string_lossy().contains(".tmp."))
             .collect();
         assert!(leftovers.is_empty(), "stray temp files: {leftovers:?}");
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn re_merging_a_name_replaces_it() {
+        let dir = std::env::temp_dir().join(format!("refidem_remerge_{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("bench.json");
+        let path_str = path.to_str().unwrap();
+
+        let mut first = Harness::default().sample_size(1);
+        first
+            .results
+            .push(("g/a".to_string(), Duration::from_nanos(7)));
+        first
+            .results
+            .push(("g/b".to_string(), Duration::from_nanos(8)));
+        first.write_json(path_str).unwrap();
+        // A later bench binary re-measures `g/a` and adds `g/c`.
+        let mut second = Harness::default().sample_size(1);
+        second
+            .results
+            .push(("g/c".to_string(), Duration::from_nanos(9)));
+        second
+            .results
+            .push(("g/a".to_string(), Duration::from_nanos(5)));
+        second.write_json(path_str).unwrap();
+        let merged = std::fs::read_to_string(&path).unwrap();
+        assert_eq!(merged.matches("g/a").count(), 1, "{merged}");
+        assert_eq!(
+            parse_results_json(&merged).unwrap(),
+            vec![
+                ("g/a".to_string(), 5),
+                ("g/b".to_string(), 8),
+                ("g/c".to_string(), 9)
+            ]
+        );
+        // A file that does not parse is reported, not clobbered.
+        std::fs::write(&path, "[{\"name\": \"x\"}]").unwrap();
+        assert!(second.write_json(path_str).is_err());
+        assert_eq!(
+            std::fs::read_to_string(&path).unwrap(),
+            "[{\"name\": \"x\"}]"
+        );
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
@@ -429,12 +476,11 @@ mod tests {
             parsed,
             vec![("g/a".to_string(), 120), ("g/b".to_string(), 3000)]
         );
-        // Merge-appended duplicates resolve to the newest measurement.
-        let merged = merge_json_arrays(
-            &h.results_json(),
-            "[\n  {\"name\": \"g/a\", \"ns_per_iter\": 90}\n]\n",
-        );
-        let parsed = parse_results_json(&merged).unwrap();
+        // A duplicated name resolves to its newest measurement.
+        let duplicated = "[\n  {\"name\": \"g/a\", \"ns_per_iter\": 120},\n  \
+            {\"name\": \"g/b\", \"ns_per_iter\": 3000},\n  \
+            {\"name\": \"g/a\", \"ns_per_iter\": 90}\n]\n";
+        let parsed = parse_results_json(duplicated).unwrap();
         assert_eq!(
             parsed,
             vec![("g/a".to_string(), 90), ("g/b".to_string(), 3000)]
@@ -460,20 +506,8 @@ mod tests {
         assert!(json.starts_with("[\n"));
         assert!(json.contains("{\"name\": \"g/a\", \"ns_per_iter\": 120}"));
         assert!(json.contains("{\"name\": \"g/b\", \"ns_per_iter\": 3000}"));
-        // Merging two arrays keeps every entry.
-        let merged = merge_json_arrays(&json, &json);
-        assert_eq!(merged.matches("g/a").count(), 2);
-        assert!(merged.trim().starts_with('[') && merged.trim().ends_with(']'));
-        // Merging with an empty / absent array degenerates correctly.
-        assert_eq!(merge_json_arrays("", "[]"), "[]\n");
-        for one_sided in [
-            merge_json_arrays("[]", &json),
-            merge_json_arrays(&json, "[]"),
-        ] {
-            assert_eq!(one_sided.matches("ns_per_iter").count(), 2);
-            let t = one_sided.trim();
-            assert!(t.starts_with('[') && t.ends_with(']'));
-        }
+        assert!(json.trim().starts_with('[') && json.trim().ends_with(']'));
+        assert_eq!(Harness::default().results_json(), "[]\n");
         assert_eq!(json_escape("a\"b\\c"), "a\\\"b\\\\c");
     }
 }

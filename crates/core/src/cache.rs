@@ -506,6 +506,43 @@ mod tests {
         }
     }
 
+    /// `label_program_cached` hands out copies of the cached bundles whose
+    /// dependence set and reference table are the cached ones, shared —
+    /// a regression to deep copies fails here, not only in a benchmark.
+    #[test]
+    fn cached_regions_share_their_analysis_products() {
+        let mut b = ProcBuilder::new("main");
+        let a = b.array("a", &[16]);
+        let k = b.index("k");
+        b.live_out(&[a]);
+        let rhs = refidem_ir::build::add(b.load_elem(a, vec![av(k) - ac(1)]), num(1.0));
+        let s = b.assign_elem(a, vec![av(k)], rhs);
+        let r = b.do_loop_labeled("DEP", k, ac(2), ac(16), vec![s]);
+        let mut program = Program::new("dep");
+        program.add_procedure(b.build(vec![r]));
+        let cache = AnalysisCache::fresh();
+        for expect_hit in [false, true] {
+            let (labeled, tally) = cache
+                .label_program_cached(&program, ProcId::from_index(0))
+                .expect("labels");
+            assert_eq!(tally.hits, expect_hit as u64);
+            let region = &labeled.regions[0];
+            let cached = cache
+                .label_region_by_name_cached(&program, "DEP")
+                .expect("labels")
+                .region;
+            assert!(!region.analysis.deps.is_empty());
+            assert!(std::ptr::eq(
+                region.analysis.deps.deps().as_ptr(),
+                cached.analysis.deps.deps().as_ptr()
+            ));
+            assert!(std::ptr::eq(
+                region.analysis.table.sites().as_ptr(),
+                cached.analysis.table.sites().as_ptr()
+            ));
+        }
+    }
+
     #[test]
     fn fresh_caches_are_isolated_and_the_global_is_shared() {
         let a = AnalysisCache::fresh();

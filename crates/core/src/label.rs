@@ -218,23 +218,66 @@ impl Labeling {
     }
 }
 
+/// Labels under construction, in a dense table over the sites' reference
+/// id range (`None` off the sites), so Algorithm 2's per-dependence source
+/// lookups are array reads.
+struct SiteLabels {
+    base: u32,
+    labels: Vec<Option<Label>>,
+}
+
+impl SiteLabels {
+    /// Every site labeled speculative.
+    fn speculative(sites: &[SiteDesc]) -> Self {
+        let ids = sites.iter().map(|s| s.id.0);
+        let (base, span) = match (ids.clone().min(), ids.max()) {
+            (Some(lo), Some(hi)) => (lo, (hi - lo) as usize + 1),
+            _ => (0, 0),
+        };
+        let mut out = SiteLabels {
+            base,
+            labels: vec![None; span],
+        };
+        for s in sites {
+            out.set(s.id, Label::Speculative);
+        }
+        out
+    }
+
+    fn set(&mut self, r: RefId, label: Label) {
+        self.labels[(r.0 - self.base) as usize] = Some(label);
+    }
+
+    /// True when `r` is a site already labeled idempotent.
+    fn is_idempotent(&self, r: RefId) -> bool {
+        r.0.checked_sub(self.base)
+            .and_then(|k| self.labels.get(k as usize).copied().flatten())
+            .is_some_and(|l| l.is_idempotent())
+    }
+
+    fn into_map(self) -> BTreeMap<RefId, Label> {
+        let base = self.base;
+        self.labels
+            .into_iter()
+            .enumerate()
+            .filter_map(|(k, l)| Some((RefId(base + k as u32), l?)))
+            .collect()
+    }
+}
+
 /// Algorithm 2: labels every reference of a region.
 pub fn label_refs(input: &LabelInput) -> Labeling {
-    let mut labels: BTreeMap<RefId, Label> = BTreeMap::new();
     let access: BTreeMap<RefId, AccessKind> =
         input.sites.iter().map(|s| (s.id, s.access)).collect();
-
-    // Initially, all references are labeled speculative.
-    for s in &input.sites {
-        labels.insert(s.id, Label::Speculative);
-    }
 
     if input.fully_independent {
         // Step 2: a fully independent region needs no speculative storage at
         // all (Lemma 7).
-        for s in &input.sites {
-            labels.insert(s.id, Label::Idempotent(IdemCategory::FullyIndependent));
-        }
+        let labels = input
+            .sites
+            .iter()
+            .map(|s| (s.id, Label::Idempotent(IdemCategory::FullyIndependent)))
+            .collect();
         return Labeling {
             region_name: input.region_name.clone(),
             fully_independent: true,
@@ -243,13 +286,15 @@ pub fn label_refs(input: &LabelInput) -> Labeling {
         };
     }
 
-    // Step 3 (dependent region).
+    // Step 3 (dependent region). Initially, all references are labeled
+    // speculative.
+    let mut labels = SiteLabels::speculative(&input.sites);
     // Read-only and private references.
     for s in &input.sites {
         if input.read_only.contains(&s.var) {
-            labels.insert(s.id, Label::Idempotent(IdemCategory::ReadOnly));
+            labels.set(s.id, Label::Idempotent(IdemCategory::ReadOnly));
         } else if input.private.contains(&s.var) {
-            labels.insert(s.id, Label::Idempotent(IdemCategory::Private));
+            labels.set(s.id, Label::Idempotent(IdemCategory::Private));
         }
     }
     // RFW writes that are not sinks of cross-segment dependences
@@ -264,57 +309,40 @@ pub fn label_refs(input: &LabelInput) -> Labeling {
     // intra-segment sources precede their sinks, so the source's final
     // label is already decided.)
     for s in &input.sites {
-        if s.access != AccessKind::Write || labels[&s.id].is_idempotent() {
+        if s.access != AccessKind::Write || labels.is_idempotent(s.id) {
             continue;
         }
         if input.rfw.contains(&s.id)
-            && !input.deps.is_sink_of_cross_segment(s.id)
             && input.deps.deps_into(s.id).all(|d| {
-                d.scope != DepScope::IntraSegment
-                    || d.kind != DepKind::Output
-                    || labels
-                        .get(&d.source)
-                        .map(Label::is_idempotent)
-                        .unwrap_or(false)
+                d.scope == DepScope::IntraSegment
+                    && (d.kind != DepKind::Output || labels.is_idempotent(d.source))
             })
         {
-            labels.insert(s.id, Label::Idempotent(IdemCategory::SharedDependent));
+            labels.set(s.id, Label::Idempotent(IdemCategory::SharedDependent));
         }
     }
-    // Reads (Theorem 2). Writes were labeled above, so covered reads can
-    // look their sources up in `labels`.
+    // Reads (Theorem 2): idempotent when the read is the sink of no
+    // dependence, or of intra-segment dependences only whose sources are
+    // all idempotent. Writes were labeled above, so covered reads can look
+    // their sources up; the first dependence that fails the condition
+    // decides.
     for s in &input.sites {
-        if s.access != AccessKind::Read || labels[&s.id].is_idempotent() {
+        if s.access != AccessKind::Read || labels.is_idempotent(s.id) {
             continue;
         }
-        let mut has_dep = false;
-        let mut has_cross = false;
-        let mut all_intra_sources_idempotent = true;
-        for d in input.deps.deps_into(s.id) {
-            has_dep = true;
-            match d.scope {
-                DepScope::CrossSegment => has_cross = true,
-                DepScope::IntraSegment => {
-                    if !labels
-                        .get(&d.source)
-                        .map(Label::is_idempotent)
-                        .unwrap_or(false)
-                    {
-                        all_intra_sources_idempotent = false;
-                    }
-                }
-            }
-        }
-        let idempotent = !has_dep || (!has_cross && all_intra_sources_idempotent);
+        let idempotent = input
+            .deps
+            .deps_into(s.id)
+            .all(|d| d.scope == DepScope::IntraSegment && labels.is_idempotent(d.source));
         if idempotent {
-            labels.insert(s.id, Label::Idempotent(IdemCategory::SharedDependent));
+            labels.set(s.id, Label::Idempotent(IdemCategory::SharedDependent));
         }
     }
 
     Labeling {
         region_name: input.region_name.clone(),
         fully_independent: false,
-        labels,
+        labels: labels.into_map(),
         access,
     }
 }

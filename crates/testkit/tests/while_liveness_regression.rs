@@ -77,7 +77,8 @@ fn while_cond_reads_keep_watched_vars_live_across_regions() {
     // the dynamic termination point must be fully discardable).
     let r1 = &labeled.regions[1];
     assert_eq!(r1.analysis.spec.loop_label, "R1");
-    assert!(r1.analysis.loop_stmt.while_cond.is_some());
+    let (_, r1_loop) = r1.analysis.spec.resolve(&program).expect("R1 resolves");
+    assert!(r1_loop.while_cond.is_some());
     assert!(!r1.analysis.fully_independent);
     let reads = r1
         .analysis
