@@ -299,6 +299,14 @@ impl<'p> SegmentExec<'p> {
         exec
     }
 
+    /// Re-targets the executor at a new segment: replaces the initial
+    /// bindings and resets.
+    pub fn restart(&mut self, initial_env: &[(VarId, i64)]) {
+        self.initial_env.clear();
+        self.initial_env.extend_from_slice(initial_env);
+        self.reset();
+    }
+
     /// Restores the executor to its initial state (used for re-execution
     /// after a roll-back).
     pub fn reset(&mut self) {

@@ -1493,7 +1493,8 @@ struct LoopState {
 /// of [`SegmentExec`](crate::exec::SegmentExec), with the identical
 /// step/rollback contract: `step` executes one statement unit through a
 /// [`DataStore`], `reset` rewinds to the initial bindings for re-execution
-/// after a roll-back, and `steps` counts executed units.
+/// after a roll-back, `restart` re-targets the executor at another
+/// segment's bindings, and `steps` counts executed units.
 #[derive(Clone, Debug)]
 pub struct LoweredSegmentExec<'p> {
     prog: &'p LoweredProc,
@@ -1531,6 +1532,15 @@ impl<'p> LoweredSegmentExec<'p> {
         };
         exec.reset();
         exec
+    }
+
+    /// Re-targets the executor at a new segment: replaces the initial
+    /// bindings and resets. Reuses all allocations, so an engine can run
+    /// every segment of a processor slot on one executor.
+    pub fn restart(&mut self, initial_env: &[(VarId, i64)]) {
+        self.initial_env.clear();
+        self.initial_env.extend_from_slice(initial_env);
+        self.reset();
     }
 
     /// Restores the executor to its initial state (used for re-execution
@@ -2554,5 +2564,76 @@ mod tests {
         let mut store = PlainStore::new(&mut mem);
         exec.run(&mut store, 100).unwrap();
         assert_eq!(mem.load(layout.scalar(s)), 14.0, "s += a(3) ran twice");
+    }
+
+    #[test]
+    fn restart_mid_segment_matches_a_fresh_executor() {
+        // The segment body of `do i = 1, 4`: an inner loop whose a(j, i)
+        // and b(j) references strength-reduce to induction registers. An
+        // executor interrupted inside the inner loop of segment i = 1 and
+        // restarted at i = 3 must behave exactly like a fresh one built for
+        // i = 3, on plain and fused bytecode alike.
+        let mut b = ProcBuilder::new("restart");
+        let a = b.array("a", &[12, 4]);
+        let bb = b.array("b", &[12]);
+        let s = b.scalar("s");
+        let i = b.index("i");
+        let j = b.index("j");
+        let s1 = {
+            let rhs = add(
+                b.load_elem(a, vec![av(j), av(i)]),
+                mul(b.load_elem(bb, vec![av(j)]), idx(i)),
+            );
+            b.assign_elem(a, vec![av(j), av(i)], rhs)
+        };
+        let s2 = {
+            let rhs = add(b.load(s), b.load_elem(a, vec![av(j), av(i)]));
+            b.assign_scalar(s, rhs)
+        };
+        let body = vec![b.do_loop(j, ac(1), ac(12), vec![s1, s2])];
+        let proc = b.build(body);
+        let layout = Layout::new(&proc.vars);
+        let plain = lower_with_ranges(&proc.vars, &layout, &proc.body, &[(i, (1, 4))]);
+        assert!(plain.induction_reduced_refs() > 0);
+        let fused = fused::fuse(&plain);
+        assert_eq!(fused.peeled_loop_count(), 0, "the inner loop stays a loop");
+
+        let init = |mem: &mut Memory| {
+            for w in 0..layout.total_words() {
+                mem.store(Addr(w), (w % 5) as f64 + 0.5);
+            }
+        };
+        let traced_run = |exec: &mut LoweredSegmentExec| {
+            let mut mem = Memory::zeroed(&layout);
+            init(&mut mem);
+            let mut store = PlainStore::tracing(&mut mem);
+            exec.run(&mut store, 10_000).unwrap();
+            let trace: Vec<_> = store
+                .trace
+                .iter()
+                .map(|e| (e.site, e.access, e.addr, e.value.to_bits()))
+                .collect();
+            (mem, trace)
+        };
+        for (name, prog) in [("plain", &plain), ("fused", &fused)] {
+            let mut reused = LoweredSegmentExec::new(prog, &[(i, 1)]);
+            let mut scratch = Memory::zeroed(&layout);
+            init(&mut scratch);
+            let mut store = PlainStore::new(&mut scratch);
+            for _ in 0..7 {
+                assert!(reused.step(&mut store).unwrap(), "{name}: mid-segment");
+            }
+            assert!(!reused.loop_stack.is_empty(), "{name}: inner loop active");
+            reused.restart(&[(i, 3)]);
+            let (mem_reused, trace_reused) = traced_run(&mut reused);
+
+            let mut fresh = LoweredSegmentExec::new(prog, &[(i, 3)]);
+            let (mem_fresh, trace_fresh) = traced_run(&mut fresh);
+
+            assert_eq!(reused.steps(), fresh.steps(), "{name}: steps");
+            assert_eq!(trace_reused, trace_fresh, "{name}: trace");
+            let diffs = mem_fresh.diff(&mem_reused, 10);
+            assert!(diffs.is_empty(), "{name}: memory diverged: {diffs:?}");
+        }
     }
 }

@@ -151,8 +151,9 @@ impl Layout {
     }
 }
 
-/// A flat word-addressed memory holding `f64` values.
-#[derive(Clone, Debug, PartialEq)]
+/// A flat word-addressed memory holding `f64` values. The default value
+/// has no words.
+#[derive(Clone, Debug, Default, PartialEq)]
 pub struct Memory {
     words: Vec<f64>,
 }
@@ -170,6 +171,12 @@ impl Memory {
         Memory {
             words: (0..layout.total_words()).map(|a| f(Addr(a))).collect(),
         }
+    }
+
+    /// Overwrites this memory with a copy of `other`, reusing this
+    /// memory's allocation when it is large enough.
+    pub fn copy_from(&mut self, other: &Memory) {
+        self.words.clone_from(&other.words);
     }
 
     /// Number of words.
@@ -260,5 +267,15 @@ mod tests {
         assert_eq!(m1.load(layout.scalar(a)), 4.0);
         let init = Memory::init_with(&layout, |addr| addr.0 as f64);
         assert_eq!(init.load(Addr(5)), 5.0);
+        // A copy into an existing memory keeps its allocation.
+        let mut copy = Memory::zeroed(&layout);
+        let buffer = copy.words.as_ptr();
+        copy.copy_from(&m1);
+        assert_eq!(copy, m1);
+        assert_eq!(copy.words.as_ptr(), buffer, "copy_from reallocated");
+        let mut empty = Memory::default();
+        assert!(empty.is_empty());
+        empty.copy_from(&init);
+        assert_eq!(empty, init);
     }
 }

@@ -31,7 +31,7 @@ use crate::run::{ExecMode, SimError};
 use crate::storage::{PrivateStore, SpecBuffer};
 use refidem_core::label::{IdemCategory, Label, Labeling};
 use refidem_ir::exec::{DataStore, ExecError, SegmentExec};
-use refidem_ir::ids::RefId;
+use refidem_ir::ids::{RefId, VarId};
 use refidem_ir::lowered::{ExecBackend, LoweredProc, LoweredSegmentExec};
 use refidem_ir::memory::{Addr, Layout, Memory};
 use refidem_ir::stmt::LoopStmt;
@@ -59,6 +59,13 @@ impl AnyExec<'_> {
         match self {
             AnyExec::Tree(e) => e.reset(),
             AnyExec::Lowered(e) => e.reset(),
+        }
+    }
+
+    fn restart(&mut self, initial_env: &[(VarId, i64)]) {
+        match self {
+            AnyExec::Tree(e) => e.restart(initial_env),
+            AnyExec::Lowered(e) => e.restart(initial_env),
         }
     }
 }
@@ -343,16 +350,16 @@ pub(crate) struct Engine<'p> {
     vars: &'p VarTable,
     layout: &'p Layout,
     region: &'p LoopStmt,
-    /// The region body compiled to bytecode (present on the lowered
-    /// backend; compiled once per engine, shared by every segment).
-    lowered: Option<&'p LoweredProc>,
     /// Dense per-site label table indexed by `RefId::index` (sites beyond
     /// the table default to `Speculative`, like `Labeling::label`).
     labels: Vec<Label>,
     iter_values: Vec<i64>,
     has_private_labels: bool,
 
-    execs: Vec<Option<AnyExec<'p>>>,
+    /// One executor per processor that will run a segment, all on the
+    /// region body's one compiled form (tree-walk or bytecode), kept for
+    /// the whole region and restarted at every dispatch.
+    execs: Vec<AnyExec<'p>>,
     slots: Vec<Option<SlotData>>,
     /// Pooled buffers + dependence masks, owned by the caller (see
     /// [`EngineScratch`]).
@@ -404,17 +411,29 @@ impl<'p> Engine<'p> {
         }
         let processors = cfg.processors.max(1);
         scratch.prepare(processors, cfg.spec_capacity, layout.total_words());
+        let execs = (0..processors.min(iter_values.len()))
+            .map(|_| match cfg.backend {
+                // The fused tier hands the engine pre-compiled (possibly
+                // fused) bytecode exactly like the plain tier; the executor
+                // is the same resumable machine either way.
+                ExecBackend::Lowered | ExecBackend::Fused => AnyExec::Lowered(
+                    LoweredSegmentExec::new(lowered.expect("lowered region body compiled"), &[]),
+                ),
+                ExecBackend::TreeWalk => {
+                    AnyExec::Tree(SegmentExec::new(vars, layout, &region.body, &[]))
+                }
+            })
+            .collect();
         Engine {
             cfg,
             mode,
             vars,
             layout,
             region,
-            lowered,
             labels,
             iter_values,
             has_private_labels,
-            execs: (0..processors).map(|_| None).collect(),
+            execs,
             slots: (0..processors).map(|_| None).collect(),
             scratch,
             memory,
@@ -534,22 +553,8 @@ impl<'p> Engine<'p> {
             cond_checked: false,
             term_pending: false,
         });
-        let env = [(self.region.index, self.iter_values[seg])];
-        self.execs[p] = Some(match self.cfg.backend {
-            // The fused tier hands the engine pre-compiled (possibly
-            // fused) bytecode exactly like the plain tier; the executor is
-            // the same resumable machine either way.
-            ExecBackend::Lowered | ExecBackend::Fused => AnyExec::Lowered(LoweredSegmentExec::new(
-                self.lowered.expect("lowered region body compiled"),
-                &env,
-            )),
-            ExecBackend::TreeWalk => AnyExec::Tree(SegmentExec::new(
-                self.vars,
-                self.layout,
-                &self.region.body,
-                &env,
-            )),
-        });
+        // Restarting reuses every buffer, so a dispatch allocates nothing.
+        self.execs[p].restart(&[(self.region.index, self.iter_values[seg])]);
         // Injected dispatch failures. The simulator has no worker thread
         // to unwind, so an injected "panic" is returned directly as the
         // typed error the real-thread runtime would have reported after
@@ -623,6 +628,7 @@ impl<'p> Engine<'p> {
                 .is_some_and(|s| !s.cond_checked && !s.done);
         if needs_cond {
             let head = self.head;
+            let violations_before = self.report.violations;
             let Engine {
                 slots,
                 scratch,
@@ -665,8 +671,16 @@ impl<'p> Engine<'p> {
                 (slot.clock, slot.spec.len())
             };
             self.report.spec_peak_occupancy = self.report.spec_peak_occupancy.max(occ);
-            // The check only reads, so it cannot flag violations — but a
-            // tracked read can overflow the speculative buffer.
+            // A read forwarded from an older segment whose write is later
+            // in simulated time is premature: it squashed this segment (and
+            // every younger one), so the value is stale. Roll back before
+            // it can decide anything; the restarted attempt re-evaluates
+            // the condition.
+            if self.report.violations != violations_before {
+                self.process_squashes(now)?;
+                return Ok(());
+            }
+            // A tracked read can also overflow the speculative buffer.
             let poisoned = self.slots[p]
                 .as_ref()
                 .map(|s| s.overflow_poisoned)
@@ -705,7 +719,7 @@ impl<'p> Engine<'p> {
             labels,
             ..
         } = self;
-        let exec = execs[p].as_mut().expect("exec present for runnable slot");
+        let exec = &mut execs[p];
         let mut ctx = AccessCtx {
             cfg,
             mode: *mode,
@@ -811,9 +825,7 @@ impl<'p> Engine<'p> {
                     restarts: slot.restarts,
                 });
             }
-        }
-        if let Some(exec) = execs[p].as_mut() {
-            exec.reset();
+            execs[p].reset();
         }
         if count_rollback {
             report.rollbacks += 1;
@@ -830,17 +842,18 @@ impl<'p> Engine<'p> {
     /// segment onto the freed processor.
     fn commit(&mut self, p: usize) -> Result<(), SimError> {
         let total = self.iter_values.len();
-        let (commit_time, dirty, terminator): (u64, Vec<(Addr, f64)>, bool) = {
-            let slot = self.slots[p].as_ref().expect("slot");
-            let dirty = slot.spec.dirty_entries();
-            let commit_time = slot.clock + self.cfg.commit_per_entry * dirty.len() as u64;
-            (commit_time, dirty, slot.term_pending)
-        };
-        for (addr, value) in &dirty {
-            self.memory.store(*addr, *value);
+        let slot = self.slots[p].as_ref().expect("slot");
+        // Drain the journal straight into memory. An address has one entry
+        // per epoch, so the (touch) order of the stores cannot matter.
+        let mut entries = 0u64;
+        for (addr, value) in slot.spec.dirty() {
+            self.memory.store(addr, value);
+            entries += 1;
         }
+        let commit_time = slot.clock + self.cfg.commit_per_entry * entries;
+        let terminator = slot.term_pending;
         self.report.commits += 1;
-        self.report.committed_entries += dirty.len() as u64;
+        self.report.committed_entries += entries;
         self.last_commit_time = self.last_commit_time.max(commit_time);
         self.head += 1;
         // Retire the slot's storage into the spare pool for the next
@@ -850,7 +863,6 @@ impl<'p> Engine<'p> {
             self.scratch.masks.retract(p, &slot.spec);
             self.scratch.spare[p] = Some((slot.spec, slot.private));
         }
-        self.execs[p] = None;
         self.stmts_since_commit = 0;
         if terminator {
             // The committed head's continuation check failed: the region is
@@ -863,7 +875,6 @@ impl<'p> Engine<'p> {
                     self.scratch.masks.retract(q, &slot.spec);
                     self.scratch.spare[q] = Some((slot.spec, slot.private));
                 }
-                self.execs[q] = None;
             }
             self.report.segments = self.head;
             self.next_dispatch = total;

@@ -89,7 +89,7 @@ use crate::run::{ExecMode, SimError};
 use crate::storage::{PrivateStore, SpecBuffer};
 use refidem_core::label::{IdemCategory, Label, Labeling};
 use refidem_ir::exec::{DataStore, SegmentExec};
-use refidem_ir::ids::RefId;
+use refidem_ir::ids::{RefId, VarId};
 use refidem_ir::lowered::{ExecBackend, LoweredProc, LoweredSegmentExec};
 use refidem_ir::memory::{Addr, Layout, Memory};
 use refidem_ir::stmt::LoopStmt;
@@ -258,6 +258,13 @@ impl ParExec<'_> {
             ParExec::Lowered(e) => e.reset(),
         }
     }
+
+    fn restart(&mut self, initial_env: &[(VarId, i64)]) {
+        match self {
+            ParExec::Tree(e) => e.restart(initial_env),
+            ParExec::Lowered(e) => e.restart(initial_env),
+        }
+    }
 }
 
 /// Runs one region under the real-thread runtime and merges the tallies
@@ -409,9 +416,22 @@ pub(crate) fn run_region(
     Ok(report)
 }
 
-/// One worker: claims segments in program order and runs each to commit.
+/// One worker: claims segments in program order and runs each to commit,
+/// all on one executor that it restarts per segment.
 fn worker(shared: &Shared<'_>, ctx: &RegionCtx<'_>, p: usize) -> Result<(), SimError> {
     let mut private = PrivateStore::new(ctx.layout.total_words());
+    let mut exec = match shared.cfg.backend {
+        ExecBackend::Lowered | ExecBackend::Fused => ParExec::Lowered(LoweredSegmentExec::new(
+            ctx.lowered.expect("lowered region body compiled"),
+            &[],
+        )),
+        ExecBackend::TreeWalk => ParExec::Tree(SegmentExec::new(
+            ctx.vars,
+            ctx.layout,
+            &ctx.region.body,
+            &[],
+        )),
+    };
     loop {
         if shared.abort.load(SeqCst) {
             return Ok(());
@@ -430,19 +450,7 @@ fn worker(shared: &Shared<'_>, ctx: &RegionCtx<'_>, p: usize) -> Result<(), SimE
         if shared.cfg.faults.worker_error(seg) {
             return Err(SimError::Injected { segment: seg });
         }
-        let env = [(ctx.region.index, ctx.iter_values[seg])];
-        let mut exec = match shared.cfg.backend {
-            ExecBackend::Lowered | ExecBackend::Fused => ParExec::Lowered(LoweredSegmentExec::new(
-                ctx.lowered.expect("lowered region body compiled"),
-                &env,
-            )),
-            ExecBackend::TreeWalk => ParExec::Tree(SegmentExec::new(
-                ctx.vars,
-                ctx.layout,
-                &ctx.region.body,
-                &env,
-            )),
-        };
+        exec.restart(&[(ctx.region.index, ctx.iter_values[seg])]);
         run_segment(shared, ctx, p, seg, &mut exec, &mut private)?;
     }
 }
@@ -753,11 +761,7 @@ fn discard_attempt(shared: &Shared<'_>, p: usize, seg: usize) {
     // read of an address this attempt *wrote* may have forwarded the now-
     // discarded value — bump it so it re-executes against clean state.
     // (Transitively, its own discard repeats this for *its* dirty values.)
-    let touched: Vec<Addr> = spec.touched_addrs().collect();
-    for &addr in &touched {
-        if !spec.has_written(addr) {
-            continue;
-        }
+    for (addr, _) in spec.dirty() {
         let readers = shared.read_mask[addr.0 as usize].load(SeqCst) & !own_bit;
         let mut bits = readers;
         while bits != 0 {
@@ -769,7 +773,7 @@ fn discard_attempt(shared: &Shared<'_>, p: usize, seg: usize) {
             }
         }
     }
-    for &addr in &touched {
+    for addr in spec.touched_addrs() {
         shared.read_mask[addr.0 as usize].fetch_and(!own_bit, SeqCst);
         shared.write_mask[addr.0 as usize].fetch_and(!own_bit, SeqCst);
     }
@@ -783,14 +787,14 @@ fn discard_attempt(shared: &Shared<'_>, p: usize, seg: usize) {
 fn commit(shared: &Shared<'_>, p: usize, seg: usize, terminator: bool) {
     let own_bit = 1u32 << p;
     let mut spec = shared.slots[p].spec.lock().expect("spec lock");
-    let dirty = spec.dirty_entries();
-    for &(addr, value) in &dirty {
+    // Unsorted drain: an address has one entry per epoch, so store order
+    // cannot change memory.
+    let mut entries = 0u64;
+    for (addr, value) in spec.dirty() {
         shared.memory.store(addr, value);
+        entries += 1;
     }
-    shared
-        .tallies
-        .committed_entries
-        .fetch_add(dirty.len() as u64, Relaxed);
+    shared.tallies.committed_entries.fetch_add(entries, Relaxed);
     shared.tallies.spec_peak.fetch_max(spec.peak(), Relaxed);
     for addr in spec.touched_addrs() {
         shared.read_mask[addr.0 as usize].fetch_and(!own_bit, SeqCst);

@@ -655,6 +655,15 @@ fn simulate_schedule(
     };
     let mut serial_tally = CacheTally::default();
     let mut report = ProgramReport::default();
+    // Arm the serial fallback: under the in-place simulator a failed run
+    // has already committed earlier segments and written through
+    // overflows, so degradation needs a pre-region snapshot to rewind to.
+    // The real-thread runtime only writes memory back on success, so its
+    // failures leave memory untouched and need no snapshot. One snapshot
+    // buffer serves every region of the call.
+    let degrade_armed = cfg.governor.degrade_serially;
+    let snapshot_armed = degrade_armed && cfg.runtime == SpecRuntime::Simulated;
+    let mut snapshot = Memory::default();
     let mut cursor = 0usize;
     for (i, (stmt_index, labeled)) in regions.iter().enumerate() {
         report.serial_cycles += run_serial_span(
@@ -712,14 +721,9 @@ fn simulate_schedule(
             ExecBackend::TreeWalk => None,
         };
         let segments = iter_values.len();
-        // Arm the serial fallback: under the in-place simulator a failed
-        // run has already committed earlier segments and written through
-        // overflows, so degradation needs a pre-region snapshot to rewind
-        // to. The real-thread runtime only writes memory back on success,
-        // so its failures leave memory untouched and need no snapshot.
-        let degrade_armed = cfg.governor.degrade_serially;
-        let snapshot =
-            (degrade_armed && cfg.runtime == SpecRuntime::Simulated).then(|| memory.clone());
+        if snapshot_armed {
+            snapshot.copy_from(&memory);
+        }
         let run_result = match cfg.runtime {
             SpecRuntime::Simulated => Engine::new(
                 cfg,
@@ -750,8 +754,8 @@ fn simulate_schedule(
             Ok(r) => r,
             Err(err) => match err.degrade_reason() {
                 Some(reason) if degrade_armed => {
-                    if let Some(snap) = snapshot {
-                        memory = snap;
+                    if snapshot_armed {
+                        std::mem::swap(&mut memory, &mut snapshot);
                     }
                     // The aborted engine may have left dependence-mask
                     // marks set; a degraded schedule continues on fresh
@@ -1486,6 +1490,32 @@ mod tests {
         p
     }
 
+    /// Two regions that accumulate into memory (`a(k) += 1`, then
+    /// `c(k) += a(k) * s`): re-running a partly committed region without
+    /// rewinding it, or after rewinding to another region's pre-state,
+    /// changes the final memory.
+    fn accumulating_two_region_program() -> Program {
+        let mut b = ProcBuilder::new("acc");
+        let a = b.array("a", &[16]);
+        let c = b.array("c", &[16]);
+        let s = b.scalar("s");
+        let k = b.index("k");
+        b.live_out(&[a, c, s]);
+        let rhs1 = add(b.load_elem(a, vec![av(k)]), num(1.0));
+        let st1 = b.assign_elem(a, vec![av(k)], rhs1);
+        let r1 = b.do_loop_labeled("R1", k, ac(1), ac(16), vec![st1]);
+        let gap = b.assign_scalar(s, num(3.0));
+        let rhs2 = add(
+            b.load_elem(c, vec![av(k)]),
+            mul(b.load_elem(a, vec![av(k)]), b.load(s)),
+        );
+        let st2 = b.assign_elem(c, vec![av(k)], rhs2);
+        let r2 = b.do_loop_labeled("R2", k, ac(1), ac(16), vec![st2]);
+        let mut p = Program::new("accumulate");
+        p.add_procedure(b.build(vec![r1, gap, r2]));
+        p
+    }
+
     fn labeled_program(p: &Program) -> refidem_core::label::LabeledProgram {
         refidem_core::label::label_program(p, refidem_ir::ids::ProcId::from_index(0)).unwrap()
     }
@@ -1708,6 +1738,24 @@ mod tests {
                 };
                 assert_eq!(strip(&a.report), strip(&b.report), "{mode} @ {capacity}");
                 assert!(a.memory.diff(&b.memory, 8).is_empty());
+            }
+        }
+        // Both regions degrade after part of them has committed: the call's
+        // one snapshot buffer must rewind each region to its own pre-state.
+        let p = accumulating_two_region_program();
+        let labeled = labeled_program(&p);
+        let seq = run_program_sequential(&p, &labeled, &SimConfig::default()).unwrap();
+        let degrading = SimConfig::default()
+            .faults(crate::FaultPlan::seeded(1).violation_at(6, 0))
+            .restart_budget(0);
+        for mode in [ExecMode::Hose, ExecMode::Case] {
+            for pool in [true, false] {
+                let cfg = degrading.clone().pool_scratch(pool);
+                let out = simulate_program(&p, &labeled, mode, &cfg).unwrap();
+                let degraded = out.report.degraded_regions();
+                assert_eq!(degraded.len(), 2, "{mode}: {degraded:?}");
+                let diffs = seq.memory.diff(&out.memory, 8);
+                assert!(diffs.is_empty(), "{mode}: {diffs:?}");
             }
         }
     }

@@ -17,7 +17,8 @@
 //! stamps make [`SpecBuffer::clear`] (roll-back/commit) O(1) — stale
 //! entries are invalidated by bumping the epoch, not by touching them —
 //! and a journal of the addresses touched in the current epoch makes
-//! occupancy tracking, overflow checks and [`SpecBuffer::dirty_entries`]
+//! occupancy tracking, overflow checks and the commit drain
+//! ([`SpecBuffer::dirty`], an unsorted iterator over the journal)
 //! proportional to the number of *touched* entries, never to the address
 //! space.
 
@@ -72,7 +73,7 @@ struct IndexSlot {
 /// buf.record_write(Addr(7), 2.0, 11);
 /// assert!(buf.has_exposed_read(Addr(3)) && buf.has_written(Addr(7)));
 /// assert!(buf.would_overflow(Addr(9)), "capacity 2 is full");
-/// assert_eq!(buf.dirty_entries(), vec![(Addr(7), 2.0)]);
+/// assert_eq!(buf.dirty().collect::<Vec<_>>(), [(Addr(7), 2.0)]);
 /// buf.clear(); // O(1) epoch bump, e.g. on roll-back
 /// assert!(buf.is_empty());
 /// ```
@@ -205,23 +206,15 @@ impl SpecBuffer {
         }
     }
 
-    /// Values written by the segment, in address order (what a commit
-    /// transfers to non-speculative storage). Iterates the journal, never
-    /// the address space.
-    pub fn dirty_entries(&self) -> Vec<(Addr, f64)> {
-        let mut dirty: Vec<(Addr, f64)> = self
-            .journal
+    /// Values written by the segment, in touch order: what a commit drains
+    /// into non-speculative storage. Each address appears at most once, so
+    /// the drain order cannot change the resulting memory. Iterates the
+    /// journal, never the address space, and allocates nothing.
+    pub fn dirty(&self) -> impl Iterator<Item = (Addr, f64)> + '_ {
+        self.journal
             .iter()
             .filter(|(_, e)| e.written)
             .map(|(a, e)| (Addr(*a), e.value))
-            .collect();
-        dirty.sort_unstable_by_key(|(a, _)| *a);
-        dirty
-    }
-
-    /// Number of dirty entries.
-    pub fn dirty_count(&self) -> usize {
-        self.journal.iter().filter(|(_, e)| e.written).count()
     }
 
     /// Addresses touched in the current epoch, in touch order (the engine
@@ -331,7 +324,7 @@ mod tests {
         assert_eq!(b.get(Addr(10)).unwrap().last_write_time, 8);
         // A covered read (after a local write) does not set the exposed flag:
         // the engine simply does not call record_exposed_read in that case.
-        assert_eq!(b.dirty_count(), 1);
+        assert_eq!(b.dirty().count(), 1);
     }
 
     #[test]
@@ -355,8 +348,8 @@ mod tests {
         );
         assert_eq!(b.peak(), 2);
         assert_eq!(b.len(), 2);
-        let dirty = b.dirty_entries();
-        assert_eq!(dirty, vec![(Addr(1), 1.0), (Addr(2), 2.0)]);
+        let dirty: Vec<_> = b.dirty().collect();
+        assert_eq!(dirty, [(Addr(1), 1.0), (Addr(2), 2.0)]);
         b.clear();
         assert!(b.is_empty());
         assert_eq!(b.peak(), 0);
@@ -381,8 +374,7 @@ mod tests {
         assert_eq!(b.get(Addr(7)), None);
         assert!(!b.has_written(Addr(7)));
         assert!(!b.has_exposed_read(Addr(9)));
-        assert_eq!(b.dirty_count(), 0);
-        assert_eq!(b.dirty_entries().len(), 0);
+        assert_eq!(b.dirty().count(), 0);
         // Re-touching a stale address yields a fresh default entry.
         b.record_exposed_read(Addr(7), 5.0, 3);
         let e = b.get(Addr(7)).unwrap();
@@ -392,17 +384,17 @@ mod tests {
     }
 
     #[test]
-    fn dirty_entries_are_sorted_by_address_regardless_of_touch_order() {
+    fn dirty_yields_each_written_address_once_in_touch_order() {
         let mut b = SpecBuffer::new(8, WORDS);
         b.record_write(Addr(30), 3.0, 1);
         b.record_write(Addr(5), 1.0, 2);
         b.record_exposed_read(Addr(12), 9.0, 3);
         b.record_write(Addr(20), 2.0, 4);
-        let dirty = b.dirty_entries();
-        assert_eq!(
-            dirty,
-            vec![(Addr(5), 1.0), (Addr(20), 2.0), (Addr(30), 3.0)]
-        );
+        // Rewrites and a later exposed read update the one entry in place.
+        b.record_write(Addr(30), 4.0, 5);
+        b.record_exposed_read(Addr(5), 8.0, 6);
+        let dirty: Vec<_> = b.dirty().collect();
+        assert_eq!(dirty, [(Addr(30), 4.0), (Addr(5), 1.0), (Addr(20), 2.0)]);
     }
 
     #[test]
@@ -429,7 +421,7 @@ mod tests {
         assert!(!b.would_overflow(Addr(1)));
         b.record_write(Addr(1), 7.0, 3);
         assert!(b.would_overflow(Addr(0)));
-        assert_eq!(b.dirty_entries(), vec![(Addr(1), 7.0)]);
+        assert_eq!(b.dirty().collect::<Vec<_>>(), [(Addr(1), 7.0)]);
     }
 
     #[test]
@@ -448,10 +440,15 @@ mod tests {
         for a in 0..words {
             assert!(!b.would_overflow(Addr(a)));
         }
-        assert_eq!(b.dirty_count(), words as usize);
-        let dirty = b.dirty_entries();
+        let dirty: Vec<_> = b.dirty().collect();
         assert_eq!(dirty.len(), words as usize);
-        assert!(dirty.windows(2).all(|w| w[0].0 < w[1].0), "sorted");
+        assert!(
+            dirty
+                .iter()
+                .enumerate()
+                .all(|(i, &d)| d == (Addr(i as u64), i as f64)),
+            "one entry per address, in touch order"
+        );
         b.clear();
         assert!(b.is_empty());
         assert!(!b.would_overflow(Addr(0)));

@@ -5,11 +5,83 @@
 //! runs the suite at both 1 and 4 workers).
 
 use refidem_testkit::{
-    check_generated, generate, reproducer, run_suite, shrink, DiffConfig, Tamper, CAPACITY_LADDER,
+    check_generated, generate, reproducer, run_suite, shrink, DiffConfig, Rng, SweepExec,
+    SweepPlan, Tamper, CAPACITY_LADDER,
 };
 
 /// Acceptance bar: at least this many distinct programs per run.
 const SUITE_SEEDS: u64 = 1024;
+
+/// Seeds outside the corpus whose WHILE continuation check reads, from an
+/// older in-flight segment, a value that segment writes later in
+/// simulated time. The premature read must squash the checking segment
+/// and re-evaluate the condition; a segment that kept the stale verdict
+/// ran (or skipped) its body on it and diverged from the sequential run.
+const PREMATURE_WHILE_COND_SEEDS: [u64; 4] = [
+    12342987763080497008,
+    2782446111284746654,
+    3601,
+    5642074562734454554,
+];
+
+/// Size of the out-of-corpus sample (about 2 s in release).
+const SAMPLE_PROGRAMS: usize = 3072;
+
+/// Fixed seed of the generator that draws the out-of-corpus sample. Six of
+/// the programs it draws diverged before premature WHILE-condition reads
+/// squashed their segment.
+const SAMPLE_RNG_SEED: u64 = 42;
+
+/// Panics with a shrunk, ready-to-paste reproducer for a failing seed.
+fn fail_with_reproducer(seed: u64, failure: &impl std::fmt::Display, cfg: &DiffConfig) -> ! {
+    let g = generate(seed);
+    let shrunk = shrink(&g.spec, cfg, 2000);
+    panic!(
+        "seed {seed} failed: {failure}\nminimized ({} -> {} stmts):\n{}",
+        shrunk.stmts_before,
+        shrunk.stmts_after,
+        reproducer(&shrunk.spec)
+    );
+}
+
+#[test]
+fn premature_while_condition_reads_squash_and_reevaluate() {
+    let three = DiffConfig {
+        processors: 3,
+        ..DiffConfig::default()
+    };
+    for cfg in [DiffConfig::default(), three] {
+        for seed in PREMATURE_WHILE_COND_SEEDS {
+            let g = generate(seed);
+            assert!(g.spec.has_while(), "seed {seed} has a WHILE region");
+            if let Err(failure) = check_generated(&g, &cfg) {
+                fail_with_reproducer(seed, &failure, &cfg);
+            }
+        }
+    }
+}
+
+/// Programs drawn from a fixed generator far outside the corpus's seed
+/// range: a wider net than the corpus, which never reaches some protocol
+/// corners (the premature WHILE-condition read above among them). Run in
+/// release with `cargo test --release -p refidem-testkit --test
+/// differential -- --ignored`.
+#[test]
+#[ignore = "release-mode sample; run with --ignored"]
+fn out_of_corpus_sample_has_zero_divergences() {
+    let mut rng = Rng::new(SAMPLE_RNG_SEED);
+    let plan: SweepPlan<u64> = (0..SAMPLE_PROGRAMS)
+        .map(|_| rng.next_u64())
+        .map(|seed| (format!("seed {seed}"), seed))
+        .collect();
+    let cfg = DiffConfig::default();
+    let outcomes = plan.run(&SweepExec::new(), |&seed| {
+        (seed, check_generated(&generate(seed), &cfg).err())
+    });
+    if let Some((seed, Some(failure))) = outcomes.iter().find(|(_, f)| f.is_some()) {
+        fail_with_reproducer(*seed, failure, &cfg);
+    }
+}
 
 #[test]
 fn thousand_plus_generated_programs_have_zero_divergences() {
@@ -25,14 +97,7 @@ fn thousand_plus_generated_programs_have_zero_divergences() {
     // full capacity ladder. On failure, shrink the first offender and print
     // a ready-to-paste reproducer.
     if let Some((seed, failure)) = report.failures.first() {
-        let g = generate(*seed);
-        let shrunk = shrink(&g.spec, &DiffConfig::default(), 2000);
-        panic!(
-            "seed {seed} failed: {failure}\nminimized ({} -> {} stmts):\n{}",
-            shrunk.stmts_before,
-            shrunk.stmts_after,
-            reproducer(&shrunk.spec)
-        );
+        fail_with_reproducer(*seed, failure, &DiffConfig::default());
     }
     // The suite exercised every rung of the ladder under both modes.
     assert_eq!(
