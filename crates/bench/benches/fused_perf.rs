@@ -2,8 +2,8 @@
 //! stack-to-register allocation, constant-trip loop peeling).
 //!
 //! * `fused_tier_twldrv/*` — the three-tier ladder on the dispatch-bound
-//!   FPPPP `TWLDRV_DO100` giant block: tree-walking oracle, plain lowered
-//!   bytecode, fused. The `bytecode`→`fused` ratio is the tentpole win
+//!   FPPPP `TWLDRV_DO100` giant block: tree-walking oracle, plain `lower`
+//!   output run directly, fused (the interpreter's compiled form). The `bytecode`→`fused` ratio is the tentpole win
 //!   BENCH_8 records (each two-term statement of the 128-statement body
 //!   collapses from six dispatches to one whole-statement
 //!   superinstruction, with the region index folded into scalar
@@ -17,8 +17,8 @@
 use refidem_bench::microbench::Harness;
 use refidem_benchmarks::suite::{fpppp, mgrid};
 use refidem_benchmarks::LoopBenchmark;
-use refidem_ir::exec::SeqInterp;
-use refidem_ir::lowered::{fused::fuse, lower};
+use refidem_ir::exec::{PlainStore, SeqInterp};
+use refidem_ir::lowered::{fused::fuse, lower, LoweredSegmentExec};
 use refidem_ir::memory::{Layout, Memory};
 use std::hint::black_box;
 
@@ -28,7 +28,6 @@ fn bench_tier_ladder(c: &mut Harness, group_name: &str, bench: &LoopBenchmark) {
     let mut group = c.benchmark_group(group_name);
     for (name, interp) in [
         ("tree_walk", SeqInterp::oracle()),
-        ("bytecode", SeqInterp::lowered()),
         ("fused", SeqInterp::new()),
     ] {
         group.bench_function(name, |b| {
@@ -39,6 +38,18 @@ fn bench_tier_ladder(c: &mut Harness, group_name: &str, bench: &LoopBenchmark) {
             })
         });
     }
+    // The plain pipeline stage (`lower` without `fuse`), compiled once
+    // like the interpreter's cached entry and run directly.
+    let plain = lower(&proc.vars, &layout, &proc.body);
+    group.bench_function("bytecode", |b| {
+        b.iter(|| {
+            let mut memory = Memory::zeroed(&layout);
+            LoweredSegmentExec::new(&plain, &[])
+                .run(&mut PlainStore::new(&mut memory), 200_000_000)
+                .expect("runs");
+            black_box(memory.len())
+        })
+    });
     group.finish();
 }
 

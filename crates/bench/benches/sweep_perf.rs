@@ -38,6 +38,17 @@ fn jobs_variants() -> Vec<(String, SweepExec)> {
     variants
 }
 
+/// `cfg` as the pooled rows run it, or with a fresh scratch pool for the
+/// per-call rows (each simulation then allocates fresh scratch). Both
+/// clone, so the rows differ only in the pool.
+fn per_call_scratch(cfg: &SimConfig, percall: bool) -> SimConfig {
+    if percall {
+        cfg.clone().scratch(ScratchPool::fresh())
+    } else {
+        cfg.clone()
+    }
+}
+
 fn main() {
     let mut c = Harness::default().sample_size(10);
 
@@ -82,20 +93,19 @@ fn main() {
 
     // The pooled-scratch win: the same capacity ladder with the engine
     // scratch (dependence masks + per-processor buffer pool) reused
-    // across every simulation of the sweep vs reallocated per call. The
-    // sweep runs sequentially so the calling thread's scratch pool is the
-    // one being exercised.
+    // across every simulation of the sweep vs reallocated per call (a
+    // fresh pool per call). The sweep runs sequentially so the calling
+    // thread's scratch pool is the one being exercised.
     let mut group = c.benchmark_group("scratch_pool");
-    for (name, pool) in [("ladder_pooled", true), ("ladder_percall", false)] {
+    for (name, percall) in [("ladder_pooled", false), ("ladder_percall", true)] {
         group.bench_function(name, |b| {
             b.iter(|| {
-                let base = SimConfig::default()
-                    .cache(LoweredCache::fresh())
-                    .pool_scratch(pool);
+                let base = SimConfig::default().cache(LoweredCache::fresh());
                 let plan = ladder_plan(&base, &SWEEP_LADDER, &[ExecMode::Hose, ExecMode::Case]);
                 let cycles: u64 = plan
                     .run(&SweepExec::sequential(), |(cfg, mode)| {
-                        simulate_region(black_box(&bench.program), &labeled, *mode, cfg)
+                        let cfg = per_call_scratch(cfg, percall);
+                        simulate_region(black_box(&bench.program), &labeled, *mode, &cfg)
                             .expect("runs")
                             .report
                             .region_cycles
@@ -115,18 +125,18 @@ fn main() {
     // win across sweeps because workers of run N+1 take the scratch that
     // run N's (long dead) workers parked.
     let mut group = c.benchmark_group("scratch_pool_sharded");
-    for (name, pool) in [("ladder_pooled", true), ("ladder_percall", false)] {
+    for (name, percall) in [("ladder_pooled", false), ("ladder_percall", true)] {
         let shared_pool = ScratchPool::fresh();
         group.bench_function(name, |b| {
             b.iter(|| {
                 let base = SimConfig::default()
                     .cache(LoweredCache::fresh())
-                    .scratch(shared_pool.clone())
-                    .pool_scratch(pool);
+                    .scratch(shared_pool.clone());
                 let plan = ladder_plan(&base, &SWEEP_LADDER, &[ExecMode::Hose, ExecMode::Case]);
                 let cycles: u64 = plan
                     .run(&SweepExec::new().jobs(2), |(cfg, mode)| {
-                        simulate_region(black_box(&bench.program), &labeled, *mode, cfg)
+                        let cfg = per_call_scratch(cfg, percall);
+                        simulate_region(black_box(&bench.program), &labeled, *mode, &cfg)
                             .expect("runs")
                             .report
                             .region_cycles

@@ -16,7 +16,6 @@
 //! fault mix everywhere), so a row is reproducible from the benchmark
 //! name and the schedule count alone.
 
-use refidem_analysis::classify::VarClass;
 use refidem_benchmarks::all_benchmarks;
 use refidem_core::label::{label_program, LabeledProgram};
 use refidem_ir::ids::ProcId;
@@ -88,15 +87,11 @@ fn prepare(program: &Program, name: &str) -> Prepared {
     // differential suite does.
     let proc = &program.procedures[0];
     let layout = Layout::new(&proc.vars);
-    let mut ignored: Vec<(u64, u64)> = Vec::new();
-    for region in &labeled.regions {
-        for (v, class) in region.analysis.classes.iter() {
-            if class == VarClass::Private {
-                let base = layout.base(v).0;
-                ignored.push((base, base + proc.vars.kind(v).size() as u64));
-            }
-        }
-    }
+    let ignored: Vec<_> = labeled
+        .regions
+        .iter()
+        .flat_map(|r| r.private_ranges(&proc.vars, &layout))
+        .collect();
     Prepared {
         name: name.to_string(),
         program: program.clone(),

@@ -1,5 +1,6 @@
 //! A keyed, shareable cache of completed region analyses — the analysis-side
-//! counterpart of [`refidem_ir::lowered::LoweredCache`].
+//! counterpart of [`refidem_ir::lowered::LoweredCache`], and the same
+//! bounded LRU ([`KeyedCache`]) underneath.
 //!
 //! Reference-idempotency analysis is a pure function of (procedure, region):
 //! procedures are immutable after construction, so a `(Procedure::uid`,
@@ -10,21 +11,15 @@
 //! processor sweeps, differential suites and chaos schedules all re-label
 //! the *same* regions over and over, and with this cache they analyze once
 //! per (procedure × region) instead of once per point.
-//!
-//! The cache mirrors `LoweredCache`'s shape exactly: a cheap `Clone` handle
-//! over shared storage, a process-global [`Default`],
-//! [`fresh`](AnalysisCache::fresh) isolation for tests, a size-bounded LRU with
-//! eviction counters, and (in debug builds) a structural fingerprint in the
-//! key that enforces the procedures-are-immutable convention.
 
-use std::sync::{Arc, Mutex, MutexGuard, OnceLock};
+use std::sync::{Arc, OnceLock};
 
 use refidem_analysis::region::AnalysisError;
+use refidem_ir::cache::{Counted, KeyedCache, Tally};
 use refidem_ir::ids::ProcId;
-use refidem_ir::lowered::CacheCounters;
 use refidem_ir::program::{Procedure, Program, RegionSpec};
 
-use crate::label::{label_program_region, LabeledProgram, LabeledRegion};
+use crate::label::{label_program_region, label_program_with, LabeledProgram, LabeledRegion};
 
 /// Identity of one cached analysis: which procedure (by process-unique
 /// [`Procedure::uid`]) and which region (by loop label) it covers.
@@ -58,66 +53,8 @@ impl AnalysisKey {
     }
 }
 
-/// One cached analysis bundle plus the recency stamp LRU eviction orders by.
-struct CacheSlot {
-    region: Arc<LabeledRegion>,
-    last_used: u64,
-}
-
-struct CacheInner {
-    map: std::collections::HashMap<AnalysisKey, CacheSlot>,
-    capacity: usize,
-    /// Monotonic lookup clock; every hit or insert stamps its entry.
-    tick: u64,
-    hits: u64,
-    misses: u64,
-    evictions: u64,
-}
-
-impl CacheInner {
-    fn with_capacity(capacity: usize) -> Self {
-        CacheInner {
-            map: std::collections::HashMap::new(),
-            capacity: capacity.max(1),
-            tick: 0,
-            hits: 0,
-            misses: 0,
-            evictions: 0,
-        }
-    }
-
-    fn touch(&mut self) -> u64 {
-        self.tick += 1;
-        self.tick
-    }
-
-    /// Evicts least-recently-used entries until the map fits the bound.
-    /// Returns how many entries were dropped. The scan is linear in the
-    /// entry count — eviction only happens at the bound, and the bound is
-    /// sized so ordinary workloads never reach it.
-    fn evict_to_capacity(&mut self) -> u64 {
-        let mut dropped = 0u64;
-        while self.map.len() > self.capacity {
-            let Some(oldest) = self
-                .map
-                .iter()
-                .min_by_key(|(_, slot)| slot.last_used)
-                .map(|(key, _)| key.clone())
-            else {
-                break;
-            };
-            self.map.remove(&oldest);
-            dropped += 1;
-        }
-        self.evictions += dropped;
-        dropped
-    }
-}
-
 /// Per-call outcome of an [`AnalysisCache::lookup`]: the labeled region
-/// plus exactly what this call did to the cache, so callers can attribute
-/// hit/miss/eviction counts to a single run without racing other threads
-/// on the shared lifetime counters.
+/// plus exactly what this call did to the cache.
 #[derive(Clone, Debug)]
 pub struct AnalysisLookup {
     /// The analyzed and labeled region (cached or freshly analyzed).
@@ -128,58 +65,38 @@ pub struct AnalysisLookup {
     pub evicted: u64,
 }
 
-/// Per-run attribution of analysis-cache traffic, accumulated by counting
-/// [`AnalysisLookup`] outcomes (exact under concurrent users of a shared
-/// cache, unlike diffing the lifetime counters).
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct AnalysisTally {
-    /// Lookups served from the cache.
-    pub hits: u64,
-    /// Lookups that had to analyze.
-    pub misses: u64,
-    /// Entries evicted by this run's inserts.
-    pub evictions: u64,
-}
+impl Counted for AnalysisLookup {
+    fn hit(&self) -> bool {
+        self.hit
+    }
 
-impl AnalysisTally {
-    /// Folds one lookup outcome into the tally.
-    pub fn count(&mut self, lookup: &AnalysisLookup) {
-        if lookup.hit {
-            self.hits += 1;
-        } else {
-            self.misses += 1;
-        }
-        self.evictions += lookup.evicted;
+    fn evicted(&self) -> u64 {
+        self.evicted
     }
 }
+
+/// Per-run attribution of analysis-cache traffic: the one cache [`Tally`].
+pub type AnalysisTally = Tally;
 
 /// A keyed, shareable cache of completed region analyses (summary *and*
 /// derived labeling) — what makes repeated labelings of the same region
 /// (capacity ladders, differential suites, chaos schedules) *analyze once
 /// and iterate cheap*.
 ///
-/// The cache is a cheap handle (`Clone` shares the underlying storage);
-/// [`AnalysisCache::default`] returns the **process-global** cache, so two
-/// independently-constructed `SimConfig`s — e.g. one per capacity point of
-/// a sweep — still share analyses. Use [`AnalysisCache::fresh`] for an
-/// isolated cache (tests, one-shot generated programs).
-///
-/// The cache is **size-bounded**: it holds at most
-/// [`capacity`](AnalysisCache::capacity) analysis bundles and evicts the
-/// least-recently-used entry when a new analysis would exceed the bound.
-/// The default bound ([`AnalysisCache::DEFAULT_CAPACITY`]) is deliberately
-/// generous — far above what the benchmark suite and the differential
-/// corpus populate — so ordinary workloads never observe an eviction (a
-/// property the test suite asserts). Evictions are counted and surfaced
-/// next to hits and misses via [`counters`](AnalysisCache::counters).
+/// A thin wrapper over the bounded LRU [`KeyedCache`] (which it derefs to
+/// for the counters, bound and occupancy) that adds the labeling entry
+/// points. [`AnalysisCache::default`] returns the **process-global**
+/// cache, so two independently-constructed `SimConfig`s — e.g. one per
+/// capacity point of a sweep — still share analyses. Use
+/// [`AnalysisCache::fresh`] for an isolated cache (tests, one-shot
+/// generated programs).
 ///
 /// Cached bundles are shared behind `Arc` and must be treated as
 /// immutable; a caller that wants to mutate a labeling (e.g. tamper
 /// testing) must clone the bundle out of the `Arc` first.
 ///
 /// ```
-/// use refidem_core::cache::{AnalysisCache, AnalysisKey};
-/// use refidem_core::label::label_program_region;
+/// use refidem_core::cache::AnalysisCache;
 /// use refidem_ir::build::{ac, av, num, ProcBuilder};
 /// use refidem_ir::program::Program;
 ///
@@ -201,10 +118,8 @@ impl AnalysisTally {
 /// assert!(std::sync::Arc::ptr_eq(&first.region, &second.region));
 /// assert_eq!(cache.stats(), (1, 1)); // (hits, misses)
 /// ```
-#[derive(Clone)]
-pub struct AnalysisCache {
-    inner: Arc<Mutex<CacheInner>>,
-}
+#[derive(Clone, Debug, PartialEq)]
+pub struct AnalysisCache(KeyedCache<AnalysisKey, LabeledRegion>);
 
 impl Default for AnalysisCache {
     /// The **process-global** cache handle (see the type-level docs).
@@ -214,45 +129,19 @@ impl Default for AnalysisCache {
     }
 }
 
-/// Handle identity: two cache values are equal when they share the same
-/// underlying storage. (This is what lets configuration types holding a
-/// cache keep a derived `PartialEq`.)
-impl PartialEq for AnalysisCache {
-    fn eq(&self, other: &Self) -> bool {
-        Arc::ptr_eq(&self.inner, &other.inner)
-    }
-}
+impl std::ops::Deref for AnalysisCache {
+    type Target = KeyedCache<AnalysisKey, LabeledRegion>;
 
-impl std::fmt::Debug for AnalysisCache {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        let (hits, misses) = self.stats();
-        f.debug_struct("AnalysisCache")
-            .field("entries", &self.len())
-            .field("hits", &hits)
-            .field("misses", &misses)
-            .finish()
+    fn deref(&self) -> &Self::Target {
+        &self.0
     }
 }
 
 impl AnalysisCache {
-    /// Default entry bound: far above the handful of (procedure, region)
-    /// pairs the benchmark suite and a differential corpus run analyze, so
-    /// only a deliberately long-lived process with an unbounded stream of
-    /// *distinct* procedures ever evicts.
-    pub const DEFAULT_CAPACITY: usize = 4096;
-
     /// Creates an empty cache that shares storage with nothing else, bounded
-    /// at [`DEFAULT_CAPACITY`](Self::DEFAULT_CAPACITY) entries.
+    /// at [`KeyedCache::DEFAULT_CAPACITY`] entries.
     pub fn fresh() -> Self {
-        AnalysisCache::with_capacity(Self::DEFAULT_CAPACITY)
-    }
-
-    /// Creates an empty, isolated cache holding at most `capacity` entries
-    /// (clamped to at least 1).
-    pub fn with_capacity(capacity: usize) -> Self {
-        AnalysisCache {
-            inner: Arc::new(Mutex::new(CacheInner::with_capacity(capacity))),
-        }
+        AnalysisCache(KeyedCache::fresh())
     }
 
     /// The process-global cache (same handle [`Default`] returns).
@@ -260,56 +149,20 @@ impl AnalysisCache {
         AnalysisCache::default()
     }
 
-    fn lock(&self) -> MutexGuard<'_, CacheInner> {
-        self.inner.lock().expect("analysis cache poisoned")
-    }
-
     /// Returns the cached bundle for `key`, computing it with `analyze` on
-    /// a miss, along with exactly what this call did to the cache.
-    ///
-    /// Analysis runs *outside* the cache lock, so concurrent users (e.g.
-    /// sweep workers) never serialize their analyses; if two threads race
-    /// on the same key both analyze and one result wins — harmless, since
-    /// equal keys produce identical bundles. Inserting past the bound
-    /// evicts least-recently-used entries. A failed analysis is returned
-    /// as-is and never cached (and counts neither as hit nor miss).
+    /// a miss, along with exactly what this call did to the cache (see
+    /// [`KeyedCache::try_lookup`]: a failed analysis is returned as-is and
+    /// never cached).
     pub fn lookup(
         &self,
         key: AnalysisKey,
         analyze: impl FnOnce() -> Result<LabeledRegion, AnalysisError>,
     ) -> Result<AnalysisLookup, AnalysisError> {
-        {
-            let mut inner = self.lock();
-            let stamp = inner.touch();
-            if let Some(found) = inner.map.get_mut(&key) {
-                found.last_used = stamp;
-                let region = found.region.clone();
-                inner.hits += 1;
-                return Ok(AnalysisLookup {
-                    region,
-                    hit: true,
-                    evicted: 0,
-                });
-            }
-        }
-        let analyzed = Arc::new(analyze()?);
-        let mut inner = self.lock();
-        inner.misses += 1;
-        let stamp = inner.touch();
-        let region = inner
-            .map
-            .entry(key)
-            .or_insert(CacheSlot {
-                region: analyzed,
-                last_used: stamp,
-            })
-            .region
-            .clone();
-        let evicted = inner.evict_to_capacity();
+        let lookup = self.0.try_lookup(key, analyze)?;
         Ok(AnalysisLookup {
-            region,
-            hit: false,
-            evicted,
+            region: lookup.value,
+            hit: lookup.hit,
+            evicted: lookup.evicted,
         })
     }
 
@@ -341,99 +194,20 @@ impl AnalysisCache {
     /// Discovers, analyzes and labels every region of `proc` through the
     /// cache — the cached counterpart of
     /// [`label_program`](crate::label::label_program). Returns the labeled
-    /// program plus this call's attributed cache traffic.
+    /// program plus this call's attributed cache traffic (one lookup per
+    /// discovered region).
     pub fn label_program_cached(
         &self,
         program: &Program,
         proc: ProcId,
     ) -> Result<(LabeledProgram, AnalysisTally), AnalysisError> {
-        let schedule = refidem_analysis::schedule::discover_regions(program, proc);
-        // Mirror `label_program`'s duplicate-label rejection: a `RegionSpec`
-        // resolves first-match, so duplicate labels would silently run the
-        // second loop under the first loop's analysis.
-        let mut seen = std::collections::BTreeSet::new();
-        for r in &schedule.regions {
-            if !seen.insert(r.spec.loop_label.as_str()) {
-                return Err(AnalysisError::DuplicateRegionLabel(
-                    r.spec.loop_label.clone(),
-                ));
-            }
-        }
         let mut tally = AnalysisTally::default();
-        let regions = schedule
-            .regions
-            .iter()
-            .map(|r| {
-                let lookup = self.label_region_cached(program, &r.spec)?;
-                tally.count(&lookup);
-                Ok(LabeledRegion::clone(&lookup.region))
-            })
-            .collect::<Result<Vec<_>, AnalysisError>>()?;
-        Ok((
-            LabeledProgram {
-                proc,
-                schedule,
-                regions,
-            },
-            tally,
-        ))
-    }
-
-    /// `(hits, misses)` accumulated over the cache's lifetime.
-    pub fn stats(&self) -> (u64, u64) {
-        let inner = self.lock();
-        (inner.hits, inner.misses)
-    }
-
-    /// Lifetime counters plus occupancy and bound, in one snapshot.
-    pub fn counters(&self) -> CacheCounters {
-        let inner = self.lock();
-        CacheCounters {
-            hits: inner.hits,
-            misses: inner.misses,
-            evictions: inner.evictions,
-            entries: inner.map.len(),
-            capacity: inner.capacity,
-        }
-    }
-
-    /// Entries dropped by LRU eviction over the cache's lifetime.
-    pub fn evictions(&self) -> u64 {
-        self.lock().evictions
-    }
-
-    /// Maximum number of entries the cache will hold.
-    pub fn capacity(&self) -> usize {
-        self.lock().capacity
-    }
-
-    /// Changes the entry bound (clamped to at least 1), evicting
-    /// least-recently-used entries immediately if the cache is over the new
-    /// bound.
-    pub fn set_capacity(&self, capacity: usize) {
-        let mut inner = self.lock();
-        inner.capacity = capacity.max(1);
-        inner.evict_to_capacity();
-    }
-
-    /// Number of cached entries.
-    pub fn len(&self) -> usize {
-        self.lock().map.len()
-    }
-
-    /// True when nothing has been cached yet.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Drops every entry and zeroes the counters (the storage — and thus
-    /// handle identity — is kept; the capacity bound is kept too).
-    pub fn clear(&self) {
-        let mut inner = self.lock();
-        inner.map.clear();
-        inner.hits = 0;
-        inner.misses = 0;
-        inner.evictions = 0;
+        let labeled = label_program_with(program, proc, |spec| {
+            let lookup = self.label_region_cached(program, spec)?;
+            tally.count(&lookup);
+            Ok(LabeledRegion::clone(&lookup.region))
+        })?;
+        Ok((labeled, tally))
     }
 }
 
@@ -557,8 +331,9 @@ mod tests {
     }
 
     #[test]
-    fn capacity_one_evicts_lru() {
-        let cache = AnalysisCache::with_capacity(1);
+    fn lookups_report_their_evictions() {
+        let cache = AnalysisCache::fresh();
+        cache.set_capacity(1);
         let program = two_region_program();
         let r1 = program.find_region("R1").unwrap();
         let r2 = program.find_region("R2").unwrap();
@@ -566,7 +341,6 @@ mod tests {
         assert_eq!(first.evicted, 0);
         let second = cache.label_region_cached(&program, &r2).expect("labels");
         assert_eq!(second.evicted, 1, "second analysis evicts the first");
-        assert_eq!(cache.len(), 1);
         assert_eq!(cache.evictions(), 1);
         // R1 was evicted: looking it up again re-analyzes.
         let again = cache.label_region_cached(&program, &r1).expect("labels");
@@ -581,19 +355,5 @@ mod tests {
         assert!(err.is_err());
         assert!(cache.is_empty());
         assert_eq!(cache.stats(), (0, 0), "failures count neither hit nor miss");
-    }
-
-    #[test]
-    fn clear_keeps_identity_and_capacity() {
-        let cache = AnalysisCache::with_capacity(7);
-        let program = two_region_program();
-        let spec = program.find_region("R1").unwrap();
-        cache.label_region_cached(&program, &spec).expect("labels");
-        let alias = cache.clone();
-        cache.clear();
-        assert_eq!(cache, alias);
-        assert_eq!(cache.capacity(), 7);
-        assert!(cache.is_empty());
-        assert_eq!(cache.stats(), (0, 0));
     }
 }

@@ -27,8 +27,10 @@ use refidem_analysis::region::{AnalysisError, RegionAnalysis};
 use refidem_analysis::schedule::{discover_regions, RegionSchedule};
 use refidem_ir::exec::DynCounts;
 use refidem_ir::ids::{RefId, VarId};
+use refidem_ir::memory::Layout;
 use refidem_ir::program::{Program, RegionSpec};
 use refidem_ir::sites::AccessKind;
+use refidem_ir::var::VarTable;
 use std::collections::{BTreeMap, BTreeSet};
 
 /// The idempotency categories of Section 4.1.
@@ -423,6 +425,25 @@ impl LabeledRegion {
     pub fn stats(&self) -> LabelStats {
         self.labeling.stats()
     }
+
+    /// Address ranges `[lo, hi)` under `layout` of the variables the region
+    /// classifies private. They live in per-segment storage under CASE and
+    /// are dead at region exit, so final-memory comparisons against a
+    /// sequential run exclude them (Lemma 2).
+    pub fn private_ranges<'a>(
+        &'a self,
+        vars: &'a VarTable,
+        layout: &'a Layout,
+    ) -> impl Iterator<Item = (u64, u64)> + 'a {
+        self.analysis
+            .classes
+            .iter()
+            .filter(|&(_, class)| class == VarClass::Private)
+            .map(move |(v, _)| {
+                let base = layout.base(v).0;
+                (base, base + vars.kind(v).size() as u64)
+            })
+    }
 }
 
 /// Analyzes and labels the region designated by `spec`.
@@ -482,6 +503,17 @@ pub fn label_program(
     program: &Program,
     proc: refidem_ir::ids::ProcId,
 ) -> Result<LabeledProgram, AnalysisError> {
+    label_program_with(program, proc, |spec| label_program_region(program, spec))
+}
+
+/// The discover-and-check loop behind [`label_program`] and its cached
+/// counterpart: discovers `proc`'s regions, rejects duplicate labels, and
+/// labels each region, in schedule order, with `label_one`.
+pub(crate) fn label_program_with(
+    program: &Program,
+    proc: refidem_ir::ids::ProcId,
+    mut label_one: impl FnMut(&RegionSpec) -> Result<LabeledRegion, AnalysisError>,
+) -> Result<LabeledProgram, AnalysisError> {
     let schedule = discover_regions(program, proc);
     // A `RegionSpec` identifies a region by label and resolves
     // first-match, so duplicate labels would silently run the second loop
@@ -497,7 +529,7 @@ pub fn label_program(
     let regions = schedule
         .regions
         .iter()
-        .map(|r| label_program_region(program, &r.spec))
+        .map(|r| label_one(&r.spec))
         .collect::<Result<Vec<_>, _>>()?;
     Ok(LabeledProgram {
         proc,

@@ -20,7 +20,7 @@ use crate::affine::AffineExpr;
 use crate::expr::{BinOp, Expr, Reference, Subscript};
 use crate::ids::{RefId, VarId};
 use crate::lowered::{
-    fused::fuse, lower, ExecBackend, LowerKey, LowerUnit, LoweredCache, LoweredSegmentExec,
+    ExecBackend, LowerKey, LowerUnit, LoweredCache, LoweredProc, LoweredSegmentExec,
 };
 use crate::memory::{Addr, Layout, Memory};
 use crate::program::Procedure;
@@ -530,32 +530,103 @@ impl<'p> SegmentExec<'p> {
     }
 }
 
+/// A resumable executor on either backend: the tree-walking
+/// [`SegmentExec`] or compiled bytecode ([`LoweredSegmentExec`]). Both keep
+/// the identical step/reset contract, so the speculation engine, the
+/// real-thread runtime and the sequential runs drive this one type
+/// whatever the backend.
+#[derive(Clone, Debug)]
+pub enum AnyExec<'p> {
+    /// The tree-walking oracle.
+    Tree(SegmentExec<'p>),
+    /// Compiled bytecode.
+    Compiled(LoweredSegmentExec<'p>),
+}
+
+impl<'p> AnyExec<'p> {
+    /// An executor over `stmts` with the given initial index bindings:
+    /// running `compiled` when it is given (it must be `stmts`'s compiled
+    /// form), tree-walking `stmts` when it is `None`.
+    pub fn new(
+        compiled: Option<&'p LoweredProc>,
+        vars: &'p VarTable,
+        layout: &'p Layout,
+        stmts: &'p [Stmt],
+        initial_env: &[(VarId, i64)],
+    ) -> Self {
+        match compiled {
+            Some(prog) => AnyExec::Compiled(LoweredSegmentExec::new(prog, initial_env)),
+            None => AnyExec::Tree(SegmentExec::new(vars, layout, stmts, initial_env)),
+        }
+    }
+
+    /// Executes one statement unit (see [`SegmentExec::step`]).
+    #[inline]
+    pub fn step(&mut self, store: &mut impl DataStore) -> Result<bool, ExecError> {
+        match self {
+            AnyExec::Tree(e) => e.step(store),
+            AnyExec::Compiled(e) => e.step(store),
+        }
+    }
+
+    /// Restores the initial state (see [`SegmentExec::reset`]).
+    #[inline]
+    pub fn reset(&mut self) {
+        match self {
+            AnyExec::Tree(e) => e.reset(),
+            AnyExec::Compiled(e) => e.reset(),
+        }
+    }
+
+    /// Re-targets the executor at new initial bindings and resets (see
+    /// [`SegmentExec::restart`]).
+    #[inline]
+    pub fn restart(&mut self, initial_env: &[(VarId, i64)]) {
+        match self {
+            AnyExec::Tree(e) => e.restart(initial_env),
+            AnyExec::Compiled(e) => e.restart(initial_env),
+        }
+    }
+
+    /// Runs to completion (bounded by `max_steps` statement units).
+    pub fn run(&mut self, store: &mut impl DataStore, max_steps: usize) -> Result<(), ExecError> {
+        match self {
+            AnyExec::Tree(e) => e.run(store, max_steps),
+            AnyExec::Compiled(e) => e.run(store, max_steps),
+        }
+    }
+
+    /// Number of statement units executed since the last reset.
+    #[inline]
+    pub fn steps(&self) -> usize {
+        match self {
+            AnyExec::Tree(e) => e.steps(),
+            AnyExec::Compiled(e) => e.steps(),
+        }
+    }
+}
+
 /// Sequential interpreter for whole procedures — the reference semantics of
 /// Definition 3.
 ///
-/// By default it executes on the fused tier (lowered bytecode
-/// post-processed by [`crate::lowered::fused::fuse`]);
-/// [`SeqInterp::lowered`] pins the plain bytecode tier and
-/// [`SeqInterp::oracle`] selects the tree-walking interpreter, which
-/// serves as the cross-checking oracle of the differential suite.
-/// Whole-procedure runs compile through the interpreter's [`LoweredCache`]
-/// (the process-global one by default) under tier-distinct keys, so
-/// repeatedly interpreting the same procedure compiles once per tier.
+/// By default it runs compiled bytecode: the whole procedure is one
+/// [`LowerUnit::WholeProcedure`], compiled once through the interpreter's
+/// [`LoweredCache`] (the process-global one by default) in that unit's one
+/// form, fused. [`SeqInterp::oracle`] selects the tree-walking
+/// interpreter, the cross-checking oracle of the differential suite.
 #[derive(Debug, Default)]
 pub struct SeqInterp {
     /// Maximum number of statement units per procedure run.
     pub max_steps: usize,
     /// Which execution backend to run on.
     pub backend: ExecBackend,
-    /// Compilation cache for whole-procedure runs on the compiled backends
-    /// (statement-list runs via [`SeqInterp::run_stmts`] have no procedure
-    /// identity to key on and always compile).
+    /// Compilation cache for whole-procedure runs on the compiled backend.
     pub cache: LoweredCache,
 }
 
 impl SeqInterp {
     /// Creates an interpreter with a generous default step budget, running
-    /// on the default (fused) backend with the process-global cache.
+    /// compiled bytecode through the process-global cache.
     pub fn new() -> Self {
         SeqInterp {
             max_steps: 200_000_000,
@@ -572,72 +643,23 @@ impl SeqInterp {
         }
     }
 
-    /// Creates an interpreter pinned to the plain lowered bytecode tier
-    /// (no superinstruction fusion).
-    pub fn lowered() -> Self {
-        SeqInterp {
-            backend: ExecBackend::Lowered,
-            ..SeqInterp::new()
-        }
-    }
-
-    /// Runs a statement list through an arbitrary store on the configured
-    /// backend (the building block the other `run_*` methods share).
-    pub fn run_stmts(
-        &self,
-        vars: &VarTable,
-        layout: &Layout,
-        stmts: &[Stmt],
-        env: &[(VarId, i64)],
-        store: &mut impl DataStore,
-    ) -> Result<(), ExecError> {
-        match self.backend {
-            ExecBackend::Lowered => {
-                let lowered = lower(vars, layout, stmts);
-                let mut exec = LoweredSegmentExec::new(&lowered, env);
-                exec.run(store, self.max_steps)
-            }
-            ExecBackend::Fused => {
-                let fused = fuse(&lower(vars, layout, stmts));
-                let mut exec = LoweredSegmentExec::new(&fused, env);
-                exec.run(store, self.max_steps)
-            }
-            ExecBackend::TreeWalk => {
-                let mut exec = SegmentExec::new(vars, layout, stmts, env);
-                exec.run(store, self.max_steps)
-            }
-        }
-    }
-
-    /// Runs a whole procedure body through a store, compiling through the
-    /// interpreter's cache on the compiled backends (keyed by the
-    /// procedure's process-unique identity and the tier, so repeated runs
-    /// compile once per tier).
+    /// Runs a whole procedure body through a store, on the compiled
+    /// backend through the interpreter's cache (keyed by the procedure's
+    /// process-unique identity, so repeated runs compile once).
     fn run_proc_body(
         &self,
         proc: &Procedure,
         layout: &Layout,
         store: &mut impl DataStore,
     ) -> Result<(), ExecError> {
-        match self.backend {
-            ExecBackend::Lowered => {
-                let key = LowerKey::new(proc, "", LowerUnit::WholeProcedure);
-                let (lowered, _) = self
-                    .cache
-                    .get_or_lower(key, || lower(&proc.vars, layout, &proc.body));
-                LoweredSegmentExec::new(&lowered, &[]).run(store, self.max_steps)
-            }
-            ExecBackend::Fused => {
-                let key = LowerKey::new(proc, "", LowerUnit::FusedWholeProcedure);
-                let (fused, _) = self
-                    .cache
-                    .get_or_lower(key, || fuse(&lower(&proc.vars, layout, &proc.body)));
-                LoweredSegmentExec::new(&fused, &[]).run(store, self.max_steps)
-            }
-            ExecBackend::TreeWalk => {
-                SegmentExec::new(&proc.vars, layout, &proc.body, &[]).run(store, self.max_steps)
-            }
-        }
+        let compiled = (self.backend == ExecBackend::Compiled).then(|| {
+            let key = LowerKey::new(proc, "", LowerUnit::WholeProcedure);
+            self.cache
+                .compile(key, &proc.vars, layout, &proc.body, &[])
+                .value
+        });
+        AnyExec::new(compiled.as_deref(), &proc.vars, layout, &proc.body, &[])
+            .run(store, self.max_steps)
     }
 
     /// Runs a procedure against the given memory (which must have been built
@@ -657,21 +679,6 @@ impl SeqInterp {
         let layout = Layout::new(&proc.vars);
         let mut store = CountingStore::new(PlainStore::new(memory));
         self.run_proc_body(proc, &layout, &mut store)?;
-        Ok(store.counts)
-    }
-
-    /// Runs a statement list (e.g. a region body for one iteration binding)
-    /// and returns per-site dynamic access counts.
-    pub fn run_stmts_counting(
-        &self,
-        vars: &VarTable,
-        layout: &Layout,
-        stmts: &[Stmt],
-        env: &[(VarId, i64)],
-        memory: &mut Memory,
-    ) -> Result<DynCounts, ExecError> {
-        let mut store = CountingStore::new(PlainStore::new(memory));
-        self.run_stmts(vars, layout, stmts, env, &mut store)?;
         Ok(store.counts)
     }
 }

@@ -24,7 +24,8 @@
 //!   with [`exec`]'s tree-walk kept as the cross-checking oracle; fused
 //!   affine addresses are strength-reduced to induction address registers,
 //!   and compiled bytecode is shared across repeated runs through the
-//!   keyed [`lowered::LoweredCache`],
+//!   keyed [`lowered::LoweredCache`], one instance of the bounded LRU in
+//!   [`cache`],
 //! * a pretty printer for Fortran-flavoured listings ([`pretty`]).
 //!
 //! The IR is deliberately structured (no gotos): every analysis in
@@ -37,6 +38,7 @@
 
 pub mod affine;
 pub mod build;
+pub mod cache;
 pub mod exec;
 pub mod expr;
 pub mod ids;
@@ -50,12 +52,13 @@ pub mod var;
 
 pub use affine::AffineExpr;
 pub use build::ProcBuilder;
-pub use exec::{DataStore, DynCounts, ExecError, PlainStore, SegmentExec, SeqInterp, TraceEvent};
+pub use cache::{KeyedCache, Tally};
+pub use exec::{
+    AnyExec, DataStore, DynCounts, ExecError, PlainStore, SegmentExec, SeqInterp, TraceEvent,
+};
 pub use expr::{BinOp, CmpOp, Expr, Reference, Subscript};
 pub use ids::{ProcId, RefId, StmtId, VarId};
-pub use lowered::{
-    lower, lower_procedure, lower_with_ranges, ExecBackend, LoweredProc, LoweredSegmentExec,
-};
+pub use lowered::{lower, lower_with_ranges, ExecBackend, LoweredProc, LoweredSegmentExec};
 pub use memory::{Addr, Layout, Memory};
 pub use program::{Procedure, Program, RegionSpec};
 pub use sites::{AccessKind, RefSite, RefTable};

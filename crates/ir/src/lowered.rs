@@ -29,6 +29,7 @@
 //! hundreds of generated programs and the whole named-benchmark suite.
 
 use crate::affine::AffineExpr;
+use crate::cache::{KeyedCache, Lookup};
 use crate::exec::{DataStore, ExecError};
 use crate::expr::{BinOp, CmpOp, Expr, Reference, Subscript};
 use crate::ids::{RefId, VarId};
@@ -42,15 +43,11 @@ pub mod fused;
 /// Which execution backend to run IR code on.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Hash)]
 pub enum ExecBackend {
-    /// The fused tier: lowered bytecode post-processed by [`fused::fuse`]
-    /// into superinstructions over a fixed virtual register file, with
-    /// constant-small-trip loops peeled. Heat-selected per region (cold
-    /// regions run plain bytecode) and byte-exact with the other two
-    /// backends. The default.
+    /// Compiled bytecode from the one compile pipeline: [`lower`], then
+    /// [`fused::fuse`] for the units that repeat (see [`LowerUnit::fuses`]).
+    /// Byte-exact with the oracle. The default.
     #[default]
-    Fused,
-    /// The lowered bytecode engine (plain postfix tier).
-    Lowered,
+    Compiled,
     /// The tree-walking interpreter (the cross-checking oracle).
     TreeWalk,
 }
@@ -462,8 +459,8 @@ fn apply_bin(op: BinOp, x: f64, y: f64) -> f64 {
 /// A statement list compiled to flat bytecode, reusable across any number
 /// of [`LoweredSegmentExec`] instances (and therefore across segments,
 /// capacity points and re-executions). Compile once with [`lower`] (or
-/// [`lower_with_ranges`] / [`lower_procedure`]), execute any number of
-/// times; share across repeated runs with a [`LoweredCache`].
+/// [`lower_with_ranges`]), execute any number of times; share across
+/// repeated runs with a [`LoweredCache`].
 #[derive(Clone, Debug)]
 pub struct LoweredProc {
     insts: Vec<Inst>,
@@ -945,17 +942,11 @@ pub fn lower_with_ranges(
     }
 }
 
-/// Compiles a whole procedure (builds its [`Layout`] first).
-pub fn lower_procedure(proc: &Procedure) -> (Layout, LoweredProc) {
-    let layout = Layout::new(&proc.vars);
-    let lowered = lower(&proc.vars, &layout, &proc.body);
-    (layout, lowered)
-}
-
 /// Which part of a region-split procedure a cached [`LoweredProc`] was
 /// compiled from. Together with the procedure identity and the region
 /// label this pins down the exact lowering inputs (statement list and
 /// index ranges), so equal keys always map to interchangeable bytecode.
+/// Each unit has exactly one compiled form (see [`LowerUnit::fuses`]).
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum LowerUnit {
     /// The whole procedure body (sequential interpretation, no region
@@ -970,26 +961,31 @@ pub enum LowerUnit {
     RegionBody,
     /// The statements following the region loop.
     Epilogue,
-    /// An interior serial span of a multi-region schedule: the statements
-    /// between two scheduled region loops, identified by the span's
-    /// starting index in the procedure's top-level body (the key's region
-    /// label is empty). The index pins down the exact statement list for
-    /// an immutable procedure, so the key cannot collide with the
-    /// single-region [`LowerUnit::Prologue`]/[`LowerUnit::Epilogue`]
-    /// spans, which cover different statements.
+    /// A serial span of a schedule that no single-region split covers,
+    /// identified by the span's starting index in the procedure's
+    /// top-level body (the key's region label is empty): an interior span
+    /// between two scheduled region loops, or (start 0) the whole body of
+    /// a region-free schedule. The index pins down the exact statement
+    /// list for an immutable procedure, so the key cannot collide with the
+    /// single-region [`LowerUnit::Prologue`]/[`LowerUnit::Epilogue`] spans
+    /// or with the fused [`LowerUnit::WholeProcedure`], which cover
+    /// different statements or take a different form.
     SerialSpan(usize),
-    /// [`LowerUnit::WholeProcedure`] post-processed by [`fused::fuse`].
-    /// Fused bytecode gets its own key so a cache shared between backends
-    /// (or between hot and cold regions) never hands one tier the other's
-    /// code.
-    FusedWholeProcedure,
-    /// [`LowerUnit::RegionLoop`] post-processed by [`fused::fuse`] —
-    /// the tier a heat-selected (hot) region runs in the sequential
-    /// baseline.
-    FusedRegionLoop,
-    /// [`LowerUnit::RegionBody`] post-processed by [`fused::fuse`] —
-    /// the tier hot speculative segments run.
-    FusedRegionBody,
+}
+
+impl LowerUnit {
+    /// Whether the unit's one compiled form runs [`fused::fuse`] over the
+    /// [`lower`] output. Units that repeat fuse: a region body runs once
+    /// per segment attempt, and a region loop or a whole procedure
+    /// iterates. Serial spans (prologue, epilogue and the spans between
+    /// regions) run once per call, so fusing them would cost more compile
+    /// time than it saves; they stay plain bytecode.
+    pub fn fuses(self) -> bool {
+        matches!(
+            self,
+            LowerUnit::WholeProcedure | LowerUnit::RegionLoop | LowerUnit::RegionBody
+        )
+    }
 }
 
 /// Key of one [`LoweredCache`] entry: *which procedure*
@@ -1173,21 +1169,11 @@ pub fn fingerprint_procedure(vars: &VarTable, stmts: &[Stmt]) -> u64 {
 /// repeated simulations of the same region (capacity ladders, processor
 /// sweeps, differential suites) *compile once and iterate cheap*.
 ///
-/// The cache is a cheap handle (`Clone` shares the underlying storage);
 /// [`LoweredCache::default`] returns the **process-global** cache, so two
 /// independently-constructed `SimConfig`s — e.g. one per capacity point of
-/// a sweep — still share compiled code. Use [`LoweredCache::fresh`] for an
-/// isolated cache (tests, memory-sensitive embedders).
-///
-/// The cache is **size-bounded**: it holds at most
-/// [`capacity`](LoweredCache::capacity) compiled procedures and evicts the
-/// least-recently-used entry when a new compilation would exceed the bound,
-/// so a long-running sweep or daemon process cannot grow it without limit.
-/// The default bound ([`LoweredCache::DEFAULT_CAPACITY`]) is deliberately
-/// generous — orders of magnitude above what the benchmark suite and the
-/// differential corpus populate — so ordinary workloads never observe an
-/// eviction (a property the test suite asserts). Evictions are counted and
-/// surfaced next to hits and misses via [`counters`](LoweredCache::counters).
+/// a sweep — still share compiled code. Use [`KeyedCache::fresh`] for an
+/// isolated cache (tests, memory-sensitive embedders). The cache is a
+/// bounded LRU (see [`KeyedCache`]).
 ///
 /// Entries are keyed by [`LowerKey`]: procedure identity — procedures are
 /// immutable after construction, so equal keys mean identical IR — plus,
@@ -1196,7 +1182,7 @@ pub fn fingerprint_procedure(vars: &VarTable, stmts: &[Stmt]) -> u64 {
 ///
 /// ```
 /// use refidem_ir::build::{ac, av, num, ProcBuilder};
-/// use refidem_ir::lowered::{lower, LowerKey, LowerUnit, LoweredCache};
+/// use refidem_ir::lowered::{LowerKey, LowerUnit, LoweredCache};
 /// use refidem_ir::memory::Layout;
 ///
 /// let mut b = ProcBuilder::new("p");
@@ -1209,105 +1195,14 @@ pub fn fingerprint_procedure(vars: &VarTable, stmts: &[Stmt]) -> u64 {
 /// let cache = LoweredCache::fresh();
 /// let key = LowerKey::new(&proc, "L", LowerUnit::RegionLoop);
 /// let layout = Layout::new(&proc.vars);
-/// let (first, hit) = cache.get_or_lower(key.clone(), || {
-///     lower(&proc.vars, &layout, &proc.body)
-/// });
-/// assert!(!hit, "first lookup compiles");
-/// let (second, hit) = cache.get_or_lower(key, || unreachable!("cached"));
-/// assert!(hit, "second lookup reuses the compiled bytecode");
-/// assert!(std::sync::Arc::ptr_eq(&first, &second));
-/// assert_eq!(cache.stats(), (1, 1)); // (hits, misses)
+/// let first = cache.compile(key.clone(), &proc.vars, &layout, &proc.body, &[]);
+/// assert!(!first.hit, "first lookup compiles");
+/// assert!(first.value.superinst_count() > 0, "a region loop is fused");
+/// let second = cache.compile(key, &proc.vars, &layout, &proc.body, &[]);
+/// assert!(second.hit, "second lookup reuses the compiled bytecode");
+/// assert!(std::sync::Arc::ptr_eq(&first.value, &second.value));
 /// ```
-#[derive(Clone)]
-pub struct LoweredCache {
-    inner: std::sync::Arc<std::sync::Mutex<CacheInner>>,
-}
-
-/// One cached compilation plus the recency stamp LRU eviction orders by.
-struct CacheSlot {
-    proc: std::sync::Arc<LoweredProc>,
-    last_used: u64,
-}
-
-struct CacheInner {
-    map: std::collections::HashMap<LowerKey, CacheSlot>,
-    capacity: usize,
-    /// Monotonic lookup clock; every hit or insert stamps its entry.
-    tick: u64,
-    hits: u64,
-    misses: u64,
-    evictions: u64,
-}
-
-impl CacheInner {
-    fn with_capacity(capacity: usize) -> Self {
-        CacheInner {
-            map: std::collections::HashMap::new(),
-            capacity: capacity.max(1),
-            tick: 0,
-            hits: 0,
-            misses: 0,
-            evictions: 0,
-        }
-    }
-
-    fn touch(&mut self) -> u64 {
-        self.tick += 1;
-        self.tick
-    }
-
-    /// Evicts least-recently-used entries until the map fits the bound.
-    /// Returns how many entries were dropped. The scan is linear in the
-    /// entry count — eviction only happens at the bound, and the bound is
-    /// sized so ordinary workloads never reach it.
-    fn evict_to_capacity(&mut self) -> u64 {
-        let mut dropped = 0u64;
-        while self.map.len() > self.capacity {
-            let Some(oldest) = self
-                .map
-                .iter()
-                .min_by_key(|(_, slot)| slot.last_used)
-                .map(|(key, _)| key.clone())
-            else {
-                break;
-            };
-            self.map.remove(&oldest);
-            dropped += 1;
-        }
-        self.evictions += dropped;
-        dropped
-    }
-}
-
-/// Per-call outcome of a [`LoweredCache::lookup`]: the compiled procedure
-/// plus exactly what this call did to the cache, so callers can attribute
-/// hit/miss/eviction counts to a single simulation without racing other
-/// threads on the shared lifetime counters.
-#[derive(Clone, Debug)]
-pub struct CacheLookup {
-    /// The compiled procedure (cached or freshly compiled).
-    pub proc: std::sync::Arc<LoweredProc>,
-    /// True when the procedure was served from the cache.
-    pub hit: bool,
-    /// Entries this call evicted to make room (0 on a hit).
-    pub evicted: u64,
-}
-
-/// A snapshot of a cache's lifetime counters and occupancy (see
-/// [`LoweredCache::counters`]).
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct CacheCounters {
-    /// Lookups served from the cache.
-    pub hits: u64,
-    /// Lookups that had to compile.
-    pub misses: u64,
-    /// Entries dropped by LRU eviction.
-    pub evictions: u64,
-    /// Entries currently cached.
-    pub entries: usize,
-    /// Maximum entries the cache will hold.
-    pub capacity: usize,
-}
+pub type LoweredCache = KeyedCache<LowerKey, LoweredProc>;
 
 impl Default for LoweredCache {
     /// The **process-global** cache handle (see the type-level docs).
@@ -1317,168 +1212,33 @@ impl Default for LoweredCache {
     }
 }
 
-/// Handle identity: two cache values are equal when they share the same
-/// underlying storage. (This is what lets configuration types holding a
-/// cache keep a derived `PartialEq`.)
-impl PartialEq for LoweredCache {
-    fn eq(&self, other: &Self) -> bool {
-        std::sync::Arc::ptr_eq(&self.inner, &other.inner)
-    }
-}
-
-impl std::fmt::Debug for LoweredCache {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        let (hits, misses) = self.stats();
-        f.debug_struct("LoweredCache")
-            .field("entries", &self.len())
-            .field("hits", &hits)
-            .field("misses", &misses)
-            .finish()
-    }
-}
-
 impl LoweredCache {
-    /// Default entry bound: far above the handful of (procedure, unit)
-    /// pairs the benchmark suite and a differential corpus run compile, so
-    /// only a deliberately long-lived process with an unbounded stream of
-    /// *distinct* procedures ever evicts.
-    pub const DEFAULT_CAPACITY: usize = 4096;
-
-    /// Creates an empty cache that shares storage with nothing else, bounded
-    /// at [`DEFAULT_CAPACITY`](Self::DEFAULT_CAPACITY) entries.
-    pub fn fresh() -> Self {
-        LoweredCache::with_capacity(Self::DEFAULT_CAPACITY)
-    }
-
-    /// Creates an empty, isolated cache holding at most `capacity` entries
-    /// (clamped to at least 1).
-    pub fn with_capacity(capacity: usize) -> Self {
-        LoweredCache {
-            inner: std::sync::Arc::new(std::sync::Mutex::new(CacheInner::with_capacity(capacity))),
-        }
-    }
-
     /// The process-global cache (same handle [`Default`] returns).
     pub fn global() -> Self {
         LoweredCache::default()
     }
 
-    fn lock(&self) -> std::sync::MutexGuard<'_, CacheInner> {
-        self.inner.lock().expect("lowered cache poisoned")
-    }
-
-    /// Returns the cached bytecode for `key`, compiling it with `compile`
-    /// on a miss. The boolean is `true` on a hit. (Thin wrapper over
-    /// [`lookup`](Self::lookup) for callers that don't attribute eviction
-    /// counts.)
-    pub fn get_or_lower(
+    /// Returns the compiled form of `key`'s unit, compiling `stmts` on a
+    /// miss: [`lower_with_ranges`], then [`fused::fuse`] when the unit
+    /// fuses ([`LowerUnit::fuses`]). `stmts` and `index_ranges` must be the
+    /// unit's lowering inputs, so equal keys compile identical bytecode.
+    pub fn compile(
         &self,
         key: LowerKey,
-        compile: impl FnOnce() -> LoweredProc,
-    ) -> (std::sync::Arc<LoweredProc>, bool) {
-        let outcome = self.lookup(key, compile);
-        (outcome.proc, outcome.hit)
-    }
-
-    /// Returns the cached bytecode for `key`, compiling it with `compile`
-    /// on a miss, along with exactly what this call did to the cache.
-    ///
-    /// Compilation runs *outside* the cache lock, so concurrent users
-    /// (e.g. the benchmark drivers' scoped threads) never serialize their
-    /// compiles; if two threads race on the same key both compile and one
-    /// result wins — harmless, since equal keys produce identical bytecode.
-    /// Inserting past the bound evicts least-recently-used entries.
-    pub fn lookup(&self, key: LowerKey, compile: impl FnOnce() -> LoweredProc) -> CacheLookup {
-        {
-            let mut inner = self.lock();
-            let stamp = inner.touch();
-            if let Some(found) = inner.map.get_mut(&key) {
-                found.last_used = stamp;
-                let proc = found.proc.clone();
-                inner.hits += 1;
-                return CacheLookup {
-                    proc,
-                    hit: true,
-                    evicted: 0,
-                };
+        vars: &VarTable,
+        layout: &Layout,
+        stmts: &[Stmt],
+        index_ranges: &[(VarId, (i64, i64))],
+    ) -> Lookup<LoweredProc> {
+        let fuses = key.unit.fuses();
+        self.lookup(key, || {
+            let base = lower_with_ranges(vars, layout, stmts, index_ranges);
+            if fuses {
+                fused::fuse(&base)
+            } else {
+                base
             }
-        }
-        let compiled = std::sync::Arc::new(compile());
-        let mut inner = self.lock();
-        inner.misses += 1;
-        let stamp = inner.touch();
-        let proc = inner
-            .map
-            .entry(key)
-            .or_insert(CacheSlot {
-                proc: compiled,
-                last_used: stamp,
-            })
-            .proc
-            .clone();
-        let evicted = inner.evict_to_capacity();
-        CacheLookup {
-            proc,
-            hit: false,
-            evicted,
-        }
-    }
-
-    /// `(hits, misses)` accumulated over the cache's lifetime.
-    pub fn stats(&self) -> (u64, u64) {
-        let inner = self.lock();
-        (inner.hits, inner.misses)
-    }
-
-    /// Lifetime counters plus occupancy and bound, in one snapshot.
-    pub fn counters(&self) -> CacheCounters {
-        let inner = self.lock();
-        CacheCounters {
-            hits: inner.hits,
-            misses: inner.misses,
-            evictions: inner.evictions,
-            entries: inner.map.len(),
-            capacity: inner.capacity,
-        }
-    }
-
-    /// Entries dropped by LRU eviction over the cache's lifetime.
-    pub fn evictions(&self) -> u64 {
-        self.lock().evictions
-    }
-
-    /// Maximum number of entries the cache will hold.
-    pub fn capacity(&self) -> usize {
-        self.lock().capacity
-    }
-
-    /// Changes the entry bound (clamped to at least 1), evicting
-    /// least-recently-used entries immediately if the cache is over the new
-    /// bound.
-    pub fn set_capacity(&self, capacity: usize) {
-        let mut inner = self.lock();
-        inner.capacity = capacity.max(1);
-        inner.evict_to_capacity();
-    }
-
-    /// Number of cached entries.
-    pub fn len(&self) -> usize {
-        self.lock().map.len()
-    }
-
-    /// True when nothing has been cached yet.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Drops every entry and zeroes the counters (the storage — and thus
-    /// handle identity — is kept; the capacity bound is kept too).
-    pub fn clear(&self) {
-        let mut inner = self.lock();
-        inner.map.clear();
-        inner.hits = 0;
-        inner.misses = 0;
-        inner.evictions = 0;
+        })
     }
 }
 
@@ -2038,41 +1798,9 @@ impl<'p> LoweredSegmentExec<'p> {
 mod tests {
     use super::*;
     use crate::build::{ac, add, av, cmp, idx, mul, num, sub, ProcBuilder};
-    use crate::exec::{CountingStore, PlainStore, SegmentExec};
+    use crate::exec::PlainStore;
     use crate::memory::Memory;
-
-    /// Runs `proc` on both backends with tracing + counting stores and
-    /// asserts bit-exact memory, identical traces and identical counts.
-    fn assert_backends_agree(proc: &Procedure) {
-        let layout = Layout::new(&proc.vars);
-        let lowered = lower(&proc.vars, &layout, &proc.body);
-
-        let mut mem_tree = Memory::zeroed(&layout);
-        let mut store_tree = CountingStore::new(PlainStore::tracing(&mut mem_tree));
-        let mut tree = SegmentExec::new(&proc.vars, &layout, &proc.body, &[]);
-        let tree_result = tree.run(&mut store_tree, 1_000_000);
-        let tree_trace = store_tree.inner.trace.clone();
-        let tree_counts = store_tree.counts.clone();
-        let tree_steps = tree.steps();
-
-        let mut mem_low = Memory::zeroed(&layout);
-        let mut store_low = CountingStore::new(PlainStore::tracing(&mut mem_low));
-        let mut low = LoweredSegmentExec::new(&lowered, &[]);
-        let low_result = low.run(&mut store_low, 1_000_000);
-        let low_trace = store_low.inner.trace.clone();
-        let low_counts = store_low.counts.clone();
-
-        assert_eq!(tree_result, low_result);
-        assert_eq!(tree_steps, low.steps());
-        assert_eq!(tree_trace.len(), low_trace.len());
-        for (a, b) in tree_trace.iter().zip(&low_trace) {
-            assert_eq!((a.site, a.access, a.addr), (b.site, b.access, b.addr));
-            assert_eq!(a.value.to_bits(), b.value.to_bits());
-        }
-        assert_eq!(tree_counts, low_counts);
-        let diffs = mem_tree.diff(&mem_low, 10);
-        assert!(diffs.is_empty(), "memory diverged: {diffs:?}");
-    }
+    use fused::tests::assert_fused_agrees;
 
     #[test]
     fn sum_loop_matches_tree_walk() {
@@ -2084,7 +1812,7 @@ mod tests {
         let rhs = add(b.load(s), b.load_elem(a, vec![av(k)]));
         let s2 = b.assign_scalar(s, rhs);
         let body = vec![b.do_loop(k, ac(1), ac(5), vec![s1, s2])];
-        assert_backends_agree(&b.build(body));
+        assert_fused_agrees(&b.build(body));
     }
 
     #[test]
@@ -2115,7 +1843,7 @@ mod tests {
         };
         let inner = b.do_loop(j, ac(1), av(i), vec![inner_assign]);
         let body = vec![b.do_loop(i, ac(1), ac(6), vec![if_stmt, inner])];
-        assert_backends_agree(&b.build(body));
+        assert_fused_agrees(&b.build(body));
     }
 
     #[test]
@@ -2135,7 +1863,7 @@ mod tests {
             b.do_loop_step(None, k, ac(5), ac(1), -1, vec![a1]),
             b.do_loop(k, ac(3), ac(2), vec![a2]), // zero-trip
         ];
-        assert_backends_agree(&b.build(body));
+        assert_fused_agrees(&b.build(body));
     }
 
     #[test]
@@ -2151,7 +1879,7 @@ mod tests {
         };
         let inner = b.do_loop(j, ac(1), av(n), vec![assign]);
         let body = vec![b.do_loop(i, ac(1), av(n), vec![inner])];
-        assert_backends_agree(&b.build(body));
+        assert_fused_agrees(&b.build(body));
     }
 
     #[test]
@@ -2168,7 +1896,7 @@ mod tests {
         let lhs = b.aref_subs(a, vec![pk_sub]);
         let write = b.assign(lhs, idx(k));
         let use_loop = b.do_loop(k, ac(1), ac(8), vec![write]);
-        assert_backends_agree(&b.build(vec![init_loop, use_loop]));
+        assert_fused_agrees(&b.build(vec![init_loop, use_loop]));
     }
 
     #[test]
@@ -2191,7 +1919,7 @@ mod tests {
         };
         let cond = cmp(CmpOp::Le, b.load(s), num(3.0));
         let body = vec![b.while_loop_labeled("W", k, ac(1), ac(10), cond, vec![bump, put])];
-        assert_backends_agree(&b.build(body));
+        assert_fused_agrees(&b.build(body));
     }
 
     #[test]
@@ -2216,7 +1944,7 @@ mod tests {
             b.while_loop_labeled("W1", k, ac(1), ac(5), never, vec![a1]),
             b.while_loop_labeled("W2", k, ac(3), ac(2), always, vec![a2]),
         ];
-        assert_backends_agree(&b.build(body));
+        assert_fused_agrees(&b.build(body));
     }
 
     /// Lowers a procedure body and returns the compiled form (test helper
@@ -2244,7 +1972,7 @@ mod tests {
             2,
             "both in-bounds affine subscripts strength-reduce"
         );
-        assert_backends_agree(&proc);
+        assert_fused_agrees(&proc);
     }
 
     #[test]
@@ -2265,7 +1993,7 @@ mod tests {
         let body = vec![b.do_loop(i, ac(1), ac(4), vec![inner])];
         let proc = b.build(body);
         assert_eq!(lowered_of(&proc).induction_reduced_refs(), 2);
-        assert_backends_agree(&proc);
+        assert_fused_agrees(&proc);
     }
 
     #[test]
@@ -2291,7 +2019,7 @@ mod tests {
             3,
             "a(j) twice against the inner loop, b(i) against the outer"
         );
-        assert_backends_agree(&proc);
+        assert_fused_agrees(&proc);
     }
 
     #[test]
@@ -2369,11 +2097,11 @@ mod tests {
         };
         let inner = b.do_loop(k, ac(1), ac(2), vec![assign]);
         let body = vec![b.do_loop(k, ac(1), ac(3), vec![inner])];
-        assert_backends_agree(&b.build(body));
+        assert_fused_agrees(&b.build(body));
     }
 
     #[test]
-    fn cache_compiles_once_per_key_and_separates_regions() {
+    fn cache_compiles_once_per_key_in_the_unit_s_one_form() {
         let mut b = ProcBuilder::new("c1");
         let a = b.array("a", &[4]);
         let k = b.index("k");
@@ -2389,38 +2117,27 @@ mod tests {
         let p2 = b.build(body);
 
         let cache = LoweredCache::fresh();
-        let compiles = std::cell::Cell::new(0usize);
         let get = |proc: &Procedure, region: &str, unit: LowerUnit| {
             let layout = Layout::new(&proc.vars);
             let key = LowerKey::new(proc, region, unit);
-            cache.get_or_lower(key, || {
-                compiles.set(compiles.get() + 1);
-                lower(&proc.vars, &layout, &proc.body)
-            })
+            cache.compile(key, &proc.vars, &layout, &proc.body, &[])
         };
 
-        // Same region twice: exactly one compilation, shared storage.
-        let (first, hit1) = get(&p1, "R1", LowerUnit::RegionBody);
-        let (second, hit2) = get(&p1, "R1", LowerUnit::RegionBody);
-        assert!(!hit1 && hit2);
-        assert_eq!(compiles.get(), 1);
-        assert!(std::sync::Arc::ptr_eq(&first, &second));
+        // Same unit twice: exactly one compilation, shared storage.
+        let first = get(&p1, "R1", LowerUnit::RegionLoop);
+        let second = get(&p1, "R1", LowerUnit::RegionLoop);
+        assert!(!first.hit && second.hit);
+        assert!(std::sync::Arc::ptr_eq(&first.value, &second.value));
 
-        // Distinct regions (and distinct units of one region) get their
-        // own entries.
-        let (_, hit3) = get(&p2, "R2", LowerUnit::RegionBody);
-        let (_, hit4) = get(&p1, "R1", LowerUnit::RegionLoop);
-        assert!(!hit3 && !hit4);
-        assert_eq!(compiles.get(), 3);
+        // Distinct regions and distinct units get their own entries, each
+        // in its unit's one form: repeating units fuse, serial spans not.
+        let other = get(&p2, "R2", LowerUnit::RegionLoop);
+        let span = get(&p1, "R1", LowerUnit::Prologue);
+        assert!(!other.hit && !span.hit);
+        assert!(first.value.superinst_count() > 0);
+        assert_eq!(span.value.superinst_count(), 0);
         assert_eq!(cache.len(), 3);
         assert_eq!(cache.stats(), (1, 3));
-
-        // A clone shares identity and contents; `fresh` does not.
-        assert_eq!(cache.clone(), cache);
-        assert_ne!(LoweredCache::fresh(), cache);
-        cache.clear();
-        assert!(cache.is_empty());
-        assert_eq!(cache.stats(), (0, 0));
     }
 
     /// Builds a one-loop procedure whose region label is `name` (distinct
@@ -2434,59 +2151,10 @@ mod tests {
         b.build(body)
     }
 
-    fn lookup_region(cache: &LoweredCache, proc: &Procedure, region: &str) -> CacheLookup {
+    fn lookup_region(cache: &LoweredCache, proc: &Procedure, region: &str) -> Lookup<LoweredProc> {
         let layout = Layout::new(&proc.vars);
         let key = LowerKey::new(proc, region, LowerUnit::RegionBody);
-        cache.lookup(key, || lower(&proc.vars, &layout, &proc.body))
-    }
-
-    #[test]
-    fn bounded_cache_evicts_least_recently_used() {
-        let cache = LoweredCache::with_capacity(2);
-        assert_eq!(cache.capacity(), 2);
-        let (p1, p2, p3) = (labeled_proc("R1"), labeled_proc("R2"), labeled_proc("R3"));
-
-        assert!(!lookup_region(&cache, &p1, "R1").hit);
-        assert!(!lookup_region(&cache, &p2, "R2").hit);
-        // Touch R1 so R2 becomes the least recently used entry...
-        assert!(lookup_region(&cache, &p1, "R1").hit);
-        // ...then a third insert must evict exactly R2.
-        let third = lookup_region(&cache, &p3, "R3");
-        assert!(!third.hit);
-        assert_eq!(third.evicted, 1);
-        assert_eq!(cache.len(), 2);
-        assert!(
-            lookup_region(&cache, &p1, "R1").hit,
-            "recently used survives"
-        );
-        assert!(
-            !lookup_region(&cache, &p2, "R2").hit,
-            "LRU entry recompiles"
-        );
-        assert_eq!(cache.evictions(), 2, "re-inserting R2 evicted R3 in turn");
-
-        let c = cache.counters();
-        assert_eq!((c.entries, c.capacity), (2, 2));
-        assert_eq!(c.hits + c.misses, 6);
-    }
-
-    #[test]
-    fn shrinking_capacity_evicts_immediately_and_clamps_to_one() {
-        let cache = LoweredCache::with_capacity(8);
-        let procs: Vec<(Procedure, &str)> = ["R1", "R2", "R3"]
-            .into_iter()
-            .map(|name| (labeled_proc(name), name))
-            .collect();
-        for (proc, name) in &procs {
-            lookup_region(&cache, proc, name);
-        }
-        assert_eq!(cache.len(), 3);
-        cache.set_capacity(0); // clamps to 1
-        assert_eq!(cache.capacity(), 1);
-        assert_eq!(cache.len(), 1);
-        assert_eq!(cache.evictions(), 2);
-        // The survivor is the most recently used entry.
-        assert!(lookup_region(&cache, &procs[2].0, "R3").hit);
+        cache.compile(key, &proc.vars, &layout, &proc.body, &[])
     }
 
     #[test]

@@ -38,8 +38,9 @@
 //! Every pass preserves the lowered tier's observable semantics exactly:
 //! identical memory effects, access order (traces), dynamic counts, step
 //! counting and error behavior — `backend_differential` in
-//! `refidem-testkit` proves the three backends byte-exact across the whole
-//! generated corpus and every named benchmark.
+//! `refidem-testkit` proves plain and fused bytecode byte-exact with the
+//! tree-walking oracle across the whole generated corpus and every named
+//! benchmark.
 
 use super::{AffinePlan, Inst, LoopPlan, LoweredProc, RefPlan};
 use crate::expr::BinOp;
@@ -637,7 +638,7 @@ fn advance_loads(mut p: LoweredProc) -> LoweredProc {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::super::{lower, LoweredProc, LoweredSegmentExec};
     use super::*;
     use crate::build::{ac, add, av, cmp, idx, mul, num, ProcBuilder};
@@ -656,7 +657,7 @@ mod tests {
     /// fused tier with tracing + counting stores, asserting bit-exact
     /// memory, identical traces, counts, step totals and errors across all
     /// three. Returns the fused bytecode for shape assertions.
-    fn assert_fused_agrees(proc: &Procedure) -> LoweredProc {
+    pub(crate) fn assert_fused_agrees(proc: &Procedure) -> LoweredProc {
         let layout = Layout::new(&proc.vars);
         let lowered = lower(&proc.vars, &layout, &proc.body);
         let fused = fuse(&lowered);
@@ -728,7 +729,7 @@ mod tests {
     fn zero_trip_and_single_trip_loops_peel_exactly() {
         // Single-trip: k stays bound to 5 after the loop (last trip
         // value). Zero-trip: k stays unbound, so the read after the loop
-        // errors identically on all three backends.
+        // errors identically on the oracle, plain and fused bytecode.
         let mut b = ProcBuilder::new("trip1");
         let s = b.scalar("s");
         let k = b.index("k");

@@ -33,8 +33,8 @@ pub enum SpecRuntime {
 /// a handful of cycles.
 ///
 /// A config also carries the [`LoweredCache`] the runs compile through
-/// and the [`AnalysisCache`] the cached entry points label through. Both
-/// default to their process-global cache, so a capacity-ladder sweep that
+/// and the [`AnalysisCache`] callers label through. Both default to their
+/// process-global cache, so a capacity-ladder sweep that
 /// builds one `SimConfig` per point still lowers — and analyzes — each
 /// region exactly once per process:
 ///
@@ -76,49 +76,35 @@ pub struct SimConfig {
     /// Maximum total number of statement executions across the whole
     /// simulation (defensive guard against livelock in misconfigured runs).
     pub max_statements: u64,
-    /// Which execution backend segments run on: the fused tier (default —
-    /// superinstructions, register allocation and loop peeling applied to
-    /// heat-selected hot regions, plain bytecode elsewhere), the plain
-    /// lowered bytecode engine, or the tree-walking oracle. All three
-    /// produce bit-identical results; the oracle exists for cross-checking
-    /// and debugging.
+    /// Which execution backend the runs use: compiled bytecode (default —
+    /// each unit in its one compiled form, see
+    /// [`LowerUnit::fuses`](refidem_ir::lowered::LowerUnit::fuses)) or the
+    /// tree-walking oracle. Both produce bit-identical results; the oracle
+    /// exists for cross-checking and debugging.
     pub backend: ExecBackend,
-    /// Heat threshold for the fused tier: a region is *hot* — and compiles
-    /// through [`fuse`](refidem_ir::lowered::fused::fuse) under a
-    /// fused-tier cache key — when its bounds are compile-time constants
-    /// and its trip count is at least this many iterations. WHILE regions
-    /// and non-constant bounds are always cold (plain bytecode). Ignored
-    /// by the non-fused backends.
-    pub fuse_min_trips: usize,
-    /// Compilation cache for the lowered backend. Defaults to the
+    /// Compilation cache for the compiled backend. Defaults to the
     /// process-global cache ([`LoweredCache::global`]); substitute
     /// [`LoweredCache::fresh`] to isolate a run. The tree-walking oracle
     /// backend never compiles, so it never touches the cache.
     pub cache: LoweredCache,
-    /// Analysis cache for the *cached* labeling entry points
-    /// ([`simulate_region_cached`](crate::run::simulate_region_cached),
-    /// [`simulate_program_cached`](crate::run::simulate_program_cached)
-    /// and [`label_program_cached`](crate::run::label_program_cached)):
-    /// the completed region analysis and its derived labeling are computed
-    /// once per (procedure × region) and reused by every sweep point,
-    /// mode and repetition. Defaults to the process-global cache
+    /// Analysis cache callers label through
+    /// ([`AnalysisCache::label_program_cached`] before
+    /// [`simulate_program`](crate::run::simulate_program)): the completed
+    /// region analysis and its derived labeling are computed once per
+    /// (procedure × region) and reused by every sweep point, mode and
+    /// repetition. Defaults to the process-global cache
     /// ([`AnalysisCache::global`]); substitute [`AnalysisCache::fresh`] to
-    /// isolate a run. Runs handed an already-labeled region never touch
-    /// it.
+    /// isolate a run. The simulation entry points take labeled input and
+    /// never touch it.
     pub analysis_cache: AnalysisCache,
-    /// Reuse engine scratch (dependence masks + per-processor buffer
-    /// pool) across the regions of a schedule *and* across repeated
-    /// simulation calls — including calls from the short-lived worker
-    /// threads [`SweepExec`](crate::sweep::SweepExec) spawns — via the
-    /// config's [`scratch`](SimConfig::scratch) pool (default). Disable
-    /// to allocate fresh scratch per call — results are bit-identical
-    /// either way (an A/B the tests and the `scratch_pool` bench rely
-    /// on); only the allocation traffic differs.
-    pub pool_scratch: bool,
-    /// The scratch pool `pool_scratch` draws from. Defaults to the
-    /// **process-global** pool ([`ScratchPool::global`]), so warm
-    /// allocations survive sweep workers' thread churn; substitute
-    /// [`ScratchPool::fresh`] to isolate a run's allocations.
+    /// The pool engine scratch (dependence masks + per-processor buffer
+    /// pool) is taken from and returned to, so it is reused across the
+    /// regions of a schedule *and* across repeated simulation calls —
+    /// including calls from the short-lived worker threads
+    /// [`SweepExec`](crate::sweep::SweepExec) spawns. Defaults to the
+    /// **process-global** pool ([`ScratchPool::global`]); substitute
+    /// [`ScratchPool::fresh`] to isolate a run's allocations (a fresh
+    /// pool per call allocates fresh scratch per call, bit-identically).
     pub scratch: ScratchPool,
     /// Which runtime executes speculative regions: the cycle-accounted
     /// single-thread simulator (default) or the real-thread runtime (see
@@ -132,12 +118,6 @@ pub struct SimConfig {
     /// [`Governor`]). The defaults are generous enough that no legitimate
     /// run trips them.
     pub governor: Governor,
-    /// Deprecated shim for the pre-`FaultPlan` ad-hoc fault hook: when
-    /// set, the segment with this index panics right after being
-    /// dispatched, exactly as if [`FaultPlan::panic_at`] had named it.
-    /// Kept for one release; use `cfg.faults` instead.
-    #[doc(hidden)]
-    pub test_fault_segment: Option<usize>,
 }
 
 impl Default for SimConfig {
@@ -159,38 +139,17 @@ impl Default for SimConfig {
             private_setup_cost: 8,
             max_statements: 200_000_000,
             backend: ExecBackend::default(),
-            fuse_min_trips: 2,
             cache: LoweredCache::default(),
             analysis_cache: AnalysisCache::default(),
-            pool_scratch: true,
             scratch: ScratchPool::global(),
             runtime: SpecRuntime::Simulated,
             faults: FaultPlan::default(),
             governor: Governor::default(),
-            test_fault_segment: None,
         }
     }
 }
 
 impl SimConfig {
-    /// A configuration with the given number of processors, other
-    /// parameters at their defaults.
-    pub fn with_processors(processors: usize) -> Self {
-        SimConfig {
-            processors,
-            ..SimConfig::default()
-        }
-    }
-
-    /// A configuration with the given speculative-storage capacity (words
-    /// per processor), other parameters at their defaults.
-    pub fn with_capacity(spec_capacity: usize) -> Self {
-        SimConfig {
-            spec_capacity,
-            ..SimConfig::default()
-        }
-    }
-
     /// Convenience: sets the capacity and returns the modified config.
     pub fn capacity(mut self, spec_capacity: usize) -> Self {
         self.spec_capacity = spec_capacity;
@@ -216,14 +175,6 @@ impl SimConfig {
         self.backend(ExecBackend::TreeWalk)
     }
 
-    /// Convenience: sets the fused-tier heat threshold (minimum constant
-    /// trip count for a region to compile through the fused tier) and
-    /// returns the modified config.
-    pub fn fuse_min_trips(mut self, trips: usize) -> Self {
-        self.fuse_min_trips = trips;
-        self
-    }
-
     /// Convenience: sets the compilation cache and returns the modified
     /// config (e.g. `SimConfig::default().cache(LoweredCache::fresh())` to
     /// opt out of the process-global cache).
@@ -238,13 +189,6 @@ impl SimConfig {
     /// opt out of the process-global cache).
     pub fn analysis_cache(mut self, cache: AnalysisCache) -> Self {
         self.analysis_cache = cache;
-        self
-    }
-
-    /// Convenience: enables or disables engine-scratch pooling (see
-    /// [`SimConfig::pool_scratch`]) and returns the modified config.
-    pub fn pool_scratch(mut self, pool: bool) -> Self {
-        self.pool_scratch = pool;
         self
     }
 
@@ -324,10 +268,10 @@ mod tests {
 
     #[test]
     fn builders_override_fields() {
-        let c = SimConfig::with_processors(8).capacity(16);
+        let c = SimConfig::default().processors(8).capacity(16);
         assert_eq!(c.processors, 8);
         assert_eq!(c.spec_capacity, 16);
-        let c2 = SimConfig::with_capacity(128).processors(2);
+        let c2 = SimConfig::default().capacity(128).processors(2);
         assert_eq!(c2.spec_capacity, 128);
         assert_eq!(c2.processors, 2);
     }

@@ -30,45 +30,12 @@ use crate::report::SimReport;
 use crate::run::{ExecMode, SimError};
 use crate::storage::{PrivateStore, SpecBuffer};
 use refidem_core::label::{IdemCategory, Label, Labeling};
-use refidem_ir::exec::{DataStore, ExecError, SegmentExec};
-use refidem_ir::ids::{RefId, VarId};
-use refidem_ir::lowered::{ExecBackend, LoweredProc, LoweredSegmentExec};
+use refidem_ir::exec::{AnyExec, DataStore, SegmentExec};
+use refidem_ir::ids::RefId;
+use refidem_ir::lowered::LoweredProc;
 use refidem_ir::memory::{Addr, Layout, Memory};
 use refidem_ir::stmt::LoopStmt;
 use refidem_ir::var::VarTable;
-
-/// A segment executor on either backend. Both implement the identical
-/// resumable step/reset contract, so the engine is backend-agnostic; the
-/// lowered backend is the default and the tree-walk is kept as the
-/// cross-checking oracle.
-#[derive(Clone, Debug)]
-enum AnyExec<'p> {
-    Tree(SegmentExec<'p>),
-    Lowered(LoweredSegmentExec<'p>),
-}
-
-impl AnyExec<'_> {
-    fn step(&mut self, store: &mut impl DataStore) -> Result<bool, ExecError> {
-        match self {
-            AnyExec::Tree(e) => e.step(store),
-            AnyExec::Lowered(e) => e.step(store),
-        }
-    }
-
-    fn reset(&mut self) {
-        match self {
-            AnyExec::Tree(e) => e.reset(),
-            AnyExec::Lowered(e) => e.reset(),
-        }
-    }
-
-    fn restart(&mut self, initial_env: &[(VarId, i64)]) {
-        match self {
-            AnyExec::Tree(e) => e.restart(initial_env),
-            AnyExec::Lowered(e) => e.restart(initial_env),
-        }
-    }
-}
 
 /// One in-flight segment's mutable state. The scheduling fields the
 /// engine's per-statement scan reads (`seg`, `clock`, `done`, `stalled`)
@@ -105,6 +72,42 @@ struct SlotData {
     spec: SpecBuffer,
     /// Per-segment private storage (for references labeled `Private`).
     private: PrivateStore,
+}
+
+/// Dense per-site label table indexed by `RefId::index`, shared by the
+/// simulator and the real-thread runtime. Under CASE it holds the
+/// labeling; under HOSE it is empty, so every site is speculative (as is
+/// any site beyond the table, like `Labeling::label`).
+#[derive(Debug)]
+pub(crate) struct LabelTable(Vec<Label>);
+
+impl LabelTable {
+    pub(crate) fn new(mode: ExecMode, labeling: &Labeling) -> Self {
+        let mut labels = Vec::new();
+        if mode == ExecMode::Case {
+            for (site, label) in labeling.iter() {
+                if site.index() >= labels.len() {
+                    labels.resize(site.index() + 1, Label::Speculative);
+                }
+                labels[site.index()] = label;
+            }
+        }
+        LabelTable(labels)
+    }
+
+    /// The routing label of `site`.
+    #[inline]
+    pub(crate) fn get(&self, site: RefId) -> Label {
+        self.0
+            .get(site.index())
+            .copied()
+            .unwrap_or(Label::Speculative)
+    }
+
+    /// True when some site is labeled private (never under HOSE).
+    fn has_private(&self) -> bool {
+        self.0.contains(&Label::Idempotent(IdemCategory::Private))
+    }
 }
 
 /// Per-address presence masks over the in-flight slots: bit `p` of
@@ -199,7 +202,7 @@ impl DepMasks {
 /// pool — together with the per-address dependence masks — out of the engine,
 /// so `simulate_program` reuses one scratch across every region of a
 /// schedule, and repeated `simulate_region` calls (capacity-ladder sweeps)
-/// reuse it across calls via a thread-local pool. Without it, every
+/// reuse it across calls via the config's [`ScratchPool`]. Without it, every
 /// `simulate_region` call paid two `vec![0; total_words]` allocations for
 /// the masks plus one shadow-array pair per processor.
 ///
@@ -222,19 +225,6 @@ impl EngineScratch {
     /// engine run prepares it).
     pub fn new() -> Self {
         EngineScratch::default()
-    }
-
-    /// Takes a scratch from the **process-global** pool (see
-    /// [`ScratchPool::global`]).
-    pub fn take() -> Self {
-        ScratchPool::global().take()
-    }
-
-    /// Returns this scratch to the **process-global** pool (see
-    /// [`ScratchPool::global`]). Only scratch from *successful* runs may
-    /// come back — a failed run's masks can carry stale marks.
-    pub fn restore(self) {
-        ScratchPool::global().restore(self);
     }
 
     /// Re-targets the scratch at a machine shape, keeping every allocation
@@ -346,13 +336,10 @@ impl ScratchPool {
 /// already holding the effects of the code preceding the region.
 pub(crate) struct Engine<'p> {
     cfg: &'p SimConfig,
-    mode: ExecMode,
     vars: &'p VarTable,
     layout: &'p Layout,
     region: &'p LoopStmt,
-    /// Dense per-site label table indexed by `RefId::index` (sites beyond
-    /// the table default to `Speculative`, like `Labeling::label`).
-    labels: Vec<Label>,
+    labels: LabelTable,
     iter_values: Vec<i64>,
     has_private_labels: bool,
 
@@ -378,11 +365,9 @@ pub(crate) struct Engine<'p> {
 }
 
 impl<'p> Engine<'p> {
-    /// Creates an engine for one region execution. `lowered` must be the
-    /// compiled region body when `cfg.backend` is [`ExecBackend::Lowered`]
-    /// or [`ExecBackend::Fused`] (the caller heat-selects the tier and
-    /// compiles accordingly; the engine runs whatever bytecode it is
-    /// handed).
+    /// Creates an engine for one region execution. `lowered` is the
+    /// region body's compiled form, or `None` to tree-walk it (the caller
+    /// compiles; the engine runs whatever it is handed).
     #[allow(clippy::too_many_arguments)]
     pub(crate) fn new(
         cfg: &'p SimConfig,
@@ -396,37 +381,15 @@ impl<'p> Engine<'p> {
         scratch: &'p mut EngineScratch,
         memory: &'p mut Memory,
     ) -> Self {
-        let has_private_labels = mode == ExecMode::Case
-            && labeling
-                .iter()
-                .any(|(_, l)| l == Label::Idempotent(IdemCategory::Private));
-        let mut labels = Vec::new();
-        if mode == ExecMode::Case {
-            for (site, label) in labeling.iter() {
-                if site.index() >= labels.len() {
-                    labels.resize(site.index() + 1, Label::Speculative);
-                }
-                labels[site.index()] = label;
-            }
-        }
+        let labels = LabelTable::new(mode, labeling);
+        let has_private_labels = labels.has_private();
         let processors = cfg.processors.max(1);
         scratch.prepare(processors, cfg.spec_capacity, layout.total_words());
         let execs = (0..processors.min(iter_values.len()))
-            .map(|_| match cfg.backend {
-                // The fused tier hands the engine pre-compiled (possibly
-                // fused) bytecode exactly like the plain tier; the executor
-                // is the same resumable machine either way.
-                ExecBackend::Lowered | ExecBackend::Fused => AnyExec::Lowered(
-                    LoweredSegmentExec::new(lowered.expect("lowered region body compiled"), &[]),
-                ),
-                ExecBackend::TreeWalk => {
-                    AnyExec::Tree(SegmentExec::new(vars, layout, &region.body, &[]))
-                }
-            })
+            .map(|_| AnyExec::new(lowered, vars, layout, &region.body, &[]))
             .collect();
         Engine {
             cfg,
-            mode,
             vars,
             layout,
             region,
@@ -559,7 +522,7 @@ impl<'p> Engine<'p> {
         // to unwind, so an injected "panic" is returned directly as the
         // typed error the real-thread runtime would have reported after
         // catching it — same identity, same rendering.
-        if self.cfg.test_fault_segment == Some(seg) || self.cfg.faults.worker_panic(seg) {
+        if self.cfg.faults.worker_panic(seg) {
             return Err(SimError::WorkerPanic {
                 thread: p,
                 segment: Some(seg),
@@ -635,7 +598,6 @@ impl<'p> Engine<'p> {
                 memory,
                 report,
                 cfg,
-                mode,
                 labels,
                 vars,
                 layout,
@@ -648,7 +610,6 @@ impl<'p> Engine<'p> {
             let cond = region.while_cond.as_ref().expect("while region");
             let mut ctx = AccessCtx {
                 cfg,
-                mode: *mode,
                 labels,
                 memory,
                 slots,
@@ -715,14 +676,12 @@ impl<'p> Engine<'p> {
             memory,
             report,
             cfg,
-            mode,
             labels,
             ..
         } = self;
         let exec = &mut execs[p];
         let mut ctx = AccessCtx {
             cfg,
-            mode: *mode,
             labels,
             memory,
             slots,
@@ -901,9 +860,7 @@ fn own_slot_mut(slots: &mut [Option<SlotData>], p: usize) -> &mut SlotData {
 /// and overflows.
 struct AccessCtx<'a> {
     cfg: &'a SimConfig,
-    mode: ExecMode,
-    /// Dense label table (see [`Engine`]); empty under HOSE.
-    labels: &'a [Label],
+    labels: &'a LabelTable,
     memory: &'a mut Memory,
     slots: &'a mut [Option<SlotData>],
     masks: &'a mut DepMasks,
@@ -913,18 +870,6 @@ struct AccessCtx<'a> {
 }
 
 impl AccessCtx<'_> {
-    #[inline]
-    fn label_of(&self, site: RefId) -> Label {
-        match self.mode {
-            ExecMode::Hose => Label::Speculative,
-            ExecMode::Case => self
-                .labels
-                .get(site.index())
-                .copied()
-                .unwrap_or(Label::Speculative),
-        }
-    }
-
     /// The stepping segment's slot. The slot is always present while its
     /// executor steps — the engine dispatched it in the same scan.
     #[inline]
@@ -995,7 +940,7 @@ impl AccessCtx<'_> {
 
 impl DataStore for AccessCtx<'_> {
     fn read(&mut self, site: RefId, addr: Addr) -> f64 {
-        let label = self.label_of(site);
+        let label = self.labels.get(site);
         let own_seg = self.own().seg;
         let is_head = own_seg == self.head;
         match label {
@@ -1087,7 +1032,7 @@ impl DataStore for AccessCtx<'_> {
     }
 
     fn write(&mut self, site: RefId, addr: Addr, value: f64) {
-        let label = self.label_of(site);
+        let label = self.labels.get(site);
         let own_seg = self.own().seg;
         let is_head = own_seg == self.head;
         match label {

@@ -47,15 +47,13 @@ pub use config::{SimConfig, SpecRuntime};
 pub use engine::{EngineScratch, ScratchPool};
 pub use fault::{DegradeReason, FaultPlan, Governor, PerturbEdge};
 pub use refidem_core::cache::{AnalysisCache, AnalysisKey, AnalysisLookup, AnalysisTally};
-pub use refidem_ir::lowered::{
-    CacheCounters, CacheLookup, ExecBackend, LowerKey, LowerUnit, LoweredCache,
-};
+pub use refidem_ir::cache::{CacheCounters, Tally};
+pub use refidem_ir::lowered::{ExecBackend, LowerKey, LowerUnit, LoweredCache};
 pub use report::{ProgramReport, SimReport, SpeedupComparison};
 pub use run::{
-    compare_modes, compare_program_modes, initial_memory, label_program_cached,
-    run_program_sequential, run_sequential, simulate_program, simulate_program_cached,
-    simulate_region, simulate_region_cached, verify_against_sequential, ExecMode,
-    ProgramComparison, ProgramOutcome, SeqProgramOutcome, SimError, SimOutcome,
+    compare_modes, compare_program_modes, initial_memory, run_program_sequential, run_sequential,
+    simulate_program, simulate_region, verify_against_sequential, ExecMode, ProgramComparison,
+    ProgramOutcome, SeqProgramOutcome, SimError, SimOutcome,
 };
 pub use storage::{PrivateStore, SpecBuffer, SpecEntry};
 pub use sweep::{ladder_plan, SweepExec, SweepPlan, SweepPoint};
@@ -66,9 +64,8 @@ pub mod prelude {
     pub use crate::fault::{DegradeReason, FaultPlan, Governor, PerturbEdge};
     pub use crate::report::{ProgramReport, SimReport, SpeedupComparison};
     pub use crate::run::{
-        compare_modes, compare_program_modes, label_program_cached, run_program_sequential,
-        run_sequential, simulate_program, simulate_program_cached, simulate_region,
-        simulate_region_cached, verify_against_sequential, ExecMode, ProgramComparison,
+        compare_modes, compare_program_modes, run_program_sequential, run_sequential,
+        simulate_program, simulate_region, verify_against_sequential, ExecMode, ProgramComparison,
         ProgramOutcome, SeqProgramOutcome, SimError, SimOutcome,
     };
     pub use crate::sweep::{SweepExec, SweepPlan};

@@ -83,14 +83,15 @@
 //! on every schedule.
 
 use crate::config::SimConfig;
+use crate::engine::LabelTable;
 use crate::fault::PerturbEdge;
 use crate::report::SimReport;
 use crate::run::{ExecMode, SimError};
 use crate::storage::{PrivateStore, SpecBuffer};
 use refidem_core::label::{IdemCategory, Label, Labeling};
-use refidem_ir::exec::{DataStore, SegmentExec};
-use refidem_ir::ids::{RefId, VarId};
-use refidem_ir::lowered::{ExecBackend, LoweredProc, LoweredSegmentExec};
+use refidem_ir::exec::{AnyExec, DataStore, SegmentExec};
+use refidem_ir::ids::RefId;
+use refidem_ir::lowered::LoweredProc;
 use refidem_ir::memory::{Addr, Layout, Memory};
 use refidem_ir::stmt::LoopStmt;
 use refidem_ir::var::VarTable;
@@ -191,10 +192,7 @@ enum Failure {
 /// Everything the workers share.
 struct Shared<'p> {
     cfg: &'p SimConfig,
-    mode: ExecMode,
-    /// Dense per-site label table; empty under HOSE (every site
-    /// speculative), same construction as the simulator's.
-    labels: Vec<Label>,
+    labels: LabelTable,
     memory: AtomicMemory,
     read_mask: Vec<AtomicU32>,
     write_mask: Vec<AtomicU32>,
@@ -237,39 +235,9 @@ struct RegionCtx<'p> {
     iter_values: &'p [i64],
 }
 
-/// A segment executor on either backend (the private mirror of the
-/// simulator's `AnyExec`; both backends share the step/reset contract).
-enum ParExec<'p> {
-    Tree(SegmentExec<'p>),
-    Lowered(LoweredSegmentExec<'p>),
-}
-
-impl ParExec<'_> {
-    fn step(&mut self, store: &mut impl DataStore) -> Result<bool, refidem_ir::exec::ExecError> {
-        match self {
-            ParExec::Tree(e) => e.step(store),
-            ParExec::Lowered(e) => e.step(store),
-        }
-    }
-
-    fn reset(&mut self) {
-        match self {
-            ParExec::Tree(e) => e.reset(),
-            ParExec::Lowered(e) => e.reset(),
-        }
-    }
-
-    fn restart(&mut self, initial_env: &[(VarId, i64)]) {
-        match self {
-            ParExec::Tree(e) => e.restart(initial_env),
-            ParExec::Lowered(e) => e.restart(initial_env),
-        }
-    }
-}
-
 /// Runs one region under the real-thread runtime and merges the tallies
 /// into a report. Mirrors the simulator's `Engine::new(..).run()` contract:
-/// `lowered` must be the compiled region body on the lowered backend, and
+/// `lowered` is the region body's compiled form (`None` tree-walks it), and
 /// `memory` holds the live-in state and receives the final state.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn run_region(
@@ -300,23 +268,12 @@ pub(crate) fn run_region(
         return Ok(report);
     }
 
-    let mut labels = Vec::new();
-    if mode == ExecMode::Case {
-        for (site, label) in labeling.iter() {
-            if site.index() >= labels.len() {
-                labels.resize(site.index() + 1, Label::Speculative);
-            }
-            labels[site.index()] = label;
-        }
-    }
-
     // Never spawn more workers than there are segments to claim.
     let threads = processors.min(total);
     let words = layout.total_words() as usize;
     let shared = Shared {
         cfg,
-        mode,
-        labels,
+        labels: LabelTable::new(mode, labeling),
         memory: AtomicMemory::from_memory(memory),
         read_mask: (0..words).map(|_| AtomicU32::new(0)).collect(),
         write_mask: (0..words).map(|_| AtomicU32::new(0)).collect(),
@@ -420,18 +377,7 @@ pub(crate) fn run_region(
 /// all on one executor that it restarts per segment.
 fn worker(shared: &Shared<'_>, ctx: &RegionCtx<'_>, p: usize) -> Result<(), SimError> {
     let mut private = PrivateStore::new(ctx.layout.total_words());
-    let mut exec = match shared.cfg.backend {
-        ExecBackend::Lowered | ExecBackend::Fused => ParExec::Lowered(LoweredSegmentExec::new(
-            ctx.lowered.expect("lowered region body compiled"),
-            &[],
-        )),
-        ExecBackend::TreeWalk => ParExec::Tree(SegmentExec::new(
-            ctx.vars,
-            ctx.layout,
-            &ctx.region.body,
-            &[],
-        )),
-    };
+    let mut exec = AnyExec::new(ctx.lowered, ctx.vars, ctx.layout, &ctx.region.body, &[]);
     loop {
         if shared.abort.load(SeqCst) {
             return Ok(());
@@ -444,7 +390,7 @@ fn worker(shared: &Shared<'_>, ctx: &RegionCtx<'_>, p: usize) -> Result<(), SimE
         // Injected dispatch failures: a real panic on the worker thread
         // (exercising the catch_unwind + abort drain path end to end), or
         // a typed error that propagates through the failure channel.
-        if shared.cfg.test_fault_segment == Some(seg) || shared.cfg.faults.worker_panic(seg) {
+        if shared.cfg.faults.worker_panic(seg) {
             panic!("injected segment fault");
         }
         if shared.cfg.faults.worker_error(seg) {
@@ -522,7 +468,7 @@ fn run_segment(
     ctx: &RegionCtx<'_>,
     p: usize,
     seg: usize,
-    exec: &mut ParExec<'_>,
+    exec: &mut AnyExec<'_>,
     private: &mut PrivateStore,
 ) -> Result<(), SimError> {
     let slot = &shared.slots[p];
@@ -834,19 +780,6 @@ struct ParCtx<'a, 'p> {
 }
 
 impl ParCtx<'_, '_> {
-    #[inline]
-    fn label_of(&self, site: RefId) -> Label {
-        match self.shared.mode {
-            ExecMode::Hose => Label::Speculative,
-            ExecMode::Case => self
-                .shared
-                .labels
-                .get(site.index())
-                .copied()
-                .unwrap_or(Label::Speculative),
-        }
-    }
-
     /// Forwards from the youngest older in-flight segment holding a
     /// written entry for `addr`. Candidates come from the write mask;
     /// each is verified under its own lock (entry present *and* the slot
@@ -1005,7 +938,7 @@ impl ParCtx<'_, '_> {
 
 impl DataStore for ParCtx<'_, '_> {
     fn read(&mut self, site: RefId, addr: Addr) -> f64 {
-        match self.label_of(site) {
+        match self.shared.labels.get(site) {
             Label::Speculative => self.speculative_read(addr),
             Label::Idempotent(IdemCategory::Private) => {
                 self.shared.tallies.private_reads.fetch_add(1, Relaxed);
@@ -1021,7 +954,7 @@ impl DataStore for ParCtx<'_, '_> {
     }
 
     fn write(&mut self, site: RefId, addr: Addr, value: f64) {
-        match self.label_of(site) {
+        match self.shared.labels.get(site) {
             Label::Speculative => self.speculative_write(addr, value),
             Label::Idempotent(IdemCategory::Private) => {
                 self.shared.tallies.private_writes.fetch_add(1, Relaxed);
@@ -1272,18 +1205,6 @@ mod tests {
                     "the payload survives: {message}"
                 );
             }
-            other => panic!("expected a typed worker panic, got {other:?}"),
-        }
-    }
-
-    #[test]
-    fn the_deprecated_fault_shim_yields_the_same_typed_error() {
-        let p = recurrence_program();
-        let labeled = label_program_region_by_name(&p, "REC").unwrap();
-        let mut cfg = SimConfig::default().processors(4).threads();
-        cfg.test_fault_segment = Some(5);
-        match simulate_region(&p, &labeled, ExecMode::Hose, &cfg) {
-            Err(SimError::WorkerPanic { segment, .. }) => assert_eq!(segment, Some(5)),
             other => panic!("expected a typed worker panic, got {other:?}"),
         }
     }

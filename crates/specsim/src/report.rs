@@ -58,9 +58,10 @@ pub struct SimReport {
     /// [`LoweredCache`](refidem_ir::lowered::LoweredCache) (prologue,
     /// region body and epilogue are cached separately, so one simulation
     /// performs up to three cache queries). Always 0 on the tree-walking
-    /// oracle backend, which never compiles — these two counters describe
-    /// the compilation pipeline, not the simulated execution, and are the
-    /// only `SimReport` fields allowed to differ across backends.
+    /// oracle backend, which never compiles — the `lowering_cache_*`
+    /// counters describe the compilation pipeline, not the simulated
+    /// execution, and are the only `SimReport` fields allowed to differ
+    /// across backends.
     pub lowering_cache_hits: u64,
     /// Lowered-bytecode compilations this run had to perform because the
     /// cache had no entry yet. See [`SimReport::lowering_cache_hits`].
@@ -72,25 +73,6 @@ pub struct SimReport {
     /// the hit/miss counters, this describes the compilation pipeline, not
     /// the simulated execution.
     pub lowering_cache_evictions: u64,
-    /// Region analyses this run *reused* from its
-    /// [`AnalysisCache`](refidem_core::cache::AnalysisCache). Only the
-    /// cached entry points
-    /// ([`simulate_region_cached`](crate::run::simulate_region_cached) and
-    /// friends) populate these three counters — a run handed an
-    /// already-labeled region performs no analysis lookups and reports 0.
-    /// Like the lowering counters, they describe the compilation/analysis
-    /// pipeline, not the simulated machine, and differential runners
-    /// compare them on their own terms rather than against backends.
-    pub analysis_cache_hits: u64,
-    /// Region analyses this run had to perform because the analysis cache
-    /// had no entry yet. See [`SimReport::analysis_cache_hits`].
-    pub analysis_cache_misses: u64,
-    /// Cached analyses this run's lookups *evicted* under the analysis
-    /// cache's LRU size bound. The default bound is generous enough that
-    /// ordinary suites never evict — a nonzero count flags a workload
-    /// cycling through more distinct (procedure, region) pairs than the
-    /// cache is sized for.
-    pub analysis_cache_evictions: u64,
     /// `Some(reason)` when the region's speculative run exhausted a
     /// degradation budget and the runtime transparently re-executed it
     /// *sequentially* (the paper's serial fallback). A degraded report
@@ -151,14 +133,6 @@ pub struct ProgramReport {
     /// Lowering-cache LRU evictions performed by this run's lookups (see
     /// [`SimReport::lowering_cache_evictions`]).
     pub lowering_cache_evictions: u64,
-    /// Analysis-cache hits across the whole run — one lookup per scheduled
-    /// region. Populated by the cached entry points only (see
-    /// [`SimReport::analysis_cache_hits`]).
-    pub analysis_cache_hits: u64,
-    /// Analysis-cache misses across the whole run.
-    pub analysis_cache_misses: u64,
-    /// Analysis-cache LRU evictions performed by this run's lookups.
-    pub analysis_cache_evictions: u64,
 }
 
 impl ProgramReport {

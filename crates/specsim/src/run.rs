@@ -22,19 +22,16 @@ use crate::config::{SimConfig, SpecRuntime};
 use crate::engine::{Engine, EngineScratch};
 use crate::fault::DegradeReason;
 use crate::report::{ProgramReport, SimReport, SpeedupComparison};
-use refidem_analysis::classify::VarClass;
-use refidem_core::cache::AnalysisTally;
 use refidem_core::label::{LabeledProgram, LabeledRegion};
-use refidem_ir::exec::{CountingStore, DataStore, DynCounts, ExecError, PlainStore, SegmentExec};
-use refidem_ir::ids::RefId;
-use refidem_ir::lowered::{
-    fused::fuse, lower, lower_with_ranges, CacheLookup, ExecBackend, LowerKey, LowerUnit,
-    LoweredSegmentExec,
-};
+use refidem_ir::cache::Tally;
+use refidem_ir::exec::{AnyExec, CountingStore, DataStore, DynCounts, ExecError, PlainStore};
+use refidem_ir::ids::{RefId, VarId};
+use refidem_ir::lowered::{ExecBackend, LowerKey, LowerUnit, LoweredProc};
 use refidem_ir::memory::{Addr, Layout, Memory};
 use refidem_ir::program::{Procedure, Program};
-use refidem_ir::stmt::Stmt;
+use refidem_ir::stmt::{LoopStmt, Stmt};
 use refidem_ir::var::VarTable;
+use std::sync::Arc;
 
 /// The execution model to simulate.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
@@ -254,22 +251,7 @@ pub fn initial_memory_with_layout(layout: &Layout) -> Memory {
     })
 }
 
-fn resolve<'a>(
-    program: &'a Program,
-    labeled: &LabeledRegion,
-) -> Result<(&'a Procedure, &'a VarTable, Layout), SimError> {
-    let proc = program
-        .procedures
-        .get(labeled.analysis.spec.proc.index())
-        .ok_or_else(|| SimError::Region("procedure not found".to_string()))?;
-    let layout = Layout::new(&proc.vars);
-    Ok((proc, &proc.vars, layout))
-}
-
-fn region_iteration_values(
-    vars: &VarTable,
-    region: &refidem_ir::stmt::LoopStmt,
-) -> Result<Vec<i64>, SimError> {
+fn region_iteration_values(vars: &VarTable, region: &LoopStmt) -> Result<Vec<i64>, SimError> {
     let lower = region.lower.substitute_params(&|v| vars.param_value(v));
     let upper = region.upper.substitute_params(&|v| vars.param_value(v));
     if !lower.is_constant() || !upper.is_constant() {
@@ -291,172 +273,8 @@ fn region_iteration_values(
     Ok(values)
 }
 
-/// Heat selection for the fused tier: a region is *hot* when the fused
-/// backend is active, the loop is a plain counted DO (no WHILE
-/// condition), its bounds are compile-time constants after parameter
-/// substitution, and the trip count reaches the config's
-/// [`fuse_min_trips`](SimConfig::fuse_min_trips) threshold. Cold regions
-/// — and every region under the non-fused backends — run plain bytecode
-/// under the classic cache keys, so the two tiers never alias a cache
-/// entry.
-fn region_is_hot(cfg: &SimConfig, vars: &VarTable, region: &refidem_ir::stmt::LoopStmt) -> bool {
-    if cfg.backend != ExecBackend::Fused || region.while_cond.is_some() {
-        return false;
-    }
-    let lower = region.lower.substitute_params(&|v| vars.param_value(v));
-    let upper = region.upper.substitute_params(&|v| vars.param_value(v));
-    if !lower.is_constant() || !upper.is_constant() {
-        return false;
-    }
-    refidem_ir::stmt::LoopStmt::trip_count(lower.constant, upper.constant, region.step)
-        >= cfg.fuse_min_trips
-}
-
-/// Per-run tally of compilation-cache queries, copied into
-/// [`SimReport::lowering_cache_hits`] / `_misses` / `_evictions` at the
-/// end of a simulation. Counting per [`CacheLookup`] outcome (rather than
-/// diffing the shared cache's lifetime counters) keeps the attribution
-/// exact even when concurrent sweep workers share one cache.
-#[derive(Clone, Copy, Debug, Default)]
-struct CacheTally {
-    hits: u64,
-    misses: u64,
-    evictions: u64,
-}
-
-impl CacheTally {
-    fn count(&mut self, outcome: &CacheLookup) {
-        if outcome.hit {
-            self.hits += 1;
-        } else {
-            self.misses += 1;
-        }
-        self.evictions += outcome.evicted;
-    }
-}
-
 /// Statement budget of the sequential (non-engine) portions of a run.
 const SEQ_STEP_BUDGET: usize = 200_000_000;
-
-fn run_stmts_plain(
-    vars: &VarTable,
-    layout: &Layout,
-    stmts: &[refidem_ir::stmt::Stmt],
-    memory: &mut Memory,
-    cfg: &SimConfig,
-    key: LowerKey,
-    tally: &mut CacheTally,
-) -> Result<(), SimError> {
-    if stmts.is_empty() {
-        return Ok(());
-    }
-    let mut store = PlainStore::new(memory);
-    match cfg.backend {
-        // Serial statement spans are never regions, so the fused tier runs
-        // them as plain bytecode and shares the lowered tier's cache keys.
-        ExecBackend::Lowered | ExecBackend::Fused => {
-            let outcome = cfg.cache.lookup(key, || lower(vars, layout, stmts));
-            tally.count(&outcome);
-            LoweredSegmentExec::new(&outcome.proc, &[])
-                .run(&mut store, SEQ_STEP_BUDGET)
-                .map_err(SimError::Exec)
-        }
-        ExecBackend::TreeWalk => SegmentExec::new(vars, layout, stmts, &[])
-            .run(&mut store, SEQ_STEP_BUDGET)
-            .map_err(SimError::Exec),
-    }
-}
-
-/// Runs the labeled region's procedure fully sequentially, timing the region
-/// with the non-speculative latency of `cfg` and collecting dynamic
-/// reference counts inside the region.
-pub fn run_sequential(
-    program: &Program,
-    labeled: &LabeledRegion,
-    cfg: &SimConfig,
-) -> Result<SeqOutcome, SimError> {
-    let (proc, vars, layout) = resolve(program, labeled)?;
-    let label = &labeled.analysis.spec.loop_label;
-    let (before, region, after) = proc
-        .split_at_loop(label)
-        .ok_or_else(|| SimError::Region(format!("region `{label}` is not a top-level loop")))?;
-    let mut memory = initial_memory_with_layout(&layout);
-    // The sequential baseline still compiles through the cache, but its
-    // outcome has no statistics report to surface the traffic on — the
-    // tally is deliberately discarded ([`SimReport`]'s counters cover the
-    // speculative runs, which is where sweeps spend their time).
-    let mut tally = CacheTally::default();
-    run_stmts_plain(
-        vars,
-        &layout,
-        before,
-        &mut memory,
-        cfg,
-        LowerKey::new(proc, label, LowerUnit::Prologue),
-        &mut tally,
-    )?;
-    // Time the region on one processor: every access costs `lat_nonspec`
-    // and every statement unit `stmt_cost`, so the cycle count follows
-    // directly from the dynamic counts — no separate timing store needed.
-    let (region_cycles, counts) = {
-        let mut store = CountingStore::new(PlainStore::new(&mut memory));
-        let region_stmt = std::slice::from_ref(
-            proc.body
-                .iter()
-                .find(|s| matches!(s, refidem_ir::stmt::Stmt::Loop(l) if l.label.as_deref() == Some(label.as_str())))
-                .expect("region loop present"),
-        );
-        let steps = match cfg.backend {
-            ExecBackend::Lowered | ExecBackend::Fused => {
-                let hot = matches!(&region_stmt[0], Stmt::Loop(l) if region_is_hot(cfg, vars, l));
-                let unit = if hot {
-                    LowerUnit::FusedRegionLoop
-                } else {
-                    LowerUnit::RegionLoop
-                };
-                let outcome = cfg.cache.lookup(LowerKey::new(proc, label, unit), || {
-                    let base = lower(vars, &layout, region_stmt);
-                    if hot {
-                        fuse(&base)
-                    } else {
-                        base
-                    }
-                });
-                tally.count(&outcome);
-                let mut exec = LoweredSegmentExec::new(&outcome.proc, &[]);
-                exec.run(&mut store, cfg.max_statements as usize)
-                    .map_err(SimError::Exec)?;
-                exec.steps()
-            }
-            ExecBackend::TreeWalk => {
-                let mut exec = SegmentExec::new(vars, &layout, region_stmt, &[]);
-                exec.run(&mut store, cfg.max_statements as usize)
-                    .map_err(SimError::Exec)?;
-                exec.steps()
-            }
-        };
-        let accesses: u64 = store.counts.values().map(|(r, w)| r + w).sum();
-        (
-            accesses * cfg.lat_nonspec + steps as u64 * cfg.stmt_cost,
-            store.counts,
-        )
-    };
-    let _ = region;
-    run_stmts_plain(
-        vars,
-        &layout,
-        after,
-        &mut memory,
-        cfg,
-        LowerKey::new(proc, label, LowerUnit::Epilogue),
-        &mut tally,
-    )?;
-    Ok(SeqOutcome {
-        memory,
-        region_cycles,
-        region_counts: counts,
-    })
-}
 
 /// A [`PlainStore`] that additionally tallies the number of accesses, so
 /// serial spans can be *timed* (accesses × non-speculative latency +
@@ -479,357 +297,415 @@ impl DataStore for TallyStore<'_> {
     }
 }
 
-/// Runs one serial statement span on one processor and returns its cycle
-/// cost.
-fn run_serial_span(
-    vars: &VarTable,
-    layout: &Layout,
-    stmts: &[Stmt],
-    memory: &mut Memory,
-    cfg: &SimConfig,
-    key: LowerKey,
-    tally: &mut CacheTally,
-) -> Result<u64, SimError> {
-    if stmts.is_empty() {
-        return Ok(0);
-    }
-    let mut store = TallyStore {
-        inner: PlainStore::new(memory),
-        accesses: 0,
-    };
-    let steps = match cfg.backend {
-        // Serial spans stay on the plain tier under the fused backend too
-        // (see `run_stmts_plain`).
-        ExecBackend::Lowered | ExecBackend::Fused => {
-            let outcome = cfg.cache.lookup(key, || lower(vars, layout, stmts));
-            tally.count(&outcome);
-            let mut exec = LoweredSegmentExec::new(&outcome.proc, &[]);
-            exec.run(&mut store, SEQ_STEP_BUDGET)
-                .map_err(SimError::Exec)?;
-            exec.steps()
-        }
-        ExecBackend::TreeWalk => {
-            let mut exec = SegmentExec::new(vars, layout, stmts, &[]);
-            exec.run(&mut store, SEQ_STEP_BUDGET)
-                .map_err(SimError::Exec)?;
-            exec.steps()
-        }
-    };
-    Ok(store.accesses * cfg.lat_nonspec + steps as u64 * cfg.stmt_cost)
+/// A procedure's region schedule resolved for execution: serial spans
+/// between `regions`, each labeled region paired with its top-level body
+/// index, in program order. Both walks — speculative
+/// ([`Schedule::simulate`]) and sequential ([`Schedule::run_sequential`])
+/// — run the same spans and regions under the same cache keys, and the
+/// one-region entry points are thin schedules of their own.
+struct Schedule<'a> {
+    cfg: &'a SimConfig,
+    proc: &'a Procedure,
+    layout: Layout,
+    regions: Vec<(usize, &'a LabeledRegion)>,
 }
 
-/// The serial fallback: re-executes one region's whole loop sequentially
-/// after its speculative run exhausted a degradation budget, and reports
-/// it as a degraded region. This is the same execution (and the same
-/// [`LowerUnit::RegionLoop`] cache entry) the sequential baseline
-/// performs, so the resulting memory is byte-identical to the oracle by
-/// construction — the guarantee that keeps chaos campaigns exact even at
-/// 100% injected misspeculation.
-#[allow(clippy::too_many_arguments)]
-fn run_region_serially(
-    proc: &Procedure,
-    layout: &Layout,
-    stmt_index: usize,
-    label: &str,
-    mode: ExecMode,
-    cfg: &SimConfig,
-    segments: usize,
-    reason: DegradeReason,
-    memory: &mut Memory,
-    tally: &mut CacheTally,
-) -> Result<SimReport, SimError> {
-    let vars = &proc.vars;
-    let region_stmt = std::slice::from_ref(&proc.body[stmt_index]);
-    let mut store = TallyStore {
-        inner: PlainStore::new(memory),
-        accesses: 0,
-    };
-    let steps = match cfg.backend {
-        // The fallback picks the exact tier (and cache entry) the
-        // sequential baseline would, so degraded memory stays
-        // byte-identical to the oracle by construction.
-        ExecBackend::Lowered | ExecBackend::Fused => {
-            let hot = matches!(&region_stmt[0], Stmt::Loop(l) if region_is_hot(cfg, vars, l));
-            let unit = if hot {
-                LowerUnit::FusedRegionLoop
-            } else {
-                LowerUnit::RegionLoop
-            };
-            let outcome = cfg.cache.lookup(LowerKey::new(proc, label, unit), || {
-                let base = lower(vars, layout, region_stmt);
-                if hot {
-                    fuse(&base)
-                } else {
-                    base
-                }
-            });
-            tally.count(&outcome);
-            let mut exec = LoweredSegmentExec::new(&outcome.proc, &[]);
-            exec.run(&mut store, cfg.max_statements as usize)
-                .map_err(SimError::Exec)?;
-            exec.steps()
-        }
-        ExecBackend::TreeWalk => {
-            let mut exec = SegmentExec::new(vars, layout, region_stmt, &[]);
-            exec.run(&mut store, cfg.max_statements as usize)
-                .map_err(SimError::Exec)?;
-            exec.steps()
-        }
-    };
-    Ok(SimReport {
-        mode: Some(mode),
-        segments,
-        commits: segments as u64,
-        region_cycles: store.accesses * cfg.lat_nonspec + steps as u64 * cfg.stmt_cost,
-        statements: steps as u64,
-        degraded: Some(reason),
-        ..Default::default()
-    })
-}
-
-/// The cache key of the serial span preceding region `i` of a schedule
-/// (or trailing the last region / covering a region-free body).
-/// `span_start` is the span's starting index in the procedure body.
-///
-/// The leading span (everything before the first region) and the trailing
-/// span (everything after the last) carry the classic single-region
-/// `Prologue`/`Epilogue` keys — they cover exactly the statements those
-/// keys always covered, so a thin one-region schedule, the whole-program
-/// schedule and `run_sequential` all share those entries. An *interior*
-/// gap between two regions covers a statement list no single-region split
-/// ever compiles (a one-region prologue reaches back to the procedure
-/// start, through any earlier region loops), so it gets its own
-/// [`LowerUnit::SerialSpan`] key, pinned by the span's start index —
-/// sharing the label-keyed `Prologue` entry would serve whichever caller
-/// came second the wrong bytecode.
-fn serial_span_key(
-    proc: &Procedure,
-    regions: &[(usize, &LabeledRegion)],
-    i: usize,
-    span_start: usize,
-) -> LowerKey {
-    if regions.is_empty() {
-        LowerKey::new(proc, "", LowerUnit::WholeProcedure)
-    } else if i == 0 {
-        let label = &regions[0].1.analysis.spec.loop_label;
-        LowerKey::new(proc, label.as_str(), LowerUnit::Prologue)
-    } else if i == regions.len() {
-        let label = &regions[regions.len() - 1].1.analysis.spec.loop_label;
-        LowerKey::new(proc, label.as_str(), LowerUnit::Epilogue)
-    } else {
-        LowerKey::new(proc, "", LowerUnit::SerialSpan(span_start))
-    }
-}
-
-/// Resolves region `i`'s top-level loop statement from its body index.
-fn schedule_loop<'p>(
-    proc: &'p Procedure,
-    stmt_index: usize,
-    label: &str,
-) -> Result<&'p refidem_ir::stmt::LoopStmt, SimError> {
-    match proc.body.get(stmt_index) {
-        Some(Stmt::Loop(l)) if l.label.as_deref() == Some(label) => Ok(l),
-        _ => Err(SimError::Region(format!(
-            "region `{label}` is not a top-level loop"
-        ))),
-    }
-}
-
-/// Executes a whole schedule: serial spans sequentially, every region
-/// speculatively through the engine, one pooled [`EngineScratch`] across
-/// all regions. `regions` pairs each labeled region with its top-level
-/// body index, in program order.
-fn simulate_schedule(
-    proc: &Procedure,
-    layout: &Layout,
-    regions: &[(usize, &LabeledRegion)],
-    mode: ExecMode,
-    cfg: &SimConfig,
-) -> Result<(ProgramReport, Memory), SimError> {
-    let vars = &proc.vars;
-    let mut memory = initial_memory_with_layout(layout);
-    let mut scratch = if cfg.pool_scratch {
-        cfg.scratch.take()
-    } else {
-        EngineScratch::new()
-    };
-    let mut serial_tally = CacheTally::default();
-    let mut report = ProgramReport::default();
-    // Arm the serial fallback: under the in-place simulator a failed run
-    // has already committed earlier segments and written through
-    // overflows, so degradation needs a pre-region snapshot to rewind to.
-    // The real-thread runtime only writes memory back on success, so its
-    // failures leave memory untouched and need no snapshot. One snapshot
-    // buffer serves every region of the call.
-    let degrade_armed = cfg.governor.degrade_serially;
-    let snapshot_armed = degrade_armed && cfg.runtime == SpecRuntime::Simulated;
-    let mut snapshot = Memory::default();
-    let mut cursor = 0usize;
-    for (i, (stmt_index, labeled)) in regions.iter().enumerate() {
-        report.serial_cycles += run_serial_span(
-            vars,
-            layout,
-            &proc.body[cursor..*stmt_index],
-            &mut memory,
+impl<'a> Schedule<'a> {
+    /// The schedule of a whole labeled program.
+    fn program(
+        program: &'a Program,
+        labeled: &'a LabeledProgram,
+        cfg: &'a SimConfig,
+    ) -> Result<Self, SimError> {
+        let proc = program
+            .procedures
+            .get(labeled.proc.index())
+            .ok_or_else(|| SimError::Region("procedure not found".to_string()))?;
+        let regions = labeled
+            .schedule
+            .regions
+            .iter()
+            .zip(&labeled.regions)
+            .map(|(d, lr)| (d.stmt_index, lr))
+            .collect();
+        Ok(Schedule {
             cfg,
-            serial_span_key(proc, regions, i, cursor),
-            &mut serial_tally,
-        )?;
-        cursor = stmt_index + 1;
+            proc,
+            layout: Layout::new(&proc.vars),
+            regions,
+        })
+    }
+
+    /// The thin one-region schedule of a labeled region: the statements
+    /// around the designated loop are its serial spans.
+    fn region(
+        program: &'a Program,
+        labeled: &'a LabeledRegion,
+        cfg: &'a SimConfig,
+    ) -> Result<Self, SimError> {
+        let proc = program
+            .procedures
+            .get(labeled.analysis.spec.proc.index())
+            .ok_or_else(|| SimError::Region("procedure not found".to_string()))?;
         let label = &labeled.analysis.spec.loop_label;
-        let region = schedule_loop(proc, *stmt_index, label)?;
-        let iter_values = region_iteration_values(vars, region)?;
-        // Compile the region body once per *process* (the config's cache
-        // is shared, keyed by procedure identity + region label): every
-        // segment, every re-execution after a roll-back, every capacity
-        // point of a sweep and every repeated call replays the same
-        // bytecode. The region index's value interval is supplied so
-        // subscripts mentioning it can be proven in bounds and fused to
-        // flat affine addresses; the interval derives from the region
-        // loop's constant bounds, so it is the same for every call that
-        // shares the cache key.
-        let mut region_tally = CacheTally::default();
-        let lowered = match cfg.backend {
-            ExecBackend::Lowered | ExecBackend::Fused => {
-                let index_ranges: Vec<_> =
-                    match (iter_values.iter().min(), iter_values.iter().max()) {
-                        (Some(&lo), Some(&hi)) => vec![(region.index, (lo, hi))],
-                        _ => Vec::new(),
-                    };
-                // Heat-select the tier: hot regions compile their segment
-                // body through `fuse` under a fused-tier key; cold regions
-                // share the plain tier's entry.
-                let hot = region_is_hot(cfg, vars, region);
-                let unit = if hot {
-                    LowerUnit::FusedRegionBody
-                } else {
-                    LowerUnit::RegionBody
-                };
-                let outcome = cfg
-                    .cache
-                    .lookup(LowerKey::new(proc, label.as_str(), unit), || {
-                        let base = lower_with_ranges(vars, layout, &region.body, &index_ranges);
-                        if hot {
-                            fuse(&base)
-                        } else {
-                            base
-                        }
-                    });
-                region_tally.count(&outcome);
-                Some(outcome.proc)
+        let stmt_index = proc
+            .body
+            .iter()
+            .position(|s| matches!(s, Stmt::Loop(l) if l.label.as_deref() == Some(label.as_str())))
+            .ok_or_else(|| SimError::Region(format!("region `{label}` is not a top-level loop")))?;
+        Ok(Schedule {
+            cfg,
+            proc,
+            layout: Layout::new(&proc.vars),
+            regions: vec![(stmt_index, labeled)],
+        })
+    }
+
+    fn label(&self, i: usize) -> &'a str {
+        self.regions[i].1.analysis.spec.loop_label.as_str()
+    }
+
+    /// Resolves region `i`'s top-level loop statement from its body index.
+    fn loop_stmt(&self, i: usize) -> Result<&'a LoopStmt, SimError> {
+        let label = self.label(i);
+        match self.proc.body.get(self.regions[i].0) {
+            Some(Stmt::Loop(l)) if l.label.as_deref() == Some(label) => Ok(l),
+            _ => Err(SimError::Region(format!(
+                "region `{label}` is not a top-level loop"
+            ))),
+        }
+    }
+
+    /// The cache key of the serial span preceding region `i` (or trailing
+    /// the last region), which starts at body index `start`.
+    ///
+    /// The leading span (everything before the first region) and the
+    /// trailing span (everything after the last) carry the classic
+    /// single-region `Prologue`/`Epilogue` keys — they cover exactly the
+    /// statements those keys always covered, so a thin one-region schedule
+    /// and the whole-program schedule share those entries. Every other
+    /// span gets its own [`LowerUnit::SerialSpan`] key, pinned by the
+    /// span's start index: an *interior* gap between two regions covers a
+    /// statement list no single-region split ever compiles (a one-region
+    /// prologue reaches back to the procedure start, through any earlier
+    /// region loops), and the whole body of a region-free schedule is a
+    /// plain serial span, not the fused [`LowerUnit::WholeProcedure`] the
+    /// sequential interpreter caches. Sharing either key would serve
+    /// whichever caller came second the wrong bytecode.
+    fn span_key(&self, i: usize, start: usize) -> LowerKey {
+        let last = self.regions.len();
+        let (region, unit) = if last > 0 && i == 0 {
+            (self.label(0), LowerUnit::Prologue)
+        } else if last > 0 && i == last {
+            (self.label(last - 1), LowerUnit::Epilogue)
+        } else {
+            ("", LowerUnit::SerialSpan(start))
+        };
+        LowerKey::new(self.proc, region, unit)
+    }
+
+    /// The one backend dispatch of a run: the compiled form of `key`'s
+    /// unit (`stmts`, lowered under `index_ranges`), looked up in the
+    /// config's cache and counted in `tally`, or `None` to tree-walk under
+    /// the oracle backend. The caller holds the compiled form while
+    /// executors borrow it.
+    fn compiled(
+        &self,
+        key: LowerKey,
+        stmts: &[Stmt],
+        index_ranges: &[(VarId, (i64, i64))],
+        tally: &mut Tally,
+    ) -> Option<Arc<LoweredProc>> {
+        match self.cfg.backend {
+            ExecBackend::Compiled => {
+                let lookup =
+                    self.cfg
+                        .cache
+                        .compile(key, &self.proc.vars, &self.layout, stmts, index_ranges);
+                tally.count(&lookup);
+                Some(lookup.value)
             }
             ExecBackend::TreeWalk => None,
-        };
-        let segments = iter_values.len();
-        if snapshot_armed {
-            snapshot.copy_from(&memory);
         }
-        let run_result = match cfg.runtime {
-            SpecRuntime::Simulated => Engine::new(
-                cfg,
-                mode,
-                &labeled.labeling,
-                vars,
-                layout,
-                region,
-                lowered.as_deref(),
-                iter_values,
-                &mut scratch,
-                &mut memory,
-            )
-            .run(),
-            SpecRuntime::Threads => crate::parallel::run_region(
-                cfg,
-                mode,
-                &labeled.labeling,
-                vars,
-                layout,
-                region,
-                lowered.as_deref(),
-                iter_values,
-                &mut memory,
-            ),
+    }
+
+    /// Runs `key`'s unit (`stmts`) to completion on one processor through
+    /// `store`, within `budget` statement units, and returns the units it
+    /// executed.
+    fn run_unit(
+        &self,
+        key: LowerKey,
+        stmts: &[Stmt],
+        store: &mut impl DataStore,
+        budget: usize,
+        tally: &mut Tally,
+    ) -> Result<usize, SimError> {
+        let compiled = self.compiled(key, stmts, &[], tally);
+        let mut exec = AnyExec::new(
+            compiled.as_deref(),
+            &self.proc.vars,
+            &self.layout,
+            stmts,
+            &[],
+        );
+        exec.run(store, budget).map_err(SimError::Exec)?;
+        Ok(exec.steps())
+    }
+
+    /// The one-processor cycle cost of `accesses` non-speculative accesses
+    /// and `steps` statement units.
+    fn seq_cycles(&self, accesses: u64, steps: usize) -> u64 {
+        accesses * self.cfg.lat_nonspec + steps as u64 * self.cfg.stmt_cost
+    }
+
+    /// Runs the serial span `start..end` of the body (the one preceding
+    /// region `i`, or trailing the last) on one processor and returns its
+    /// cycle cost.
+    fn serial_span(
+        &self,
+        i: usize,
+        start: usize,
+        end: usize,
+        memory: &mut Memory,
+        tally: &mut Tally,
+    ) -> Result<u64, SimError> {
+        let stmts = &self.proc.body[start..end];
+        if stmts.is_empty() {
+            return Ok(0);
+        }
+        let mut store = TallyStore {
+            inner: PlainStore::new(memory),
+            accesses: 0,
         };
-        let mut region_report = match run_result {
-            Ok(r) => r,
-            Err(err) => match err.degrade_reason() {
-                Some(reason) if degrade_armed => {
-                    if snapshot_armed {
-                        std::mem::swap(&mut memory, &mut snapshot);
+        let key = self.span_key(i, start);
+        let steps = self.run_unit(key, stmts, &mut store, SEQ_STEP_BUDGET, tally)?;
+        Ok(self.seq_cycles(store.accesses, steps))
+    }
+
+    /// Runs region `i`'s whole loop sequentially on one processor and
+    /// returns its cycle cost, statement units and per-site counts. The
+    /// sequential baseline and the degrade fallback both run a region
+    /// through here (one [`LowerUnit::RegionLoop`] entry), so degraded
+    /// memory is byte-identical to the oracle by construction — the
+    /// guarantee that keeps chaos campaigns exact even at 100% injected
+    /// misspeculation.
+    fn region_loop(
+        &self,
+        i: usize,
+        memory: &mut Memory,
+        tally: &mut Tally,
+    ) -> Result<(u64, usize, DynCounts), SimError> {
+        let stmts = std::slice::from_ref(&self.proc.body[self.regions[i].0]);
+        let key = LowerKey::new(self.proc, self.label(i), LowerUnit::RegionLoop);
+        let mut store = CountingStore::new(PlainStore::new(memory));
+        let steps = self.run_unit(
+            key,
+            stmts,
+            &mut store,
+            self.cfg.max_statements as usize,
+            tally,
+        )?;
+        let accesses = store.counts.values().map(|(r, w)| r + w).sum();
+        Ok((self.seq_cycles(accesses, steps), steps, store.counts))
+    }
+
+    /// Executes the schedule: serial spans sequentially, every region
+    /// speculatively through the engine (or the real-thread runtime), one
+    /// pooled [`EngineScratch`] across all regions.
+    fn simulate(&self, mode: ExecMode) -> Result<(ProgramReport, Memory), SimError> {
+        let cfg = self.cfg;
+        let vars = &self.proc.vars;
+        let mut memory = initial_memory_with_layout(&self.layout);
+        let mut scratch = cfg.scratch.take();
+        let mut serial_tally = Tally::default();
+        let mut report = ProgramReport::default();
+        // Arm the serial fallback: under the in-place simulator a failed run
+        // has already committed earlier segments and written through
+        // overflows, so degradation needs a pre-region snapshot to rewind to.
+        // The real-thread runtime only writes memory back on success, so its
+        // failures leave memory untouched and need no snapshot. One snapshot
+        // buffer serves every region of the call.
+        let degrade_armed = cfg.governor.degrade_serially;
+        let snapshot_armed = degrade_armed && cfg.runtime == SpecRuntime::Simulated;
+        let mut snapshot = Memory::default();
+        let mut cursor = 0usize;
+        for (i, &(stmt_index, labeled)) in self.regions.iter().enumerate() {
+            report.serial_cycles +=
+                self.serial_span(i, cursor, stmt_index, &mut memory, &mut serial_tally)?;
+            cursor = stmt_index + 1;
+            let region = self.loop_stmt(i)?;
+            let iter_values = region_iteration_values(vars, region)?;
+            // Compile the region body once per *process* (the config's cache
+            // is shared, keyed by procedure identity + region label): every
+            // segment, every re-execution after a roll-back, every capacity
+            // point of a sweep and every repeated call replays the same
+            // bytecode. The region index's value interval is supplied so
+            // subscripts mentioning it can be proven in bounds and fused to
+            // flat affine addresses; the interval derives from the region
+            // loop's constant bounds, so it is the same for every call that
+            // shares the cache key.
+            let mut region_tally = Tally::default();
+            let index_ranges: Vec<_> = match (iter_values.iter().min(), iter_values.iter().max()) {
+                (Some(&lo), Some(&hi)) => vec![(region.index, (lo, hi))],
+                _ => Vec::new(),
+            };
+            let key = LowerKey::new(self.proc, self.label(i), LowerUnit::RegionBody);
+            let lowered = self.compiled(key, &region.body, &index_ranges, &mut region_tally);
+            let segments = iter_values.len();
+            if snapshot_armed {
+                snapshot.copy_from(&memory);
+            }
+            let run_result = match cfg.runtime {
+                SpecRuntime::Simulated => Engine::new(
+                    cfg,
+                    mode,
+                    &labeled.labeling,
+                    vars,
+                    &self.layout,
+                    region,
+                    lowered.as_deref(),
+                    iter_values,
+                    &mut scratch,
+                    &mut memory,
+                )
+                .run(),
+                SpecRuntime::Threads => crate::parallel::run_region(
+                    cfg,
+                    mode,
+                    &labeled.labeling,
+                    vars,
+                    &self.layout,
+                    region,
+                    lowered.as_deref(),
+                    iter_values,
+                    &mut memory,
+                ),
+            };
+            let mut region_report = match run_result {
+                Ok(r) => r,
+                Err(err) => match err.degrade_reason() {
+                    Some(reason) if degrade_armed => {
+                        if snapshot_armed {
+                            std::mem::swap(&mut memory, &mut snapshot);
+                        }
+                        // The aborted engine may have left dependence-mask
+                        // marks set; a degraded schedule continues on fresh
+                        // scratch rather than parking the dirty one.
+                        scratch = EngineScratch::new();
+                        // The serial fallback reports the re-execution as a
+                        // degraded region.
+                        let (region_cycles, steps, _) =
+                            self.region_loop(i, &mut memory, &mut region_tally)?;
+                        SimReport {
+                            mode: Some(mode),
+                            segments,
+                            commits: segments as u64,
+                            region_cycles,
+                            statements: steps as u64,
+                            degraded: Some(reason),
+                            ..Default::default()
+                        }
                     }
-                    // The aborted engine may have left dependence-mask
-                    // marks set; a degraded schedule continues on fresh
-                    // scratch rather than parking the dirty one.
-                    scratch = EngineScratch::new();
-                    run_region_serially(
-                        proc,
-                        layout,
-                        *stmt_index,
-                        label.as_str(),
-                        mode,
-                        cfg,
-                        segments,
-                        reason,
-                        &mut memory,
-                        &mut region_tally,
-                    )?
-                }
-                _ => return Err(err),
-            },
-        };
-        region_report.lowering_cache_hits = region_tally.hits;
-        region_report.lowering_cache_misses = region_tally.misses;
-        region_report.lowering_cache_evictions = region_tally.evictions;
-        report.lowering_cache_hits += region_tally.hits;
-        report.lowering_cache_misses += region_tally.misses;
-        report.lowering_cache_evictions += region_tally.evictions;
-        report.regions.push(region_report);
-    }
-    report.serial_cycles += run_serial_span(
-        vars,
-        layout,
-        &proc.body[cursor..],
-        &mut memory,
-        cfg,
-        serial_span_key(proc, regions, regions.len(), cursor),
-        &mut serial_tally,
-    )?;
-    report.lowering_cache_hits += serial_tally.hits;
-    report.lowering_cache_misses += serial_tally.misses;
-    report.lowering_cache_evictions += serial_tally.evictions;
-    report.total_cycles = report.serial_cycles + report.parallel_cycles();
-    // Only a *successful* run returns its scratch to the config's pool:
-    // an errored engine may leave dependence-mask marks set.
-    if cfg.pool_scratch {
+                    _ => return Err(err),
+                },
+            };
+            region_report.lowering_cache_hits = region_tally.hits;
+            region_report.lowering_cache_misses = region_tally.misses;
+            region_report.lowering_cache_evictions = region_tally.evictions;
+            report.lowering_cache_hits += region_tally.hits;
+            report.lowering_cache_misses += region_tally.misses;
+            report.lowering_cache_evictions += region_tally.evictions;
+            report.regions.push(region_report);
+        }
+        report.serial_cycles += self.serial_span(
+            self.regions.len(),
+            cursor,
+            self.proc.body.len(),
+            &mut memory,
+            &mut serial_tally,
+        )?;
+        report.lowering_cache_hits += serial_tally.hits;
+        report.lowering_cache_misses += serial_tally.misses;
+        report.lowering_cache_evictions += serial_tally.evictions;
+        report.total_cycles = report.serial_cycles + report.parallel_cycles();
+        // Only a *successful* run returns its scratch to the config's pool:
+        // an errored engine may leave dependence-mask marks set.
         cfg.scratch.restore(scratch);
+        Ok((report, memory))
     }
-    Ok((report, memory))
+
+    /// Executes the schedule fully sequentially on one processor, timing
+    /// the serial spans and every region separately and collecting
+    /// per-region dynamic reference counts.
+    fn run_sequential(&self) -> Result<SeqProgramOutcome, SimError> {
+        let mut memory = initial_memory_with_layout(&self.layout);
+        // The sequential baseline still compiles through the cache, but its
+        // outcome has no statistics report to surface the traffic on — the
+        // tally is deliberately discarded ([`SimReport`]'s counters cover the
+        // speculative runs, which is where sweeps spend their time).
+        let mut tally = Tally::default();
+        let mut serial_cycles = 0u64;
+        let mut region_cycles = Vec::with_capacity(self.regions.len());
+        let mut region_counts = Vec::with_capacity(self.regions.len());
+        let mut cursor = 0usize;
+        for (i, &(stmt_index, _)) in self.regions.iter().enumerate() {
+            serial_cycles += self.serial_span(i, cursor, stmt_index, &mut memory, &mut tally)?;
+            cursor = stmt_index + 1;
+            self.loop_stmt(i)?;
+            let (cycles, _, counts) = self.region_loop(i, &mut memory, &mut tally)?;
+            region_cycles.push(cycles);
+            region_counts.push(counts);
+        }
+        serial_cycles += self.serial_span(
+            self.regions.len(),
+            cursor,
+            self.proc.body.len(),
+            &mut memory,
+            &mut tally,
+        )?;
+        let total_cycles = serial_cycles + region_cycles.iter().sum::<u64>();
+        Ok(SeqProgramOutcome {
+            memory,
+            serial_cycles,
+            region_cycles,
+            region_counts,
+            total_cycles,
+        })
+    }
+}
+
+/// Runs the labeled region's procedure fully sequentially, timing the region
+/// with the non-speculative latency of `cfg` and collecting dynamic
+/// reference counts inside the region — a thin one-region schedule, like
+/// [`simulate_region`].
+pub fn run_sequential(
+    program: &Program,
+    labeled: &LabeledRegion,
+    cfg: &SimConfig,
+) -> Result<SeqOutcome, SimError> {
+    let mut out = Schedule::region(program, labeled, cfg)?.run_sequential()?;
+    Ok(SeqOutcome {
+        memory: out.memory,
+        region_cycles: out.region_cycles[0],
+        region_counts: out.region_counts.pop().expect("one scheduled region"),
+    })
 }
 
 /// Simulates a whole labeled program under the given execution model:
 /// serial spans execute sequentially, every scheduled region runs through
 /// the speculation engine, and the report carries the per-region
 /// statistics plus the serial/parallel cycle breakdown and coverage
-/// fraction.
+/// fraction. Label the program first — through the config's analysis
+/// cache with
+/// [`AnalysisCache::label_program_cached`](refidem_core::cache::AnalysisCache::label_program_cached),
+/// which also returns that call's cache tally.
 pub fn simulate_program(
     program: &Program,
     labeled: &LabeledProgram,
     mode: ExecMode,
     cfg: &SimConfig,
 ) -> Result<ProgramOutcome, SimError> {
-    let proc = program
-        .procedures
-        .get(labeled.proc.index())
-        .ok_or_else(|| SimError::Region("procedure not found".to_string()))?;
-    let layout = Layout::new(&proc.vars);
-    let regions: Vec<(usize, &LabeledRegion)> = labeled
-        .schedule
-        .regions
-        .iter()
-        .zip(&labeled.regions)
-        .map(|(d, lr)| (d.stmt_index, lr))
-        .collect();
-    let (report, memory) = simulate_schedule(proc, &layout, &regions, mode, cfg)?;
+    let (report, memory) = Schedule::program(program, labeled, cfg)?.simulate(mode)?;
     Ok(ProgramOutcome { report, memory })
 }
 
@@ -842,15 +718,7 @@ pub fn simulate_region(
     mode: ExecMode,
     cfg: &SimConfig,
 ) -> Result<SimOutcome, SimError> {
-    let (proc, _vars, layout) = resolve(program, labeled)?;
-    let label = &labeled.analysis.spec.loop_label;
-    let stmt_index = proc
-        .body
-        .iter()
-        .position(|s| matches!(s, Stmt::Loop(l) if l.label.as_deref() == Some(label.as_str())))
-        .ok_or_else(|| SimError::Region(format!("region `{label}` is not a top-level loop")))?;
-    let (program_report, memory) =
-        simulate_schedule(proc, &layout, &[(stmt_index, labeled)], mode, cfg)?;
+    let (program_report, memory) = Schedule::region(program, labeled, cfg)?.simulate(mode)?;
     let mut report = program_report
         .regions
         .into_iter()
@@ -864,69 +732,6 @@ pub fn simulate_region(
     Ok(SimOutcome { report, memory })
 }
 
-/// Labels every region of `proc` through the config's
-/// [`AnalysisCache`](refidem_core::cache::AnalysisCache) — the cached
-/// counterpart of [`label_program`](refidem_core::label::label_program),
-/// at simulator error granularity. The returned
-/// [`AnalysisTally`] attributes exactly this call's cache traffic (one
-/// lookup per discovered region), which the cached simulation entry
-/// points stamp onto their reports.
-pub fn label_program_cached(
-    program: &Program,
-    proc: refidem_ir::ids::ProcId,
-    cfg: &SimConfig,
-) -> Result<(LabeledProgram, AnalysisTally), SimError> {
-    cfg.analysis_cache
-        .label_program_cached(program, proc)
-        .map_err(|e| SimError::Region(e.to_string()))
-}
-
-/// Simulates a whole program under `mode`, labeling every region through
-/// the config's analysis cache first: discover → label (**cached**) →
-/// schedule → simulate. Beyond [`simulate_program`], the report's
-/// `analysis_cache_{hits,misses,evictions}` counters carry this call's
-/// attributed analysis-cache traffic — on the first simulation of a
-/// program each region misses once; every further mode, capacity point or
-/// repetition sharing the cache hits instead of re-analyzing.
-pub fn simulate_program_cached(
-    program: &Program,
-    proc: refidem_ir::ids::ProcId,
-    mode: ExecMode,
-    cfg: &SimConfig,
-) -> Result<ProgramOutcome, SimError> {
-    let (labeled, tally) = label_program_cached(program, proc, cfg)?;
-    let mut out = simulate_program(program, &labeled, mode, cfg)?;
-    out.report.analysis_cache_hits = tally.hits;
-    out.report.analysis_cache_misses = tally.misses;
-    out.report.analysis_cache_evictions = tally.evictions;
-    Ok(out)
-}
-
-/// Simulates the region whose loop label is `label` under `mode`,
-/// obtaining the labeling through the config's analysis cache — the
-/// cached counterpart of label-by-name + [`simulate_region`]. The
-/// report's `analysis_cache_*` counters carry this call's single lookup
-/// (a miss the first time a (procedure, region) pair is seen, a hit
-/// afterwards).
-pub fn simulate_region_cached(
-    program: &Program,
-    label: &str,
-    mode: ExecMode,
-    cfg: &SimConfig,
-) -> Result<SimOutcome, SimError> {
-    let lookup = cfg
-        .analysis_cache
-        .label_region_by_name_cached(program, label)
-        .map_err(|e| SimError::Region(e.to_string()))?;
-    let mut tally = AnalysisTally::default();
-    tally.count(&lookup);
-    let mut out = simulate_region(program, &lookup.region, mode, cfg)?;
-    out.report.analysis_cache_hits = tally.hits;
-    out.report.analysis_cache_misses = tally.misses;
-    out.report.analysis_cache_evictions = tally.evictions;
-    Ok(out)
-}
-
 /// Runs a whole labeled program fully sequentially on one processor,
 /// timing the serial spans and every region separately (the denominator
 /// of whole-program speedups, and the source of the sequential coverage
@@ -936,92 +741,7 @@ pub fn run_program_sequential(
     labeled: &LabeledProgram,
     cfg: &SimConfig,
 ) -> Result<SeqProgramOutcome, SimError> {
-    let proc = program
-        .procedures
-        .get(labeled.proc.index())
-        .ok_or_else(|| SimError::Region("procedure not found".to_string()))?;
-    let vars = &proc.vars;
-    let layout = Layout::new(&proc.vars);
-    let regions: Vec<(usize, &LabeledRegion)> = labeled
-        .schedule
-        .regions
-        .iter()
-        .zip(&labeled.regions)
-        .map(|(d, lr)| (d.stmt_index, lr))
-        .collect();
-    let mut memory = initial_memory_with_layout(&layout);
-    let mut tally = CacheTally::default();
-    let mut serial_cycles = 0u64;
-    let mut region_cycles = Vec::with_capacity(regions.len());
-    let mut region_counts = Vec::with_capacity(regions.len());
-    let mut cursor = 0usize;
-    for (i, (stmt_index, labeled_region)) in regions.iter().enumerate() {
-        serial_cycles += run_serial_span(
-            vars,
-            &layout,
-            &proc.body[cursor..*stmt_index],
-            &mut memory,
-            cfg,
-            serial_span_key(proc, &regions, i, cursor),
-            &mut tally,
-        )?;
-        cursor = stmt_index + 1;
-        let label = &labeled_region.analysis.spec.loop_label;
-        schedule_loop(proc, *stmt_index, label)?;
-        let region_stmt = std::slice::from_ref(&proc.body[*stmt_index]);
-        let mut store = CountingStore::new(PlainStore::new(&mut memory));
-        let steps = match cfg.backend {
-            ExecBackend::Lowered | ExecBackend::Fused => {
-                let hot = matches!(&region_stmt[0], Stmt::Loop(l) if region_is_hot(cfg, vars, l));
-                let unit = if hot {
-                    LowerUnit::FusedRegionLoop
-                } else {
-                    LowerUnit::RegionLoop
-                };
-                let outcome = cfg
-                    .cache
-                    .lookup(LowerKey::new(proc, label.as_str(), unit), || {
-                        let base = lower(vars, &layout, region_stmt);
-                        if hot {
-                            fuse(&base)
-                        } else {
-                            base
-                        }
-                    });
-                tally.count(&outcome);
-                let mut exec = LoweredSegmentExec::new(&outcome.proc, &[]);
-                exec.run(&mut store, cfg.max_statements as usize)
-                    .map_err(SimError::Exec)?;
-                exec.steps()
-            }
-            ExecBackend::TreeWalk => {
-                let mut exec = SegmentExec::new(vars, &layout, region_stmt, &[]);
-                exec.run(&mut store, cfg.max_statements as usize)
-                    .map_err(SimError::Exec)?;
-                exec.steps()
-            }
-        };
-        let accesses: u64 = store.counts.values().map(|(r, w)| r + w).sum();
-        region_cycles.push(accesses * cfg.lat_nonspec + steps as u64 * cfg.stmt_cost);
-        region_counts.push(store.counts);
-    }
-    serial_cycles += run_serial_span(
-        vars,
-        &layout,
-        &proc.body[cursor..],
-        &mut memory,
-        cfg,
-        serial_span_key(proc, &regions, regions.len(), cursor),
-        &mut tally,
-    )?;
-    let total_cycles = serial_cycles + region_cycles.iter().sum::<u64>();
-    Ok(SeqProgramOutcome {
-        memory,
-        serial_cycles,
-        region_cycles,
-        region_counts,
-        total_cycles,
-    })
+    Schedule::program(program, labeled, cfg)?.run_sequential()
 }
 
 /// Side-by-side whole-program comparison: the sequential baseline, HOSE
@@ -1108,18 +828,12 @@ pub fn verify_against_sequential(
     mode: ExecMode,
     cfg: &SimConfig,
 ) -> Result<Vec<(Addr, f64, f64)>, SimError> {
-    let (proc, _vars, layout) = resolve(program, labeled)?;
+    let schedule = Schedule::region(program, labeled, cfg)?;
+    let (proc, layout) = (schedule.proc, &schedule.layout);
     let seq = run_sequential(program, labeled, cfg)?;
     let sim = simulate_region(program, labeled, mode, cfg)?;
     // Addresses of private variables are excluded from the comparison.
-    let mut ignored: Vec<(u64, u64)> = Vec::new();
-    for (v, class) in labeled.analysis.classes.iter() {
-        if class == VarClass::Private {
-            let base = layout.base(v).0;
-            let size = proc.vars.kind(v).size() as u64;
-            ignored.push((base, base + size));
-        }
-    }
+    let ignored: Vec<_> = labeled.private_ranges(&proc.vars, layout).collect();
     let diffs = seq
         .memory
         .diff(&sim.memory, usize::MAX)
@@ -1335,7 +1049,6 @@ mod tests {
 
     #[test]
     fn capacity_sweeps_compile_the_region_exactly_once() {
-        use refidem_ir::lowered::LoweredCache;
         let p = wide_program();
         let labeled = label_program_region_by_name(&p, "WIDE").unwrap();
         let cache = LoweredCache::fresh();
@@ -1378,42 +1091,39 @@ mod tests {
             .cache(LoweredCache::fresh())
             .analysis_cache(AnalysisCache::fresh());
 
-        // The first cached simulation analyzes; every further point of the
-        // ladder — any capacity, either mode — reuses that analysis.
-        let first = simulate_region_cached(&p, "WIDE", ExecMode::Hose, &base).unwrap();
-        assert_eq!(first.report.analysis_cache_misses, 1);
-        assert_eq!(first.report.analysis_cache_hits, 0);
+        // The first labeling through the config's cache analyzes; every
+        // further point of the ladder — any capacity, either mode — reuses
+        // that analysis.
+        let label = |cfg: &SimConfig| {
+            cfg.analysis_cache
+                .label_region_by_name_cached(&p, "WIDE")
+                .unwrap()
+        };
+        let first = label(&base);
+        assert!(!first.hit);
+        simulate_region(&p, &first.region, ExecMode::Hose, &base).unwrap();
         for capacity in [1, 2, 4, 16, 256] {
             for mode in [ExecMode::Hose, ExecMode::Case] {
                 let cfg = base.clone().capacity(capacity);
-                let out = simulate_region_cached(&p, "WIDE", mode, &cfg).unwrap();
-                assert_eq!(
-                    out.report.analysis_cache_misses, 0,
-                    "{mode} @ {capacity} re-analyzed"
-                );
-                assert_eq!(out.report.analysis_cache_hits, 1);
-                assert_eq!(out.report.analysis_cache_evictions, 0);
+                let lookup = label(&cfg);
+                assert!(lookup.hit, "{mode} @ {capacity} re-analyzed");
+                assert_eq!(lookup.evicted, 0);
+                simulate_region(&p, &lookup.region, mode, &cfg).unwrap();
             }
         }
         assert_eq!(base.analysis_cache.len(), 1, "one entry per region");
         assert_eq!(base.analysis_cache.evictions(), 0);
 
-        // The cached run is bit-identical to the classic label-then-simulate
-        // path: same report (minus the analysis counters, which only the
-        // cached entry points populate) and byte-identical memory.
+        // The cached labeling simulates bit-identically to a fresh one.
         let labeled = label_program_region_by_name(&p, "WIDE").unwrap();
         let classic = simulate_region(&p, &labeled, ExecMode::Case, &base).unwrap();
-        let cached = simulate_region_cached(&p, "WIDE", ExecMode::Case, &base).unwrap();
-        let mut strip = cached.report.clone();
-        strip.analysis_cache_hits = 0;
-        strip.analysis_cache_misses = 0;
-        strip.analysis_cache_evictions = 0;
-        assert_eq!(strip, classic.report);
+        let cached = simulate_region(&p, &label(&base).region, ExecMode::Case, &base).unwrap();
+        assert_eq!(cached.report, classic.report);
         assert!(classic.memory.diff(&cached.memory, usize::MAX).is_empty());
     }
 
     #[test]
-    fn cached_program_simulation_matches_the_classic_path() {
+    fn cached_program_labeling_simulates_like_the_classic_path() {
         use refidem_core::cache::AnalysisCache;
         use refidem_core::label::label_program;
         use refidem_ir::ids::ProcId;
@@ -1423,19 +1133,19 @@ mod tests {
             .analysis_cache(AnalysisCache::fresh());
         let labeled = label_program(&p, ProcId::from_index(0)).unwrap();
         let classic = simulate_program(&p, &labeled, ExecMode::Hose, &cfg).unwrap();
-        let cached =
-            simulate_program_cached(&p, ProcId::from_index(0), ExecMode::Hose, &cfg).unwrap();
-        assert_eq!(cached.report.analysis_cache_misses, 1);
-        let again =
-            simulate_program_cached(&p, ProcId::from_index(0), ExecMode::Hose, &cfg).unwrap();
-        assert_eq!(again.report.analysis_cache_hits, 1);
-        assert_eq!(again.report.analysis_cache_misses, 0);
+        let label = || {
+            cfg.analysis_cache
+                .label_program_cached(&p, ProcId::from_index(0))
+                .unwrap()
+        };
+        let (_, tally) = label();
+        assert_eq!((tally.hits, tally.misses), (0, 1));
+        let (cached, tally) = label();
+        assert_eq!((tally.hits, tally.misses, tally.evictions), (1, 0, 0));
+        let again = simulate_program(&p, &cached, ExecMode::Hose, &cfg).unwrap();
+        // The classic first run performed the lowering misses; the re-run
+        // hits. Compare everything else.
         let mut strip = again.report.clone();
-        strip.analysis_cache_hits = 0;
-        strip.analysis_cache_misses = 0;
-        strip.analysis_cache_evictions = 0;
-        // The classic first run performed the lowering misses; the cached
-        // re-runs hit. Compare everything else.
         strip.lowering_cache_hits = classic.report.lowering_cache_hits;
         strip.lowering_cache_misses = classic.report.lowering_cache_misses;
         strip.lowering_cache_evictions = classic.report.lowering_cache_evictions;
@@ -1445,12 +1155,11 @@ mod tests {
             r.lowering_cache_evictions = c.lowering_cache_evictions;
         }
         assert_eq!(strip, classic.report);
-        assert!(classic.memory.diff(&cached.memory, usize::MAX).is_empty());
+        assert!(classic.memory.diff(&again.memory, usize::MAX).is_empty());
     }
 
     #[test]
     fn oracle_backend_never_touches_the_compilation_cache() {
-        use refidem_ir::lowered::LoweredCache;
         let p = recurrence_program();
         let labeled = label_program_region_by_name(&p, "REC").unwrap();
         let cache = LoweredCache::fresh();
@@ -1618,6 +1327,20 @@ mod tests {
         }
     }
 
+    /// s = 2 ; t = s * 3 — no region at all.
+    fn serial_only_program() -> Program {
+        let mut b = ProcBuilder::new("main");
+        let s = b.scalar("s");
+        let t = b.scalar("t");
+        b.live_out(&[s, t]);
+        let st1 = b.assign_scalar(s, num(2.0));
+        let st2_rhs = mul(b.load(s), num(3.0));
+        let st2 = b.assign_scalar(t, st2_rhs);
+        let mut p = Program::new("serial-only");
+        p.add_procedure(b.build(vec![st1, st2]));
+        p
+    }
+
     #[test]
     fn shared_cache_keeps_program_and_region_serial_spans_apart() {
         // The one-region path's prologue reaches back to the procedure
@@ -1626,7 +1349,6 @@ mod tests {
         // gap: with one shared cache the two must compile under distinct
         // keys — a collision would silently serve whichever caller came
         // second the other's bytecode and skip (or re-run) whole regions.
-        use refidem_ir::lowered::LoweredCache;
         let p = two_region_program();
         let labeled = labeled_program(&p);
         let r2 = label_program_region_by_name(&p, "R2").unwrap();
@@ -1648,19 +1370,53 @@ mod tests {
                 assert!(diffs.is_empty(), "program-after-region diverged: {diffs:?}");
             }
         }
+
+        // A region-free body is one serial span, not the sequential
+        // interpreter's fused whole procedure: sharing a cache, either
+        // order, the simulation misses once for its own plain entry.
+        use refidem_ir::exec::SeqInterp;
+        let p = serial_only_program();
+        let labeled = labeled_program(&p);
+        let proc = &p.procedures[0];
+        let oracle = run_program_sequential(&p, &labeled, &SimConfig::default().oracle()).unwrap();
+        for interp_first in [true, false] {
+            let cache = LoweredCache::fresh();
+            let cfg = SimConfig::default().cache(cache.clone());
+            let interp = SeqInterp {
+                cache: cache.clone(),
+                ..SeqInterp::new()
+            };
+            let mut seq = initial_memory(proc);
+            if interp_first {
+                interp.run_procedure(proc, &mut seq).unwrap();
+            }
+            let out = simulate_program(&p, &labeled, ExecMode::Case, &cfg).unwrap();
+            assert_eq!(out.report.lowering_cache_misses, 1, "{interp_first}");
+            assert_eq!(out.report.lowering_cache_hits, 0, "{interp_first}");
+            if !interp_first {
+                interp.run_procedure(proc, &mut seq).unwrap();
+            }
+            assert_eq!(cache.len(), 2, "one entry per unit");
+            assert!(oracle.memory.diff(&out.memory, 8).is_empty());
+            assert!(oracle.memory.diff(&seq, 8).is_empty());
+        }
+
+        // One compiled form per unit: a region's body is fused, the serial
+        // span before it is not.
+        let p = two_region_program();
+        let labeled = labeled_program(&p);
+        let cache = LoweredCache::fresh();
+        let cfg = SimConfig::default().cache(cache.clone());
+        simulate_program(&p, &labeled, ExecMode::Case, &cfg).unwrap();
+        let proc = &p.procedures[0];
+        let entry = |unit| cache.lookup(LowerKey::new(proc, "R1", unit), || unreachable!());
+        assert!(entry(LowerUnit::RegionBody).value.superinst_count() > 0);
+        assert_eq!(entry(LowerUnit::Prologue).value.superinst_count(), 0);
     }
 
     #[test]
     fn serial_only_programs_have_zero_coverage() {
-        let mut b = ProcBuilder::new("main");
-        let s = b.scalar("s");
-        let t = b.scalar("t");
-        b.live_out(&[s, t]);
-        let st1 = b.assign_scalar(s, num(2.0));
-        let st2_rhs = mul(b.load(s), num(3.0));
-        let st2 = b.assign_scalar(t, st2_rhs);
-        let mut p = Program::new("serial-only");
-        p.add_procedure(b.build(vec![st1, st2]));
+        let p = serial_only_program();
         let labeled = labeled_program(&p);
         assert!(labeled.is_empty());
         let cfg = SimConfig::default();
@@ -1715,13 +1471,15 @@ mod tests {
     fn scratch_pooling_is_observationally_invisible() {
         // The pooled and the per-call scratch paths must be bit-identical:
         // run a capacity ladder (which re-targets pooled buffer capacities
-        // in place) on both and compare everything.
+        // in place) on both and compare everything. A fresh pool per call
+        // hands each run fresh scratch.
+        use crate::engine::ScratchPool;
         let p = two_region_program();
         let labeled = labeled_program(&p);
         for mode in [ExecMode::Hose, ExecMode::Case] {
             for capacity in [1usize, 4, 64, 4, 1] {
                 let pooled = SimConfig::default().capacity(capacity);
-                let fresh = pooled.clone().pool_scratch(false);
+                let fresh = pooled.clone().scratch(ScratchPool::fresh());
                 let a = simulate_program(&p, &labeled, mode, &pooled).unwrap();
                 let b = simulate_program(&p, &labeled, mode, &fresh).unwrap();
                 let strip = |r: &crate::report::ProgramReport| {
@@ -1749,8 +1507,8 @@ mod tests {
             .faults(crate::FaultPlan::seeded(1).violation_at(6, 0))
             .restart_budget(0);
         for mode in [ExecMode::Hose, ExecMode::Case] {
-            for pool in [true, false] {
-                let cfg = degrading.clone().pool_scratch(pool);
+            for pool in [degrading.scratch.clone(), ScratchPool::fresh()] {
+                let cfg = degrading.clone().scratch(pool);
                 let out = simulate_program(&p, &labeled, mode, &cfg).unwrap();
                 let degraded = out.report.degraded_regions();
                 assert_eq!(degraded.len(), 2, "{mode}: {degraded:?}");

@@ -199,92 +199,18 @@ impl<P> SweepPlan<P> {
     /// drained in order after the pool joins — so the returned vector is
     /// independent of the worker count and of scheduling. If a job
     /// panics, every worker stops picking up new points and the panic is
-    /// re-raised here with the point's label and index.
+    /// re-raised here with the point's label and index. (This is
+    /// [`run_fallible`](Self::run_fallible) with jobs that cannot fail.)
     pub fn run<R, F>(&self, exec: &SweepExec, job: F) -> Vec<R>
     where
         P: Sync,
         R: Send,
         F: Fn(&P) -> R + Sync,
     {
-        let n = self.points.len();
-        if n == 0 {
-            return Vec::new();
+        match self.run_fallible(exec, |p| Ok::<R, std::convert::Infallible>(job(p))) {
+            Ok(results) => results,
+            Err(never) => match never {},
         }
-        let workers = exec.effective_jobs().min(n);
-        if workers <= 1 {
-            // Sequential fast path — same point-identity contract on
-            // panic as the pool, without spawning a thread.
-            return self
-                .points
-                .iter()
-                .enumerate()
-                .map(|(i, pt)| {
-                    catch_unwind(AssertUnwindSafe(|| job(&pt.payload))).unwrap_or_else(|cause| {
-                        panic!(
-                            "sweep point `{}` (index {i} of {n}) panicked: {}",
-                            pt.label,
-                            panic_message(&*cause)
-                        )
-                    })
-                })
-                .collect();
-        }
-        let next = AtomicUsize::new(0);
-        let slots: Vec<Mutex<Option<R>>> = (0..n).map(|_| Mutex::new(None)).collect();
-        let failed: Mutex<Option<(usize, String)>> = Mutex::new(None);
-        let suppressed = AtomicUsize::new(0);
-        std::thread::scope(|scope| {
-            for _ in 0..workers {
-                scope.spawn(|| loop {
-                    if failed.lock().expect("sweep failure lock").is_some() {
-                        return;
-                    }
-                    let i = next.fetch_add(1, Ordering::Relaxed);
-                    if i >= n {
-                        return;
-                    }
-                    match catch_unwind(AssertUnwindSafe(|| job(&self.points[i].payload))) {
-                        Ok(r) => *slots[i].lock().expect("sweep slot lock") = Some(r),
-                        Err(cause) => {
-                            let mut f = failed.lock().expect("sweep failure lock");
-                            // Keep the plan-order-first panic. Claims are
-                            // monotone, so every point below the minimal
-                            // panicking index has executed — the winner is
-                            // deterministic at any worker count. Losers
-                            // (later panics racing the drain, or a winner
-                            // a still-earlier panic displaces) are counted
-                            // rather than dropped.
-                            match f.as_mut() {
-                                Some(prev) if i < prev.0 => {
-                                    *prev = (i, panic_message(&*cause));
-                                    suppressed.fetch_add(1, Ordering::Relaxed);
-                                }
-                                Some(_) => {
-                                    suppressed.fetch_add(1, Ordering::Relaxed);
-                                }
-                                None => *f = Some((i, panic_message(&*cause))),
-                            }
-                            return;
-                        }
-                    }
-                });
-            }
-        });
-        if let Some((i, message)) = failed.into_inner().expect("sweep failure lock") {
-            panic!(
-                "sweep point `{}` (index {i} of {n}) panicked: {message}{}",
-                self.points[i].label,
-                suppressed_suffix(suppressed.load(Ordering::Relaxed))
-            );
-        }
-        slots
-            .into_iter()
-            .map(|slot| {
-                slot.into_inner()
-                    .expect("sweep slot lock")
-                    .expect("every sweep point produced a result")
-            })
-            .collect()
     }
 
     /// [`SweepPlan::run`] for fallible jobs, with deterministic early

@@ -61,7 +61,6 @@
 //! executor for standalone single-program checks.
 
 use crate::gen::{GeneratedProgram, ProgramSpec};
-use refidem_analysis::classify::VarClass;
 use refidem_core::label::{IdemCategory, Label, LabeledProgram, Labeling};
 use refidem_ir::ids::{ProcId, RefId};
 use refidem_ir::lowered::ExecBackend;
@@ -120,9 +119,9 @@ pub struct DiffConfig {
     pub tamper: Option<Tamper>,
     /// Execution backend the speculative simulations run on. The sequential
     /// ground truth always runs on the tree-walking oracle, so with the
-    /// default (`Fused` — heat-selected superinstructions over plain
-    /// bytecode) every check also differentially tests the compiled
-    /// engine against the oracle; set `Lowered` to pin the plain tier.
+    /// default (`Compiled` — fused region bodies, plain serial spans) every
+    /// check also differentially tests the compiled engine against the
+    /// oracle.
     pub backend: ExecBackend,
     /// Runtime the speculative simulations execute on: the single-thread
     /// cycle simulator (default) or the real-thread runtime
@@ -402,7 +401,7 @@ pub fn check_program_with(
     // Ground truth: one sequential interpretation of the whole program
     // (independent of capacity and mode — the SimConfig only affects
     // timing, not values). It always runs on the tree-walking oracle
-    // backend, so the simulations (lowered by default) are differentially
+    // backend, so the simulations (compiled by default) are differentially
     // checked against the oracle semantics. A fresh cache per check:
     // compile-once across the ladder below, but nothing outlives the
     // (one-shot, generated) program being checked.
@@ -427,15 +426,11 @@ pub fn check_program_with(
     // speculatively.
     let proc = &program.procedures[0];
     let layout = Layout::new(&proc.vars);
-    let mut ignored: Vec<(u64, u64)> = Vec::new();
-    for region in &labeled.regions {
-        for (v, class) in region.analysis.classes.iter() {
-            if class == VarClass::Private {
-                let base = layout.base(v).0;
-                ignored.push((base, base + proc.vars.kind(v).size() as u64));
-            }
-        }
-    }
+    let ignored: Vec<_> = labeled
+        .regions
+        .iter()
+        .flat_map(|r| r.private_ranges(&proc.vars, &layout))
+        .collect();
 
     // The (capacity × mode) ladder as a declarative sweep plan; every
     // point is an independent simulate-and-check job against the shared

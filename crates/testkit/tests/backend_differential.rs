@@ -1,21 +1,21 @@
-//! Three-backend differential suite: oracle vs lowered vs fused.
+//! Oracle-vs-compiled differential suite.
 //!
-//! The compiled engines (`refidem_ir::lowered`, plain bytecode and the
-//! fused superinstruction tier) must be *observationally identical* to the
-//! tree-walking interpreter, not merely produce the same final memory:
-//! same access order (traces), same dynamic counts, same statement-unit
-//! accounting, and — under the speculation engine — the same violations,
-//! roll-backs, overflows and cycle counts at every capacity point. This
-//! suite asserts exactly that across all 1024 generated testkit programs
-//! and every named benchmark loop, sharding the corpus over the sweep
-//! executor (a failing seed's assertion panic propagates out of the pool
-//! with the seed's identity in the message).
+//! The compiled engine (`refidem_ir::lowered`: the one compile pipeline,
+//! `lower` then `fuse` for the units that repeat) must be *observationally
+//! identical* to the tree-walking interpreter, not merely produce the same
+//! final memory: same access order (traces), same dynamic counts, same
+//! statement-unit accounting, and — under the speculation engine — the same
+//! violations, roll-backs, overflows and cycle counts at every capacity
+//! point. This suite asserts exactly that across all 1024 generated testkit
+//! programs and every named benchmark loop, sharding the corpus over the
+//! sweep executor (a failing seed's assertion panic propagates out of the
+//! pool with the seed's identity in the message).
 
 use refidem_benchmarks::all_named_loops;
 use refidem_core::label::label_program;
-use refidem_ir::exec::{CountingStore, DynCounts, PlainStore, SegmentExec, SeqInterp};
+use refidem_ir::exec::{AnyExec, CountingStore, DynCounts, PlainStore, SeqInterp};
 use refidem_ir::ids::ProcId;
-use refidem_ir::lowered::{fused::fuse, lower, ExecBackend, LoweredSegmentExec};
+use refidem_ir::lowered::{fused::fuse, lower, LoweredProc};
 use refidem_ir::memory::{Layout, Memory};
 use refidem_ir::program::Program;
 use refidem_specsim::sweep::{SweepExec, SweepPlan};
@@ -24,44 +24,25 @@ use refidem_testkit::{generate, CAPACITY_LADDER};
 
 const SUITE_SEEDS: u64 = 1024;
 
-/// The compiled backends every program is differenced against the oracle.
-const COMPILED_BACKENDS: [ExecBackend; 2] = [ExecBackend::Lowered, ExecBackend::Fused];
-
 /// Bit-exact trace fingerprint: `(site, access, addr, value bits)` per
 /// dynamic access.
 type TraceKey = Vec<(u32, bool, u64, u64)>;
 
-/// Runs one procedure sequentially on the given backend with tracing and
-/// counting enabled; returns the final memory image, the trace fingerprint,
-/// the per-site dynamic counts and the executed statement units.
+/// Runs procedure 0 sequentially on `compiled` (its body's compiled form)
+/// or, for `None`, on the tree-walking oracle, with tracing and counting
+/// enabled; returns the final memory image, the trace fingerprint, the
+/// per-site dynamic counts and the executed statement units.
 fn run_sequential_traced(
     program: &Program,
-    proc_index: usize,
-    backend: ExecBackend,
+    compiled: Option<&LoweredProc>,
 ) -> (Vec<u64>, TraceKey, DynCounts, usize) {
-    let proc = &program.procedures[proc_index];
+    let proc = &program.procedures[0];
     let layout = Layout::new(&proc.vars);
     let mut memory = initial_memory(proc);
     let mut store = CountingStore::new(PlainStore::tracing(&mut memory));
-    let steps = match backend {
-        ExecBackend::Lowered => {
-            let lowered = lower(&proc.vars, &layout, &proc.body);
-            let mut exec = LoweredSegmentExec::new(&lowered, &[]);
-            exec.run(&mut store, 200_000_000).expect("runs");
-            exec.steps()
-        }
-        ExecBackend::Fused => {
-            let fused = fuse(&lower(&proc.vars, &layout, &proc.body));
-            let mut exec = LoweredSegmentExec::new(&fused, &[]);
-            exec.run(&mut store, 200_000_000).expect("runs");
-            exec.steps()
-        }
-        ExecBackend::TreeWalk => {
-            let mut exec = SegmentExec::new(&proc.vars, &layout, &proc.body, &[]);
-            exec.run(&mut store, 200_000_000).expect("runs");
-            exec.steps()
-        }
-    };
+    let mut exec = AnyExec::new(compiled, &proc.vars, &layout, &proc.body, &[]);
+    exec.run(&mut store, 200_000_000).expect("runs");
+    let steps = exec.steps();
     let trace = store
         .inner
         .trace
@@ -83,67 +64,58 @@ fn run_sequential_traced(
 }
 
 /// Zeroes the compilation-pipeline counters of a whole-program report —
-/// the oracle never compiles while the compiled paths query their cache
-/// (and the fused tier queries different keys than the plain tier), so
-/// those are compared on their own terms.
+/// the oracle never compiles while the compiled runs query their cache,
+/// so those are compared on their own terms.
 fn without_cache_counters(report: &ProgramReport) -> ProgramReport {
     let mut r = report.clone();
     r.lowering_cache_hits = 0;
     r.lowering_cache_misses = 0;
     r.lowering_cache_evictions = 0;
-    r.analysis_cache_hits = 0;
-    r.analysis_cache_misses = 0;
-    r.analysis_cache_evictions = 0;
     for region in &mut r.regions {
         region.lowering_cache_hits = 0;
         region.lowering_cache_misses = 0;
         region.lowering_cache_evictions = 0;
-        region.analysis_cache_hits = 0;
-        region.analysis_cache_misses = 0;
-        region.analysis_cache_evictions = 0;
     }
     r
 }
 
-/// Asserts all three backends agree on sequential execution (memory bits,
-/// trace, counts, step accounting) and on every whole-program engine run
-/// across the capacity ladder under both HOSE and CASE (memory bits and
-/// the full per-region statistics reports, cycles and the serial/parallel
-/// split included). Every scheduled region of the program is exercised.
+/// Asserts the compiled backend agrees with the oracle on sequential
+/// execution (memory bits, trace, counts, step accounting) and on every
+/// whole-program engine run across the capacity ladder under both HOSE and
+/// CASE (memory bits and the full per-region statistics reports, cycles
+/// and the serial/parallel split included). Every scheduled region of the
+/// program is exercised.
 fn assert_backend_equivalence(what: &str, program: &Program) {
-    // Sequential: trace-level equivalence of each compiled tier against
-    // the tree-walking oracle.
-    let (mem_t, trace_t, counts_t, steps_t) =
-        run_sequential_traced(program, 0, ExecBackend::TreeWalk);
-    for backend in COMPILED_BACKENDS {
-        let (mem_b, trace_b, counts_b, steps_b) = run_sequential_traced(program, 0, backend);
-        assert_eq!(
-            steps_t, steps_b,
-            "{what}: {backend:?}: statement units diverged"
-        );
+    // Sequential: trace-level equivalence against the tree-walking oracle
+    // of both compiled forms the pipeline produces — the plain `lower`
+    // output serial spans run, and `fuse` over it, which repeating units
+    // run.
+    let (mem_t, trace_t, counts_t, steps_t) = run_sequential_traced(program, None);
+    let proc = &program.procedures[0];
+    let layout = Layout::new(&proc.vars);
+    let plain = lower(&proc.vars, &layout, &proc.body);
+    let fused = fuse(&plain);
+    for (form, compiled) in [("lower", &plain), ("fuse", &fused)] {
+        let (mem_b, trace_b, counts_b, steps_b) = run_sequential_traced(program, Some(compiled));
+        assert_eq!(steps_t, steps_b, "{what}: {form}: statement units diverged");
         assert_eq!(
             trace_t.len(),
             trace_b.len(),
-            "{what}: {backend:?}: trace length diverged"
+            "{what}: {form}: trace length diverged"
         );
         for (i, (a, b)) in trace_t.iter().zip(&trace_b).enumerate() {
-            assert_eq!(a, b, "{what}: {backend:?}: trace event {i} diverged");
+            assert_eq!(a, b, "{what}: {form}: trace event {i} diverged");
         }
         assert_eq!(
             counts_t, counts_b,
-            "{what}: {backend:?}: dynamic counts diverged"
+            "{what}: {form}: dynamic counts diverged"
         );
-        assert_eq!(
-            mem_t, mem_b,
-            "{what}: {backend:?}: sequential memory diverged"
-        );
+        assert_eq!(mem_t, mem_b, "{what}: {form}: sequential memory diverged");
     }
 
     // Speculation engine: byte-exact memory and identical whole-program
-    // reports at every capacity-ladder point, both execution models, both
-    // compiled tiers. One fresh cache per program, shared between the
-    // tiers: compile-once across the ladder (fused-tier entries carry
-    // their own `LowerUnit` variants so the tiers never collide), nothing
+    // reports at every capacity-ladder point, both execution models. One
+    // fresh cache per program: compile-once across the ladder, nothing
     // retained for the process lifetime (the generated programs are
     // one-shot).
     let cache = refidem_ir::lowered::LoweredCache::fresh();
@@ -153,55 +125,47 @@ fn assert_backend_equivalence(what: &str, program: &Program) {
         for mode in [ExecMode::Hose, ExecMode::Case] {
             let cfg_t = SimConfig::default().capacity(capacity).oracle();
             let out_t = simulate_program(program, &labeled, mode, &cfg_t);
-            for backend in COMPILED_BACKENDS {
-                let cfg_b = SimConfig::default()
-                    .capacity(capacity)
-                    .backend(backend)
-                    .cache(cache.clone());
-                let out_b = simulate_program(program, &labeled, mode, &cfg_b);
-                match (&out_t, &out_b) {
-                    (Ok(t), Ok(b)) => {
-                        // The lowering-cache counters describe the
-                        // compilation pipeline, not the simulated
-                        // execution: the oracle never compiles (always
-                        // 0/0) while a compiled run queries its cache once
-                        // per serial span and region body. Check them on
-                        // their own terms, then require the rest of the
-                        // report to be identical.
-                        assert_eq!(
-                            (t.report.lowering_cache_hits, t.report.lowering_cache_misses),
-                            (0, 0),
-                            "{what}: {mode} @ capacity {capacity}: oracle touched the cache"
-                        );
-                        let b_queries =
-                            b.report.lowering_cache_hits + b.report.lowering_cache_misses;
-                        assert!(
-                            b_queries <= max_queries,
-                            "{what}: {backend:?} {mode} @ capacity {capacity}: run made \
-                             {b_queries} cache queries for {} regions",
-                            labeled.regions.len()
-                        );
-                        assert_eq!(
-                            without_cache_counters(&t.report),
-                            without_cache_counters(&b.report),
-                            "{what}: {backend:?} {mode} @ capacity {capacity}: reports diverged"
-                        );
-                        let diffs = t.memory.diff(&b.memory, 8);
-                        assert!(
-                            diffs.is_empty(),
-                            "{what}: {backend:?} {mode} @ capacity {capacity}: \
-                             memory diverged: {diffs:?}"
-                        );
-                    }
-                    (Err(et), Err(eb)) => assert_eq!(
-                        et, eb,
-                        "{what}: {backend:?} {mode} @ capacity {capacity}: errors diverged"
-                    ),
-                    (t, b) => panic!(
-                        "{what}: {backend:?} {mode} @ capacity {capacity}: one backend \
-                         failed: tree={t:?} compiled={b:?}"
-                    ),
+            let cfg_b = SimConfig::default().capacity(capacity).cache(cache.clone());
+            let out_b = simulate_program(program, &labeled, mode, &cfg_b);
+            match (&out_t, &out_b) {
+                (Ok(t), Ok(b)) => {
+                    // The lowering-cache counters describe the compilation
+                    // pipeline, not the simulated execution: the oracle
+                    // never compiles (always 0/0) while a compiled run
+                    // queries its cache once per serial span and region
+                    // body. Check them on their own terms, then require
+                    // the rest of the report to be identical.
+                    assert_eq!(
+                        (t.report.lowering_cache_hits, t.report.lowering_cache_misses),
+                        (0, 0),
+                        "{what}: {mode} @ capacity {capacity}: oracle touched the cache"
+                    );
+                    let b_queries = b.report.lowering_cache_hits + b.report.lowering_cache_misses;
+                    assert!(
+                        b_queries <= max_queries,
+                        "{what}: {mode} @ capacity {capacity}: run made {b_queries} cache \
+                         queries for {} regions",
+                        labeled.regions.len()
+                    );
+                    assert_eq!(
+                        without_cache_counters(&t.report),
+                        without_cache_counters(&b.report),
+                        "{what}: {mode} @ capacity {capacity}: reports diverged"
+                    );
+                    let diffs = t.memory.diff(&b.memory, 8);
+                    assert!(
+                        diffs.is_empty(),
+                        "{what}: {mode} @ capacity {capacity}: memory diverged: {diffs:?}"
+                    );
                 }
+                (Err(et), Err(eb)) => assert_eq!(
+                    et, eb,
+                    "{what}: {mode} @ capacity {capacity}: errors diverged"
+                ),
+                (t, b) => panic!(
+                    "{what}: {mode} @ capacity {capacity}: one backend failed: \
+                     tree={t:?} compiled={b:?}"
+                ),
             }
         }
     }
@@ -230,85 +194,36 @@ fn all_named_benchmark_loops_execute_identically_on_all_backends() {
 
 #[test]
 fn sequential_interpreter_backends_agree_via_public_api() {
-    // The SeqInterp front door: default (fused) vs pinned-lowered vs
-    // oracle constructors.
+    // The SeqInterp front door: default (compiled) vs oracle constructors.
     for bench in all_named_loops() {
         let proc = &bench.program.procedures[bench.region.proc.index()];
         let layout = Layout::new(&proc.vars);
-        let mut mem_fused = Memory::init_with(&layout, |a| (a.0 % 17) as f64);
-        let mut mem_plain = mem_fused.clone();
-        let mut mem_oracle = mem_fused.clone();
-        let fused = SeqInterp::new()
-            .run_procedure_counting(proc, &mut mem_fused)
-            .expect("fused runs");
-        let plain = SeqInterp::lowered()
-            .run_procedure_counting(proc, &mut mem_plain)
-            .expect("lowered runs");
+        let mut mem_compiled = Memory::init_with(&layout, |a| (a.0 % 17) as f64);
+        let mut mem_oracle = mem_compiled.clone();
+        let compiled = SeqInterp::new()
+            .run_procedure_counting(proc, &mut mem_compiled)
+            .expect("compiled runs");
         let oracle = SeqInterp::oracle()
             .run_procedure_counting(proc, &mut mem_oracle)
             .expect("oracle runs");
-        assert_eq!(fused, oracle, "{}: fused counts diverged", bench.name);
-        assert_eq!(plain, oracle, "{}: lowered counts diverged", bench.name);
-        for (name, mem) in [("fused", &mem_fused), ("lowered", &mem_plain)] {
-            let diffs = mem.diff(&mem_oracle, 8);
-            assert!(
-                diffs.is_empty(),
-                "{}: {name} memory diverged: {diffs:?}",
-                bench.name
-            );
-        }
+        assert_eq!(compiled, oracle, "{}: compiled counts diverged", bench.name);
+        let diffs = mem_compiled.diff(&mem_oracle, 8);
+        assert!(
+            diffs.is_empty(),
+            "{}: compiled memory diverged: {diffs:?}",
+            bench.name
+        );
     }
 }
 
-/// The fused tier is a pure execution-speed change: for every named
-/// benchmark, mode and a capacity spread, its whole-program report must be
-/// field-for-field identical to the plain lowered tier's — cycles,
-/// violations, rollbacks, overflow stalls, occupancy, the serial/parallel
-/// split — except for the lowering-cache counters, whose keys legitimately
-/// differ between tiers.
-#[test]
-fn fused_tier_changes_no_report_field_but_cache_counters() {
-    for bench in all_named_loops() {
-        let labeled = label_program(&bench.program, ProcId::from_index(0)).expect("labels");
-        for &capacity in &[1usize, 16, 256] {
-            for mode in [ExecMode::Hose, ExecMode::Case] {
-                let plain_cfg = SimConfig::default()
-                    .capacity(capacity)
-                    .backend(ExecBackend::Lowered)
-                    .cache(refidem_ir::lowered::LoweredCache::fresh());
-                let fused_cfg = SimConfig::default()
-                    .capacity(capacity)
-                    .backend(ExecBackend::Fused)
-                    .cache(refidem_ir::lowered::LoweredCache::fresh());
-                let plain = simulate_program(&bench.program, &labeled, mode, &plain_cfg)
-                    .expect("lowered runs");
-                let fused = simulate_program(&bench.program, &labeled, mode, &fused_cfg)
-                    .expect("fused runs");
-                assert_eq!(
-                    without_cache_counters(&plain.report),
-                    without_cache_counters(&fused.report),
-                    "{}: {mode} @ capacity {capacity}: fused tier changed the report",
-                    bench.name
-                );
-                let diffs = plain.memory.diff(&fused.memory, 8);
-                assert!(
-                    diffs.is_empty(),
-                    "{}: {mode} @ capacity {capacity}: memory diverged: {diffs:?}",
-                    bench.name
-                );
-            }
-        }
-    }
-}
-
-/// The fused tier under the real-thread runtime: every named benchmark's
-/// final memory must be byte-identical to the oracle's sequential image,
+/// The compiled backend, fused region bodies included, under the
+/// real-thread runtime: every named benchmark's final memory must be
+/// byte-identical to the oracle's sequential image,
 /// excluding only region-private variables (dead at region exit and
 /// legitimately living in per-segment storage under CASE, Lemma 2).
 /// This is the configuration the nightly ThreadSanitizer job drives.
 #[test]
 fn fused_backend_under_threads_runtime_is_byte_exact() {
-    use refidem_analysis::classify::VarClass;
     for bench in all_named_loops() {
         let labeled = label_program(&bench.program, ProcId::from_index(0)).expect("labels");
         let seq_cfg = SimConfig::default().oracle();
@@ -316,18 +231,13 @@ fn fused_backend_under_threads_runtime_is_byte_exact() {
             .expect("sequential runs");
         let proc = &bench.program.procedures[0];
         let layout = Layout::new(&proc.vars);
-        let mut ignored: Vec<(u64, u64)> = Vec::new();
-        for region in &labeled.regions {
-            for (v, class) in region.analysis.classes.iter() {
-                if class == VarClass::Private {
-                    let base = layout.base(v).0;
-                    ignored.push((base, base + proc.vars.kind(v).size() as u64));
-                }
-            }
-        }
+        let ignored: Vec<_> = labeled
+            .regions
+            .iter()
+            .flat_map(|r| r.private_ranges(&proc.vars, &layout))
+            .collect();
         for mode in [ExecMode::Hose, ExecMode::Case] {
             let cfg = SimConfig::default()
-                .backend(ExecBackend::Fused)
                 .threads()
                 .cache(refidem_ir::lowered::LoweredCache::fresh());
             let out = simulate_program(&bench.program, &labeled, mode, &cfg).expect("threads run");

@@ -47,9 +47,6 @@ fn without_cache_counters(report: &SimReport) -> SimReport {
     r.lowering_cache_hits = 0;
     r.lowering_cache_misses = 0;
     r.lowering_cache_evictions = 0;
-    r.analysis_cache_hits = 0;
-    r.analysis_cache_misses = 0;
-    r.analysis_cache_evictions = 0;
     r
 }
 
