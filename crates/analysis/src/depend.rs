@@ -46,13 +46,8 @@
 //!   subscript coefficient vectors) is interned into a dedup table, and
 //!   the test verdict is memoized per canonical signature *pair*: the
 //!   hundreds of same-shape references of a giant block pay for each
-//!   distinct test once.
-//! * **Sharded worklist** — above a site-count threshold the distinct-pair
-//!   worklist is fanned out across scoped worker threads (the worker count
-//!   follows the same `REFIDEM_JOBS` contract as `refidem_specsim`'s
-//!   `SweepExec`, which sits above this crate) with a deterministic
-//!   ordered merge, so the emitted [`DependenceSet`] is byte-identical at
-//!   any worker count.
+//!   distinct test once. Verdicts and emission share one single-threaded
+//!   pass over the pairs, in the original pair order.
 //!
 //! The emitted set is immutable and shared: cloning it copies one `Arc`,
 //! and its per-reference sink and source indexes are CSR arrays built in
@@ -327,28 +322,7 @@ impl DependenceSet {
 
     /// Analyzes the dependences of a region loop given the reference table
     /// of its body.
-    ///
-    /// The worker count for the sharded distinct-pair worklist (only
-    /// engaged above [`SHARD_SITE_THRESHOLD`] sites) follows the
-    /// `REFIDEM_JOBS` environment variable, falling back to the machine's
-    /// available parallelism — the same contract as `SweepExec` in
-    /// `refidem_specsim`. The result is byte-identical at any worker count
-    /// (see [`analyze_with_jobs`](Self::analyze_with_jobs)).
     pub fn analyze(vars: &VarTable, region: &LoopStmt, table: &RefTable) -> Self {
-        Self::analyze_with_jobs(vars, region, table, analysis_jobs())
-    }
-
-    /// [`analyze`](Self::analyze) with an explicit worker count for the
-    /// sharded distinct-pair worklist, bypassing `REFIDEM_JOBS`. Exposed so
-    /// determinism tests can compare worker counts without mutating the
-    /// process environment; the returned set — including the order of
-    /// [`deps`](Self::deps) — is identical for every `jobs` value.
-    pub fn analyze_with_jobs(
-        vars: &VarTable,
-        region: &LoopStmt,
-        table: &RefTable,
-        jobs: usize,
-    ) -> Self {
         let tester = Tester::new(vars, region);
         let sites = table.sites();
         let ids = sites.iter().map(|s| s.id.0);
@@ -403,140 +377,77 @@ impl DependenceSet {
                 }
             }
         }
+
+        // --- One fused pass: the original nested-loop pair order,
+        // restricted to a variable's own partition (the inner loop visits
+        // exactly the sites the unpartitioned scan kept: a write pairs with
+        // every member, a read with the writes only). Each distinct
+        // signature pair's verdict is computed on first encounter. `a.order
+        // < b.order` is the only pair-level fact the tester reads beyond the
+        // two signatures (site orders are unique, so it also subsumes the
+        // `a.id != b.id` gate) — together they form the memo key. Per pair,
+        // the cross-segment dependence (if feasible) precedes the
+        // intra-segment one, exactly as the unmemoized tester pushed them.
+        // The sink and source indexes count as dependences are emitted and
+        // fill in one pass afterwards.
         let mut memo = MemoTable::new(interner.len());
-        let run_one = |scratch: &mut Scratch, a_idx: usize, b_idx: usize| -> Verdict {
-            let (pa, pb) = (&pre[sig[a_idx] as usize], &pre[sig[b_idx] as usize]);
-            tester.test_pair_verdict(&sites[a_idx], &sites[b_idx], pa, pb, scratch)
-        };
-        let mut scratch = Scratch::default();
-
-        // Pair enumeration, shared by both strategies below: the original
-        // nested-loop order, restricted to a variable's own partition (the
-        // inner loop visits exactly the sites the unpartitioned scan kept:
-        // a write pairs with every member, a read with the writes only).
-        // `a.order < b.order` is the only pair-level fact the tester reads
-        // beyond the two signatures (site orders are unique, so it also
-        // subsumes the `a.id != b.id` gate) — together they form the memo
-        // key of the pair's canonical signature.
-        macro_rules! for_each_pair {
-            ($visit:expr) => {{
-                let mut visit = $visit;
-                for (a_idx, a) in sites.iter().enumerate() {
-                    let Some(group) = groups.get(&a.var) else {
-                        continue;
-                    };
-                    let partners = match a.access {
-                        AccessKind::Write => &group.members,
-                        AccessKind::Read => &group.writes,
-                    };
-                    for &b_idx in partners {
-                        let lt = a.order < sites[b_idx].order;
-                        visit(a_idx, b_idx, sig[a_idx], sig[b_idx], lt);
-                    }
-                }
-            }};
-        }
-
-        // --- Verdicts. Small regions run a single fused pass, computing
-        // each distinct signature pair's verdict on first encounter. Above
-        // the site threshold the distinct-pair worklist is collected first
-        // and sharded across scoped workers with a deterministic ordered
-        // merge (every verdict lands in its worklist slot), then emission
-        // re-runs the enumeration against the filled memo — the emitted
-        // set is byte-identical either way, at any worker count.
-        let workers = jobs.max(1);
         let mut verdicts: Vec<Verdict> = Vec::new();
-        if workers > 1 && sites.len() > SHARD_SITE_THRESHOLD {
-            let mut worklist: Vec<(usize, usize)> = Vec::new();
-            for_each_pair!(|a_idx: usize, b_idx: usize, sa: u32, sb: u32, lt: bool| {
-                if memo.slot(sa, sb, lt).is_none() {
-                    memo.record(sa, sb, lt, worklist.len() as u32);
-                    worklist.push((a_idx, b_idx));
-                }
-            });
-            if worklist.len() >= 2 * workers {
-                let slots: Vec<std::sync::Mutex<Option<Verdict>>> = worklist
-                    .iter()
-                    .map(|_| std::sync::Mutex::new(None))
-                    .collect();
-                let cursor = std::sync::atomic::AtomicUsize::new(0);
-                std::thread::scope(|scope| {
-                    for _ in 0..workers.min(worklist.len()) {
-                        scope.spawn(|| {
-                            let mut scratch = Scratch::default();
-                            loop {
-                                let i = cursor.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                                let Some(&(a_idx, b_idx)) = worklist.get(i) else {
-                                    break;
-                                };
-                                let v = run_one(&mut scratch, a_idx, b_idx);
-                                *slots[i].lock().expect("verdict slot poisoned") = Some(v);
-                            }
-                        });
-                    }
-                });
-                verdicts = slots
-                    .into_iter()
-                    .map(|m| {
-                        m.into_inner()
-                            .expect("verdict slot poisoned")
-                            .expect("every worklist slot is filled")
-                    })
-                    .collect();
-            } else {
-                verdicts = worklist
-                    .iter()
-                    .map(|&(a_idx, b_idx)| run_one(&mut scratch, a_idx, b_idx))
-                    .collect();
-            }
-        }
-
-        // --- Emission in the original pair order: per pair, the
-        // cross-segment dependence (if feasible) precedes the intra-segment
-        // one, exactly as the unmemoized tester pushed them. The sink and
-        // source indexes count as dependences are emitted and fill in one
-        // pass afterwards.
+        let mut scratch = Scratch::default();
         let mut deps: Vec<Dependence> = Vec::new();
         let mut index = Indexer::new(lo, hi);
-        for_each_pair!(|a_idx: usize, b_idx: usize, sa: u32, sb: u32, lt: bool| {
-            let slot = match memo.slot(sa, sb, lt) {
-                Some(slot) => slot as usize,
-                None => {
-                    let slot = verdicts.len();
-                    memo.record(sa, sb, lt, slot as u32);
-                    verdicts.push(run_one(&mut scratch, a_idx, b_idx));
-                    slot
-                }
+        for (a_idx, a) in sites.iter().enumerate() {
+            let Some(group) = groups.get(&a.var) else {
+                continue;
             };
-            let verdict = verdicts[slot];
-            if verdict.cross.is_none() && !verdict.intra {
-                return;
-            }
-            let (a, b) = (&sites[a_idx], &sites[b_idx]);
-            let kind = match (a.access, b.access) {
-                (AccessKind::Write, AccessKind::Read) => DepKind::Flow,
-                (AccessKind::Read, AccessKind::Write) => DepKind::Anti,
-                (AccessKind::Write, AccessKind::Write) => DepKind::Output,
-                (AccessKind::Read, AccessKind::Read) => unreachable!("reads pair only with writes"),
+            let partners = match a.access {
+                AccessKind::Write => &group.members,
+                AccessKind::Read => &group.writes,
             };
-            let mut emit = |scope, distance| {
-                let d = Dependence {
-                    source: a.id,
-                    sink: b.id,
-                    kind,
-                    scope,
-                    distance,
+            let sa = sig[a_idx];
+            for &b_idx in partners {
+                let b = &sites[b_idx];
+                let (sb, lt) = (sig[b_idx], a.order < b.order);
+                let slot = match memo.slot(sa, sb, lt) {
+                    Some(slot) => slot as usize,
+                    None => {
+                        let slot = verdicts.len();
+                        memo.record(sa, sb, lt, slot as u32);
+                        let (pa, pb) = (&pre[sa as usize], &pre[sb as usize]);
+                        verdicts.push(tester.test_pair_verdict(a, b, pa, pb, &mut scratch));
+                        slot
+                    }
                 };
-                index.count(&d);
-                deps.push(d);
-            };
-            if let Some(distance) = verdict.cross {
-                emit(DepScope::CrossSegment, distance);
+                let verdict = verdicts[slot];
+                if verdict.cross.is_none() && !verdict.intra {
+                    continue;
+                }
+                let kind = match (a.access, b.access) {
+                    (AccessKind::Write, AccessKind::Read) => DepKind::Flow,
+                    (AccessKind::Read, AccessKind::Write) => DepKind::Anti,
+                    (AccessKind::Write, AccessKind::Write) => DepKind::Output,
+                    (AccessKind::Read, AccessKind::Read) => {
+                        unreachable!("reads pair only with writes")
+                    }
+                };
+                let mut emit = |scope, distance| {
+                    let d = Dependence {
+                        source: a.id,
+                        sink: b.id,
+                        kind,
+                        scope,
+                        distance,
+                    };
+                    index.count(&d);
+                    deps.push(d);
+                };
+                if let Some(distance) = verdict.cross {
+                    emit(DepScope::CrossSegment, distance);
+                }
+                if verdict.intra {
+                    emit(DepScope::IntraSegment, None);
+                }
             }
-            if verdict.intra {
-                emit(DepScope::IntraSegment, None);
-            }
-        });
+        }
         index.finish(deps)
     }
 }
@@ -590,36 +501,6 @@ impl MemoTable {
             }
         }
     }
-}
-
-/// Site count above which the distinct-pair worklist is sharded across
-/// worker threads. Small regions (the overwhelmingly common case) never
-/// pay for thread spawns.
-pub const SHARD_SITE_THRESHOLD: usize = 64;
-
-/// Worker count for [`DependenceSet::analyze`]: the `REFIDEM_JOBS`
-/// environment variable (positive decimal) when set and valid, otherwise
-/// the machine's available parallelism. This mirrors the `SweepExec`
-/// contract of `refidem_specsim`, which sits *above* this crate in the
-/// dependency graph — both knobs are the same variable, so a driver that
-/// pins its sweep width also pins the analysis shard width.
-fn analysis_jobs() -> usize {
-    // The env var is re-read on every call (cheap, and tests/driver
-    // scripts change it between runs); the `available_parallelism`
-    // fallback is cached process-wide — the syscall walks cgroup files on
-    // containerized hosts and costs ~10µs, which would dominate the whole
-    // analysis of a small region.
-    static CORES: std::sync::OnceLock<usize> = std::sync::OnceLock::new();
-    std::env::var("REFIDEM_JOBS")
-        .ok()
-        .and_then(|s| s.trim().parse::<usize>().ok().filter(|&n| n > 0))
-        .unwrap_or_else(|| {
-            *CORES.get_or_init(|| {
-                std::thread::available_parallelism()
-                    .map(|n| n.get())
-                    .unwrap_or(1)
-            })
-        })
 }
 
 /// Per-variable partition of the site list: member site indices in table
@@ -755,7 +636,7 @@ enum LevelRelation {
 /// Bounds of an index the bounds walk could not evaluate.
 const UNBOUNDED: (i64, i64) = (i64::MIN / 4, i64::MAX / 4);
 
-/// Per-worker buffers of the pair tester, reused across pairs and levels so
+/// Buffers of the pair tester, reused across pairs and levels so
 /// the hot loop allocates nothing once warm.
 #[derive(Default)]
 struct Scratch {
@@ -800,7 +681,7 @@ impl<'a> Tester<'a> {
     /// sink = `b`) and returns the memoizable verdict. The verdict depends
     /// only on the two sites' access signatures and on whether `a`
     /// textually precedes `b` — the invariant the per-signature-pair memo
-    /// in [`DependenceSet::analyze_with_jobs`] relies on.
+    /// in [`DependenceSet::analyze`] relies on.
     fn test_pair_verdict(
         &self,
         a: &RefSite,
@@ -1467,8 +1348,7 @@ mod tests {
 
     /// A TWLDRV-shaped giant block: `stmts` straight-line statements
     /// chaining four accumulator scalars through coefficient-array reads,
-    /// plus a final array store — enough sites to cross
-    /// [`SHARD_SITE_THRESHOLD`].
+    /// plus a final array store.
     fn giant_block(stmts: usize) -> (ProcBuilder, Vec<Stmt>) {
         let mut b = ProcBuilder::new("giant");
         let e = b.array("e", &[stmts, 8]);
@@ -1570,32 +1450,20 @@ mod tests {
             let region = find_region(body, label).expect("region").clone();
             let table = RefTable::collect(&region.body);
             let reference = analyze_reference(b.vars(), &region, &table);
-            for jobs in [1, 4] {
-                let pruned = DependenceSet::analyze_with_jobs(b.vars(), &region, &table, jobs);
-                assert_eq!(pruned, reference, "jobs={jobs}");
-            }
+            let pruned = DependenceSet::analyze(b.vars(), &region, &table);
+            assert_eq!(pruned, reference);
         }
     }
 
-    /// A giant block big enough to engage the sharded worklist must be
-    /// byte-identical to the reference at every worker count — the jobs=1
-    /// vs jobs=4 determinism guarantee of the ordered merge.
+    /// A giant block — hundreds of same-shape sites, where the verdict memo
+    /// does most of its work — must be byte-identical to the reference.
     #[test]
-    fn giant_block_is_deterministic_across_jobs() {
+    fn giant_block_matches_reference() {
         let (b, body) = giant_block(96);
         let region = find_region(&body, "G").expect("region").clone();
         let table = RefTable::collect(&region.body);
-        assert!(
-            table.len() > SHARD_SITE_THRESHOLD,
-            "giant block must cross the shard threshold ({} sites)",
-            table.len()
-        );
         let reference = analyze_reference(b.vars(), &region, &table);
-        let serial = DependenceSet::analyze_with_jobs(b.vars(), &region, &table, 1);
-        let sharded = DependenceSet::analyze_with_jobs(b.vars(), &region, &table, 4);
-        assert_eq!(serial, reference);
-        assert_eq!(sharded, reference);
-        assert_eq!(serial, sharded);
+        assert_eq!(DependenceSet::analyze(b.vars(), &region, &table), reference);
         assert!(!reference.is_empty());
     }
 

@@ -25,9 +25,8 @@ fn bench_region_analysis(c: &mut Harness) {
         });
     }
     // A seed-pinned synthetic 128-statement giant block (the TWLDRV shape,
-    // testkit-built): enough reference sites to cross the dependence
-    // sharding threshold, exercising the pairwise-pruning path on a body
-    // no named benchmark reaches.
+    // testkit-built): hundreds of reference sites, exercising the
+    // pairwise-pruning path on a body no named benchmark reaches.
     let (giant_program, giant_region) = refidem_testkit::giant_block(0x9e3779b9, 128);
     group.bench_function("synthetic giant_block_128", |b| {
         b.iter(|| {

@@ -262,7 +262,8 @@ struct Frame<'p> {
 /// one iteration of a region loop).
 ///
 /// `step` executes one statement "unit" — an assignment, the evaluation of an
-/// `IF` condition, or the setup/advance of an inner loop — performing all of
+/// `IF` condition, the setup/advance of an inner loop, or a WHILE segment's
+/// continuation check (see [`SegmentExec::segment`]) — performing all of
 /// its memory accesses through the supplied [`DataStore`]. The executor can
 /// be [`reset`](SegmentExec::reset) to its initial state, which is how the
 /// simulator re-executes a segment after a roll-back (HOSE Property 2).
@@ -271,6 +272,13 @@ pub struct SegmentExec<'p> {
     vars: &'p VarTable,
     layout: &'p Layout,
     root: &'p [Stmt],
+    /// The region's WHILE continuation check, run as the segment's first
+    /// unit (`None` for a counted region or a plain statement list).
+    guard: Option<&'p Expr>,
+    /// The check, while it is still due in this attempt.
+    pending_guard: Option<&'p Expr>,
+    /// The check failed: the segment is its region's dynamic end.
+    exited: bool,
     initial_env: Vec<(VarId, i64)>,
     env: Vec<Option<i64>>,
     frames: Vec<Frame<'p>>,
@@ -290,11 +298,29 @@ impl<'p> SegmentExec<'p> {
             vars,
             layout,
             root: stmts,
+            guard: None,
+            pending_guard: None,
+            exited: false,
             initial_env: initial_env.to_vec(),
             env: vec![None; vars.len()],
             frames: Vec::new(),
             steps: 0,
         };
+        exec.reset();
+        exec
+    }
+
+    /// An executor for one segment of `region`: its body, preceded — for a
+    /// WHILE region — by the continuation check as the first statement
+    /// unit. A true check returns `Ok(true)` and the body follows; a false
+    /// one returns `Ok(false)` from that same `step`, and
+    /// [`exited`](Self::exited) reports the segment as the region's
+    /// dynamic end. [`reset`](Self::reset) and [`restart`](Self::restart)
+    /// re-arm the check. Bind the region index with `restart` before
+    /// stepping.
+    pub fn segment(vars: &'p VarTable, layout: &'p Layout, region: &'p LoopStmt) -> Self {
+        let mut exec = SegmentExec::new(vars, layout, &region.body, &[]);
+        exec.guard = region.while_cond.as_ref();
         exec.reset();
         exec
     }
@@ -319,12 +345,20 @@ impl<'p> SegmentExec<'p> {
             pos: 0,
             looping: None,
         }];
+        self.pending_guard = self.guard;
+        self.exited = false;
         self.steps = 0;
     }
 
     /// True when the executor has finished.
     pub fn is_done(&self) -> bool {
         self.frames.is_empty()
+    }
+
+    /// True when the segment's WHILE continuation check failed in this
+    /// attempt: it ran no body statement and ends its region.
+    pub fn exited(&self) -> bool {
+        self.exited
     }
 
     /// Number of statement units executed since the last reset.
@@ -428,6 +462,14 @@ impl<'p> SegmentExec<'p> {
     /// Executes one statement unit. Returns `Ok(true)` when more work
     /// remains, `Ok(false)` when the segment has finished.
     pub fn step(&mut self, store: &mut impl DataStore) -> Result<bool, ExecError> {
+        if let Some(cond) = self.pending_guard.take() {
+            self.steps += 1;
+            self.exited = self.eval(cond, store)? == 0.0;
+            if self.exited {
+                self.frames.clear();
+            }
+            return Ok(!self.exited);
+        }
         loop {
             let Some(frame) = self.frames.last_mut() else {
                 return Ok(false);
@@ -502,21 +544,6 @@ impl<'p> SegmentExec<'p> {
         }
     }
 
-    /// Evaluates one expression in isolation under the given index
-    /// bindings, performing its reads through `store` with exactly the
-    /// address resolution and read order of a segment execution. The
-    /// speculative engines use this to evaluate a region's WHILE
-    /// continuation condition as one statement unit.
-    pub fn eval_expr(
-        vars: &VarTable,
-        layout: &Layout,
-        env: &[(VarId, i64)],
-        e: &Expr,
-        store: &mut impl DataStore,
-    ) -> Result<f64, ExecError> {
-        SegmentExec::new(vars, layout, &[], env).eval(e, store)
-    }
-
     /// Runs to completion (bounded by `max_steps` statement units).
     pub fn run(&mut self, store: &mut impl DataStore, max_steps: usize) -> Result<(), ExecError> {
         let mut executed = 0usize;
@@ -532,9 +559,9 @@ impl<'p> SegmentExec<'p> {
 
 /// A resumable executor on either backend: the tree-walking
 /// [`SegmentExec`] or compiled bytecode ([`LoweredSegmentExec`]). Both keep
-/// the identical step/reset contract, so the speculation engine, the
-/// real-thread runtime and the sequential runs drive this one type
-/// whatever the backend.
+/// the identical step/reset contract, WHILE segments' continuation check
+/// included, so the speculation engine, the real-thread runtime and the
+/// sequential runs drive this one type whatever the backend.
 #[derive(Clone, Debug)]
 pub enum AnyExec<'p> {
     /// The tree-walking oracle.
@@ -557,6 +584,22 @@ impl<'p> AnyExec<'p> {
         match compiled {
             Some(prog) => AnyExec::Compiled(LoweredSegmentExec::new(prog, initial_env)),
             None => AnyExec::Tree(SegmentExec::new(vars, layout, stmts, initial_env)),
+        }
+    }
+
+    /// An executor for one segment of `region` (see
+    /// [`SegmentExec::segment`]): running `compiled` when it is given (it
+    /// must be the region's [`LowerUnit::RegionBody`] form, which carries
+    /// the continuation check), tree-walking the body otherwise.
+    pub fn segment(
+        compiled: Option<&'p LoweredProc>,
+        vars: &'p VarTable,
+        layout: &'p Layout,
+        region: &'p LoopStmt,
+    ) -> Self {
+        match compiled {
+            Some(prog) => AnyExec::Compiled(LoweredSegmentExec::new(prog, &[])),
+            None => AnyExec::Tree(SegmentExec::segment(vars, layout, region)),
         }
     }
 
@@ -602,6 +645,16 @@ impl<'p> AnyExec<'p> {
         match self {
             AnyExec::Tree(e) => e.steps(),
             AnyExec::Compiled(e) => e.steps(),
+        }
+    }
+
+    /// True when the segment's continuation check failed (see
+    /// [`SegmentExec::exited`]).
+    #[inline]
+    pub fn exited(&self) -> bool {
+        match self {
+            AnyExec::Tree(e) => e.exited(),
+            AnyExec::Compiled(e) => e.exited(),
         }
     }
 }
@@ -655,7 +708,7 @@ impl SeqInterp {
         let compiled = (self.backend == ExecBackend::Compiled).then(|| {
             let key = LowerKey::new(proc, "", LowerUnit::WholeProcedure);
             self.cache
-                .compile(key, &proc.vars, layout, &proc.body, &[])
+                .compile(key, &proc.vars, layout, None, &proc.body, &[])
                 .value
         });
         AnyExec::new(compiled.as_deref(), &proc.vars, layout, &proc.body, &[])

@@ -19,10 +19,10 @@
 //!
 //! [`LoweredSegmentExec`] then mirrors `SegmentExec`'s resumable
 //! step/rollback contract exactly: one `step` executes one *statement
-//! unit* (an assignment, an `IF` condition, or a loop setup), performing
-//! every memory access through the same [`DataStore`] interface, and
-//! `reset` rewinds to the initial state for re-execution after a
-//! roll-back. The two backends are byte-exact equivalent: identical memory
+//! unit* (an assignment, an `IF` condition, a loop setup, or a WHILE
+//! segment's continuation check), performing every memory access through
+//! the same [`DataStore`] interface, and `reset` rewinds to the initial
+//! state for re-execution after a roll-back. The two backends are byte-exact equivalent: identical memory
 //! effects, identical access order (and therefore identical traces and
 //! dynamic counts), identical step counting, identical error behavior —
 //! the differential suite in `refidem-testkit` asserts this across
@@ -301,10 +301,11 @@ struct LoopPlan {
     pre_regs: Box<[u32]>,
 }
 
-/// One bytecode instruction. `Store`, `Branch` and `LoopEnter` terminate a
-/// statement unit (one `step`); `Jump` and `LoopBack` are free control
-/// transfers executed between units; the remaining instructions are postfix
-/// expression operations on the value stack.
+/// One bytecode instruction. `Store`, `Branch`, `WhileBranch`, `Guard` and
+/// `LoopEnter` terminate a statement unit (one `step`); `Jump` and
+/// `LoopBack` are free control transfers executed between units; the
+/// remaining instructions are postfix expression operations on the value
+/// stack.
 #[derive(Clone, Copy, Debug)]
 enum Inst {
     /// Push a constant.
@@ -329,6 +330,10 @@ enum Inst {
     /// through into the body when non-zero, pop the loop and jump to its
     /// exit otherwise. Terminates the unit.
     WhileBranch(u32),
+    /// Pop the segment's WHILE continuation check (the first unit of a
+    /// [`LowerUnit::RegionBody`]); fall through into the body when
+    /// non-zero, end the segment as exited otherwise. Terminates the unit.
+    Guard,
     /// Evaluate the bounds of loop plan `.0`; enter the body or jump past
     /// the loop when the trip count is zero. Terminates the unit.
     LoopEnter(u32),
@@ -366,6 +371,9 @@ enum Inst {
     /// WHILE continuation check on `stack[src]` for loop plan `l`, like
     /// [`Inst::WhileBranch`]. Terminates the unit.
     RWhileBranch { l: u32, src: u16 },
+    /// Segment continuation check on `stack[src]`, like [`Inst::Guard`].
+    /// Terminates the unit.
+    RGuard { src: u16 },
 
     // ----- fused-tier superinstructions -------------------------------
     /// `stack[dst] = stack[dst] op load(refs[r])`.
@@ -538,6 +546,7 @@ impl LoweredProc {
                     | Inst::Store(_)
                     | Inst::Branch(_)
                     | Inst::WhileBranch(_)
+                    | Inst::Guard
             )
         })
     }
@@ -566,6 +575,7 @@ impl LoweredProc {
                 Inst::Store(r) => format!("store {}", kind(r)),
                 Inst::Branch(t) => format!("branch ->{t}"),
                 Inst::WhileBranch(l) => format!("whilebranch loop{l}"),
+                Inst::Guard => "guard".to_string(),
                 Inst::LoopEnter(l) => format!("loopenter loop{l}"),
                 Inst::Jump(t) => format!("jump ->{t}"),
                 Inst::LoopBack(l) => format!("loopback loop{l}"),
@@ -579,6 +589,7 @@ impl LoweredProc {
                 Inst::RStore { r, src } => format!("rstore {} = v{src}", kind(r)),
                 Inst::RBranch { target, src } => format!("rbranch v{src} ->{target}"),
                 Inst::RWhileBranch { l, src } => format!("rwhilebranch v{src} loop{l}"),
+                Inst::RGuard { src } => format!("rguard v{src}"),
                 Inst::RLoadBin { r, op, dst } => {
                     format!("rloadbin v{dst} = v{dst} {op:?} {}", kind(r))
                 }
@@ -910,6 +921,18 @@ pub fn lower_with_ranges(
     stmts: &[Stmt],
     index_ranges: &[(VarId, (i64, i64))],
 ) -> LoweredProc {
+    lower_guarded(vars, layout, None, stmts, index_ranges)
+}
+
+/// [`lower_with_ranges`] preceded by `guard`, a segment's WHILE
+/// continuation check, compiled as the first statement unit.
+fn lower_guarded(
+    vars: &VarTable,
+    layout: &Layout,
+    guard: Option<&Expr>,
+    stmts: &[Stmt],
+    index_ranges: &[(VarId, (i64, i64))],
+) -> LoweredProc {
     let mut ranges = vec![None; vars.len()];
     for (v, r) in index_ranges {
         ranges[v.index()] = Some(*r);
@@ -927,6 +950,11 @@ pub fn lower_with_ranges(
         max_stack: 0,
         max_loops: 0,
     };
+    if let Some(c) = guard {
+        lw.emit_expr(c);
+        lw.insts.push(Inst::Guard);
+        lw.stack_depth -= 1;
+    }
     lw.emit_stmts(stmts);
     lw.insts.push(Inst::End);
     debug_assert_eq!(lw.stack_depth, 0, "every unit leaves the stack empty");
@@ -957,7 +985,9 @@ pub enum LowerUnit {
     /// The whole region loop statement (the sequential baseline runs it).
     RegionLoop,
     /// The region loop's body — one speculative segment — lowered with the
-    /// region index's value interval supplied for in-bounds proofs.
+    /// region index's value interval supplied for in-bounds proofs. A WHILE
+    /// region's continuation check compiles ahead of the body as the
+    /// segment's first statement unit.
     RegionBody,
     /// The statements following the region loop.
     Epilogue,
@@ -1195,10 +1225,10 @@ pub fn fingerprint_procedure(vars: &VarTable, stmts: &[Stmt]) -> u64 {
 /// let cache = LoweredCache::fresh();
 /// let key = LowerKey::new(&proc, "L", LowerUnit::RegionLoop);
 /// let layout = Layout::new(&proc.vars);
-/// let first = cache.compile(key.clone(), &proc.vars, &layout, &proc.body, &[]);
+/// let first = cache.compile(key.clone(), &proc.vars, &layout, None, &proc.body, &[]);
 /// assert!(!first.hit, "first lookup compiles");
 /// assert!(first.value.superinst_count() > 0, "a region loop is fused");
-/// let second = cache.compile(key, &proc.vars, &layout, &proc.body, &[]);
+/// let second = cache.compile(key, &proc.vars, &layout, None, &proc.body, &[]);
 /// assert!(second.hit, "second lookup reuses the compiled bytecode");
 /// assert!(std::sync::Arc::ptr_eq(&first.value, &second.value));
 /// ```
@@ -1220,19 +1250,23 @@ impl LoweredCache {
 
     /// Returns the compiled form of `key`'s unit, compiling `stmts` on a
     /// miss: [`lower_with_ranges`], then [`fused::fuse`] when the unit
-    /// fuses ([`LowerUnit::fuses`]). `stmts` and `index_ranges` must be the
-    /// unit's lowering inputs, so equal keys compile identical bytecode.
+    /// fuses ([`LowerUnit::fuses`]). `guard` is a WHILE region's
+    /// continuation check, compiled ahead of `stmts` as the first unit
+    /// (the runtimes pass one for a [`LowerUnit::RegionBody`] only).
+    /// `guard`, `stmts` and `index_ranges` must be the unit's lowering
+    /// inputs, so equal keys compile identical bytecode.
     pub fn compile(
         &self,
         key: LowerKey,
         vars: &VarTable,
         layout: &Layout,
+        guard: Option<&Expr>,
         stmts: &[Stmt],
         index_ranges: &[(VarId, (i64, i64))],
     ) -> Lookup<LoweredProc> {
         let fuses = key.unit.fuses();
         self.lookup(key, || {
-            let base = lower_with_ranges(vars, layout, stmts, index_ranges);
+            let base = lower_guarded(vars, layout, guard, stmts, index_ranges);
             if fuses {
                 fused::fuse(&base)
             } else {
@@ -1254,7 +1288,8 @@ struct LoopState {
 /// step/rollback contract: `step` executes one statement unit through a
 /// [`DataStore`], `reset` rewinds to the initial bindings for re-execution
 /// after a roll-back, `restart` re-targets the executor at another
-/// segment's bindings, and `steps` counts executed units.
+/// segment's bindings, `steps` counts executed units, and `exited` reports
+/// a failed segment continuation check.
 #[derive(Clone, Debug)]
 pub struct LoweredSegmentExec<'p> {
     prog: &'p LoweredProc,
@@ -1269,6 +1304,8 @@ pub struct LoweredSegmentExec<'p> {
     ind_addrs: Vec<i64>,
     pc: usize,
     steps: usize,
+    /// The segment's continuation check failed in this attempt.
+    exited: bool,
 }
 
 impl<'p> LoweredSegmentExec<'p> {
@@ -1289,6 +1326,7 @@ impl<'p> LoweredSegmentExec<'p> {
             ind_addrs: vec![0; prog.addr_regs.len()],
             pc: 0,
             steps: 0,
+            exited: false,
         };
         exec.reset();
         exec
@@ -1314,6 +1352,7 @@ impl<'p> LoweredSegmentExec<'p> {
         self.loop_stack.clear();
         self.pc = 0;
         self.steps = 0;
+        self.exited = false;
     }
 
     /// True when the executor has finished.
@@ -1324,6 +1363,27 @@ impl<'p> LoweredSegmentExec<'p> {
     /// Number of statement units executed since the last reset.
     pub fn steps(&self) -> usize {
         self.steps
+    }
+
+    /// True when the segment's continuation check failed in this attempt
+    /// (see [`SegmentExec::exited`](crate::exec::SegmentExec::exited)).
+    pub fn exited(&self) -> bool {
+        self.exited
+    }
+
+    /// Retires the segment's continuation check on `cond` at `pc`: falls
+    /// through into the body when it holds, otherwise ends the segment as
+    /// exited. Returns whether more work remains.
+    #[inline]
+    fn guard(&mut self, cond: f64, pc: usize) -> bool {
+        self.steps += 1;
+        self.exited = cond == 0.0;
+        self.pc = if self.exited {
+            self.prog.insts.len() - 1
+        } else {
+            pc + 1
+        };
+        !self.exited
     }
 
     /// Resolves the address of a reference plan, performing any indirect
@@ -1559,6 +1619,7 @@ impl<'p> LoweredSegmentExec<'p> {
                     self.steps += 1;
                     return Ok(true);
                 }
+                Inst::Guard => return Ok(self.guard(self.stack[sp - 1], pc)),
                 Inst::Jump(target) => pc = target as usize,
                 Inst::LoopBack(l) => {
                     let plan = &prog.loops[l as usize];
@@ -1648,6 +1709,7 @@ impl<'p> LoweredSegmentExec<'p> {
                     self.steps += 1;
                     return Ok(true);
                 }
+                Inst::RGuard { src } => return Ok(self.guard(self.stack[src as usize], pc)),
 
                 // ----- fused-tier superinstructions --------------------
                 Inst::RLoadBin { r, op, dst } => {
@@ -2120,7 +2182,7 @@ mod tests {
         let get = |proc: &Procedure, region: &str, unit: LowerUnit| {
             let layout = Layout::new(&proc.vars);
             let key = LowerKey::new(proc, region, unit);
-            cache.compile(key, &proc.vars, &layout, &proc.body, &[])
+            cache.compile(key, &proc.vars, &layout, None, &proc.body, &[])
         };
 
         // Same unit twice: exactly one compilation, shared storage.
@@ -2154,7 +2216,7 @@ mod tests {
     fn lookup_region(cache: &LoweredCache, proc: &Procedure, region: &str) -> Lookup<LoweredProc> {
         let layout = Layout::new(&proc.vars);
         let key = LowerKey::new(proc, region, LowerUnit::RegionBody);
-        cache.compile(key, &proc.vars, &layout, &proc.body, &[])
+        cache.compile(key, &proc.vars, &layout, None, &proc.body, &[])
     }
 
     #[test]

@@ -388,6 +388,10 @@ fn rewrite_registers(p: LoweredProc) -> LoweredProc {
                 depth -= 1;
                 Inst::RWhileBranch { l, src: depth }
             }
+            Inst::Guard => {
+                depth -= 1;
+                Inst::RGuard { src: depth }
+            }
             other @ (Inst::LoopEnter(_)
             | Inst::Jump(_)
             | Inst::LoopBack(_)

@@ -30,7 +30,7 @@ use crate::report::SimReport;
 use crate::run::{ExecMode, SimError};
 use crate::storage::{PrivateStore, SpecBuffer};
 use refidem_core::label::{IdemCategory, Label, Labeling};
-use refidem_ir::exec::{AnyExec, DataStore, SegmentExec};
+use refidem_ir::exec::{AnyExec, DataStore};
 use refidem_ir::ids::RefId;
 use refidem_ir::lowered::LoweredProc;
 use refidem_ir::memory::{Addr, Layout, Memory};
@@ -59,11 +59,9 @@ struct SlotData {
     overflow_poisoned: bool,
     /// Number of times the segment has been rolled back or restarted.
     restarts: u32,
-    /// The WHILE continuation check of this attempt has been evaluated
-    /// (and held). Always `false` for counted regions.
-    cond_checked: bool,
-    /// The continuation check evaluated to false: this segment is the
-    /// region's dynamic end. Its commit discards all younger segments.
+    /// The WHILE continuation check (the segment executor's first unit)
+    /// evaluated to false: this segment is the region's dynamic end. Its
+    /// commit discards all younger segments.
     term_pending: bool,
     /// Earliest simulated time at which the requested roll-back can take
     /// effect (the time the violating producer write happened).
@@ -336,7 +334,6 @@ impl ScratchPool {
 /// already holding the effects of the code preceding the region.
 pub(crate) struct Engine<'p> {
     cfg: &'p SimConfig,
-    vars: &'p VarTable,
     layout: &'p Layout,
     region: &'p LoopStmt,
     labels: LabelTable,
@@ -345,7 +342,8 @@ pub(crate) struct Engine<'p> {
 
     /// One executor per processor that will run a segment, all on the
     /// region body's one compiled form (tree-walk or bytecode), kept for
-    /// the whole region and restarted at every dispatch.
+    /// the whole region and restarted at every dispatch. A WHILE region's
+    /// continuation check is each segment's first unit.
     execs: Vec<AnyExec<'p>>,
     slots: Vec<Option<SlotData>>,
     /// Pooled buffers + dependence masks, owned by the caller (see
@@ -386,11 +384,10 @@ impl<'p> Engine<'p> {
         let processors = cfg.processors.max(1);
         scratch.prepare(processors, cfg.spec_capacity, layout.total_words());
         let execs = (0..processors.min(iter_values.len()))
-            .map(|_| AnyExec::new(lowered, vars, layout, &region.body, &[]))
+            .map(|_| AnyExec::segment(lowered, vars, layout, region))
             .collect();
         Engine {
             cfg,
-            vars,
             layout,
             region,
             labels,
@@ -513,7 +510,6 @@ impl<'p> Engine<'p> {
             squash_not_before: 0,
             overflow_poisoned: false,
             restarts: 0,
-            cond_checked: false,
             term_pending: false,
         });
         // Restarting reuses every buffer, so a dispatch allocates nothing.
@@ -581,89 +577,6 @@ impl<'p> Engine<'p> {
                 }
             }
         }
-        // A WHILE region's continuation check: evaluated as one statement
-        // unit before the segment's body, through the same labeled access
-        // path (and therefore the same latencies, dependence tracking,
-        // overflow handling) as any other statement of the segment.
-        let needs_cond = self.region.while_cond.is_some()
-            && self.slots[p]
-                .as_ref()
-                .is_some_and(|s| !s.cond_checked && !s.done);
-        if needs_cond {
-            let head = self.head;
-            let violations_before = self.report.violations;
-            let Engine {
-                slots,
-                scratch,
-                memory,
-                report,
-                cfg,
-                labels,
-                vars,
-                layout,
-                region,
-                iter_values,
-                ..
-            } = self;
-            let seg = slots[p].as_ref().expect("slot").seg;
-            let env = [(region.index, iter_values[seg])];
-            let cond = region.while_cond.as_ref().expect("while region");
-            let mut ctx = AccessCtx {
-                cfg,
-                labels,
-                memory,
-                slots,
-                masks: &mut scratch.masks,
-                report,
-                p,
-                head,
-            };
-            let value = SegmentExec::eval_expr(vars, layout, &env, cond, &mut ctx)
-                .map_err(SimError::Exec)?;
-            self.report.statements += 1;
-            self.stmts_since_commit += 1;
-            if self.stmts_since_commit > self.cfg.governor.livelock_statements {
-                return Err(SimError::Livelock {
-                    statements: self.stmts_since_commit,
-                });
-            }
-            let (now, occ) = {
-                let slot = self.slots[p].as_ref().expect("slot");
-                (slot.clock, slot.spec.len())
-            };
-            self.report.spec_peak_occupancy = self.report.spec_peak_occupancy.max(occ);
-            // A read forwarded from an older segment whose write is later
-            // in simulated time is premature: it squashed this segment (and
-            // every younger one), so the value is stale. Roll back before
-            // it can decide anything; the restarted attempt re-evaluates
-            // the condition.
-            if self.report.violations != violations_before {
-                self.process_squashes(now)?;
-                return Ok(());
-            }
-            // A tracked read can also overflow the speculative buffer.
-            let poisoned = self.slots[p]
-                .as_ref()
-                .map(|s| s.overflow_poisoned)
-                .unwrap_or(false);
-            if poisoned {
-                self.restart_slot(p, now, false)?;
-                let slot = self.slots[p].as_mut().expect("slot");
-                slot.stalled = true;
-                return Ok(());
-            }
-            let slot = self.slots[p].as_mut().expect("slot");
-            if value == 0.0 {
-                // Dynamic end of the region: this segment executes no body
-                // statement and, once it commits in order, discards every
-                // younger segment.
-                slot.term_pending = true;
-                slot.done = true;
-            } else {
-                slot.cond_checked = true;
-            }
-            return Ok(());
-        }
         // Split borrows: the executor lives in `execs`, the store context
         // borrows the sibling fields, so no per-statement move of the
         // executor is needed.
@@ -690,7 +603,12 @@ impl<'p> Engine<'p> {
             p,
             head,
         };
+        // A WHILE segment's first step is its continuation check, which
+        // runs through the same labeled access path (latencies, dependence
+        // tracking, overflow) as every statement; a failed check ends the
+        // segment in that same step.
         let more = exec.step(&mut ctx).map_err(SimError::Exec)?;
+        let exited = exec.exited();
         self.report.statements += 1;
         self.stmts_since_commit += 1;
         if self.stmts_since_commit > self.cfg.governor.livelock_statements {
@@ -702,6 +620,7 @@ impl<'p> Engine<'p> {
             let slot = self.slots[p].as_mut().expect("slot");
             if !more {
                 slot.done = true;
+                slot.term_pending = exited;
             }
             (slot.clock, slot.spec.len())
         };
@@ -709,7 +628,9 @@ impl<'p> Engine<'p> {
         self.report.spec_peak_occupancy = self.report.spec_peak_occupancy.max(occ);
         // Roll back segments flagged by violations during this statement
         // (squash requests are only ever set together with a violation, so
-        // an unchanged count means there is nothing to process).
+        // an unchanged count means there is nothing to process). A premature
+        // read squashes the reader itself, so a continuation check decided
+        // on a stale value is rolled back here and re-evaluated.
         if self.report.violations != violations_before {
             self.process_squashes(now)?;
         }
@@ -770,7 +691,6 @@ impl<'p> Engine<'p> {
             slot.squash_requested = false;
             slot.squash_not_before = 0;
             slot.overflow_poisoned = false;
-            slot.cond_checked = false;
             slot.term_pending = false;
             slot.restarts += 1;
             report.max_segment_restarts = report.max_segment_restarts.max(slot.restarts);

@@ -89,7 +89,7 @@ use crate::report::SimReport;
 use crate::run::{ExecMode, SimError};
 use crate::storage::{PrivateStore, SpecBuffer};
 use refidem_core::label::{IdemCategory, Label, Labeling};
-use refidem_ir::exec::{AnyExec, DataStore, SegmentExec};
+use refidem_ir::exec::{AnyExec, DataStore};
 use refidem_ir::ids::RefId;
 use refidem_ir::lowered::LoweredProc;
 use refidem_ir::memory::{Addr, Layout, Memory};
@@ -377,7 +377,7 @@ pub(crate) fn run_region(
 /// all on one executor that it restarts per segment.
 fn worker(shared: &Shared<'_>, ctx: &RegionCtx<'_>, p: usize) -> Result<(), SimError> {
     let mut private = PrivateStore::new(ctx.layout.total_words());
-    let mut exec = AnyExec::new(ctx.lowered, ctx.vars, ctx.layout, &ctx.region.body, &[]);
+    let mut exec = AnyExec::segment(ctx.lowered, ctx.vars, ctx.layout, ctx.region);
     loop {
         if shared.abort.load(SeqCst) {
             return Ok(());
@@ -397,7 +397,7 @@ fn worker(shared: &Shared<'_>, ctx: &RegionCtx<'_>, p: usize) -> Result<(), SimE
             return Err(SimError::Injected { segment: seg });
         }
         exec.restart(&[(ctx.region.index, ctx.iter_values[seg])]);
-        run_segment(shared, ctx, p, seg, &mut exec, &mut private)?;
+        run_segment(shared, p, seg, &mut exec, &mut private)?;
     }
 }
 
@@ -462,10 +462,11 @@ fn perturb_drain(shared: &Shared<'_>, seg: usize, spin: u64) {
 }
 
 /// Runs one claimed segment to commit (or to a cooperative abort exit),
-/// restarting attempts on squash bumps and overflow stalls.
+/// restarting attempts on squash bumps and overflow stalls. A WHILE
+/// segment's first step is its continuation check; a failed check ends the
+/// attempt's steps, and the in-order commit publishes the dynamic end.
 fn run_segment(
     shared: &Shared<'_>,
-    ctx: &RegionCtx<'_>,
     p: usize,
     seg: usize,
     exec: &mut AnyExec<'_>,
@@ -519,61 +520,7 @@ fn run_segment(
                 store.overflow = true;
             }
         }
-        // A WHILE region's continuation check: one statement unit before
-        // the body, through the same labeled store as every other
-        // statement. A false condition makes this segment the region's
-        // terminator: it executes no body statement and its in-order
-        // commit publishes the dynamic end.
-        let mut terminated = false;
-        if let Some(cond) = &ctx.region.while_cond {
-            let env = [(ctx.region.index, ctx.iter_values[seg])];
-            let value = SegmentExec::eval_expr(ctx.vars, ctx.layout, &env, cond, &mut store)
-                .map_err(SimError::Exec)?;
-            if shared.tallies.statements.fetch_add(1, Relaxed) + 1 > shared.cfg.max_statements {
-                return Err(SimError::StatementBudgetExceeded);
-            }
-            seg_statements += 1;
-            if seg_statements > shared.cfg.governor.livelock_statements {
-                return Err(SimError::Livelock {
-                    statements: seg_statements,
-                });
-            }
-            if store.overflow {
-                // Tracked condition reads can overflow a non-head buffer:
-                // same discard-and-stall-until-head path as a body
-                // overflow.
-                restarts += 1;
-                note_overflow(shared, seg, restarts)?;
-                discard_attempt(shared, p, seg);
-                let mut spin: u64 = 0;
-                loop {
-                    if shared.abort.load(SeqCst) {
-                        return Ok(());
-                    }
-                    if past_termination(shared, seg) {
-                        drop_past_termination(shared, p, seg);
-                        return Ok(());
-                    }
-                    if shared.head.load(SeqCst) == seg {
-                        break;
-                    }
-                    if perturb {
-                        spin += 1;
-                        perturb_drain(shared, seg, spin);
-                    }
-                    std::thread::yield_now();
-                }
-                continue 'attempt;
-            }
-            terminated = value == 0.0;
-        }
-        // `terminated` is fixed for the rest of the attempt by design — a
-        // terminated WHILE segment executes zero body statements, and a
-        // live one steps until the bytecode reports completion (`!more`)
-        // or the attempt is squashed/aborted. The loop exits via those
-        // breaks, not by re-evaluating the condition.
-        #[allow(clippy::while_immutable_condition)]
-        while !terminated {
+        loop {
             if shared.abort.load(SeqCst) {
                 return Ok(());
             }
@@ -690,7 +637,7 @@ fn run_segment(
         if perturb && shared.cfg.faults.perturb(PerturbEdge::Commit, seg, 0) {
             std::thread::yield_now();
         }
-        commit(shared, p, seg, terminated);
+        commit(shared, p, seg, exec.exited());
         return Ok(());
     }
 }

@@ -25,6 +25,7 @@ use crate::report::{ProgramReport, SimReport, SpeedupComparison};
 use refidem_core::label::{LabeledProgram, LabeledRegion};
 use refidem_ir::cache::Tally;
 use refidem_ir::exec::{AnyExec, CountingStore, DataStore, DynCounts, ExecError, PlainStore};
+use refidem_ir::expr::Expr;
 use refidem_ir::ids::{RefId, VarId};
 use refidem_ir::lowered::{ExecBackend, LowerKey, LowerUnit, LoweredProc};
 use refidem_ir::memory::{Addr, Layout, Memory};
@@ -405,23 +406,28 @@ impl<'a> Schedule<'a> {
     }
 
     /// The one backend dispatch of a run: the compiled form of `key`'s
-    /// unit (`stmts`, lowered under `index_ranges`), looked up in the
-    /// config's cache and counted in `tally`, or `None` to tree-walk under
-    /// the oracle backend. The caller holds the compiled form while
-    /// executors borrow it.
+    /// unit (`stmts` behind an optional WHILE `guard`, lowered under
+    /// `index_ranges`), looked up in the config's cache and counted in
+    /// `tally`, or `None` to tree-walk under the oracle backend. The caller
+    /// holds the compiled form while executors borrow it.
     fn compiled(
         &self,
         key: LowerKey,
+        guard: Option<&Expr>,
         stmts: &[Stmt],
         index_ranges: &[(VarId, (i64, i64))],
         tally: &mut Tally,
     ) -> Option<Arc<LoweredProc>> {
         match self.cfg.backend {
             ExecBackend::Compiled => {
-                let lookup =
-                    self.cfg
-                        .cache
-                        .compile(key, &self.proc.vars, &self.layout, stmts, index_ranges);
+                let lookup = self.cfg.cache.compile(
+                    key,
+                    &self.proc.vars,
+                    &self.layout,
+                    guard,
+                    stmts,
+                    index_ranges,
+                );
                 tally.count(&lookup);
                 Some(lookup.value)
             }
@@ -440,7 +446,7 @@ impl<'a> Schedule<'a> {
         budget: usize,
         tally: &mut Tally,
     ) -> Result<usize, SimError> {
-        let compiled = self.compiled(key, stmts, &[], tally);
+        let compiled = self.compiled(key, None, stmts, &[], tally);
         let mut exec = AnyExec::new(
             compiled.as_deref(),
             &self.proc.vars,
@@ -550,7 +556,8 @@ impl<'a> Schedule<'a> {
                 _ => Vec::new(),
             };
             let key = LowerKey::new(self.proc, self.label(i), LowerUnit::RegionBody);
-            let lowered = self.compiled(key, &region.body, &index_ranges, &mut region_tally);
+            let guard = region.while_cond.as_ref();
+            let lowered = self.compiled(key, guard, &region.body, &index_ranges, &mut region_tally);
             let segments = iter_values.len();
             if snapshot_armed {
                 snapshot.copy_from(&memory);

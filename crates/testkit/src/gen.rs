@@ -884,8 +884,7 @@ pub const GIANT_BLOCK_LABEL: &str = "GIANT";
 /// sized on demand. The seed only varies which scalars each statement
 /// reads and writes (the dependence tangle), never the site count, so the
 /// block is a stable unit for benchmarking the pairwise dependence-test
-/// pruning on bodies big enough to cross
-/// [`SHARD_SITE_THRESHOLD`](refidem_analysis::depend::SHARD_SITE_THRESHOLD).
+/// pruning on bodies of hundreds of sites.
 /// Equal `(seed, stmts)` produce byte-identical programs.
 pub fn giant_block(seed: u64, stmts: usize) -> (Program, RegionSpec) {
     let mut rng = Rng::new(seed);

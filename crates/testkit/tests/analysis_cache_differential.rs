@@ -1,17 +1,14 @@
 //! Differential tests of the analyze-once tier: the [`AnalysisCache`]
 //! must hand back labelings bit-identical to a direct `label_program`
 //! across every named benchmark loop (irregular and WHILE conservative
-//! fallbacks included), never evict at its default capacity, and the
-//! sharded pairwise dependence worklist must be byte-deterministic at any
-//! worker count. (The generated-program corpus runs the same
+//! fallbacks included) and on the synthetic giant block, and never evict
+//! at its default capacity. (The generated-program corpus runs the same
 //! cached-vs-fresh check inside the differential runner itself — see
 //! `refidem_testkit::diff`.)
 
-use refidem_analysis::depend::{DependenceSet, SHARD_SITE_THRESHOLD};
 use refidem_benchmarks::all_named_loops;
 use refidem_core::cache::AnalysisCache;
 use refidem_core::label::label_program_region;
-use refidem_ir::sites::RefTable;
 use refidem_specsim::{simulate_region, ExecMode, SimConfig};
 use refidem_testkit::{giant_block, GIANT_BLOCK_LABEL};
 
@@ -96,34 +93,18 @@ fn cached_simulation_is_bit_identical_to_fresh_labeling_per_benchmark() {
 }
 
 #[test]
-fn giant_block_dependence_analysis_is_deterministic_across_jobs() {
-    // The synthetic giant block crosses the sharding threshold, so worker
-    // counts above 1 exercise the sharded distinct-pair worklist with its
-    // ordered merge. Labelings — and the dependence sets beneath them —
-    // must be byte-identical at every worker count.
+fn giant_block_cached_labeling_matches_fresh() {
+    // The synthetic giant block: through the full labeling pipeline the
+    // cached path must agree with a fresh labeling, dependence sets
+    // included.
     let (program, spec) = giant_block(0x9e3779b9, 128);
     assert_eq!(spec.loop_label, GIANT_BLOCK_LABEL);
-    let proc = program.procedure(spec.proc);
-    let (_, region, _) = proc
-        .split_at_loop(&spec.loop_label)
-        .expect("giant block region is a top-level loop");
-    let table = RefTable::collect(&region.body);
-    assert!(
-        table.len() > SHARD_SITE_THRESHOLD,
-        "giant block must cross the shard threshold ({} sites)",
-        table.len()
-    );
-    let serial = DependenceSet::analyze_with_jobs(&proc.vars, region, &table, 1);
-    for jobs in [2, 4, 8] {
-        let sharded = DependenceSet::analyze_with_jobs(&proc.vars, region, &table, jobs);
-        assert_eq!(serial, sharded, "jobs={jobs} diverged from jobs=1");
-    }
-    // And through the full labeling pipeline the cached path agrees too.
     let cache = AnalysisCache::fresh();
     let lookup = cache.label_region_cached(&program, &spec).expect("labels");
     let fresh = label_program_region(&program, &spec).expect("labels");
     assert_eq!(lookup.region.labeling, fresh.labeling);
     assert_eq!(lookup.region.analysis.deps, fresh.analysis.deps);
+    assert!(!fresh.analysis.deps.is_empty());
 }
 
 #[test]

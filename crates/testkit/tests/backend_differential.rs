@@ -11,13 +11,15 @@
 //! sweep executor (a failing seed's assertion panic propagates out of the
 //! pool with the seed's identity in the message).
 
-use refidem_benchmarks::all_named_loops;
+use refidem_benchmarks::{all_benchmarks, all_named_loops};
 use refidem_core::label::label_program;
-use refidem_ir::exec::{AnyExec, CountingStore, DynCounts, PlainStore, SeqInterp};
-use refidem_ir::ids::ProcId;
-use refidem_ir::lowered::{fused::fuse, lower, LoweredProc};
+use refidem_ir::affine::AffineExpr;
+use refidem_ir::exec::{AnyExec, CountingStore, DynCounts, PlainStore, SeqInterp, TraceEvent};
+use refidem_ir::ids::{ProcId, VarId};
+use refidem_ir::lowered::{fused::fuse, lower, LowerKey, LowerUnit, LoweredCache, LoweredProc};
 use refidem_ir::memory::{Layout, Memory};
-use refidem_ir::program::Program;
+use refidem_ir::program::{Procedure, Program};
+use refidem_ir::stmt::{LoopStmt, Stmt};
 use refidem_specsim::sweep::{SweepExec, SweepPlan};
 use refidem_specsim::{initial_memory, simulate_program, ExecMode, ProgramReport, SimConfig};
 use refidem_testkit::{generate, CAPACITY_LADDER};
@@ -27,6 +29,13 @@ const SUITE_SEEDS: u64 = 1024;
 /// Bit-exact trace fingerprint: `(site, access, addr, value bits)` per
 /// dynamic access.
 type TraceKey = Vec<(u32, bool, u64, u64)>;
+
+/// The fingerprint of a recorded trace.
+fn trace_key(trace: &[TraceEvent]) -> TraceKey {
+    let write = |e: &TraceEvent| e.access == refidem_ir::sites::AccessKind::Write;
+    let key = |e: &TraceEvent| (e.site.0, write(e), e.addr.0, e.value.to_bits());
+    trace.iter().map(key).collect()
+}
 
 /// Runs procedure 0 sequentially on `compiled` (its body's compiled form)
 /// or, for `None`, on the tree-walking oracle, with tracing and counting
@@ -43,19 +52,7 @@ fn run_sequential_traced(
     let mut exec = AnyExec::new(compiled, &proc.vars, &layout, &proc.body, &[]);
     exec.run(&mut store, 200_000_000).expect("runs");
     let steps = exec.steps();
-    let trace = store
-        .inner
-        .trace
-        .iter()
-        .map(|e| {
-            (
-                e.site.0,
-                e.access == refidem_ir::sites::AccessKind::Write,
-                e.addr.0,
-                e.value.to_bits(),
-            )
-        })
-        .collect();
+    let trace = trace_key(&store.inner.trace);
     let counts = store.counts.clone();
     let words: Vec<u64> = (0..layout.total_words())
         .map(|a| memory.load(refidem_ir::memory::Addr(a)).to_bits())
@@ -255,4 +252,104 @@ fn fused_backend_under_threads_runtime_is_byte_exact() {
             );
         }
     }
+}
+
+/// What one segment run did: its trace fingerprint, `steps()`, `exited()`
+/// and the number of `step` calls.
+type SegmentRun = (TraceKey, usize, bool, usize);
+
+/// Restarts `exec` at region index value `value` and steps it to
+/// completion against `memory`.
+fn run_segment(exec: &mut AnyExec, index: VarId, value: i64, memory: &mut Memory) -> SegmentRun {
+    exec.restart(&[(index, value)]);
+    assert!(!exec.exited(), "restart clears exited");
+    let mut store = PlainStore::tracing(memory);
+    let mut calls = 1;
+    while exec.step(&mut store).expect("runs") {
+        calls += 1;
+    }
+    (trace_key(&store.trace), exec.steps(), exec.exited(), calls)
+}
+
+/// Checks every segment of WHILE region `region`, top-level statement `at`
+/// of `proc`, on the tree-walk `AnyExec::segment` and on the plain and
+/// fused compiled forms of its `RegionBody` unit: segments in order, each
+/// against the memory the previous one left. Returns (segments, exits).
+fn check_while_segments(proc: &Procedure, at: usize, region: &LoopStmt) -> (usize, usize) {
+    let (vars, layout) = (&proc.vars, Layout::new(&proc.vars));
+    let label = region.label.as_deref().expect("regions are labeled");
+    let bound = |e: &AffineExpr| e.substitute_params(&|v| vars.param_value(v)).constant;
+    let (lo, hi) = (bound(&region.lower), bound(&region.upper));
+    let trips = LoopStmt::trip_count(lo, hi, region.step);
+    let ranges = [(region.index, (lo.min(hi), lo.max(hi)))];
+    // The runtimes run the `RegionBody` entry, `fuse` over the plain form;
+    // the same inputs under a unit that does not fuse give the plain form.
+    let cache = LoweredCache::fresh();
+    let compile = |unit| {
+        let (key, guard) = (LowerKey::new(proc, label, unit), region.while_cond.as_ref());
+        cache
+            .compile(key, vars, &layout, guard, &region.body, &ranges)
+            .value
+    };
+    assert!(!LowerUnit::Prologue.fuses());
+    let (plain, fused) = (compile(LowerUnit::Prologue), compile(LowerUnit::RegionBody));
+    assert_eq!(fused.disasm(), fuse(&plain).disasm(), "{label}");
+    let mut execs = [
+        AnyExec::segment(None, vars, &layout, region),
+        AnyExec::segment(Some(&plain), vars, &layout, region),
+        AnyExec::segment(Some(&fused), vars, &layout, region),
+    ];
+    let mut memory = initial_memory(proc);
+    AnyExec::new(None, vars, &layout, &proc.body[..at], &[])
+        .run(&mut PlainStore::new(&mut memory), 200_000_000)
+        .expect("the statements before the region run");
+    let mut exits = 0;
+    for value in (0..trips).map(|t| lo + t as i64 * region.step) {
+        let mut next = memory.clone();
+        let tree = run_segment(&mut execs[0], region.index, value, &mut next);
+        for exec in &mut execs {
+            let run = run_segment(exec, region.index, value, &mut memory.clone());
+            assert_eq!(run, tree, "{label} segment {value}");
+        }
+        let (trace, steps, exited, calls) = &tree;
+        assert!(*steps >= 1, "{label} segment {value}: the check is a unit");
+        if *exited {
+            // A failed check only reads and ends the segment in one `step`;
+            // the restarts above re-armed it and ran it again.
+            exits += 1;
+            assert_eq!((*calls, *steps), (1, 1), "{label} segment {value}");
+            assert!(trace.iter().all(|e| !e.1), "{label} segment {value}");
+        }
+        memory = next;
+    }
+    (trips, exits)
+}
+
+/// The segment contract of WHILE regions on every backend: each segment of
+/// every corpus WHILE region and of IRREG's runs its continuation check as
+/// its first unit, with identical traces, `steps()` and `exited()` on the
+/// tree-walk and both compiled forms.
+#[test]
+fn while_segments_run_their_check_first_on_every_backend() {
+    let irreg = all_benchmarks().into_iter().find(|b| b.name == "IRREG");
+    let programs = (0..SUITE_SEEDS)
+        .map(|seed| generate(seed).program)
+        .chain([irreg.expect("IRREG").program]);
+    let (mut regions, mut segments, mut exits) = (0, 0, 0);
+    for program in programs {
+        let proc = &program.procedures[0];
+        for (at, stmt) in proc.body.iter().enumerate() {
+            if let Stmt::Loop(l) = stmt {
+                if l.label.is_some() && l.while_cond.is_some() {
+                    let (n, e) = check_while_segments(proc, at, l);
+                    (regions, segments, exits) = (regions + 1, segments + n, exits + e);
+                }
+            }
+        }
+    }
+    assert!(regions > 200, "only {regions} WHILE regions");
+    assert!(
+        0 < exits && exits < segments,
+        "{exits} of {segments} exited"
+    );
 }
