@@ -1,15 +1,22 @@
-//! Golden snapshot of the fused superinstruction stream for the FPPPP
-//! `TWLDRV_DO100` giant block — the tentpole workload of the fused
-//! execution tier. Any change to the fuse pipeline (peeling, register
-//! rewrite, superinstruction merging, advance-and-load) shows up as a
-//! readable instruction-stream diff rather than a bare perf delta.
+//! Golden snapshots of the fused superinstruction stream: the head of the
+//! FPPPP `TWLDRV_DO100` giant block — the tentpole workload of the fused
+//! execution tier — as readable disassembly, and a digest of every compiled
+//! unit of the differential corpus and the benchmark suite. Any change to
+//! the fuse pipeline (peeling, register rewrite, superinstruction merging,
+//! advance-and-load) shows up as an instruction-stream diff rather than a
+//! bare perf delta.
 //!
 //! To regenerate after an intentional fuse-pipeline change:
 //! `cargo test --test golden_fused_stream -- --ignored --nocapture print_golden`
-//! and paste the printed block over the constant below.
+//! and paste the printed blocks over the constants below.
 
-use refidem::ir::lowered::{fused::fuse, lower};
+use refidem::ir::affine::AffineExpr;
+use refidem::ir::expr::Expr;
+use refidem::ir::ids::VarId;
+use refidem::ir::lowered::{fused::fuse, lower, LowerKey, LowerUnit, LoweredCache};
 use refidem::ir::memory::Layout;
+use refidem::ir::program::{Procedure, Program};
+use refidem::ir::stmt::{LoopStmt, Stmt};
 use refidem_benchmarks::suite::fpppp;
 
 /// Lines of disassembly kept in the snapshot. The peeled giant block is
@@ -79,13 +86,129 @@ FPPPP TWLDRV_DO100: 537 insts (from 779 plain), 524 superinsts, 1 peeled loops, 
   ... 513 more instructions
 ";
 
+/// 64-bit FNV-1a, written out because `DefaultHasher`'s output may change
+/// between Rust releases.
+struct Fnv1a(u64);
+
+impl Fnv1a {
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.0 = (self.0 ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3);
+        }
+    }
+}
+
+/// Totals over a run of compiled units, plus the digest of their
+/// disassembly in compile order.
+struct StreamDigest {
+    units: usize,
+    insts: usize,
+    superinsts: usize,
+    fnv: Fnv1a,
+}
+
+impl StreamDigest {
+    /// Compiles one unit through a fresh cache, as the runtimes do, and
+    /// folds its disassembly into the digest.
+    fn add(
+        &mut self,
+        proc: &Procedure,
+        key: LowerKey,
+        guard: Option<&Expr>,
+        stmts: &[Stmt],
+        ranges: &[(VarId, (i64, i64))],
+    ) {
+        let layout = Layout::new(&proc.vars);
+        let compiled = LoweredCache::fresh()
+            .compile(key, &proc.vars, &layout, guard, stmts, ranges)
+            .value;
+        self.units += 1;
+        self.insts += compiled.inst_count();
+        self.superinsts += compiled.superinst_count();
+        self.fnv.write(compiled.disasm().as_bytes());
+    }
+
+    /// Every unit of `program` that fuses: each procedure whole, and each
+    /// labeled top-level loop as a region body (behind its WHILE guard,
+    /// under its index range) and as a region loop.
+    fn add_program(&mut self, program: &Program) {
+        for proc in &program.procedures {
+            let whole = LowerKey::new(proc, "", LowerUnit::WholeProcedure);
+            self.add(proc, whole, None, &proc.body, &[]);
+            for stmt in &proc.body {
+                let Stmt::Loop(
+                    l @ LoopStmt {
+                        label: Some(label), ..
+                    },
+                ) = stmt
+                else {
+                    continue;
+                };
+                let body = LowerKey::new(proc, label.as_str(), LowerUnit::RegionBody);
+                let guard = l.while_cond.as_ref();
+                self.add(proc, body, guard, &l.body, &region_range(proc, l));
+                let region = LowerKey::new(proc, label.as_str(), LowerUnit::RegionLoop);
+                self.add(proc, region, None, std::slice::from_ref(stmt), &[]);
+            }
+        }
+    }
+}
+
+/// The interval of a region loop's index values, which the simulator lowers
+/// the region body under; none for non-constant bounds or an empty loop.
+fn region_range(proc: &Procedure, l: &LoopStmt) -> Vec<(VarId, (i64, i64))> {
+    let bound = |e: &AffineExpr| {
+        let e = e.substitute_params(&|v| proc.vars.param_value(v));
+        e.is_constant().then_some(e.constant)
+    };
+    let (Some(lo), Some(hi)) = (bound(&l.lower), bound(&l.upper)) else {
+        return Vec::new();
+    };
+    match LoopStmt::trip_count(lo, hi, l.step) {
+        0 => Vec::new(),
+        trips => {
+            let last = lo + (trips as i64 - 1) * l.step;
+            vec![(l.index, (lo.min(last), lo.max(last)))]
+        }
+    }
+}
+
+/// Digests the compiled units of corpus seeds `0..1024` and the benchmark
+/// suite into one line.
+fn render_corpus_digest() -> String {
+    let mut d = StreamDigest {
+        units: 0,
+        insts: 0,
+        superinsts: 0,
+        fnv: Fnv1a(0xcbf2_9ce4_8422_2325),
+    };
+    for seed in 0..1024 {
+        d.add_program(&refidem_testkit::generate(seed).program);
+    }
+    for bench in refidem_benchmarks::all_benchmarks() {
+        d.add_program(&bench.program);
+    }
+    format!(
+        "units={} insts={} superinsts={} fnv1a={:016x}",
+        d.units, d.insts, d.superinsts, d.fnv.0
+    )
+}
+
+const GOLDEN_CORPUS_DIGEST: &str = "units=4126 insts=95160 superinsts=29144 fnv1a=9d35a4c91b57cfaa";
+
 #[test]
 #[ignore = "prints the current golden for regeneration"]
 fn print_golden() {
     println!("=== twldrv fused stream ===\n{}", render_fused_stream());
+    println!("=== corpus digest ===\n{}", render_corpus_digest());
 }
 
 #[test]
 fn twldrv_fused_stream_matches_golden() {
     assert_eq!(render_fused_stream(), GOLDEN_TWLDRV_FUSED_STREAM);
+}
+
+#[test]
+fn corpus_fused_streams_match_golden() {
+    assert_eq!(render_corpus_digest(), GOLDEN_CORPUS_DIGEST);
 }
