@@ -111,8 +111,9 @@ pub struct DependenceSet {
 
 /// The shared body of a [`DependenceSet`]. Both indexes are CSR arrays over
 /// a dense `RefId` range starting at `base`: the dependences into reference
-/// `base + k` are `deps[by_sink.items[by_sink.offsets[k]..by_sink.offsets[k
-/// + 1]]]`, in emission order, and likewise out of it through `by_source`.
+/// `base + k` are
+/// `deps[by_sink.items[by_sink.offsets[k]..by_sink.offsets[k + 1]]]`, in
+/// emission order, and likewise out of it through `by_source`.
 #[derive(Default)]
 struct DepTable {
     deps: Vec<Dependence>,

@@ -1,5 +1,5 @@
 //! Benchmarks of the fused execution tier (superinstructions,
-//! stack-to-register allocation, constant-trip loop peeling).
+//! advance-and-load, constant-trip loop peeling).
 //!
 //! * `fused_tier_twldrv/*` — the three-tier ladder on the dispatch-bound
 //!   FPPPP `TWLDRV_DO100` giant block: tree-walking oracle, plain `lower`

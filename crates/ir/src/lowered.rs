@@ -11,7 +11,8 @@
 //! This module compiles a statement list **once** into a flat instruction
 //! array:
 //!
-//! * expression trees are flattened to postfix stack operations,
+//! * expression trees are flattened to register operations, each value
+//!   in the register at its depth of the expression's evaluation stack,
 //! * affine subscripts are pre-resolved against the [`Layout`] into
 //!   `(base, Σ stride·index)` plans with compile-time parameter folding,
 //! * structured control flow (`IF`, `DO`) is jump-threaded into branch and
@@ -301,57 +302,16 @@ struct LoopPlan {
     pre_regs: Box<[u32]>,
 }
 
-/// One bytecode instruction. `Store`, `Branch`, `WhileBranch`, `Guard` and
-/// `LoopEnter` terminate a statement unit (one `step`); `Jump` and
-/// `LoopBack` are free control transfers executed between units; the
-/// remaining instructions are postfix expression operations on the value
-/// stack.
+/// One bytecode instruction over the value registers `stack[..]`. An
+/// expression's value lands in the register at its depth of the
+/// expression's evaluation stack, which is empty at every unit boundary,
+/// so registers are fixed at compile time and the executor keeps no stack
+/// pointer. `RStore`, `RBranch`, `RWhileBranch`, `RGuard` and `LoopEnter`
+/// terminate a statement unit (one `step`), as do the fused forms that
+/// replace them; `Jump` and `LoopBack` are free control transfers executed
+/// between units.
 #[derive(Clone, Copy, Debug)]
 enum Inst {
-    /// Push a constant.
-    Const(f64),
-    /// Push the value of an index variable (unbound → error).
-    Index(u32),
-    /// Compute the address of reference plan `.0` and push the loaded value.
-    Load(u32),
-    /// Negate the top of stack.
-    Neg,
-    /// Apply a binary operator to the top two stack values.
-    Bin(BinOp),
-    /// Apply a comparison to the top two stack values (pushes 1.0 / 0.0).
-    Cmp(CmpOp),
-    /// Pop the value, compute the address of reference plan `.0`, write.
-    /// Terminates the unit.
-    Store(u32),
-    /// Pop the condition; fall through when non-zero, jump to `.0`
-    /// otherwise. Terminates the unit.
-    Branch(u32),
-    /// Pop the WHILE continuation condition of loop plan `.0`; fall
-    /// through into the body when non-zero, pop the loop and jump to its
-    /// exit otherwise. Terminates the unit.
-    WhileBranch(u32),
-    /// Pop the segment's WHILE continuation check (the first unit of a
-    /// [`LowerUnit::RegionBody`]); fall through into the body when
-    /// non-zero, end the segment as exited otherwise. Terminates the unit.
-    Guard,
-    /// Evaluate the bounds of loop plan `.0`; enter the body or jump past
-    /// the loop when the trip count is zero. Terminates the unit.
-    LoopEnter(u32),
-    /// Unconditional jump (end of a taken `IF` branch).
-    Jump(u32),
-    /// Advance loop plan `.0`: rebind the index and jump to the body, or
-    /// pop the loop and fall out to its exit.
-    LoopBack(u32),
-    /// End of the statement list.
-    End,
-
-    // ----- fused-tier register-file forms (see [`fused`]) -------------
-    //
-    // The register rewrite replaces the dynamic stack pointer with fixed
-    // register indices: the depth of every stack slot is known at fuse
-    // time, so `stack[sp]` becomes `stack[dst]` and the executor never
-    // tracks `sp` for these forms. Semantics are otherwise identical to
-    // the postfix originals, including unit-termination behavior.
     /// `stack[dst] = v`.
     RConst { dst: u16, v: f64 },
     /// `stack[dst] = env[slot]` (unbound → error).
@@ -366,16 +326,30 @@ enum Inst {
     RCmp { op: CmpOp, dst: u16 },
     /// `store(refs[r], stack[src])`. Terminates the unit.
     RStore { r: u32, src: u16 },
-    /// Branch on `stack[src]` like [`Inst::Branch`]. Terminates the unit.
+    /// Fall through when `stack[src]` is non-zero, jump to `target`
+    /// otherwise. Terminates the unit.
     RBranch { target: u32, src: u16 },
-    /// WHILE continuation check on `stack[src]` for loop plan `l`, like
-    /// [`Inst::WhileBranch`]. Terminates the unit.
+    /// The WHILE continuation check of loop plan `l`: fall through into the
+    /// body when `stack[src]` is non-zero, pop the loop and jump to its
+    /// exit otherwise. Terminates the unit.
     RWhileBranch { l: u32, src: u16 },
-    /// Segment continuation check on `stack[src]`, like [`Inst::Guard`].
+    /// The segment's WHILE continuation check (the first unit of a
+    /// [`LowerUnit::RegionBody`]): fall through into the body when
+    /// `stack[src]` is non-zero, end the segment as exited otherwise.
     /// Terminates the unit.
     RGuard { src: u16 },
+    /// Evaluate the bounds of loop plan `.0`; enter the body or jump past
+    /// the loop when the trip count is zero. Terminates the unit.
+    LoopEnter(u32),
+    /// Unconditional jump (end of a taken `IF` branch).
+    Jump(u32),
+    /// Advance loop plan `.0`: rebind the index and jump to the body, or
+    /// pop the loop and fall out to its exit.
+    LoopBack(u32),
+    /// End of the statement list.
+    End,
 
-    // ----- fused-tier superinstructions -------------------------------
+    // ----- fused-tier superinstructions (see [`fused`]) ---------------
     /// `stack[dst] = stack[dst] op load(refs[r])`.
     RLoadBin { r: u32, op: BinOp, dst: u16 },
     /// `stack[dst] = stack[dst] op v`.
@@ -444,8 +418,8 @@ enum Inst {
 }
 
 /// Applies a binary operator with the simulator's division-by-zero
-/// convention. Shared by the postfix [`Inst::Bin`] and every fused
-/// superinstruction so merged ops cannot drift semantically.
+/// convention. Shared by [`Inst::RBin`] and every fused superinstruction
+/// so merged ops cannot drift semantically.
 #[inline]
 fn apply_bin(op: BinOp, x: f64, y: f64) -> f64 {
     match op {
@@ -477,8 +451,9 @@ pub struct LoweredProc {
     /// Strength-reduced induction address registers (see [`AddrRegPlan`]).
     addr_regs: Vec<AddrRegPlan>,
     env_len: usize,
-    /// Maximum value-stack depth any statement unit can reach (computed at
-    /// compile time so the executor allocates the stack exactly once).
+    /// Number of value registers: the deepest any statement unit's
+    /// evaluation stack grows (computed at compile time so the executor
+    /// allocates the registers exactly once).
     max_stack: usize,
     /// Maximum loop-nesting depth.
     max_loops: usize,
@@ -531,26 +506,6 @@ impl LoweredProc {
             .count()
     }
 
-    /// True when the value stack was rewritten into fixed register-file
-    /// form (no dynamic push/pop traffic remains).
-    pub fn is_register_form(&self) -> bool {
-        !self.insts.iter().any(|i| {
-            matches!(
-                i,
-                Inst::Const(_)
-                    | Inst::Index(_)
-                    | Inst::Load(_)
-                    | Inst::Neg
-                    | Inst::Bin(_)
-                    | Inst::Cmp(_)
-                    | Inst::Store(_)
-                    | Inst::Branch(_)
-                    | Inst::WhileBranch(_)
-                    | Inst::Guard
-            )
-        })
-    }
-
     /// Renders the instruction stream as one mnemonic per line, reference
     /// operands annotated with their plan kind — the introspection surface
     /// behind the fused-tier golden snapshot and the fallback assertions.
@@ -566,16 +521,6 @@ impl LoweredProc {
         let mut out = String::new();
         for (pc, inst) in self.insts.iter().enumerate() {
             let line = match *inst {
-                Inst::Const(v) => format!("const {v}"),
-                Inst::Index(slot) => format!("index #{slot}"),
-                Inst::Load(r) => format!("load {}", kind(r)),
-                Inst::Neg => "neg".to_string(),
-                Inst::Bin(op) => format!("bin {op:?}"),
-                Inst::Cmp(op) => format!("cmp {op:?}"),
-                Inst::Store(r) => format!("store {}", kind(r)),
-                Inst::Branch(t) => format!("branch ->{t}"),
-                Inst::WhileBranch(l) => format!("whilebranch loop{l}"),
-                Inst::Guard => "guard".to_string(),
                 Inst::LoopEnter(l) => format!("loopenter loop{l}"),
                 Inst::Jump(t) => format!("jump ->{t}"),
                 Inst::LoopBack(l) => format!("loopback loop{l}"),
@@ -683,7 +628,9 @@ struct Lowerer<'p> {
     /// lowering point (entered loops plus caller-supplied initial ranges);
     /// powers the in-bounds proofs behind [`RefPlan::Fused`].
     ranges: Vec<Option<(i64, i64)>>,
-    stack_depth: usize,
+    /// Depth of the current statement unit's evaluation stack: the
+    /// register the next value lands in.
+    depth: usize,
     max_stack: usize,
     max_loops: usize,
 }
@@ -768,46 +715,56 @@ impl Lowerer<'_> {
         Some(RefPlan::Induction { site, reg })
     }
 
-    fn push_depth(&mut self) {
-        self.stack_depth += 1;
-        self.max_stack = self.max_stack.max(self.stack_depth);
-    }
-
-    fn emit_expr(&mut self, e: &Expr) {
-        match e {
-            Expr::Const(c) => {
-                self.insts.push(Inst::Const(*c));
-                self.push_depth();
-            }
-            Expr::Index(v) => {
-                match self.vars.param_value(*v) {
-                    Some(value) => self.insts.push(Inst::Const(value as f64)),
-                    None => self.insts.push(Inst::Index(v.index() as u32)),
-                }
-                self.push_depth();
-            }
-            Expr::Load(r) => {
-                let idx = self.add_ref(r);
-                self.insts.push(Inst::Load(idx));
-                self.push_depth();
-            }
+    /// Emits `e` so that its value lands in the register at the current
+    /// depth, and returns that register. Operands go to the registers
+    /// above it, left to right.
+    fn emit_expr(&mut self, e: &Expr) -> u16 {
+        let dst =
+            u16::try_from(self.depth).expect("expression needs more than 65536 value registers");
+        let inst = match e {
+            Expr::Const(c) => Inst::RConst { dst, v: *c },
+            Expr::Index(v) => match self.vars.param_value(*v) {
+                Some(value) => Inst::RConst {
+                    dst,
+                    v: value as f64,
+                },
+                None => Inst::RIndex {
+                    dst,
+                    slot: v.index() as u32,
+                },
+            },
+            Expr::Load(r) => Inst::RLoad {
+                dst,
+                r: self.add_ref(r),
+            },
             Expr::Neg(a) => {
                 self.emit_expr(a);
-                self.insts.push(Inst::Neg);
+                Inst::RNeg { dst }
             }
             Expr::Bin(op, a, b) => {
                 self.emit_expr(a);
                 self.emit_expr(b);
-                self.insts.push(Inst::Bin(*op));
-                self.stack_depth -= 1;
+                Inst::RBin { op: *op, dst }
             }
             Expr::Cmp(op, a, b) => {
                 self.emit_expr(a);
                 self.emit_expr(b);
-                self.insts.push(Inst::Cmp(*op));
-                self.stack_depth -= 1;
+                Inst::RCmp { op: *op, dst }
             }
-        }
+        };
+        self.insts.push(inst);
+        // The value now occupies `dst`; its operands' registers are free.
+        self.depth = usize::from(dst) + 1;
+        self.max_stack = self.max_stack.max(self.depth);
+        dst
+    }
+
+    /// Emits the operand of a statement unit and returns its register; the
+    /// instruction that ends the unit consumes it, leaving the stack empty.
+    fn emit_operand(&mut self, e: &Expr) -> u16 {
+        let src = self.emit_expr(e);
+        self.depth -= 1;
+        src
     }
 
     fn emit_loop(&mut self, l: &LoopStmt) {
@@ -856,9 +813,8 @@ impl Lowerer<'_> {
             // The continuation check compiles to its own statement unit at
             // the top of the body; `plan.body` points here, so both the
             // first entry and every `LoopBack` re-run the check.
-            self.emit_expr(c);
-            self.insts.push(Inst::WhileBranch(loop_idx));
-            self.stack_depth -= 1;
+            let src = self.emit_operand(c);
+            self.insts.push(Inst::RWhileBranch { l: loop_idx, src });
         }
         self.emit_stmts(&l.body);
         self.insts.push(Inst::LoopBack(loop_idx));
@@ -872,32 +828,38 @@ impl Lowerer<'_> {
         plan.regs = ctx.regs.into_boxed_slice();
     }
 
+    /// Points the branch or jump at `at` to the next instruction emitted.
+    fn patch(&mut self, at: usize) {
+        let next = self.insts.len() as u32;
+        match &mut self.insts[at] {
+            Inst::RBranch { target, .. } | Inst::Jump(target) => *target = next,
+            other => unreachable!("patching {other:?}"),
+        }
+    }
+
     fn emit_stmts(&mut self, stmts: &[Stmt]) {
         for stmt in stmts {
             match stmt {
                 Stmt::Assign(a) => {
-                    self.emit_expr(&a.rhs);
-                    let idx = self.add_ref(&a.lhs);
-                    self.insts.push(Inst::Store(idx));
-                    self.stack_depth -= 1;
+                    // Right-hand side references are allocated before the
+                    // left-hand side's: the `RefPlan` order `disasm` shows.
+                    let src = self.emit_operand(&a.rhs);
+                    let r = self.add_ref(&a.lhs);
+                    self.insts.push(Inst::RStore { r, src });
                 }
                 Stmt::If(i) => {
-                    self.emit_expr(&i.cond);
+                    let src = self.emit_operand(&i.cond);
                     let branch_at = self.insts.len();
-                    self.insts.push(Inst::Branch(0));
-                    self.stack_depth -= 1;
+                    self.insts.push(Inst::RBranch { target: 0, src });
                     self.emit_stmts(&i.then_branch);
                     if i.else_branch.is_empty() {
-                        let end = self.insts.len() as u32;
-                        self.insts[branch_at] = Inst::Branch(end);
+                        self.patch(branch_at);
                     } else {
                         let jump_at = self.insts.len();
                         self.insts.push(Inst::Jump(0));
-                        let else_start = self.insts.len() as u32;
-                        self.insts[branch_at] = Inst::Branch(else_start);
+                        self.patch(branch_at);
                         self.emit_stmts(&i.else_branch);
-                        let end = self.insts.len() as u32;
-                        self.insts[jump_at] = Inst::Jump(end);
+                        self.patch(jump_at);
                     }
                 }
                 Stmt::Loop(l) => self.emit_loop(l),
@@ -946,18 +908,17 @@ fn lower_guarded(
         addr_regs: Vec::new(),
         loop_ctx: Vec::new(),
         ranges,
-        stack_depth: 0,
+        depth: 0,
         max_stack: 0,
         max_loops: 0,
     };
     if let Some(c) = guard {
-        lw.emit_expr(c);
-        lw.insts.push(Inst::Guard);
-        lw.stack_depth -= 1;
+        let src = lw.emit_operand(c);
+        lw.insts.push(Inst::RGuard { src });
     }
     lw.emit_stmts(stmts);
     lw.insts.push(Inst::End);
-    debug_assert_eq!(lw.stack_depth, 0, "every unit leaves the stack empty");
+    debug_assert_eq!(lw.depth, 0, "every unit leaves the stack empty");
     debug_assert!(lw.loop_ctx.is_empty(), "loop contexts balanced");
     LoweredProc {
         insts: lw.insts,
@@ -1318,10 +1279,8 @@ impl<'p> LoweredSegmentExec<'p> {
             env: vec![0; prog.env_len],
             bound: vec![false; prog.env_len],
             loop_stack: Vec::with_capacity(prog.max_loops),
-            // Fixed-size scratch: the compiler knows the deepest stack any
-            // statement unit can reach, and the stack is empty between
-            // units, so the executor indexes with a local stack pointer
-            // instead of growing/shrinking a Vec per operation.
+            // Fixed-size scratch: every instruction names its registers,
+            // and the compiler knows how many any statement unit uses.
             stack: vec![0.0; prog.max_stack],
             ind_addrs: vec![0; prog.addr_regs.len()],
             pc: 0,
@@ -1369,21 +1328,6 @@ impl<'p> LoweredSegmentExec<'p> {
     /// (see [`SegmentExec::exited`](crate::exec::SegmentExec::exited)).
     pub fn exited(&self) -> bool {
         self.exited
-    }
-
-    /// Retires the segment's continuation check on `cond` at `pc`: falls
-    /// through into the body when it holds, otherwise ends the segment as
-    /// exited. Returns whether more work remains.
-    #[inline]
-    fn guard(&mut self, cond: f64, pc: usize) -> bool {
-        self.steps += 1;
-        self.exited = cond == 0.0;
-        self.pc = if self.exited {
-            self.prog.insts.len() - 1
-        } else {
-            pc + 1
-        };
-        !self.exited
     }
 
     /// Resolves the address of a reference plan, performing any indirect
@@ -1443,8 +1387,7 @@ impl<'p> LoweredSegmentExec<'p> {
     }
 
     /// Reads reference `r` through the store, pinning `pc` on error so the
-    /// failing unit can be identified (same contract as the inline
-    /// [`Inst::Load`] handling).
+    /// failing unit can be identified.
     #[inline]
     fn read_ref(
         &mut self,
@@ -1463,7 +1406,7 @@ impl<'p> LoweredSegmentExec<'p> {
     }
 
     /// Writes `value` to reference `r` through the store, pinning `pc` on
-    /// error (same contract as the inline [`Inst::Store`] handling).
+    /// error (same contract as [`Self::read_ref`]).
     #[inline]
     fn write_ref(
         &mut self,
@@ -1490,165 +1433,8 @@ impl<'p> LoweredSegmentExec<'p> {
     pub fn step(&mut self, store: &mut impl DataStore) -> Result<bool, ExecError> {
         let prog = self.prog;
         let mut pc = self.pc;
-        // The stack is empty at every unit boundary, so the stack pointer
-        // is local to one `step` call; `self.stack` is fixed-size scratch.
-        let mut sp = 0usize;
         loop {
             match prog.insts[pc] {
-                Inst::Const(c) => {
-                    self.stack[sp] = c;
-                    sp += 1;
-                    pc += 1;
-                }
-                Inst::Index(slot) => {
-                    let i = slot as usize;
-                    if !self.bound[i] {
-                        self.pc = pc;
-                        return Err(ExecError::UnboundVariable(VarId::from_index(i)));
-                    }
-                    self.stack[sp] = self.env[i] as f64;
-                    sp += 1;
-                    pc += 1;
-                }
-                Inst::Load(r) => {
-                    let plan = &prog.refs[r as usize];
-                    let addr = match self.addr_of(plan, store) {
-                        Ok(a) => a,
-                        Err(e) => {
-                            self.pc = pc;
-                            return Err(e);
-                        }
-                    };
-                    self.stack[sp] = store.read(plan.site(), addr);
-                    sp += 1;
-                    pc += 1;
-                }
-                Inst::Neg => {
-                    self.stack[sp - 1] = -self.stack[sp - 1];
-                    pc += 1;
-                }
-                Inst::Bin(op) => {
-                    let y = self.stack[sp - 1];
-                    let x = self.stack[sp - 2];
-                    self.stack[sp - 2] = apply_bin(op, x, y);
-                    sp -= 1;
-                    pc += 1;
-                }
-                Inst::Cmp(op) => {
-                    let y = self.stack[sp - 1];
-                    let x = self.stack[sp - 2];
-                    self.stack[sp - 2] = if op.apply(x, y) { 1.0 } else { 0.0 };
-                    sp -= 1;
-                    pc += 1;
-                }
-                Inst::Store(r) => {
-                    let value = self.stack[sp - 1];
-                    let plan = &prog.refs[r as usize];
-                    let addr = match self.addr_of(plan, store) {
-                        Ok(a) => a,
-                        Err(e) => {
-                            self.pc = pc;
-                            return Err(e);
-                        }
-                    };
-                    store.write(plan.site(), addr, value);
-                    self.pc = pc + 1;
-                    self.steps += 1;
-                    return Ok(true);
-                }
-                Inst::Branch(else_target) => {
-                    let cond = self.stack[sp - 1];
-                    self.pc = if cond != 0.0 {
-                        pc + 1
-                    } else {
-                        else_target as usize
-                    };
-                    self.steps += 1;
-                    return Ok(true);
-                }
-                Inst::LoopEnter(l) => {
-                    let plan = &prog.loops[l as usize];
-                    let bounds = plan
-                        .lower
-                        .eval(&self.env, &self.bound)
-                        .and_then(|lo| plan.upper.eval(&self.env, &self.bound).map(|hi| (lo, hi)));
-                    let (lower, upper) = match bounds {
-                        Ok(b) => b,
-                        Err(e) => {
-                            self.pc = pc;
-                            return Err(e);
-                        }
-                    };
-                    if LoopStmt::trip_count(lower, upper, plan.step) == 0 {
-                        self.pc = plan.exit as usize;
-                    } else {
-                        self.env[plan.index_slot as usize] = lower;
-                        self.bound[plan.index_slot as usize] = true;
-                        // Initialize this loop's induction address registers
-                        // from their closed form under the first-trip
-                        // environment (also what makes re-entry after a
-                        // roll-back `reset` safe).
-                        for &r in plan.regs.iter() {
-                            self.ind_addrs[r as usize] =
-                                prog.addr_regs[r as usize].closed.eval_bound(&self.env);
-                        }
-                        // In-body-advanced registers start one delta early
-                        // so the first `RAdvLoad` lands on the closed form.
-                        for &r in plan.pre_regs.iter() {
-                            let ar = &prog.addr_regs[r as usize];
-                            self.ind_addrs[r as usize] = ar.closed.eval_bound(&self.env) - ar.delta;
-                        }
-                        self.loop_stack.push(LoopState {
-                            current: lower,
-                            last: upper,
-                        });
-                        self.pc = plan.body as usize;
-                    }
-                    self.steps += 1;
-                    return Ok(true);
-                }
-                Inst::WhileBranch(l) => {
-                    let cond = self.stack[sp - 1];
-                    if cond != 0.0 {
-                        self.pc = pc + 1;
-                    } else {
-                        let plan = &prog.loops[l as usize];
-                        self.loop_stack.pop().expect("active loop");
-                        self.pc = plan.exit as usize;
-                    }
-                    self.steps += 1;
-                    return Ok(true);
-                }
-                Inst::Guard => return Ok(self.guard(self.stack[sp - 1], pc)),
-                Inst::Jump(target) => pc = target as usize,
-                Inst::LoopBack(l) => {
-                    let plan = &prog.loops[l as usize];
-                    let state = self.loop_stack.last_mut().expect("active loop");
-                    state.current += plan.step;
-                    let done = if plan.step > 0 {
-                        state.current > state.last
-                    } else {
-                        state.current < state.last
-                    };
-                    if done {
-                        self.loop_stack.pop();
-                        pc = plan.exit as usize;
-                    } else {
-                        self.env[plan.index_slot as usize] = state.current;
-                        // Advance the loop's induction address registers by
-                        // their per-trip constant.
-                        for &r in plan.regs.iter() {
-                            self.ind_addrs[r as usize] += prog.addr_regs[r as usize].delta;
-                        }
-                        pc = plan.body as usize;
-                    }
-                }
-                Inst::End => {
-                    self.pc = pc;
-                    return Ok(false);
-                }
-
-                // ----- fused-tier register-file forms ------------------
                 Inst::RConst { dst, v } => {
                     self.stack[dst as usize] = v;
                     pc += 1;
@@ -1709,7 +1495,84 @@ impl<'p> LoweredSegmentExec<'p> {
                     self.steps += 1;
                     return Ok(true);
                 }
-                Inst::RGuard { src } => return Ok(self.guard(self.stack[src as usize], pc)),
+                Inst::RGuard { src } => {
+                    self.steps += 1;
+                    self.exited = self.stack[src as usize] == 0.0;
+                    self.pc = if self.exited {
+                        prog.insts.len() - 1
+                    } else {
+                        pc + 1
+                    };
+                    return Ok(!self.exited);
+                }
+                Inst::LoopEnter(l) => {
+                    let plan = &prog.loops[l as usize];
+                    let bounds = plan
+                        .lower
+                        .eval(&self.env, &self.bound)
+                        .and_then(|lo| plan.upper.eval(&self.env, &self.bound).map(|hi| (lo, hi)));
+                    let (lower, upper) = match bounds {
+                        Ok(b) => b,
+                        Err(e) => {
+                            self.pc = pc;
+                            return Err(e);
+                        }
+                    };
+                    if LoopStmt::trip_count(lower, upper, plan.step) == 0 {
+                        self.pc = plan.exit as usize;
+                    } else {
+                        self.env[plan.index_slot as usize] = lower;
+                        self.bound[plan.index_slot as usize] = true;
+                        // Initialize this loop's induction address registers
+                        // from their closed form under the first-trip
+                        // environment (also what makes re-entry after a
+                        // roll-back `reset` safe).
+                        for &r in plan.regs.iter() {
+                            self.ind_addrs[r as usize] =
+                                prog.addr_regs[r as usize].closed.eval_bound(&self.env);
+                        }
+                        // In-body-advanced registers start one delta early
+                        // so the first `RAdvLoad` lands on the closed form.
+                        for &r in plan.pre_regs.iter() {
+                            let ar = &prog.addr_regs[r as usize];
+                            self.ind_addrs[r as usize] = ar.closed.eval_bound(&self.env) - ar.delta;
+                        }
+                        self.loop_stack.push(LoopState {
+                            current: lower,
+                            last: upper,
+                        });
+                        self.pc = plan.body as usize;
+                    }
+                    self.steps += 1;
+                    return Ok(true);
+                }
+                Inst::Jump(target) => pc = target as usize,
+                Inst::LoopBack(l) => {
+                    let plan = &prog.loops[l as usize];
+                    let state = self.loop_stack.last_mut().expect("active loop");
+                    state.current += plan.step;
+                    let done = if plan.step > 0 {
+                        state.current > state.last
+                    } else {
+                        state.current < state.last
+                    };
+                    if done {
+                        self.loop_stack.pop();
+                        pc = plan.exit as usize;
+                    } else {
+                        self.env[plan.index_slot as usize] = state.current;
+                        // Advance the loop's induction address registers by
+                        // their per-trip constant.
+                        for &r in plan.regs.iter() {
+                            self.ind_addrs[r as usize] += prog.addr_regs[r as usize].delta;
+                        }
+                        pc = plan.body as usize;
+                    }
+                }
+                Inst::End => {
+                    self.pc = pc;
+                    return Ok(false);
+                }
 
                 // ----- fused-tier superinstructions --------------------
                 Inst::RLoadBin { r, op, dst } => {

@@ -1,13 +1,13 @@
-//! The fused execution tier: trace-fused superinstructions over a fixed
-//! virtual register file, with constant-small-trip loops peeled.
+//! The fused execution tier: trace-fused superinstructions, with
+//! constant-small-trip loops peeled.
 //!
 //! [`fuse`] post-processes plain lowered bytecode (see the parent
-//! [`lowered`](crate::lowered) module) through four passes:
+//! [`lowered`](crate::lowered) module) through three passes:
 //!
 //! 1. **Peel** — loops whose bounds are compile-time constants (possibly
 //!    after folding an enclosing peeled index) with at most
 //!    [`UNROLL_LIMIT`] trips are unrolled into straight-line copies of
-//!    their body. Each copy folds the induction value into `Index` reads
+//!    their body. Each copy folds the induction value into `RIndex` reads
 //!    and provably-in-bounds affine addresses (often all the way down to
 //!    compile-time `RefPlan::Scalar` addresses); a `PeelEnter` /
 //!    `Rebind` per copy keeps the environment binding exact, so any plan
@@ -15,22 +15,15 @@
 //!    subscripts), inner-loop bounds — still evaluates bit-identically.
 //!    Zero-trip loops become a single `PeelNop`; WHILE loops are never
 //!    peeled.
-//! 2. **Register rewrite** — the postfix value stack is allocated into a
-//!    fixed register file: the stack depth of every instruction is known
-//!    statically (the stack is empty at every unit boundary and every jump
-//!    target), so each push/pop becomes a fixed `stack[dst]` slot and the
-//!    executor stops tracking a stack pointer. Procedures whose
-//!    `max_stack` exceeds [`REG_LIMIT`] skip this pass (the register-file
-//!    *spill* fallback) and keep postfix form.
-//! 3. **Superinstruction merge** — adjacent register-form pairs are fused
-//!    (to a fixpoint): load-op, const-op, load-const-op, op-store,
-//!    load-op-store, load-store, const-store, the two-rounding
-//!    multiply-add, and — composing those — the whole-statement
-//!    `s = a op (b opb v)` form that retires a two-term assignment in a
-//!    single dispatch. Merging never crosses a jump target and never
-//!    touches a `General`-plan reference, so indirect subscripts always
-//!    take the unfused no-shortcut path.
-//! 4. **Advance-and-load** — in straight-line loop bodies, a standalone
+//! 2. **Superinstruction merge** — one pass that folds each instruction
+//!    into the last one emitted while a rule applies, so chains compose:
+//!    load-op, const-op, load-const-op, op-store, load-op-store,
+//!    load-store, const-store, the two-rounding multiply-add, and — built
+//!    from those — the whole-statement `s = a op (b opb v)` form that
+//!    retires a two-term assignment in a single dispatch. Merging never
+//!    crosses a jump target and never touches a `General`-plan reference,
+//!    so indirect subscripts always take the unfused no-shortcut path.
+//! 3. **Advance-and-load** — in straight-line loop bodies, a standalone
 //!    load through an induction address register is fused with the
 //!    register's per-trip advance (`RAdvLoad`), moving the advance off the
 //!    `LoopBack` edge.
@@ -46,10 +39,6 @@ use super::{AffinePlan, Inst, LoopPlan, LoweredProc, RefPlan};
 use crate::expr::BinOp;
 use crate::stmt::LoopStmt;
 
-/// Largest `max_stack` the register rewrite accepts. Deeper procedures
-/// keep the postfix encoding (the register-file spill fallback).
-pub const REG_LIMIT: usize = 64;
-
 /// Largest constant trip count the peel pass fully unrolls.
 pub const UNROLL_LIMIT: usize = 4;
 
@@ -57,15 +46,7 @@ pub const UNROLL_LIMIT: usize = 4;
 /// the same [`LoweredSegmentExec`](super::LoweredSegmentExec) with the
 /// identical resumable step/rollback contract.
 pub fn fuse(base: &LoweredProc) -> LoweredProc {
-    let peeled = peel(base);
-    if peeled.max_stack > REG_LIMIT {
-        // Spill fallback: peeling alone is still byte-exact and the
-        // postfix executor handles any depth.
-        return peeled;
-    }
-    let reg = rewrite_registers(peeled);
-    let merged = merge_fixpoint(reg);
-    advance_loads(merged)
+    advance_loads(merge(peel(base)))
 }
 
 /// A peel-time substitution entry: `Some(value)` binds an index slot to a
@@ -153,7 +134,7 @@ impl Peeler<'_> {
     /// Copies base instructions `[start, end)` into the output, peeling
     /// eligible loops and folding `subst` into index reads and foldable
     /// reference plans. `loop_map` maps enclosing cloned (non-peeled) loop
-    /// plan indices old → new for `WhileBranch` operands.
+    /// plan indices old → new for `RWhileBranch` operands.
     fn emit_range(
         &mut self,
         start: usize,
@@ -169,7 +150,8 @@ impl Peeler<'_> {
         let mut i = start;
         while i < end {
             map[i - start] = self.insts.len() as u32;
-            match self.base.insts[i] {
+            let inst = self.base.insts[i];
+            match inst {
                 Inst::LoopEnter(l) => {
                     let (next, rebound) = self.emit_loop(l, subst, loop_map);
                     // A nested loop that can execute at least one trip
@@ -186,44 +168,40 @@ impl Peeler<'_> {
                     i = next;
                     continue;
                 }
-                Inst::Branch(t) => {
+                Inst::RBranch { .. } | Inst::Jump(_) => {
                     patches.push(self.insts.len());
-                    self.insts.push(Inst::Branch(t));
+                    self.insts.push(inst);
                 }
-                Inst::Jump(t) => {
-                    patches.push(self.insts.len());
-                    self.insts.push(Inst::Jump(t));
-                }
-                Inst::Index(slot) => match lookup(subst, slot) {
-                    Some(v) => self.insts.push(Inst::Const(v as f64)),
-                    None => self.insts.push(Inst::Index(slot)),
+                Inst::RIndex { dst, slot } => match lookup(subst, slot) {
+                    Some(v) => self.insts.push(Inst::RConst { dst, v: v as f64 }),
+                    None => self.insts.push(inst),
                 },
-                Inst::Load(r) => {
+                Inst::RLoad { dst, r } => {
                     let r = self.fold_ref(r, subst);
-                    self.insts.push(Inst::Load(r));
+                    self.insts.push(Inst::RLoad { dst, r });
                 }
-                Inst::Store(r) => {
+                Inst::RStore { r, src } => {
                     let r = self.fold_ref(r, subst);
-                    self.insts.push(Inst::Store(r));
+                    self.insts.push(Inst::RStore { r, src });
                 }
-                Inst::WhileBranch(l) => {
-                    let nl = loop_map
+                Inst::RWhileBranch { l, src } => {
+                    let l = loop_map
                         .iter()
                         .rev()
                         .find(|(o, _)| *o == l)
                         .map(|&(_, n)| n)
                         .expect("WHILE loop cloned by an enclosing emit_loop");
-                    self.insts.push(Inst::WhileBranch(nl));
+                    self.insts.push(Inst::RWhileBranch { l, src });
                 }
                 Inst::LoopBack(_) => unreachable!("LoopBack is emitted by emit_loop"),
-                other => self.insts.push(other),
+                _ => self.insts.push(inst),
             }
             i += 1;
         }
         map[end - start] = self.insts.len() as u32;
         for p in patches {
             match &mut self.insts[p] {
-                Inst::Branch(t) | Inst::Jump(t) => {
+                Inst::RBranch { target: t, .. } | Inst::Jump(t) => {
                     debug_assert!((start..=end).contains(&(*t as usize)));
                     *t = map[*t as usize - start];
                 }
@@ -249,8 +227,8 @@ impl Peeler<'_> {
         debug_assert!(matches!(self.base.insts[back], Inst::LoopBack(x) if x == l));
         let lower = fold_plan(&plan.lower, subst);
         let upper = fold_plan(&plan.upper, subst);
-        let is_while =
-            (body..back).any(|p| matches!(self.base.insts[p], Inst::WhileBranch(x) if x == l));
+        let is_while = (body..back)
+            .any(|p| matches!(self.base.insts[p], Inst::RWhileBranch { l: x, .. } if x == l));
         let constant_bounds = lower.terms.is_empty() && upper.terms.is_empty();
         let peelable = !is_while
             && constant_bounds
@@ -337,77 +315,6 @@ fn peel(base: &LoweredProc) -> LoweredProc {
         max_stack: base.max_stack,
         max_loops: base.max_loops,
     }
-}
-
-/// Pass 2: allocate the value stack into a fixed register file. The stack
-/// depth before every instruction is a static property (empty at every
-/// unit boundary and jump target), so one linear scan assigns each push a
-/// fixed slot.
-fn rewrite_registers(p: LoweredProc) -> LoweredProc {
-    debug_assert!(p.max_stack <= REG_LIMIT);
-    let mut depth: u16 = 0;
-    let mut insts = Vec::with_capacity(p.insts.len());
-    for &inst in &p.insts {
-        let ni = match inst {
-            Inst::Const(v) => {
-                let dst = depth;
-                depth += 1;
-                Inst::RConst { dst, v }
-            }
-            Inst::Index(slot) => {
-                let dst = depth;
-                depth += 1;
-                Inst::RIndex { dst, slot }
-            }
-            Inst::Load(r) => {
-                let dst = depth;
-                depth += 1;
-                Inst::RLoad { dst, r }
-            }
-            Inst::Neg => Inst::RNeg { dst: depth - 1 },
-            Inst::Bin(op) => {
-                depth -= 1;
-                Inst::RBin { op, dst: depth - 1 }
-            }
-            Inst::Cmp(op) => {
-                depth -= 1;
-                Inst::RCmp { op, dst: depth - 1 }
-            }
-            Inst::Store(r) => {
-                depth -= 1;
-                Inst::RStore { r, src: depth }
-            }
-            Inst::Branch(t) => {
-                depth -= 1;
-                Inst::RBranch {
-                    target: t,
-                    src: depth,
-                }
-            }
-            Inst::WhileBranch(l) => {
-                depth -= 1;
-                Inst::RWhileBranch { l, src: depth }
-            }
-            Inst::Guard => {
-                depth -= 1;
-                Inst::RGuard { src: depth }
-            }
-            other @ (Inst::LoopEnter(_)
-            | Inst::Jump(_)
-            | Inst::LoopBack(_)
-            | Inst::End
-            | Inst::PeelEnter { .. }
-            | Inst::Rebind { .. }
-            | Inst::PeelNop) => {
-                debug_assert_eq!(depth, 0, "stack empty at unit boundaries");
-                other
-            }
-            _ => unreachable!("register forms cannot appear before the rewrite"),
-        };
-        insts.push(ni);
-    }
-    debug_assert_eq!(depth, 0);
-    LoweredProc { insts, ..p }
 }
 
 /// True when reference `r` may participate in a superinstruction. The
@@ -508,61 +415,46 @@ fn try_merge(a: Inst, b: Inst, refs: &[RefPlan]) -> Option<Inst> {
     })
 }
 
-/// Positions that are jump/loop targets: merging must never swallow the
-/// instruction a control transfer lands on.
-fn collect_targets(p: &LoweredProc) -> Vec<bool> {
-    let mut t = vec![false; p.insts.len() + 1];
+/// Pass 2: superinstruction merge in one pass. Each instruction folds into
+/// the last one emitted while a rule applies, so chains compose (load +
+/// const-op → load-const-op, op + store → op-store, ...). An instruction a
+/// control transfer lands on — a branch target, a loop body or a loop exit
+/// — never folds into the one before it; a merged instruction starts where
+/// its first part did and inherits that part's target flag.
+fn merge(p: LoweredProc) -> LoweredProc {
+    let n = p.insts.len();
+    let mut target = vec![false; n];
     for inst in &p.insts {
-        match *inst {
-            Inst::Branch(x) | Inst::Jump(x) | Inst::RBranch { target: x, .. } => {
-                t[x as usize] = true
-            }
-            _ => {}
+        if let Inst::RBranch { target: t, .. } | Inst::Jump(t) = *inst {
+            target[t as usize] = true;
         }
     }
     for l in &p.loops {
-        t[l.body as usize] = true;
-        t[l.exit as usize] = true;
+        target[l.body as usize] = true;
+        target[l.exit as usize] = true;
     }
-    t
-}
-
-fn merge_once(p: LoweredProc) -> (LoweredProc, bool) {
-    let targets = collect_targets(&p);
-    let n = p.insts.len();
-    let mut map = vec![0u32; n + 1];
-    let mut insts = Vec::with_capacity(n);
-    let mut changed = false;
-    let mut i = 0;
-    while i < n {
-        map[i] = insts.len() as u32;
-        let merged = if i + 1 < n && !targets[i + 1] {
-            try_merge(p.insts[i], p.insts[i + 1], &p.refs)
-        } else {
-            None
-        };
-        match merged {
-            Some(m) => {
-                map[i + 1] = insts.len() as u32;
-                insts.push(m);
-                changed = true;
-                i += 2;
-            }
-            None => {
-                insts.push(p.insts[i]);
-                i += 1;
-            }
+    // Old position → new position, read only at targets (which never
+    // fold into their predecessor, so their new position is final).
+    let mut map = Vec::with_capacity(n);
+    let mut insts: Vec<Inst> = Vec::with_capacity(n);
+    let mut starts_target: Vec<bool> = Vec::with_capacity(n);
+    for (i, &inst) in p.insts.iter().enumerate() {
+        let (mut inst, mut is_target) = (inst, target[i]);
+        while !is_target {
+            let Some(m) = insts.last().and_then(|&a| try_merge(a, inst, &p.refs)) else {
+                break;
+            };
+            insts.pop();
+            inst = m;
+            is_target = starts_target.pop().expect("one flag per instruction");
         }
-    }
-    map[n] = insts.len() as u32;
-    if !changed {
-        return (p, false);
+        map.push(insts.len() as u32);
+        insts.push(inst);
+        starts_target.push(is_target);
     }
     for inst in &mut insts {
-        match inst {
-            Inst::Branch(t) | Inst::Jump(t) => *t = map[*t as usize],
-            Inst::RBranch { target, .. } => *target = map[*target as usize],
-            _ => {}
+        if let Inst::RBranch { target: t, .. } | Inst::Jump(t) = inst {
+            *t = map[*t as usize];
         }
     }
     let mut loops = p.loops;
@@ -570,22 +462,10 @@ fn merge_once(p: LoweredProc) -> (LoweredProc, bool) {
         l.body = map[l.body as usize];
         l.exit = map[l.exit as usize];
     }
-    (LoweredProc { insts, loops, ..p }, true)
+    LoweredProc { insts, loops, ..p }
 }
 
-/// Pass 3: greedy adjacent-pair fusion, iterated to a fixpoint so chains
-/// compose (load + const-op → load-const-op, op + store → op-store, ...).
-fn merge_fixpoint(mut p: LoweredProc) -> LoweredProc {
-    loop {
-        let (q, changed) = merge_once(p);
-        p = q;
-        if !changed {
-            return p;
-        }
-    }
-}
-
-/// Pass 4: in straight-line loop bodies, fuse a standalone induction-ref
+/// Pass 3: in straight-line loop bodies, fuse a standalone induction-ref
 /// load with its register's per-trip advance. The register moves from the
 /// loop's `regs` (advanced at `LoopBack`) to `pre_regs` (initialized one
 /// delta early, advanced by the in-body [`Inst::RAdvLoad`]). Straight-line
@@ -601,12 +481,10 @@ fn advance_loads(mut p: LoweredProc) -> LoweredProc {
         let straight = (body..back).all(|i| {
             !matches!(
                 p.insts[i],
-                Inst::Branch(_)
+                Inst::RBranch { .. }
                     | Inst::Jump(_)
                     | Inst::LoopEnter(_)
                     | Inst::LoopBack(_)
-                    | Inst::WhileBranch(_)
-                    | Inst::RBranch { .. }
                     | Inst::RWhileBranch { .. }
             )
         });
@@ -717,7 +595,6 @@ pub(crate) mod tests {
         let body = vec![b.do_loop(k, ac(1), ac(4), vec![stmt])];
         let fused = assert_fused_agrees(&b.build(body));
         assert_eq!(fused.peeled_loop_count(), 1);
-        assert!(fused.is_register_form());
         assert!(fused.superinst_count() > 0);
         let asm = fused.disasm();
         assert!(asm.contains("peelenter"), "peeled loop entry:\n{asm}");
@@ -813,21 +690,25 @@ pub(crate) mod tests {
     }
 
     #[test]
-    fn deep_expressions_spill_back_to_postfix() {
-        // An expression deeper than REG_LIMIT: the register rewrite is
-        // skipped (spill fallback) but peeling still applies and the
-        // postfix executor stays byte-exact.
+    fn deep_expressions_use_a_register_per_depth_and_still_merge() {
+        // s = 0 + (1 + (... + (67 + s * 0.5))): the evaluation stack grows
+        // to 70 values, so the innermost load and constant land in v68 and
+        // v69. They still merge into a load-const-op, and the outermost
+        // add into an op-store.
         let mut b = ProcBuilder::new("deep");
         let s = b.scalar("s");
-        let mut e = num(1.0);
-        for i in 0..(REG_LIMIT + 4) {
-            e = add(num(i as f64), e);
+        let mut e = mul(b.load(s), num(0.5));
+        for i in (0..68).rev() {
+            e = add(num(f64::from(i)), e);
         }
         let stmt = b.assign_scalar(s, e);
-        let proc = b.build(vec![stmt]);
-        let fused = assert_fused_agrees(&proc);
-        assert!(!fused.is_register_form(), "spill keeps postfix ops");
-        assert_eq!(fused.superinst_count(), 0);
+        let fused = assert_fused_agrees(&b.build(vec![stmt]));
+        assert_eq!(fused.superinst_count(), 2);
+        let asm = fused.disasm();
+        assert!(
+            asm.contains("rloadconstbin v68 = r0:scalar@0 Mul 0.5"),
+            "the deepest values merge:\n{asm}"
+        );
     }
 
     #[test]
@@ -876,10 +757,7 @@ pub(crate) mod tests {
         assert!(asm.contains("peelenter"), "outer peel still fires:\n{asm}");
         for line in asm.lines().filter(|l| l.contains(":general")) {
             assert!(
-                line.contains(" rstore ")
-                    || line.contains(" rload ")
-                    || line.contains(" store ")
-                    || line.contains(" load "),
+                line.contains(" rstore ") || line.contains(" rload "),
                 "general-plan refs stay unfused: {line}"
             );
         }

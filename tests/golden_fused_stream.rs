@@ -2,7 +2,7 @@
 //! FPPPP `TWLDRV_DO100` giant block — the tentpole workload of the fused
 //! execution tier — as readable disassembly, and a digest of every compiled
 //! unit of the differential corpus and the benchmark suite. Any change to
-//! the fuse pipeline (peeling, register rewrite, superinstruction merging,
+//! lowering or to the fuse pipeline (peeling, superinstruction merging,
 //! advance-and-load) shows up as an instruction-stream diff rather than a
 //! bare perf delta.
 //!
@@ -35,12 +35,11 @@ fn render_fused_stream() -> String {
     let mut out = String::new();
     out.push_str(&format!(
         "FPPPP TWLDRV_DO100: {} insts (from {} plain), {} superinsts, \
-         {} peeled loops, register_form={}\n",
+         {} peeled loops\n",
         fused.inst_count(),
         base.inst_count(),
         fused.superinst_count(),
-        fused.peeled_loop_count(),
-        fused.is_register_form()
+        fused.peeled_loop_count()
     ));
     let disasm = fused.disasm();
     let lines: Vec<&str> = disasm.lines().collect();
@@ -58,7 +57,7 @@ fn render_fused_stream() -> String {
 }
 
 const GOLDEN_TWLDRV_FUSED_STREAM: &str = "\
-FPPPP TWLDRV_DO100: 537 insts (from 779 plain), 524 superinsts, 1 peeled loops, register_form=true
+FPPPP TWLDRV_DO100: 537 insts (from 779 plain), 524 superinsts, 1 peeled loops
    0  peelenter #6 = 1
    1  rload2constbinstore r2:scalar@516 = r0:scalar@517 Add (r389:scalar@0 Mul -1)
    2  rload2constbinstore r5:scalar@517 = r3:scalar@518 Add (r390:scalar@1 Mul -0.9375)
