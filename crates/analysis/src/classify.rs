@@ -15,6 +15,7 @@
 use crate::summary::BodySummary;
 use refidem_ir::ids::VarId;
 use std::collections::{BTreeMap, BTreeSet};
+use std::sync::Arc;
 
 /// The classification of one variable within a region.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
@@ -30,7 +31,8 @@ pub enum VarClass {
 /// The classification of every variable referenced by a region.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct VarClassification {
-    map: BTreeMap<VarId, VarClass>,
+    /// Shared, so copies of an analysis (cache hits) share one map.
+    map: Arc<BTreeMap<VarId, VarClass>>,
 }
 
 impl VarClassification {
@@ -52,7 +54,7 @@ impl VarClassification {
             };
             map.insert(v, class);
         }
-        VarClassification { map }
+        VarClassification { map: Arc::new(map) }
     }
 
     /// The class of a variable (`Shared` for unknown variables, the

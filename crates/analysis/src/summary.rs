@@ -35,6 +35,7 @@ use refidem_ir::ids::{RefId, VarId};
 use refidem_ir::stmt::{LoopStmt, Stmt};
 use refidem_ir::var::VarTable;
 use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::sync::Arc;
 
 /// Facts about one write site gathered by the body walk.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -117,7 +118,8 @@ impl VarSummary {
 /// abstract segment).
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct BodySummary {
-    per_var: BTreeMap<VarId, VarSummary>,
+    /// Shared, so copies of an analysis (cache hits) share one map.
+    per_var: Arc<BTreeMap<VarId, VarSummary>>,
 }
 
 impl BodySummary {
@@ -255,7 +257,9 @@ impl<'a> Walker<'a> {
                 }
             }
         }
-        BodySummary { per_var }
+        BodySummary {
+            per_var: Arc::new(per_var),
+        }
     }
 
     /// Writes `r`'s canonical location into `key` as a token stream; false

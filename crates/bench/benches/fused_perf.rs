@@ -18,7 +18,7 @@ use refidem_bench::microbench::Harness;
 use refidem_benchmarks::suite::{fpppp, mgrid};
 use refidem_benchmarks::LoopBenchmark;
 use refidem_ir::exec::{PlainStore, SeqInterp};
-use refidem_ir::lowered::{fused::fuse, lower, LoweredSegmentExec};
+use refidem_ir::lowered::{fused::fuse, lower, ExecBuffers, LoweredSegmentExec};
 use refidem_ir::memory::{Layout, Memory};
 use std::hint::black_box;
 
@@ -44,7 +44,7 @@ fn bench_tier_ladder(c: &mut Harness, group_name: &str, bench: &LoopBenchmark) {
     group.bench_function("bytecode", |b| {
         b.iter(|| {
             let mut memory = Memory::zeroed(&layout);
-            LoweredSegmentExec::new(&plain, &[])
+            LoweredSegmentExec::new(&plain, &[], ExecBuffers::default())
                 .run(&mut PlainStore::new(&mut memory), 200_000_000)
                 .expect("runs");
             black_box(memory.len())

@@ -280,20 +280,32 @@ mod tests {
         }
     }
 
-    /// `label_program_cached` hands out copies of the cached bundles whose
-    /// dependence set and reference table are the cached ones, shared —
-    /// a regression to deep copies fails here, not only in a benchmark.
-    #[test]
-    fn cached_regions_share_their_analysis_products() {
+    /// `DEP`: `a(k) = a(k-1) + c(k)`, a cross-segment flow dependence
+    /// plus a read-only (idempotent) reference.
+    fn dependent_program() -> Program {
         let mut b = ProcBuilder::new("main");
         let a = b.array("a", &[16]);
+        let c = b.array("c", &[16]);
         let k = b.index("k");
         b.live_out(&[a]);
-        let rhs = refidem_ir::build::add(b.load_elem(a, vec![av(k) - ac(1)]), num(1.0));
+        let rhs = refidem_ir::build::add(
+            b.load_elem(a, vec![av(k) - ac(1)]),
+            b.load_elem(c, vec![av(k)]),
+        );
         let s = b.assign_elem(a, vec![av(k)], rhs);
         let r = b.do_loop_labeled("DEP", k, ac(2), ac(16), vec![s]);
         let mut program = Program::new("dep");
         program.add_procedure(b.build(vec![r]));
+        program
+    }
+
+    /// `label_program_cached` hands out copies of the cached bundles whose
+    /// dependence set, reference table and body summary are the cached
+    /// ones, shared — a regression to deep copies fails here, not only in
+    /// a benchmark.
+    #[test]
+    fn cached_regions_share_their_analysis_products() {
+        let program = dependent_program();
         let cache = AnalysisCache::fresh();
         for expect_hit in [false, true] {
             let (labeled, tally) = cache
@@ -314,7 +326,53 @@ mod tests {
                 region.analysis.table.sites().as_ptr(),
                 cached.analysis.table.sites().as_ptr()
             ));
+            let summary: Vec<_> = region.analysis.summary.iter().collect();
+            let cached_summary: Vec<_> = cached.analysis.summary.iter().collect();
+            assert!(!summary.is_empty());
+            assert_eq!(summary.len(), cached_summary.len());
+            for ((v, entry), (cached_v, cached_entry)) in summary.into_iter().zip(cached_summary) {
+                assert_eq!(v, cached_v);
+                assert!(std::ptr::eq(entry, cached_entry), "{v:?} was copied");
+            }
         }
+    }
+
+    /// Tampering a copy of a hit — what the ablations and the benchmark's
+    /// tamper path do — changes that copy only: the next hit still serves
+    /// the labeling the cache computed.
+    #[test]
+    fn tampering_a_hit_stays_local() {
+        use crate::label::{IdemCategory, Label};
+        let program = dependent_program();
+        let cache = AnalysisCache::fresh();
+        let lookup = || {
+            cache
+                .label_region_by_name_cached(&program, "DEP")
+                .expect("labels")
+        };
+        let original = lookup().region.labeling.clone();
+        let hit = lookup();
+        assert!(hit.hit);
+        let speculative = original.iter().find(|(_, l)| !l.is_idempotent());
+        let (site, _) = speculative.expect("a speculative site");
+        let mut promoted = LabeledRegion::clone(&hit.region);
+        let promotion = Label::Idempotent(IdemCategory::SharedDependent);
+        promoted.labeling.override_label(site, promotion);
+        assert_eq!(promoted.labeling.label(site), promotion);
+        let mut demoted = LabeledRegion::clone(&hit.region);
+        assert!(original.iter().any(|(_, l)| l.is_idempotent()));
+        demoted
+            .labeling
+            .retain_idempotent(&std::collections::BTreeSet::new());
+        assert!(demoted.labeling.iter().all(|(_, l)| !l.is_idempotent()));
+        let next = lookup();
+        assert!(next.hit);
+        assert_eq!(next.region.labeling, original);
+        assert_eq!(hit.region.labeling, original);
+        let (labeled, _) = cache
+            .label_program_cached(&program, ProcId::from_index(0))
+            .expect("labels");
+        assert_eq!(labeled.regions[0].labeling, original);
     }
 
     #[test]

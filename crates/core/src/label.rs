@@ -32,6 +32,7 @@ use refidem_ir::program::{Program, RegionSpec};
 use refidem_ir::sites::AccessKind;
 use refidem_ir::var::VarTable;
 use std::collections::{BTreeMap, BTreeSet};
+use std::sync::Arc;
 
 /// The idempotency categories of Section 4.1.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -117,14 +118,21 @@ pub struct LabelInput {
 }
 
 /// The result of Algorithm 2: a label for every reference site.
+///
+/// The label and access maps are shared behind `Arc`, so cloning a
+/// labeling (every analysis-cache hit does) copies two pointers. The
+/// mutators are copy-on-write: [`Labeling::override_label`] and
+/// [`Labeling::retain_idempotent`] give the labeling they are called on a
+/// private copy of its labels first, so tampering a clone never reaches
+/// the labeling it was cloned from.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct Labeling {
     /// Region name.
     pub region_name: String,
     /// Lemma 7 applied (every reference idempotent).
     pub fully_independent: bool,
-    labels: BTreeMap<RefId, Label>,
-    access: BTreeMap<RefId, AccessKind>,
+    labels: Arc<BTreeMap<RefId, Label>>,
+    access: Arc<BTreeMap<RefId, AccessKind>>,
 }
 
 impl Labeling {
@@ -163,9 +171,10 @@ impl Labeling {
     /// speculative. Demoting a correctly-labeled idempotent reference is
     /// always safe (the reference merely loses the speculative-storage
     /// bypass); this is used by the label-category ablation study.
+    /// Copy-on-write: labelings cloned from this one keep their labels.
     pub fn retain_idempotent(&mut self, keep: &std::collections::BTreeSet<RefId>) {
         self.fully_independent = false;
-        for (id, label) in self.labels.iter_mut() {
+        for (id, label) in Arc::make_mut(&mut self.labels).iter_mut() {
             if label.is_idempotent() && !keep.contains(id) {
                 *label = Label::Speculative;
             }
@@ -177,9 +186,14 @@ impl Labeling {
     /// speculative reference to idempotent is **unsound** — this hook exists
     /// for fault-injection testing (`refidem-testkit` corrupts labelings to
     /// prove its differential runner and shrinker detect bad labels).
+    ///
+    /// Copy-on-write: when the labels are shared (this labeling is a clone,
+    /// say of an analysis-cache hit), this labeling first takes a private
+    /// copy, so the override never reaches the labeling it was cloned from
+    /// or the cached entry.
     pub fn override_label(&mut self, r: RefId, label: Label) {
         self.fully_independent = false;
-        self.labels.insert(r, label);
+        Arc::make_mut(&mut self.labels).insert(r, label);
     }
 
     /// Static labeling statistics (per syntactic reference site).
@@ -283,8 +297,8 @@ pub fn label_refs(input: &LabelInput) -> Labeling {
         return Labeling {
             region_name: input.region_name.clone(),
             fully_independent: true,
-            labels,
-            access,
+            labels: Arc::new(labels),
+            access: Arc::new(access),
         };
     }
 
@@ -344,8 +358,8 @@ pub fn label_refs(input: &LabelInput) -> Labeling {
     Labeling {
         region_name: input.region_name.clone(),
         fully_independent: false,
-        labels: labels.into_map(),
-        access,
+        labels: Arc::new(labels.into_map()),
+        access: Arc::new(access),
     }
 }
 

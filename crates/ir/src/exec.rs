@@ -20,7 +20,7 @@ use crate::affine::AffineExpr;
 use crate::expr::{BinOp, Expr, Reference, Subscript};
 use crate::ids::{RefId, VarId};
 use crate::lowered::{
-    ExecBackend, LowerKey, LowerUnit, LoweredCache, LoweredProc, LoweredSegmentExec,
+    ExecBackend, ExecBuffers, LowerKey, LowerUnit, LoweredCache, LoweredProc, LoweredSegmentExec,
 };
 use crate::memory::{Addr, Layout, Memory};
 use crate::program::Procedure;
@@ -573,16 +573,18 @@ pub enum AnyExec<'p> {
 impl<'p> AnyExec<'p> {
     /// An executor over `stmts` with the given initial index bindings:
     /// running `compiled` when it is given (it must be `stmts`'s compiled
-    /// form), tree-walking `stmts` when it is `None`.
+    /// form), on `bufs` (see [`ExecBuffers`]), tree-walking `stmts` when it
+    /// is `None` (which needs no buffers and drops `bufs`).
     pub fn new(
         compiled: Option<&'p LoweredProc>,
         vars: &'p VarTable,
         layout: &'p Layout,
         stmts: &'p [Stmt],
         initial_env: &[(VarId, i64)],
+        bufs: ExecBuffers,
     ) -> Self {
         match compiled {
-            Some(prog) => AnyExec::Compiled(LoweredSegmentExec::new(prog, initial_env)),
+            Some(prog) => AnyExec::Compiled(LoweredSegmentExec::new(prog, initial_env, bufs)),
             None => AnyExec::Tree(SegmentExec::new(vars, layout, stmts, initial_env)),
         }
     }
@@ -590,16 +592,26 @@ impl<'p> AnyExec<'p> {
     /// An executor for one segment of `region` (see
     /// [`SegmentExec::segment`]): running `compiled` when it is given (it
     /// must be the region's [`LowerUnit::RegionBody`] form, which carries
-    /// the continuation check), tree-walking the body otherwise.
+    /// the continuation check) on `bufs`, tree-walking the body otherwise.
     pub fn segment(
         compiled: Option<&'p LoweredProc>,
         vars: &'p VarTable,
         layout: &'p Layout,
         region: &'p LoopStmt,
+        bufs: ExecBuffers,
     ) -> Self {
         match compiled {
-            Some(prog) => AnyExec::Compiled(LoweredSegmentExec::new(prog, &[])),
+            Some(prog) => AnyExec::Compiled(LoweredSegmentExec::new(prog, &[], bufs)),
             None => AnyExec::Tree(SegmentExec::segment(vars, layout, region)),
+        }
+    }
+
+    /// Ends the executor and hands its buffers back for the next one
+    /// (empty ones from the tree-walk, which keeps none).
+    pub fn into_buffers(self) -> ExecBuffers {
+        match self {
+            AnyExec::Tree(_) => ExecBuffers::default(),
+            AnyExec::Compiled(e) => e.into_buffers(),
         }
     }
 
@@ -711,8 +723,16 @@ impl SeqInterp {
                 .compile(key, &proc.vars, layout, None, &proc.body, &[])
                 .value
         });
-        AnyExec::new(compiled.as_deref(), &proc.vars, layout, &proc.body, &[])
-            .run(store, self.max_steps)
+        let bufs = ExecBuffers::default();
+        AnyExec::new(
+            compiled.as_deref(),
+            &proc.vars,
+            layout,
+            &proc.body,
+            &[],
+            bufs,
+        )
+        .run(store, self.max_steps)
     }
 
     /// Runs a procedure against the given memory (which must have been built

@@ -58,7 +58,9 @@ pub use exec::{
 };
 pub use expr::{BinOp, CmpOp, Expr, Reference, Subscript};
 pub use ids::{ProcId, RefId, StmtId, VarId};
-pub use lowered::{lower, lower_with_ranges, ExecBackend, LoweredProc, LoweredSegmentExec};
+pub use lowered::{
+    lower, lower_with_ranges, ExecBackend, ExecBuffers, LoweredProc, LoweredSegmentExec,
+};
 pub use memory::{Addr, Layout, Memory};
 pub use program::{Procedure, Program, RegionSpec};
 pub use sites::{AccessKind, RefSite, RefTable};

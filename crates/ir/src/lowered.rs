@@ -1244,6 +1244,45 @@ struct LoopState {
     last: i64,
 }
 
+/// The mutable buffers of a [`LoweredSegmentExec`]: its initial bindings,
+/// index environment and bound flags, loop stack, value registers and
+/// induction registers — everything an executor allocates.
+///
+/// One value is reusable across executors of any shape: [`new`] sizes the
+/// buffers to its unit and resets them to a fresh executor's state, and
+/// [`into_buffers`] hands them back. A caller that runs many executors
+/// (the simulator, across regions, serial spans and calls) pools them;
+/// one that does not passes [`ExecBuffers::default`], which allocates
+/// nothing until `new` sizes it.
+///
+/// [`new`]: LoweredSegmentExec::new
+/// [`into_buffers`]: LoweredSegmentExec::into_buffers
+#[derive(Clone, Debug, Default)]
+pub struct ExecBuffers {
+    initial_env: Vec<(VarId, i64)>,
+    env: Vec<i64>,
+    bound: Vec<bool>,
+    loop_stack: Vec<LoopState>,
+    stack: Vec<f64>,
+    ind_addrs: Vec<i64>,
+}
+
+impl ExecBuffers {
+    /// The addresses of the buffers' heap allocations, in a fixed order:
+    /// what a pool's reuse is checked against (an unallocated buffer shows
+    /// its dangling placeholder).
+    pub fn heap_addrs(&self) -> [usize; 6] {
+        [
+            self.initial_env.as_ptr() as usize,
+            self.env.as_ptr() as usize,
+            self.bound.as_ptr() as usize,
+            self.loop_stack.as_ptr() as usize,
+            self.stack.as_ptr() as usize,
+            self.ind_addrs.as_ptr() as usize,
+        ]
+    }
+}
+
 /// A resumable executor over a [`LoweredProc`] — the fast-path counterpart
 /// of [`SegmentExec`](crate::exec::SegmentExec), with the identical
 /// step/rollback contract: `step` executes one statement unit through a
@@ -1271,24 +1310,60 @@ pub struct LoweredSegmentExec<'p> {
 
 impl<'p> LoweredSegmentExec<'p> {
     /// Creates an executor with the given initial index bindings (e.g. the
-    /// region-loop index of the segment).
-    pub fn new(prog: &'p LoweredProc, initial_env: &[(VarId, i64)]) -> Self {
+    /// region-loop index of the segment), on `bufs` — pooled buffers from
+    /// an earlier executor of any unit, or [`ExecBuffers::default`]. Either
+    /// way the executor starts from the same state: every buffer is sized
+    /// to `prog` and cleared.
+    pub fn new(prog: &'p LoweredProc, initial_env: &[(VarId, i64)], bufs: ExecBuffers) -> Self {
+        let ExecBuffers {
+            initial_env: mut bindings,
+            mut env,
+            mut bound,
+            mut loop_stack,
+            mut stack,
+            mut ind_addrs,
+        } = bufs;
+        bindings.clear();
+        bindings.extend_from_slice(initial_env);
+        env.clear();
+        env.resize(prog.env_len, 0);
+        bound.clear();
+        bound.resize(prog.env_len, false);
+        loop_stack.clear();
+        loop_stack.reserve(prog.max_loops);
+        // Fixed-size scratch: every instruction names its registers, and
+        // the compiler knows how many any statement unit uses.
+        stack.clear();
+        stack.resize(prog.max_stack, 0.0);
+        ind_addrs.clear();
+        ind_addrs.resize(prog.addr_regs.len(), 0);
         let mut exec = LoweredSegmentExec {
             prog,
-            initial_env: initial_env.to_vec(),
-            env: vec![0; prog.env_len],
-            bound: vec![false; prog.env_len],
-            loop_stack: Vec::with_capacity(prog.max_loops),
-            // Fixed-size scratch: every instruction names its registers,
-            // and the compiler knows how many any statement unit uses.
-            stack: vec![0.0; prog.max_stack],
-            ind_addrs: vec![0; prog.addr_regs.len()],
+            initial_env: bindings,
+            env,
+            bound,
+            loop_stack,
+            stack,
+            ind_addrs,
             pc: 0,
             steps: 0,
             exited: false,
         };
         exec.reset();
         exec
+    }
+
+    /// Ends the executor and hands its buffers back for the next one (see
+    /// [`ExecBuffers`]).
+    pub fn into_buffers(self) -> ExecBuffers {
+        ExecBuffers {
+            initial_env: self.initial_env,
+            env: self.env,
+            bound: self.bound,
+            loop_stack: self.loop_stack,
+            stack: self.stack,
+            ind_addrs: self.ind_addrs,
+        }
     }
 
     /// Re-targets the executor at a new segment: replaces the initial
@@ -1980,7 +2055,7 @@ mod tests {
         // Uninterrupted reference run.
         let mut mem_ref = Memory::zeroed(&layout);
         init(&mut mem_ref);
-        let mut exec = LoweredSegmentExec::new(&lowered, &[]);
+        let mut exec = LoweredSegmentExec::new(&lowered, &[], ExecBuffers::default());
         exec.run(&mut PlainStore::new(&mut mem_ref), 10_000)
             .unwrap();
 
@@ -1989,7 +2064,7 @@ mod tests {
         // replay against a pristine copy.
         let mut scratch = Memory::zeroed(&layout);
         init(&mut scratch);
-        let mut exec = LoweredSegmentExec::new(&lowered, &[]);
+        let mut exec = LoweredSegmentExec::new(&lowered, &[], ExecBuffers::default());
         {
             let mut store = PlainStore::new(&mut scratch);
             for _ in 0..9 {
@@ -2129,7 +2204,7 @@ mod tests {
         let lowered = lower(&proc.vars, &layout, &proc.body);
         let mut mem = Memory::zeroed(&layout);
         let mut store = PlainStore::new(&mut mem);
-        let mut exec = LoweredSegmentExec::new(&lowered, &[]);
+        let mut exec = LoweredSegmentExec::new(&lowered, &[], ExecBuffers::default());
         let err = exec.run(&mut store, 1000).unwrap_err();
         assert_eq!(err, ExecError::UnboundVariable(k));
     }
@@ -2148,7 +2223,7 @@ mod tests {
         let mut mem = Memory::zeroed(&layout);
         mem.store(layout.element(a, &[3]), 7.0);
         let mut store = PlainStore::new(&mut mem);
-        let mut exec = LoweredSegmentExec::new(&lowered, &[(k, 3)]);
+        let mut exec = LoweredSegmentExec::new(&lowered, &[(k, 3)], ExecBuffers::default());
         exec.run(&mut store, 100).unwrap();
         assert!(exec.is_done());
         assert_eq!(exec.steps(), 1);
@@ -2209,7 +2284,7 @@ mod tests {
             (mem, trace)
         };
         for (name, prog) in [("plain", &plain), ("fused", &fused)] {
-            let mut reused = LoweredSegmentExec::new(prog, &[(i, 1)]);
+            let mut reused = LoweredSegmentExec::new(prog, &[(i, 1)], ExecBuffers::default());
             let mut scratch = Memory::zeroed(&layout);
             init(&mut scratch);
             let mut store = PlainStore::new(&mut scratch);
@@ -2220,7 +2295,7 @@ mod tests {
             reused.restart(&[(i, 3)]);
             let (mem_reused, trace_reused) = traced_run(&mut reused);
 
-            let mut fresh = LoweredSegmentExec::new(prog, &[(i, 3)]);
+            let mut fresh = LoweredSegmentExec::new(prog, &[(i, 3)], ExecBuffers::default());
             let (mem_fresh, trace_fresh) = traced_run(&mut fresh);
 
             assert_eq!(reused.steps(), fresh.steps(), "{name}: steps");

@@ -521,7 +521,7 @@ fn advance_loads(mut p: LoweredProc) -> LoweredProc {
 
 #[cfg(test)]
 pub(crate) mod tests {
-    use super::super::{lower, LoweredProc, LoweredSegmentExec};
+    use super::super::{lower, ExecBuffers, LoweredProc, LoweredSegmentExec};
     use super::*;
     use crate::build::{ac, add, av, cmp, idx, mul, num, ProcBuilder};
     use crate::exec::{CountingStore, ExecError, PlainStore, SegmentExec};
@@ -555,7 +555,7 @@ pub(crate) mod tests {
         for (name, prog) in [("lowered", &lowered), ("fused", &fused)] {
             let mut mem = Memory::zeroed(&layout);
             let mut store = CountingStore::new(PlainStore::tracing(&mut mem));
-            let mut exec = LoweredSegmentExec::new(prog, &[]);
+            let mut exec = LoweredSegmentExec::new(prog, &[], ExecBuffers::default());
             let result = exec.run(&mut store, 1_000_000);
             assert_eq!(tree_result, result, "{name}: result");
             if tree_result.is_ok() {
@@ -639,7 +639,7 @@ pub(crate) mod tests {
         let (layout, fused) = fused_of(&proc);
         let mut mem = Memory::zeroed(&layout);
         let mut store = PlainStore::new(&mut mem);
-        let mut exec = LoweredSegmentExec::new(&fused, &[]);
+        let mut exec = LoweredSegmentExec::new(&fused, &[], ExecBuffers::default());
         let err = exec.run(&mut store, 1000).unwrap_err();
         assert_eq!(
             err,
@@ -667,7 +667,7 @@ pub(crate) mod tests {
         assert!(fused.peeled_loop_count() > 0, "loop is unrolled");
 
         // Partial run into scratch memory, mid-way through the copies.
-        let mut exec = LoweredSegmentExec::new(&fused, &[]);
+        let mut exec = LoweredSegmentExec::new(&fused, &[], ExecBuffers::default());
         let mut scratch = Memory::zeroed(&layout);
         let mut store = PlainStore::new(&mut scratch);
         for _ in 0..5 {
@@ -680,7 +680,7 @@ pub(crate) mod tests {
         let mut store = PlainStore::new(&mut mem_replay);
         exec.run(&mut store, 1000).unwrap();
 
-        let mut fresh = LoweredSegmentExec::new(&fused, &[]);
+        let mut fresh = LoweredSegmentExec::new(&fused, &[], ExecBuffers::default());
         let mut mem_fresh = Memory::zeroed(&layout);
         let mut store = PlainStore::new(&mut mem_fresh);
         fresh.run(&mut store, 1000).unwrap();
@@ -807,7 +807,7 @@ pub(crate) mod tests {
 
         // Rollback re-entry re-initializes the pre-advanced register.
         let (layout, fused) = fused_of(&proc);
-        let mut exec = LoweredSegmentExec::new(&fused, &[]);
+        let mut exec = LoweredSegmentExec::new(&fused, &[], ExecBuffers::default());
         let mut scratch = Memory::zeroed(&layout);
         let mut store = PlainStore::new(&mut scratch);
         for _ in 0..7 {
@@ -817,7 +817,7 @@ pub(crate) mod tests {
         let mut mem_replay = Memory::zeroed(&layout);
         let mut store = PlainStore::new(&mut mem_replay);
         exec.run(&mut store, 10_000).unwrap();
-        let mut fresh = LoweredSegmentExec::new(&fused, &[]);
+        let mut fresh = LoweredSegmentExec::new(&fused, &[], ExecBuffers::default());
         let mut mem_fresh = Memory::zeroed(&layout);
         let mut store = PlainStore::new(&mut mem_fresh);
         fresh.run(&mut store, 10_000).unwrap();

@@ -28,25 +28,32 @@
 use crate::config::SimConfig;
 use crate::report::SimReport;
 use crate::run::{ExecMode, SimError};
-use crate::storage::{PrivateStore, SpecBuffer};
+use crate::storage::{PrivateStore, Probe, SpecBuffer};
 use refidem_core::label::{IdemCategory, Label, Labeling};
 use refidem_ir::exec::{AnyExec, DataStore};
 use refidem_ir::ids::RefId;
-use refidem_ir::lowered::LoweredProc;
+use refidem_ir::lowered::{ExecBuffers, LoweredProc};
 use refidem_ir::memory::{Addr, Layout, Memory};
 use refidem_ir::stmt::LoopStmt;
 use refidem_ir::var::VarTable;
 
-/// One in-flight segment's mutable state. The scheduling fields the
-/// engine's per-statement scan reads (`seg`, `clock`, `done`, `stalled`)
-/// are laid out first so the scan touches one cache line per slot.
-#[derive(Clone, Debug)]
+/// One processor's slot: the state of the segment it runs, and that
+/// processor's storage buffers. A slot stays in place for the whole
+/// region: commit and WHILE termination only clear `active`, and the next
+/// dispatch clears the buffers in place. The scheduling fields the
+/// engine's per-statement scan reads (`seg`, `clock`, `active`, `done`,
+/// `stalled`) are laid out first so the scan touches one cache line per
+/// slot.
+#[derive(Clone, Debug, Default)]
 #[repr(C)]
 struct SlotData {
     /// Segment number in execution (commit) order, 0-based.
     seg: usize,
     /// Local clock (cycles since region entry).
     clock: u64,
+    /// A segment occupies the slot: dispatched, and neither committed nor
+    /// discarded. Every other field is stale while this is false.
+    active: bool,
     /// The segment has executed its last statement (waiting to commit).
     done: bool,
     /// The segment overflowed as a non-head and waits to become the head.
@@ -66,7 +73,7 @@ struct SlotData {
     /// Earliest simulated time at which the requested roll-back can take
     /// effect (the time the violating producer write happened).
     squash_not_before: u64,
-    /// Bounded speculative storage.
+    /// Bounded speculative storage, the processor's for the whole region.
     spec: SpecBuffer,
     /// Per-segment private storage (for references labeled `Private`).
     private: PrivateStore,
@@ -80,8 +87,10 @@ struct SlotData {
 pub(crate) struct LabelTable(Vec<Label>);
 
 impl LabelTable {
-    pub(crate) fn new(mode: ExecMode, labeling: &Labeling) -> Self {
-        let mut labels = Vec::new();
+    /// The table of `labeling` under `mode`, built in `labels` (a pooled
+    /// buffer whose contents are discarded, or an empty one).
+    pub(crate) fn new(mode: ExecMode, labeling: &Labeling, mut labels: Vec<Label>) -> Self {
+        labels.clear();
         if mode == ExecMode::Case {
             for (site, label) in labeling.iter() {
                 if site.index() >= labels.len() {
@@ -105,6 +114,11 @@ impl LabelTable {
     /// True when some site is labeled private (never under HOSE).
     fn has_private(&self) -> bool {
         self.0.contains(&Label::Idempotent(IdemCategory::Private))
+    }
+
+    /// Hands the table's buffer back for the next table.
+    fn into_buffer(self) -> Vec<Label> {
+        self.0
     }
 }
 
@@ -195,14 +209,23 @@ impl DepMasks {
 }
 
 /// Reusable engine scratch: the allocations whose lifetime exceeds one
-/// region execution. The engine always pooled retired `SpecBuffer`s and
-/// `PrivateStore`s *across segments* of one region; this struct lifts that
-/// pool — together with the per-address dependence masks — out of the engine,
-/// so `simulate_program` reuses one scratch across every region of a
-/// schedule, and repeated `simulate_region` calls (capacity-ladder sweeps)
-/// reuse it across calls via the config's [`ScratchPool`]. Without it, every
-/// `simulate_region` call paid two `vec![0; total_words]` allocations for
-/// the masks plus one shadow-array pair per processor.
+/// region execution, so `simulate_program` reuses one scratch across every
+/// region and serial span of a schedule, and repeated calls (capacity-ladder
+/// sweeps) reuse it across calls via the config's [`ScratchPool`]. It holds:
+///
+/// * each processor's [`SpecBuffer`] and [`PrivateStore`]. A region moves
+///   them into the processor's slot when the engine starts and back when
+///   the region ends, and they stay in the slot in between: a commit only
+///   retracts the slot's mask marks, and the next dispatch clears the
+///   buffers in place (an O(1) epoch bump). The dense shadow arrays are
+///   therefore allocated once per processor, not once per segment, region
+///   or call;
+/// * the per-address dependence masks over the in-flight slots;
+/// * a pool of compiled-executor buffers ([`ExecBuffers`]). The engine's
+///   per-processor segment executors and the schedule's serial spans take
+///   theirs from it and return them at region or span end; each executor
+///   resizes what it takes to its own unit;
+/// * the dense label table's buffer.
 ///
 /// Obtain one from a [`ScratchPool`] with [`ScratchPool::take`] and hand it
 /// back with [`ScratchPool::restore`] after a *successful* run; on error,
@@ -210,12 +233,16 @@ impl DepMasks {
 /// simply rebuilt on the next take).
 #[derive(Debug, Default)]
 pub struct EngineScratch {
-    /// Retired storage buffers, reused by the next segment dispatched onto
-    /// the same processor so the dense shadow arrays are allocated once per
-    /// processor, not once per segment (or region, or call).
-    spare: Vec<Option<(SpecBuffer, PrivateStore)>>,
+    /// Each processor's storage buffers between regions (`None` until a
+    /// region first runs on the processor, or after an address-space
+    /// change).
+    stores: Vec<Option<(SpecBuffer, PrivateStore)>>,
     /// Cross-slot dependence presence masks (see [`DepMasks`]).
     masks: DepMasks,
+    /// Pooled executor buffers, taken last-in first-out.
+    execs: Vec<ExecBuffers>,
+    /// The label table's buffer.
+    labels: Vec<Label>,
 }
 
 impl EngineScratch {
@@ -225,31 +252,74 @@ impl EngineScratch {
         EngineScratch::default()
     }
 
+    /// Takes executor buffers from the pool (empty ones when it is dry).
+    pub(crate) fn take_exec(&mut self) -> ExecBuffers {
+        self.execs.pop().unwrap_or_default()
+    }
+
+    /// Returns executor buffers to the pool.
+    pub(crate) fn restore_exec(&mut self, bufs: ExecBuffers) {
+        self.execs.push(bufs);
+    }
+
     /// Re-targets the scratch at a machine shape, keeping every allocation
     /// that still fits: masks reallocate only when the address-space size
     /// changes, pooled buffers are revalidated (dropped on a word-count
     /// mismatch, re-capacitied in place across ladder points).
     fn prepare(&mut self, processors: usize, capacity: usize, words: u64) {
         self.masks.prepare(processors, words);
-        self.spare.resize_with(processors, || None);
-        for slot in &mut self.spare {
+        if self.stores.len() < processors {
+            self.stores.resize_with(processors, || None);
+        }
+        for slot in &mut self.stores {
             if let Some((spec, _)) = slot {
                 if spec.address_words() != words {
                     *slot = None;
                 } else if spec.capacity() != capacity {
-                    // Retired buffers clear lazily (on dispatch); clear
-                    // eagerly here so the capacity change sees an empty
-                    // buffer.
+                    // Buffers clear lazily (on dispatch); clear eagerly
+                    // here so the capacity change sees an empty buffer.
                     spec.clear();
                     spec.set_capacity(capacity);
                 }
             }
         }
     }
+
+    /// The pooled storage-buffer pairs, the pooled executor-buffer sets,
+    /// and the heap address of every buffer they and the label table hold
+    /// (pool-reuse tests compare them).
+    #[cfg(test)]
+    pub(crate) fn heap_addrs(&self) -> (usize, usize, Vec<usize>) {
+        let mut addrs = Vec::new();
+        for (spec, private) in self.stores.iter().flatten() {
+            addrs.extend(spec.heap_addrs());
+            addrs.extend(private.heap_addrs());
+        }
+        for bufs in &self.execs {
+            addrs.extend(bufs.heap_addrs());
+        }
+        addrs.push(self.labels.as_ptr() as usize);
+        let stores = self.stores.iter().flatten().count();
+        (stores, self.execs.len(), addrs)
+    }
+
+    /// Processor `p`'s storage buffers, pooled or fresh, sized to the
+    /// prepared shape.
+    fn take_stores(&mut self, p: usize, capacity: usize, words: u64) -> (SpecBuffer, PrivateStore) {
+        self.stores[p]
+            .take()
+            .unwrap_or_else(|| (SpecBuffer::new(capacity, words), PrivateStore::new(words)))
+    }
 }
 
 /// A shareable pool of retired [`EngineScratch`] values — the allocation
 /// reuse that survives **across threads**.
+///
+/// Each `simulate_program` or `simulate_region` call takes one scratch at
+/// the start and, when it succeeds, restores it at the end. A warm call
+/// therefore finds every buffer it needs already sized: each processor's
+/// storage buffers, the dependence masks, the executor buffers of its
+/// segments and serial spans, and the label table (see [`EngineScratch`]).
 ///
 /// The engine's scratch reuse was originally a bare `thread_local!`, which
 /// [`SweepExec`](crate::sweep::SweepExec) silently defeated: every
@@ -334,18 +404,20 @@ impl ScratchPool {
 /// already holding the effects of the code preceding the region.
 pub(crate) struct Engine<'p> {
     cfg: &'p SimConfig,
-    layout: &'p Layout,
     region: &'p LoopStmt,
     labels: LabelTable,
     iter_values: Vec<i64>,
     has_private_labels: bool,
+    /// `cfg.faults` injects something (read once, not per statement).
+    faults_armed: bool,
 
     /// One executor per processor that will run a segment, all on the
     /// region body's one compiled form (tree-walk or bytecode), kept for
     /// the whole region and restarted at every dispatch. A WHILE region's
     /// continuation check is each segment's first unit.
     execs: Vec<AnyExec<'p>>,
-    slots: Vec<Option<SlotData>>,
+    /// One slot per processor, in place for the whole region.
+    slots: Vec<SlotData>,
     /// Pooled buffers + dependence masks, owned by the caller (see
     /// [`EngineScratch`]).
     scratch: &'p mut EngineScratch,
@@ -365,7 +437,8 @@ pub(crate) struct Engine<'p> {
 impl<'p> Engine<'p> {
     /// Creates an engine for one region execution. `lowered` is the
     /// region body's compiled form, or `None` to tree-walk it (the caller
-    /// compiles; the engine runs whatever it is handed).
+    /// compiles; the engine runs whatever it is handed). The engine takes
+    /// its buffers from `scratch` and [`run`](Self::run) hands them back.
     #[allow(clippy::too_many_arguments)]
     pub(crate) fn new(
         cfg: &'p SimConfig,
@@ -379,22 +452,30 @@ impl<'p> Engine<'p> {
         scratch: &'p mut EngineScratch,
         memory: &'p mut Memory,
     ) -> Self {
-        let labels = LabelTable::new(mode, labeling);
-        let has_private_labels = labels.has_private();
         let processors = cfg.processors.max(1);
-        scratch.prepare(processors, cfg.spec_capacity, layout.total_words());
-        let execs = (0..processors.min(iter_values.len()))
-            .map(|_| AnyExec::segment(lowered, vars, layout, region))
+        let words = layout.total_words();
+        scratch.prepare(processors, cfg.spec_capacity, words);
+        let labels = LabelTable::new(mode, labeling, std::mem::take(&mut scratch.labels));
+        let has_private_labels = labels.has_private();
+        // Only the processors that will run a segment get an executor and
+        // the processor's storage buffers.
+        let busy = processors.min(iter_values.len());
+        let execs = (0..busy)
+            .map(|_| AnyExec::segment(lowered, vars, layout, region, scratch.take_exec()))
             .collect();
+        let mut slots: Vec<SlotData> = (0..processors).map(|_| SlotData::default()).collect();
+        for (p, slot) in slots.iter_mut().enumerate().take(busy) {
+            (slot.spec, slot.private) = scratch.take_stores(p, cfg.spec_capacity, words);
+        }
         Engine {
             cfg,
-            layout,
             region,
             labels,
             iter_values,
             has_private_labels,
+            faults_armed: !cfg.faults.is_empty(),
             execs,
-            slots: (0..processors).map(|_| None).collect(),
+            slots,
             scratch,
             memory,
             head: 0,
@@ -409,15 +490,36 @@ impl<'p> Engine<'p> {
         }
     }
 
-    /// Runs the region to completion and returns the report.
+    /// Runs the region to completion and returns the report. On success
+    /// every buffer the engine took goes back to the scratch; on error the
+    /// caller drops the scratch.
     pub(crate) fn run(mut self) -> Result<SimReport, SimError> {
+        self.drive()?;
+        self.report.region_cycles = self.last_commit_time;
+        let Engine {
+            execs,
+            slots,
+            labels,
+            scratch,
+            report,
+            ..
+        } = self;
+        // Last in, first out: push processor 0's executor buffers last so
+        // the next region hands them to processor 0 again.
+        for (p, (exec, slot)) in execs.into_iter().zip(slots).enumerate().rev() {
+            scratch.restore_exec(exec.into_buffers());
+            scratch.stores[p] = Some((slot.spec, slot.private));
+        }
+        scratch.labels = labels.into_buffer();
+        Ok(report)
+    }
+
+    /// Dispatches, steps and commits segments until the region ends.
+    fn drive(&mut self) -> Result<(), SimError> {
         let total = self.iter_values.len();
         self.report.segments = total;
         // Initial dispatch.
-        for p in 0..self.slots.len() {
-            if self.next_dispatch >= total {
-                break;
-            }
+        for p in 0..self.execs.len() {
             self.dispatch(p, 0)?;
         }
         while self.head < total && !self.terminated {
@@ -435,7 +537,9 @@ impl<'p> Engine<'p> {
             let mut runnable: Option<(usize, u64)> = None;
             let mut min_other = u64::MAX;
             for (p, slot) in self.slots.iter_mut().enumerate() {
-                let Some(slot) = slot else { continue };
+                if !slot.active {
+                    continue;
+                }
                 let is_head = slot.seg == head_seg;
                 if is_head {
                     if slot.stalled {
@@ -472,8 +576,7 @@ impl<'p> Engine<'p> {
                 return Err(SimError::StatementBudgetExceeded);
             }
         }
-        self.report.region_cycles = self.last_commit_time;
-        Ok(self.report)
+        Ok(())
     }
 
     fn dispatch(&mut self, p: usize, start_time: u64) -> Result<(), SimError> {
@@ -483,35 +586,21 @@ impl<'p> Engine<'p> {
         if self.has_private_labels {
             clock += self.cfg.private_setup_cost;
         }
-        // Reuse the storage retired by the previous segment on this
-        // processor (cleared in O(journal) via its epoch bump).
-        let (spec, private) = match self.scratch.spare[p].take() {
-            Some((mut spec, mut private)) => {
-                spec.clear();
-                private.clear();
-                (spec, private)
-            }
-            None => {
-                let words = self.layout.total_words();
-                (
-                    SpecBuffer::new(self.cfg.spec_capacity, words),
-                    PrivateStore::new(words),
-                )
-            }
-        };
-        self.slots[p] = Some(SlotData {
-            seg,
-            clock,
-            spec,
-            private,
-            done: false,
-            stalled: false,
-            squash_requested: false,
-            squash_not_before: 0,
-            overflow_poisoned: false,
-            restarts: 0,
-            term_pending: false,
-        });
+        // The slot keeps the processor's buffers from its previous
+        // segment; clearing them is an O(1) epoch bump.
+        let slot = &mut self.slots[p];
+        slot.spec.clear();
+        slot.private.clear();
+        slot.seg = seg;
+        slot.clock = clock;
+        slot.active = true;
+        slot.done = false;
+        slot.stalled = false;
+        slot.squash_requested = false;
+        slot.squash_not_before = 0;
+        slot.overflow_poisoned = false;
+        slot.restarts = 0;
+        slot.term_pending = false;
         // Restarting reuses every buffer, so a dispatch allocates nothing.
         self.execs[p].restart(&[(self.region.index, self.iter_values[seg])]);
         // Injected dispatch failures. The simulator has no worker thread
@@ -533,27 +622,22 @@ impl<'p> Engine<'p> {
     }
 
     fn step_slot(&mut self, p: usize) -> Result<(), SimError> {
-        {
-            let slot = self.slots[p].as_mut().expect("slot present");
-            slot.clock += self.cfg.stmt_cost;
-        }
+        self.slots[p].clock += self.cfg.stmt_cost;
         // Deterministic fault injection, non-head segments only: the head
         // is non-speculative and cannot misspeculate (which also keeps the
         // one-processor degenerate case injection-free, preserving its
         // zero-violation invariant). Every injection restarts the segment
         // and thereby bumps its attempt number, so each (segment, attempt)
         // decision fires at most once.
-        if !self.cfg.faults.is_empty() {
-            let (seg, attempt, now) = {
-                let slot = self.slots[p].as_ref().expect("slot");
-                (slot.seg, slot.restarts, slot.clock)
-            };
+        if self.faults_armed {
+            let slot = &self.slots[p];
+            let (seg, attempt, now) = (slot.seg, slot.restarts, slot.clock);
             if seg != self.head {
                 if self.cfg.faults.force_violation(seg, attempt) {
                     // Mirror a real flow violation: flag it and squash
                     // this segment plus every younger in-flight one.
                     self.report.violations += 1;
-                    for slot in self.slots.iter_mut().flatten() {
+                    for slot in self.slots.iter_mut().filter(|s| s.active) {
                         if slot.seg >= seg {
                             slot.squash_requested = true;
                             slot.squash_not_before = slot.squash_not_before.max(now);
@@ -571,8 +655,7 @@ impl<'p> Engine<'p> {
                 if self.cfg.faults.force_overflow(seg, attempt) {
                     self.report.overflow_stalls += 1;
                     self.restart_slot(p, now, false)?;
-                    let slot = self.slots[p].as_mut().expect("slot");
-                    slot.stalled = true;
+                    self.slots[p].stalled = true;
                     return Ok(());
                 }
             }
@@ -616,16 +699,14 @@ impl<'p> Engine<'p> {
                 statements: self.stmts_since_commit,
             });
         }
-        let (now, occ) = {
-            let slot = self.slots[p].as_mut().expect("slot");
-            if !more {
-                slot.done = true;
-                slot.term_pending = exited;
-            }
-            (slot.clock, slot.spec.len())
-        };
+        let slot = &mut self.slots[p];
+        if !more {
+            slot.done = true;
+            slot.term_pending = exited;
+        }
+        let now = slot.clock;
         // Track peak speculative-storage occupancy.
-        self.report.spec_peak_occupancy = self.report.spec_peak_occupancy.max(occ);
+        self.report.spec_peak_occupancy = self.report.spec_peak_occupancy.max(slot.spec.len());
         // Roll back segments flagged by violations during this statement
         // (squash requests are only ever set together with a violation, so
         // an unchanged count means there is nothing to process). A premature
@@ -635,14 +716,9 @@ impl<'p> Engine<'p> {
             self.process_squashes(now)?;
         }
         // Handle an overflow detected during this statement.
-        let poisoned = self.slots[p]
-            .as_ref()
-            .map(|s| s.overflow_poisoned)
-            .unwrap_or(false);
-        if poisoned {
+        if self.slots[p].overflow_poisoned {
             self.restart_slot(p, now, false)?;
-            let slot = self.slots[p].as_mut().expect("slot");
-            slot.stalled = true;
+            self.slots[p].stalled = true;
         }
         Ok(())
     }
@@ -652,21 +728,19 @@ impl<'p> Engine<'p> {
     /// triggered it.
     fn process_squashes(&mut self, now: u64) -> Result<(), SimError> {
         for p in 0..self.slots.len() {
-            let request = self.slots[p]
-                .as_ref()
-                .filter(|s| s.squash_requested)
-                .map(|s| s.squash_not_before);
-            if let Some(not_before) = request {
-                let restart = now.max(not_before) + self.cfg.rollback_penalty;
+            let slot = &self.slots[p];
+            if slot.active && slot.squash_requested {
+                let restart = now.max(slot.squash_not_before) + self.cfg.rollback_penalty;
                 self.restart_slot(p, restart, true)?;
             }
         }
         Ok(())
     }
 
-    /// Resets a segment to its initial state. `count_rollback` separates
-    /// violation roll-backs from overflow restarts in the statistics.
-    /// Fails when the restart trips a governor budget.
+    /// Resets the in-flight segment of slot `p` to its initial state.
+    /// `count_rollback` separates violation roll-backs from overflow
+    /// restarts in the statistics. Fails when the restart trips a governor
+    /// budget.
     fn restart_slot(
         &mut self,
         p: usize,
@@ -682,30 +756,29 @@ impl<'p> Engine<'p> {
             has_private_labels,
             ..
         } = self;
-        if let Some(slot) = slots[p].as_mut() {
-            scratch.masks.retract(p, &slot.spec);
-            slot.spec.clear();
-            slot.private.clear();
-            slot.done = false;
-            slot.stalled = false;
-            slot.squash_requested = false;
-            slot.squash_not_before = 0;
-            slot.overflow_poisoned = false;
-            slot.term_pending = false;
-            slot.restarts += 1;
-            report.max_segment_restarts = report.max_segment_restarts.max(slot.restarts);
-            slot.clock = restart_time;
-            if *has_private_labels {
-                slot.clock += cfg.private_setup_cost;
-            }
-            if slot.restarts > cfg.governor.max_segment_restarts {
-                return Err(SimError::RestartBudget {
-                    segment: slot.seg,
-                    restarts: slot.restarts,
-                });
-            }
-            execs[p].reset();
+        let slot = &mut slots[p];
+        scratch.masks.retract(p, &slot.spec);
+        slot.spec.clear();
+        slot.private.clear();
+        slot.done = false;
+        slot.stalled = false;
+        slot.squash_requested = false;
+        slot.squash_not_before = 0;
+        slot.overflow_poisoned = false;
+        slot.term_pending = false;
+        slot.restarts += 1;
+        report.max_segment_restarts = report.max_segment_restarts.max(slot.restarts);
+        slot.clock = restart_time;
+        if *has_private_labels {
+            slot.clock += cfg.private_setup_cost;
         }
+        if slot.restarts > cfg.governor.max_segment_restarts {
+            return Err(SimError::RestartBudget {
+                segment: slot.seg,
+                restarts: slot.restarts,
+            });
+        }
+        execs[p].reset();
         if count_rollback {
             report.rollbacks += 1;
             if report.rollbacks > cfg.governor.max_region_rollbacks {
@@ -721,7 +794,7 @@ impl<'p> Engine<'p> {
     /// segment onto the freed processor.
     fn commit(&mut self, p: usize) -> Result<(), SimError> {
         let total = self.iter_values.len();
-        let slot = self.slots[p].as_ref().expect("slot");
+        let slot = &self.slots[p];
         // Drain the journal straight into memory. An address has one entry
         // per epoch, so the (touch) order of the stores cannot matter.
         let mut entries = 0u64;
@@ -735,13 +808,10 @@ impl<'p> Engine<'p> {
         self.report.committed_entries += entries;
         self.last_commit_time = self.last_commit_time.max(commit_time);
         self.head += 1;
-        // Retire the slot's storage into the spare pool for the next
-        // segment dispatched onto this processor (and, via the pooled
-        // scratch, for the next region or call).
-        if let Some(slot) = self.slots[p].take() {
-            self.scratch.masks.retract(p, &slot.spec);
-            self.scratch.spare[p] = Some((slot.spec, slot.private));
-        }
+        // The slot keeps its buffers for the processor's next segment (the
+        // dispatch clears them); only its mask marks go now.
+        self.scratch.masks.retract(p, &slot.spec);
+        self.slots[p].active = false;
         self.stmts_since_commit = 0;
         if terminator {
             // The committed head's continuation check failed: the region is
@@ -749,10 +819,10 @@ impl<'p> Engine<'p> {
             // buffered state never reached memory (a while region has no
             // non-private idempotent write-through sites; see
             // `RegionAnalysis`'s segment view) — and stop dispatching.
-            for q in 0..self.slots.len() {
-                if let Some(slot) = self.slots[q].take() {
+            for (q, slot) in self.slots.iter_mut().enumerate() {
+                if slot.active {
                     self.scratch.masks.retract(q, &slot.spec);
-                    self.scratch.spare[q] = Some((slot.spec, slot.private));
+                    slot.active = false;
                 }
             }
             self.report.segments = self.head;
@@ -767,14 +837,6 @@ impl<'p> Engine<'p> {
     }
 }
 
-/// The stepping segment's slot as a *field-level* borrow of the slot
-/// slice, for the sites that must hold the slot and another context field
-/// at once (the method accessors borrow the whole context).
-#[inline]
-fn own_slot_mut(slots: &mut [Option<SlotData>], p: usize) -> &mut SlotData {
-    slots[p].as_mut().expect("own slot")
-}
-
 /// The [`DataStore`] a stepping segment sees: routes every access according
 /// to its label, charges latencies, tracks dependences and flags violations
 /// and overflows.
@@ -782,7 +844,7 @@ struct AccessCtx<'a> {
     cfg: &'a SimConfig,
     labels: &'a LabelTable,
     memory: &'a mut Memory,
-    slots: &'a mut [Option<SlotData>],
+    slots: &'a mut [SlotData],
     masks: &'a mut DepMasks,
     report: &'a mut SimReport,
     p: usize,
@@ -790,17 +852,16 @@ struct AccessCtx<'a> {
 }
 
 impl AccessCtx<'_> {
-    /// The stepping segment's slot. The slot is always present while its
-    /// executor steps — the engine dispatched it in the same scan.
+    /// The stepping segment's slot.
     #[inline]
     fn own(&self) -> &SlotData {
-        self.slots[self.p].as_ref().expect("own slot")
+        &self.slots[self.p]
     }
 
     /// Mutable access to the stepping segment's slot.
     #[inline]
     fn own_mut(&mut self) -> &mut SlotData {
-        own_slot_mut(self.slots, self.p)
+        &mut self.slots[self.p]
     }
 
     /// Flags violations: an older segment writes `addr` while a younger
@@ -811,7 +872,7 @@ impl AccessCtx<'_> {
             return;
         }
         let mut min_violating: Option<usize> = None;
-        for slot in self.slots.iter().flatten() {
+        for slot in self.slots.iter().filter(|s| s.active) {
             if slot.seg > writer_seg && slot.spec.has_exposed_read(addr) {
                 min_violating = Some(match min_violating {
                     Some(m) => m.min(slot.seg),
@@ -822,7 +883,7 @@ impl AccessCtx<'_> {
         if let Some(min_seg) = min_violating {
             self.report.violations += 1;
             let detection_time = self.own().clock;
-            for slot in self.slots.iter_mut().flatten() {
+            for slot in self.slots.iter_mut().filter(|s| s.active) {
                 if slot.seg >= min_seg {
                     slot.squash_requested = true;
                     slot.squash_not_before = slot.squash_not_before.max(detection_time);
@@ -836,10 +897,10 @@ impl AccessCtx<'_> {
     fn forward_from_ancestor(&self, addr: Addr, reader_seg: usize) -> Option<(f64, u64)> {
         self.slots
             .iter()
-            .flatten()
-            .filter(|s| s.seg < reader_seg && s.spec.has_written(addr))
-            .max_by_key(|s| s.seg)
-            .and_then(|s| s.spec.get(addr).map(|e| (e.value, e.last_write_time)))
+            .filter(|s| s.active && s.seg < reader_seg)
+            .filter_map(|s| Some((s.seg, s.spec.get(addr).filter(|e| e.written)?)))
+            .max_by_key(|&(seg, _)| seg)
+            .map(|(_, e)| (e.value, e.last_write_time))
     }
 
     /// Flags a premature read: the reader (and every younger segment) is
@@ -849,7 +910,7 @@ impl AccessCtx<'_> {
     /// the hardware detects the violation.
     fn flag_premature_read(&mut self, reader_seg: usize, write_time: u64) {
         self.report.violations += 1;
-        for slot in self.slots.iter_mut().flatten() {
+        for slot in self.slots.iter_mut().filter(|s| s.active) {
             if slot.seg >= reader_seg {
                 slot.squash_requested = true;
                 slot.squash_not_before = slot.squash_not_before.max(write_time);
@@ -883,21 +944,21 @@ impl DataStore for AccessCtx<'_> {
             }
             Label::Speculative => {
                 self.report.spec_reads += 1;
-                // Own buffer first.
-                {
-                    let lat = self.cfg.lat_spec;
-                    let slot = self.own_mut();
-                    if let Some(entry) = slot.spec.get(addr) {
-                        let value = entry.value;
-                        slot.clock += lat;
-                        return value;
-                    }
-                    if slot.overflow_poisoned {
-                        // The segment is already being squashed; do not
-                        // track anything further.
-                        slot.clock += lat;
-                        return self.memory.load(addr);
-                    }
+                // Own buffer first. This one probe of its index also
+                // answers the overflow check and places the insert below.
+                let lat = self.cfg.lat_spec;
+                let slot = self.own_mut();
+                let probe = slot.spec.probe(addr);
+                if let Some(entry) = slot.spec.entry(probe) {
+                    let value = entry.value;
+                    slot.clock += lat;
+                    return value;
+                }
+                if slot.overflow_poisoned {
+                    // The segment is already being squashed; do not track
+                    // anything further.
+                    slot.clock += lat;
+                    return self.memory.load(addr);
                 }
                 // Forward from the youngest ancestor, else non-speculative
                 // storage (HOSE Property 4). The mask makes the common "no
@@ -928,11 +989,11 @@ impl DataStore for AccessCtx<'_> {
                 // Field-level borrow: the block below touches the slot and
                 // the report together, which the whole-`self` accessor
                 // cannot express.
-                let slot = own_slot_mut(self.slots, self.p);
+                let slot = &mut self.slots[self.p];
                 slot.clock += latency;
                 // Record the exposed read for dependence tracking; this
                 // allocation may overflow the buffer.
-                if slot.spec.would_overflow(addr) {
+                if probe == Probe::Full {
                     if is_head {
                         // The head is non-speculative: it cannot violate and
                         // need not track; absorb the overflow.
@@ -944,7 +1005,7 @@ impl DataStore for AccessCtx<'_> {
                     return value;
                 }
                 let now = slot.clock;
-                slot.spec.record_exposed_read(addr, value, now);
+                slot.spec.record_exposed_read(addr, probe, value, now);
                 self.masks.mark_read(self.p, addr);
                 value
             }
@@ -983,7 +1044,9 @@ impl DataStore for AccessCtx<'_> {
                     self.own_mut().clock += self.cfg.lat_spec;
                     return;
                 }
-                if self.own().spec.would_overflow(addr) {
+                // One probe: the overflow check, then the update or insert.
+                let probe = self.own().spec.probe(addr);
+                if probe == Probe::Full {
                     if is_head {
                         self.report.overflow_writethrough += 1;
                         self.own_mut().clock += self.cfg.lat_nonspec;
@@ -1001,7 +1064,7 @@ impl DataStore for AccessCtx<'_> {
                 let slot = self.own_mut();
                 slot.clock += lat;
                 let now = slot.clock;
-                slot.spec.record_write(addr, value, now);
+                slot.spec.record_write(addr, probe, value, now);
                 self.masks.mark_write(self.p, addr);
             }
         }

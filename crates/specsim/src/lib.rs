@@ -55,7 +55,7 @@ pub use run::{
     simulate_program, simulate_region, verify_against_sequential, ExecMode, ProgramComparison,
     ProgramOutcome, SeqProgramOutcome, SimError, SimOutcome,
 };
-pub use storage::{PrivateStore, SpecBuffer, SpecEntry};
+pub use storage::{PrivateStore, Probe, SpecBuffer, SpecEntry};
 pub use sweep::{ladder_plan, SweepExec, SweepPlan, SweepPoint};
 
 /// Commonly used items, for glob import.

@@ -87,11 +87,11 @@ use crate::engine::LabelTable;
 use crate::fault::PerturbEdge;
 use crate::report::SimReport;
 use crate::run::{ExecMode, SimError};
-use crate::storage::{PrivateStore, SpecBuffer};
+use crate::storage::{PrivateStore, Probe, SpecBuffer};
 use refidem_core::label::{IdemCategory, Label, Labeling};
 use refidem_ir::exec::{AnyExec, DataStore};
 use refidem_ir::ids::RefId;
-use refidem_ir::lowered::LoweredProc;
+use refidem_ir::lowered::{ExecBuffers, LoweredProc};
 use refidem_ir::memory::{Addr, Layout, Memory};
 use refidem_ir::stmt::LoopStmt;
 use refidem_ir::var::VarTable;
@@ -273,7 +273,7 @@ pub(crate) fn run_region(
     let words = layout.total_words() as usize;
     let shared = Shared {
         cfg,
-        labels: LabelTable::new(mode, labeling),
+        labels: LabelTable::new(mode, labeling, Vec::new()),
         memory: AtomicMemory::from_memory(memory),
         read_mask: (0..words).map(|_| AtomicU32::new(0)).collect(),
         write_mask: (0..words).map(|_| AtomicU32::new(0)).collect(),
@@ -377,7 +377,8 @@ pub(crate) fn run_region(
 /// all on one executor that it restarts per segment.
 fn worker(shared: &Shared<'_>, ctx: &RegionCtx<'_>, p: usize) -> Result<(), SimError> {
     let mut private = PrivateStore::new(ctx.layout.total_words());
-    let mut exec = AnyExec::segment(ctx.lowered, ctx.vars, ctx.layout, ctx.region);
+    let bufs = ExecBuffers::default();
+    let mut exec = AnyExec::segment(ctx.lowered, ctx.vars, ctx.layout, ctx.region, bufs);
     loop {
         if shared.abort.load(SeqCst) {
             return Ok(());
@@ -748,10 +749,9 @@ impl ParCtx<'_, '_> {
             if q_seg == IDLE || q_seg >= self.seg {
                 continue;
             }
-            if spec.has_written(addr) {
-                let value = spec.get(addr).expect("written entry").value;
+            if let Some(entry) = spec.get(addr).filter(|e| e.written) {
                 if best.map_or(true, |(b, _)| q_seg > b) {
-                    best = Some((q_seg, value));
+                    best = Some((q_seg, entry.value));
                 }
             }
         }
@@ -789,13 +789,16 @@ impl ParCtx<'_, '_> {
         let t = &self.shared.tallies;
         t.spec_reads.fetch_add(1, Relaxed);
         // Own buffer first — a hit (prior write or tracked read) is not a
-        // new exposed read.
-        {
+        // new exposed read. The one probe also places the insert below:
+        // only this thread changes its own buffer, so the probe stays
+        // valid while the lock is released.
+        let probe = {
             let spec = self.shared.slots[self.p].spec.lock().expect("spec lock");
-            if let Some(entry) = spec.get(addr) {
+            let probe = spec.probe(addr);
+            if let Some(entry) = spec.entry(probe) {
                 return entry.value;
             }
-            if spec.would_overflow(addr) {
+            if probe == Probe::Full {
                 if self.head_mode {
                     // The head absorbs overflow by reading through.
                     t.overflow_writethrough.fetch_add(1, Relaxed);
@@ -806,7 +809,8 @@ impl ParCtx<'_, '_> {
                 self.overflow = true;
                 return self.shared.memory.load(addr);
             }
-        }
+            probe
+        };
         if self.overflow {
             // Poisoned attempt: keep the statement running without
             // tracking; the value is discarded with the attempt.
@@ -817,7 +821,7 @@ impl ParCtx<'_, '_> {
             // checked above) and track the entry so re-reads hit locally.
             let value = self.shared.memory.load(addr);
             let mut spec = self.shared.slots[self.p].spec.lock().expect("spec lock");
-            spec.record_exposed_read(addr, value, 0);
+            spec.record_exposed_read(addr, probe, value, 0);
             return value;
         }
         // Dekker, reader side: publish the read intent *before* probing
@@ -843,7 +847,7 @@ impl ParCtx<'_, '_> {
             None => self.shared.memory.load(addr),
         };
         let mut spec = self.shared.slots[self.p].spec.lock().expect("spec lock");
-        spec.record_exposed_read(addr, value, 0);
+        spec.record_exposed_read(addr, probe, value, 0);
         value
     }
 
@@ -854,8 +858,9 @@ impl ParCtx<'_, '_> {
             return;
         }
         {
-            let spec = self.shared.slots[self.p].spec.lock().expect("spec lock");
-            if spec.would_overflow(addr) {
+            let mut spec = self.shared.slots[self.p].spec.lock().expect("spec lock");
+            let probe = spec.probe(addr);
+            if probe == Probe::Full {
                 drop(spec);
                 if self.head_mode {
                     // The head absorbs overflow by writing through:
@@ -870,13 +875,10 @@ impl ParCtx<'_, '_> {
                 }
                 return;
             }
-        }
-        // Dekker, writer side: record the entry (so a reader that sees
-        // the bit finds the value), publish the write bit, then scan for
-        // younger readers that got ahead of us.
-        {
-            let mut spec = self.shared.slots[self.p].spec.lock().expect("spec lock");
-            spec.record_write(addr, value, 0);
+            // Dekker, writer side: record the entry (so a reader that sees
+            // the bit finds the value), publish the write bit, then scan
+            // for younger readers that got ahead of us.
+            spec.record_write(addr, probe, value, 0);
         }
         self.shared.write_mask[addr.0 as usize].fetch_or(1u32 << self.p, SeqCst);
         self.check_violations(addr);

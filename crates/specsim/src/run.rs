@@ -27,7 +27,7 @@ use refidem_ir::cache::Tally;
 use refidem_ir::exec::{AnyExec, CountingStore, DataStore, DynCounts, ExecError, PlainStore};
 use refidem_ir::expr::Expr;
 use refidem_ir::ids::{RefId, VarId};
-use refidem_ir::lowered::{ExecBackend, LowerKey, LowerUnit, LoweredProc};
+use refidem_ir::lowered::{ExecBackend, ExecBuffers, LowerKey, LowerUnit, LoweredProc};
 use refidem_ir::memory::{Addr, Layout, Memory};
 use refidem_ir::program::{Procedure, Program};
 use refidem_ir::stmt::{LoopStmt, Stmt};
@@ -252,6 +252,9 @@ pub fn initial_memory_with_layout(layout: &Layout) -> Memory {
     })
 }
 
+/// Most segments a region may have.
+const TRIP_LIMIT: usize = 10_000_000;
+
 fn region_iteration_values(vars: &VarTable, region: &LoopStmt) -> Result<Vec<i64>, SimError> {
     let lower = region.lower.substitute_params(&|v| vars.param_value(v));
     let upper = region.upper.substitute_params(&|v| vars.param_value(v));
@@ -259,7 +262,8 @@ fn region_iteration_values(vars: &VarTable, region: &LoopStmt) -> Result<Vec<i64
         return Err(SimError::RegionBoundsNotConstant);
     }
     let (lo, hi, step) = (lower.constant, upper.constant, region.step);
-    let mut values = Vec::new();
+    // Sized up front: one allocation per region, not one per doubling.
+    let mut values = Vec::with_capacity(LoopStmt::trip_count(lo, hi, step).min(TRIP_LIMIT + 1));
     let mut k = lo;
     loop {
         if (step > 0 && k > hi) || (step < 0 && k < hi) {
@@ -267,7 +271,7 @@ fn region_iteration_values(vars: &VarTable, region: &LoopStmt) -> Result<Vec<i64
         }
         values.push(k);
         k += step;
-        if values.len() > 10_000_000 {
+        if values.len() > TRIP_LIMIT {
             return Err(SimError::Region("region trip count too large".to_string()));
         }
     }
@@ -436,7 +440,8 @@ impl<'a> Schedule<'a> {
     }
 
     /// Runs `key`'s unit (`stmts`) to completion on one processor through
-    /// `store`, within `budget` statement units, and returns the units it
+    /// `store`, within `budget` statement units, on the executor buffers
+    /// `bufs` (left in place for the next unit), and returns the units it
     /// executed.
     fn run_unit(
         &self,
@@ -445,6 +450,7 @@ impl<'a> Schedule<'a> {
         store: &mut impl DataStore,
         budget: usize,
         tally: &mut Tally,
+        bufs: &mut ExecBuffers,
     ) -> Result<usize, SimError> {
         let compiled = self.compiled(key, None, stmts, &[], tally);
         let mut exec = AnyExec::new(
@@ -453,9 +459,13 @@ impl<'a> Schedule<'a> {
             &self.layout,
             stmts,
             &[],
+            std::mem::take(bufs),
         );
-        exec.run(store, budget).map_err(SimError::Exec)?;
-        Ok(exec.steps())
+        let run = exec.run(store, budget);
+        let steps = exec.steps();
+        *bufs = exec.into_buffers();
+        run.map_err(SimError::Exec)?;
+        Ok(steps)
     }
 
     /// The one-processor cycle cost of `accesses` non-speculative accesses
@@ -465,8 +475,8 @@ impl<'a> Schedule<'a> {
     }
 
     /// Runs the serial span `start..end` of the body (the one preceding
-    /// region `i`, or trailing the last) on one processor and returns its
-    /// cycle cost.
+    /// region `i`, or trailing the last) on one processor, on the executor
+    /// buffers `bufs`, and returns its cycle cost.
     fn serial_span(
         &self,
         i: usize,
@@ -474,6 +484,7 @@ impl<'a> Schedule<'a> {
         end: usize,
         memory: &mut Memory,
         tally: &mut Tally,
+        bufs: &mut ExecBuffers,
     ) -> Result<u64, SimError> {
         let stmts = &self.proc.body[start..end];
         if stmts.is_empty() {
@@ -484,7 +495,7 @@ impl<'a> Schedule<'a> {
             accesses: 0,
         };
         let key = self.span_key(i, start);
-        let steps = self.run_unit(key, stmts, &mut store, SEQ_STEP_BUDGET, tally)?;
+        let steps = self.run_unit(key, stmts, &mut store, SEQ_STEP_BUDGET, tally, bufs)?;
         Ok(self.seq_cycles(store.accesses, steps))
     }
 
@@ -500,6 +511,7 @@ impl<'a> Schedule<'a> {
         i: usize,
         memory: &mut Memory,
         tally: &mut Tally,
+        bufs: &mut ExecBuffers,
     ) -> Result<(u64, usize, DynCounts), SimError> {
         let stmts = std::slice::from_ref(&self.proc.body[self.regions[i].0]);
         let key = LowerKey::new(self.proc, self.label(i), LowerUnit::RegionLoop);
@@ -510,6 +522,7 @@ impl<'a> Schedule<'a> {
             &mut store,
             self.cfg.max_statements as usize,
             tally,
+            bufs,
         )?;
         let accesses = store.counts.values().map(|(r, w)| r + w).sum();
         Ok((self.seq_cycles(accesses, steps), steps, store.counts))
@@ -517,12 +530,14 @@ impl<'a> Schedule<'a> {
 
     /// Executes the schedule: serial spans sequentially, every region
     /// speculatively through the engine (or the real-thread runtime), one
-    /// pooled [`EngineScratch`] across all regions.
+    /// pooled [`EngineScratch`] across all regions and spans.
     fn simulate(&self, mode: ExecMode) -> Result<(ProgramReport, Memory), SimError> {
         let cfg = self.cfg;
         let vars = &self.proc.vars;
         let mut memory = initial_memory_with_layout(&self.layout);
         let mut scratch = cfg.scratch.take();
+        // One set of executor buffers serves every serial span of the call.
+        let mut span_bufs = scratch.take_exec();
         let mut serial_tally = Tally::default();
         let mut report = ProgramReport::default();
         // Arm the serial fallback: under the in-place simulator a failed run
@@ -536,8 +551,14 @@ impl<'a> Schedule<'a> {
         let mut snapshot = Memory::default();
         let mut cursor = 0usize;
         for (i, &(stmt_index, labeled)) in self.regions.iter().enumerate() {
-            report.serial_cycles +=
-                self.serial_span(i, cursor, stmt_index, &mut memory, &mut serial_tally)?;
+            report.serial_cycles += self.serial_span(
+                i,
+                cursor,
+                stmt_index,
+                &mut memory,
+                &mut serial_tally,
+                &mut span_bufs,
+            )?;
             cursor = stmt_index + 1;
             let region = self.loop_stmt(i)?;
             let iter_values = region_iteration_values(vars, region)?;
@@ -551,13 +572,14 @@ impl<'a> Schedule<'a> {
             // loop's constant bounds, so it is the same for every call that
             // shares the cache key.
             let mut region_tally = Tally::default();
-            let index_ranges: Vec<_> = match (iter_values.iter().min(), iter_values.iter().max()) {
-                (Some(&lo), Some(&hi)) => vec![(region.index, (lo, hi))],
-                _ => Vec::new(),
+            let index_range = match (iter_values.iter().min(), iter_values.iter().max()) {
+                (Some(&lo), Some(&hi)) => Some((region.index, (lo, hi))),
+                _ => None,
             };
             let key = LowerKey::new(self.proc, self.label(i), LowerUnit::RegionBody);
             let guard = region.while_cond.as_ref();
-            let lowered = self.compiled(key, guard, &region.body, &index_ranges, &mut region_tally);
+            let index_ranges = index_range.as_slice();
+            let lowered = self.compiled(key, guard, &region.body, index_ranges, &mut region_tally);
             let segments = iter_values.len();
             if snapshot_armed {
                 snapshot.copy_from(&memory);
@@ -602,7 +624,7 @@ impl<'a> Schedule<'a> {
                         // The serial fallback reports the re-execution as a
                         // degraded region.
                         let (region_cycles, steps, _) =
-                            self.region_loop(i, &mut memory, &mut region_tally)?;
+                            self.region_loop(i, &mut memory, &mut region_tally, &mut span_bufs)?;
                         SimReport {
                             mode: Some(mode),
                             segments,
@@ -630,6 +652,7 @@ impl<'a> Schedule<'a> {
             self.proc.body.len(),
             &mut memory,
             &mut serial_tally,
+            &mut span_bufs,
         )?;
         report.lowering_cache_hits += serial_tally.hits;
         report.lowering_cache_misses += serial_tally.misses;
@@ -637,6 +660,7 @@ impl<'a> Schedule<'a> {
         report.total_cycles = report.serial_cycles + report.parallel_cycles();
         // Only a *successful* run returns its scratch to the config's pool:
         // an errored engine may leave dependence-mask marks set.
+        scratch.restore_exec(span_bufs);
         cfg.scratch.restore(scratch);
         Ok((report, memory))
     }
@@ -651,15 +675,18 @@ impl<'a> Schedule<'a> {
         // tally is deliberately discarded ([`SimReport`]'s counters cover the
         // speculative runs, which is where sweeps spend their time).
         let mut tally = Tally::default();
+        // Fresh executor buffers, reused across this call's units.
+        let mut bufs = ExecBuffers::default();
         let mut serial_cycles = 0u64;
         let mut region_cycles = Vec::with_capacity(self.regions.len());
         let mut region_counts = Vec::with_capacity(self.regions.len());
         let mut cursor = 0usize;
         for (i, &(stmt_index, _)) in self.regions.iter().enumerate() {
-            serial_cycles += self.serial_span(i, cursor, stmt_index, &mut memory, &mut tally)?;
+            serial_cycles +=
+                self.serial_span(i, cursor, stmt_index, &mut memory, &mut tally, &mut bufs)?;
             cursor = stmt_index + 1;
             self.loop_stmt(i)?;
-            let (cycles, _, counts) = self.region_loop(i, &mut memory, &mut tally)?;
+            let (cycles, _, counts) = self.region_loop(i, &mut memory, &mut tally, &mut bufs)?;
             region_cycles.push(cycles);
             region_counts.push(counts);
         }
@@ -669,6 +696,7 @@ impl<'a> Schedule<'a> {
             self.proc.body.len(),
             &mut memory,
             &mut tally,
+            &mut bufs,
         )?;
         let total_cycles = serial_cycles + region_cycles.iter().sum::<u64>();
         Ok(SeqProgramOutcome {
@@ -1474,6 +1502,70 @@ mod tests {
         }
     }
 
+    /// Regions whose executors need different buffer shapes, an interior
+    /// serial span and a WHILE region: `R3` nests three loops deep, its
+    /// subscripts of the inner indices strength-reduce to induction
+    /// registers, and its right-nested expression needs many value
+    /// registers; `s = s + 1` sits between it and the WHILE region `RW`.
+    fn shapes_program() -> Program {
+        use refidem_ir::build::{cmp, sub};
+        use refidem_ir::expr::CmpOp;
+        let mut b = ProcBuilder::new("shapes");
+        let a = b.array("a", &[8, 8]);
+        let bb = b.array("b", &[64]);
+        let c = b.array("c", &[16]);
+        let w = b.array("w", &[16]);
+        let s = b.scalar("s");
+        let (k, i, j) = (b.index("k"), b.index("i"), b.index("j"));
+        b.live_out(&[a, w, s]);
+        let flat = refidem_ir::affine::AffineExpr::scaled_var(i, 8) + av(j) - ac(8);
+        let deep = add(
+            b.load_elem(a, vec![av(i), av(j)]),
+            mul(
+                b.load_elem(bb, vec![flat]),
+                add(
+                    b.load_elem(c, vec![av(k)]),
+                    sub(
+                        b.load_elem(bb, vec![av(j)]),
+                        mul(
+                            b.load_elem(c, vec![av(i)]),
+                            add(b.load_elem(bb, vec![av(i)]), b.load_elem(c, vec![av(j)])),
+                        ),
+                    ),
+                ),
+            ),
+        );
+        let st = b.assign_elem(a, vec![av(i), av(j)], deep);
+        let inner = b.do_loop(j, ac(1), ac(8), vec![st]);
+        let middle = b.do_loop(i, ac(1), ac(8), vec![inner]);
+        let r3 = b.do_loop_labeled("R3", k, ac(1), ac(6), vec![middle]);
+        let gap_rhs = add(b.load(s), num(1.0));
+        let gap = b.assign_scalar(s, gap_rhs);
+        let cond = cmp(CmpOp::Le, b.load(s), num(9.0));
+        let acc = add(b.load(s), b.load_elem(w, vec![av(k)]));
+        let w1 = b.assign_scalar(s, acc);
+        let w_rhs = b.load(s);
+        let w2 = b.assign_elem(w, vec![av(k)], w_rhs);
+        let rw = b.while_loop_labeled("RW", k, ac(1), ac(16), cond, vec![w1, w2]);
+        let mut p = Program::new("shapes");
+        p.add_procedure(b.build(vec![r3, gap, rw]));
+        p
+    }
+
+    /// Zeroes every compilation-cache counter of a program report.
+    fn strip_cache_counters(r: &crate::report::ProgramReport) -> crate::report::ProgramReport {
+        let mut r = r.clone();
+        r.lowering_cache_hits = 0;
+        r.lowering_cache_misses = 0;
+        r.lowering_cache_evictions = 0;
+        for region in &mut r.regions {
+            region.lowering_cache_hits = 0;
+            region.lowering_cache_misses = 0;
+            region.lowering_cache_evictions = 0;
+        }
+        r
+    }
+
     #[test]
     fn scratch_pooling_is_observationally_invisible() {
         // The pooled and the per-call scratch paths must be bit-identical:
@@ -1489,22 +1581,49 @@ mod tests {
                 let fresh = pooled.clone().scratch(ScratchPool::fresh());
                 let a = simulate_program(&p, &labeled, mode, &pooled).unwrap();
                 let b = simulate_program(&p, &labeled, mode, &fresh).unwrap();
-                let strip = |r: &crate::report::ProgramReport| {
-                    let mut r = r.clone();
-                    r.lowering_cache_hits = 0;
-                    r.lowering_cache_misses = 0;
-                    r.lowering_cache_evictions = 0;
-                    for region in &mut r.regions {
-                        region.lowering_cache_hits = 0;
-                        region.lowering_cache_misses = 0;
-                        region.lowering_cache_evictions = 0;
-                    }
-                    r
-                };
-                assert_eq!(strip(&a.report), strip(&b.report), "{mode} @ {capacity}");
+                let b_report = strip_cache_counters(&b.report);
+                assert_eq!(
+                    strip_cache_counters(&a.report),
+                    b_report,
+                    "{mode} @ {capacity}"
+                );
                 assert!(a.memory.diff(&b.memory, 8).is_empty());
             }
         }
+        // Executor buffers pass between units of different shapes (index
+        // environments, value and induction registers, loop depth), the
+        // serial spans and a WHILE region, in both orders through one pool.
+        let programs = [shapes_program(), recurrence_program()];
+        let labeled: Vec<_> = programs.iter().map(labeled_program).collect();
+        let proc = &programs[0].procedures[0];
+        let cache = LoweredCache::fresh();
+        for order in [[0, 1], [1, 0]] {
+            let pool = ScratchPool::fresh();
+            for mode in [ExecMode::Hose, ExecMode::Case] {
+                for capacity in [1usize, 4, 64] {
+                    for &i in &order {
+                        let pooled = SimConfig::default()
+                            .capacity(capacity)
+                            .cache(cache.clone())
+                            .scratch(pool.clone());
+                        let fresh = pooled.clone().scratch(ScratchPool::fresh());
+                        let a = simulate_program(&programs[i], &labeled[i], mode, &pooled);
+                        let b = simulate_program(&programs[i], &labeled[i], mode, &fresh);
+                        let (a, b) = (a.unwrap(), b.unwrap());
+                        let at = format!("{order:?} {mode} @ {capacity}: program {i}");
+                        let b_report = strip_cache_counters(&b.report);
+                        assert_eq!(strip_cache_counters(&a.report), b_report, "{at}");
+                        assert!(a.memory.diff(&b.memory, 8).is_empty(), "{at}");
+                    }
+                }
+            }
+        }
+        let body = |region| {
+            let key = LowerKey::new(proc, region, LowerUnit::RegionBody);
+            cache.lookup(key, || unreachable!()).value
+        };
+        assert!(body("R3").induction_reduced_refs() > 0);
+        assert_eq!(body("RW").induction_reduced_refs(), 0);
         // Both regions degrade after part of them has committed: the call's
         // one snapshot buffer must rewind each region to its own pre-state.
         let p = accumulating_two_region_program();
@@ -1522,6 +1641,34 @@ mod tests {
                 let diffs = seq.memory.diff(&out.memory, 8);
                 assert!(diffs.is_empty(), "{mode}: {diffs:?}");
             }
+        }
+    }
+
+    #[test]
+    fn warm_calls_leave_every_pooled_buffer_in_place() {
+        // After one warm call, an identical call finds every buffer it
+        // needs in the pool — each processor's storage buffers, the
+        // executor buffers of the segments and serial spans, the label
+        // table — and hands each back at the same heap address.
+        use crate::engine::ScratchPool;
+        let p = shapes_program();
+        let labeled = labeled_program(&p);
+        let pool = ScratchPool::fresh();
+        let pooled = || {
+            let scratch = pool.take();
+            let addrs = scratch.heap_addrs();
+            pool.restore(scratch);
+            addrs
+        };
+        for mode in [ExecMode::Case, ExecMode::Hose] {
+            let cfg = SimConfig::default().capacity(4).scratch(pool.clone());
+            simulate_program(&p, &labeled, mode, &cfg).unwrap();
+            let warm = pooled();
+            let (stores, execs, _) = &warm;
+            assert_eq!(*stores, cfg.processors, "one storage pair per processor");
+            assert_eq!(*execs, cfg.processors + 1, "segments plus the serial spans");
+            simulate_program(&p, &labeled, mode, &cfg).unwrap();
+            assert_eq!(pooled(), warm, "{mode}");
         }
     }
 

@@ -53,26 +53,48 @@ struct IndexSlot {
     pos: u32,
 }
 
+/// Where one address stands in a [`SpecBuffer`], from one probe of its
+/// dense index ([`SpecBuffer::probe`]).
+///
+/// A probe stays valid until the buffer next changes, so an access probes
+/// once and reuses the answer: a hit reads or updates the entry it found,
+/// `Full` is the overflow check, and `Vacant` lets
+/// [`SpecBuffer::record_write`] or [`SpecBuffer::record_exposed_read`]
+/// allocate the entry without probing the index again.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Probe {
+    /// The address has an entry in the current epoch, at this journal
+    /// position.
+    Hit(u32),
+    /// No entry, and one more fits.
+    Vacant,
+    /// No entry, and the buffer is full: allocating one would overflow.
+    Full,
+}
+
 /// A bounded, per-segment speculative storage buffer over a dense address
 /// space of `0..address_words`.
 ///
 /// Layout: a dense 8-byte-per-word *index* (`(epoch stamp, position)`),
 /// plus a compact journal of `(address, entry)` pairs in touch order whose
-/// length is bounded by the buffer capacity. Lookups are O(1) array
-/// indexing; allocation appends to the journal; `clear` bumps the epoch
-/// (O(1)) so a fresh segment pays only the index allocation — and the
-/// engine pools buffers across segments, so even that happens once per
-/// processor.
+/// length is bounded by the buffer capacity. A [`probe`](Self::probe) is
+/// one array read; allocation appends to the journal; `clear` bumps the
+/// epoch (O(1)) so a fresh segment pays only the index allocation — and
+/// the engine pools buffers across segments, regions and calls, so even
+/// that happens once per processor.
 ///
 /// ```
-/// use refidem_specsim::SpecBuffer;
+/// use refidem_specsim::{Probe, SpecBuffer};
 /// use refidem_ir::memory::Addr;
 ///
 /// let mut buf = SpecBuffer::new(2, 16);
-/// buf.record_exposed_read(Addr(3), 1.5, 10);
-/// buf.record_write(Addr(7), 2.0, 11);
-/// assert!(buf.has_exposed_read(Addr(3)) && buf.has_written(Addr(7)));
-/// assert!(buf.would_overflow(Addr(9)), "capacity 2 is full");
+/// let at = buf.probe(Addr(3)); // one probe: the miss, then the insert
+/// assert_eq!(at, Probe::Vacant);
+/// buf.record_exposed_read(Addr(3), at, 1.5, 10);
+/// buf.record_write(Addr(7), buf.probe(Addr(7)), 2.0, 11);
+/// assert!(buf.has_exposed_read(Addr(3)));
+/// assert!(buf.entry(buf.probe(Addr(7))).is_some_and(|e| e.written));
+/// assert_eq!(buf.probe(Addr(9)), Probe::Full, "capacity 2 is full");
 /// assert_eq!(buf.dirty().collect::<Vec<_>>(), [(Addr(7), 2.0)]);
 /// buf.clear(); // O(1) epoch bump, e.g. on roll-back
 /// assert!(buf.is_empty());
@@ -138,10 +160,28 @@ impl SpecBuffer {
         self.peak
     }
 
-    /// True when allocating one more (new) entry for `addr` would exceed the
-    /// capacity.
-    pub fn would_overflow(&self, addr: Addr) -> bool {
-        self.index[addr.0 as usize].stamp != self.epoch && self.journal.len() >= self.capacity
+    /// Probes the dense index once for `addr`: where its entry is, or
+    /// whether one more would fit. Reuse the answer for the access (see
+    /// [`Probe`]).
+    #[inline]
+    pub fn probe(&self, addr: Addr) -> Probe {
+        let slot = self.index[addr.0 as usize];
+        if slot.stamp == self.epoch {
+            Probe::Hit(slot.pos)
+        } else if self.journal.len() >= self.capacity {
+            Probe::Full
+        } else {
+            Probe::Vacant
+        }
+    }
+
+    /// The entry a [`Probe::Hit`] found; `None` for a miss.
+    #[inline]
+    pub fn entry(&self, probe: Probe) -> Option<&SpecEntry> {
+        match probe {
+            Probe::Hit(pos) => Some(&self.journal[pos as usize].1),
+            Probe::Vacant | Probe::Full => None,
+        }
     }
 
     /// Looks an entry up.
@@ -155,48 +195,50 @@ impl SpecBuffer {
         }
     }
 
-    /// True when the buffer holds a written (dirty) value for `addr`.
-    #[inline]
-    pub fn has_written(&self, addr: Addr) -> bool {
-        self.get(addr).is_some_and(|e| e.written)
-    }
-
     /// True when the buffer records an exposed read of `addr`.
     #[inline]
     pub fn has_exposed_read(&self, addr: Addr) -> bool {
         self.get(addr).is_some_and(|e| e.exposed_read)
     }
 
-    /// Allocates (or revalidates) the entry for `addr` in the current epoch
-    /// and returns it. The caller must have handled overflow beforehand.
+    /// The entry for `addr` that `probe` (this buffer's current probe of
+    /// `addr`) located, allocated in the current epoch when vacant. Panics
+    /// on [`Probe::Full`]: the caller handles overflow first.
     #[inline]
-    fn entry_mut(&mut self, addr: Addr) -> &mut SpecEntry {
-        let i = addr.0 as usize;
-        if self.index[i].stamp != self.epoch {
-            self.index[i] = IndexSlot {
-                stamp: self.epoch,
-                pos: self.journal.len() as u32,
-            };
-            self.journal.push((addr.0, SpecEntry::default()));
-            self.peak = self.peak.max(self.journal.len());
-        }
-        &mut self.journal[self.index[i].pos as usize].1
+    fn entry_at(&mut self, addr: Addr, probe: Probe) -> &mut SpecEntry {
+        debug_assert_eq!(probe, self.probe(addr), "stale probe of {addr:?}");
+        let pos = match probe {
+            Probe::Hit(pos) => pos as usize,
+            Probe::Vacant => {
+                let pos = self.journal.len();
+                self.index[addr.0 as usize] = IndexSlot {
+                    stamp: self.epoch,
+                    pos: pos as u32,
+                };
+                self.journal.push((addr.0, SpecEntry::default()));
+                self.peak = self.peak.max(pos + 1);
+                pos
+            }
+            Probe::Full => panic!("speculative buffer overflow at {addr:?}: handle Probe::Full"),
+        };
+        &mut self.journal[pos].1
     }
 
-    /// Records a write performed at time `now`. The caller must have handled
-    /// overflow beforehand (via [`SpecBuffer::would_overflow`]).
-    pub fn record_write(&mut self, addr: Addr, value: f64, now: u64) {
-        let entry = self.entry_mut(addr);
+    /// Records a write performed at time `now`, at `probe` — this buffer's
+    /// current [`probe`](Self::probe) of `addr`, which must not be
+    /// [`Probe::Full`].
+    pub fn record_write(&mut self, addr: Addr, probe: Probe, value: f64, now: u64) {
+        let entry = self.entry_at(addr, probe);
         entry.value = value;
         entry.written = true;
         entry.last_write_time = now;
     }
 
     /// Records an exposed read that obtained `value` from outside the
-    /// segment at time `now`. The caller must have handled overflow
-    /// beforehand.
-    pub fn record_exposed_read(&mut self, addr: Addr, value: f64, now: u64) {
-        let entry = self.entry_mut(addr);
+    /// segment at time `now`, at `probe` (as for
+    /// [`record_write`](Self::record_write)).
+    pub fn record_exposed_read(&mut self, addr: Addr, probe: Probe, value: f64, now: u64) {
+        let entry = self.entry_at(addr, probe);
         if !entry.exposed_read {
             entry.exposed_read = true;
             entry.first_read_time = now;
@@ -222,6 +264,13 @@ impl SpecBuffer {
     /// clear).
     pub fn touched_addrs(&self) -> impl Iterator<Item = Addr> + '_ {
         self.journal.iter().map(|(a, _)| Addr(*a))
+    }
+
+    /// The addresses of the index and journal allocations (pool-reuse
+    /// tests compare them).
+    #[cfg(test)]
+    pub(crate) fn heap_addrs(&self) -> [usize; 2] {
+        [self.index.as_ptr() as usize, self.journal.as_ptr() as usize]
     }
 
     /// Clears the buffer (roll-back or commit), keeping the capacity and
@@ -289,6 +338,13 @@ impl PrivateStore {
         }
     }
 
+    /// The addresses of the index and value allocations (pool-reuse tests
+    /// compare them).
+    #[cfg(test)]
+    pub(crate) fn heap_addrs(&self) -> [usize; 2] {
+        [self.index.as_ptr() as usize, self.values.as_ptr() as usize]
+    }
+
     /// Discards every private value (roll-back or commit).
     pub fn clear(&mut self) {
         self.values.clear();
@@ -307,18 +363,34 @@ mod tests {
     /// Address-space size used by most tests.
     const WORDS: u64 = 64;
 
+    /// Probes once and records a write there.
+    fn write(b: &mut SpecBuffer, addr: Addr, value: f64, now: u64) {
+        let at = b.probe(addr);
+        b.record_write(addr, at, value, now);
+    }
+
+    /// Probes once and records an exposed read there.
+    fn read(b: &mut SpecBuffer, addr: Addr, value: f64, now: u64) {
+        let at = b.probe(addr);
+        b.record_exposed_read(addr, at, value, now);
+    }
+
+    fn written(b: &SpecBuffer, addr: Addr) -> bool {
+        b.get(addr).is_some_and(|e| e.written)
+    }
+
     #[test]
     fn writes_and_exposed_reads_are_tracked_separately() {
         let mut b = SpecBuffer::new(4, WORDS);
-        b.record_exposed_read(Addr(10), 1.5, 7);
+        read(&mut b, Addr(10), 1.5, 7);
         assert!(b.has_exposed_read(Addr(10)));
-        assert!(!b.has_written(Addr(10)));
+        assert!(!written(&b, Addr(10)));
         assert_eq!(b.get(Addr(10)).unwrap().value, 1.5);
         assert_eq!(b.get(Addr(10)).unwrap().first_read_time, 7);
         // A later write to the same address marks it dirty but keeps the
         // exposed-read flag (the premature read already happened).
-        b.record_write(Addr(10), 2.0, 8);
-        assert!(b.has_written(Addr(10)));
+        write(&mut b, Addr(10), 2.0, 8);
+        assert!(written(&b, Addr(10)));
         assert!(b.has_exposed_read(Addr(10)));
         assert_eq!(b.get(Addr(10)).unwrap().value, 2.0);
         assert_eq!(b.get(Addr(10)).unwrap().last_write_time, 8);
@@ -330,20 +402,20 @@ mod tests {
     #[test]
     fn exposed_read_does_not_clobber_written_value() {
         let mut b = SpecBuffer::new(4, WORDS);
-        b.record_write(Addr(3), 9.0, 1);
-        b.record_exposed_read(Addr(3), 1.0, 2);
+        write(&mut b, Addr(3), 9.0, 1);
+        read(&mut b, Addr(3), 1.0, 2);
         assert_eq!(b.get(Addr(3)).unwrap().value, 9.0);
     }
 
     #[test]
     fn capacity_and_peak_tracking() {
         let mut b = SpecBuffer::new(2, WORDS);
-        assert!(!b.would_overflow(Addr(1)));
-        b.record_write(Addr(1), 1.0, 1);
-        b.record_write(Addr(2), 2.0, 2);
-        assert!(b.would_overflow(Addr(3)));
+        assert!(b.probe(Addr(1)) != Probe::Full);
+        write(&mut b, Addr(1), 1.0, 1);
+        write(&mut b, Addr(2), 2.0, 2);
+        assert!(b.probe(Addr(3)) == Probe::Full);
         assert!(
-            !b.would_overflow(Addr(1)),
+            b.probe(Addr(1)) != Probe::Full,
             "existing entries never overflow"
         );
         assert_eq!(b.peak(), 2);
@@ -359,24 +431,24 @@ mod tests {
     #[test]
     fn first_read_time_is_preserved_across_repeated_reads() {
         let mut b = SpecBuffer::new(4, WORDS);
-        b.record_exposed_read(Addr(5), 1.0, 10);
-        b.record_exposed_read(Addr(5), 1.0, 99);
+        read(&mut b, Addr(5), 1.0, 10);
+        read(&mut b, Addr(5), 1.0, 99);
         assert_eq!(b.get(Addr(5)).unwrap().first_read_time, 10);
     }
 
     #[test]
     fn clear_invalidates_stale_entries_without_touching_them() {
         let mut b = SpecBuffer::new(4, WORDS);
-        b.record_write(Addr(7), 1.0, 1);
-        b.record_exposed_read(Addr(9), 2.0, 2);
+        write(&mut b, Addr(7), 1.0, 1);
+        read(&mut b, Addr(9), 2.0, 2);
         b.clear();
         // Epoch bump: every previous entry is invisible.
         assert_eq!(b.get(Addr(7)), None);
-        assert!(!b.has_written(Addr(7)));
+        assert!(!written(&b, Addr(7)));
         assert!(!b.has_exposed_read(Addr(9)));
         assert_eq!(b.dirty().count(), 0);
         // Re-touching a stale address yields a fresh default entry.
-        b.record_exposed_read(Addr(7), 5.0, 3);
+        read(&mut b, Addr(7), 5.0, 3);
         let e = b.get(Addr(7)).unwrap();
         assert!(!e.written, "stale written flag must not leak across epochs");
         assert_eq!(e.value, 5.0);
@@ -386,13 +458,13 @@ mod tests {
     #[test]
     fn dirty_yields_each_written_address_once_in_touch_order() {
         let mut b = SpecBuffer::new(8, WORDS);
-        b.record_write(Addr(30), 3.0, 1);
-        b.record_write(Addr(5), 1.0, 2);
-        b.record_exposed_read(Addr(12), 9.0, 3);
-        b.record_write(Addr(20), 2.0, 4);
+        write(&mut b, Addr(30), 3.0, 1);
+        write(&mut b, Addr(5), 1.0, 2);
+        read(&mut b, Addr(12), 9.0, 3);
+        write(&mut b, Addr(20), 2.0, 4);
         // Rewrites and a later exposed read update the one entry in place.
-        b.record_write(Addr(30), 4.0, 5);
-        b.record_exposed_read(Addr(5), 8.0, 6);
+        write(&mut b, Addr(30), 4.0, 5);
+        read(&mut b, Addr(5), 8.0, 6);
         let dirty: Vec<_> = b.dirty().collect();
         assert_eq!(dirty, [(Addr(30), 4.0), (Addr(5), 1.0), (Addr(20), 2.0)]);
     }
@@ -401,15 +473,18 @@ mod tests {
     fn capacity_one_boundary_overflow_and_rollback() {
         // The smallest rung of the testkit's capacity ladder: one entry.
         let mut b = SpecBuffer::new(1, WORDS);
-        assert!(!b.would_overflow(Addr(0)), "first allocation always fits");
-        b.record_write(Addr(0), 1.0, 1);
+        assert!(
+            b.probe(Addr(0)) != Probe::Full,
+            "first allocation always fits"
+        );
+        write(&mut b, Addr(0), 1.0, 1);
         assert_eq!(b.len(), 1);
         assert_eq!(b.peak(), 1);
         // Any *other* address overflows; the resident one never does.
-        assert!(b.would_overflow(Addr(1)));
-        assert!(b.would_overflow(Addr(63)));
-        assert!(!b.would_overflow(Addr(0)));
-        b.record_exposed_read(Addr(0), 2.0, 2);
+        assert!(b.probe(Addr(1)) == Probe::Full);
+        assert!(b.probe(Addr(63)) == Probe::Full);
+        assert!(b.probe(Addr(0)) != Probe::Full);
+        read(&mut b, Addr(0), 2.0, 2);
         assert_eq!(
             b.len(),
             1,
@@ -418,9 +493,9 @@ mod tests {
         // Roll-back: the buffer is empty again and the *other* address can
         // now take the single slot.
         b.clear();
-        assert!(!b.would_overflow(Addr(1)));
-        b.record_write(Addr(1), 7.0, 3);
-        assert!(b.would_overflow(Addr(0)));
+        assert!(b.probe(Addr(1)) != Probe::Full);
+        write(&mut b, Addr(1), 7.0, 3);
+        assert!(b.probe(Addr(0)) == Probe::Full);
         assert_eq!(b.dirty().collect::<Vec<_>>(), [(Addr(1), 7.0)]);
     }
 
@@ -431,14 +506,14 @@ mod tests {
         let words = 16u64;
         let mut b = SpecBuffer::new(words as usize, words);
         for a in 0..words {
-            assert!(!b.would_overflow(Addr(a)), "address {a} must fit");
-            b.record_write(Addr(a), a as f64, a);
+            assert!(b.probe(Addr(a)) != Probe::Full, "address {a} must fit");
+            write(&mut b, Addr(a), a as f64, a);
         }
         assert_eq!(b.len(), words as usize);
         assert_eq!(b.peak(), words as usize);
         // Full but every address is resident: still no overflow anywhere.
         for a in 0..words {
-            assert!(!b.would_overflow(Addr(a)));
+            assert!(b.probe(Addr(a)) != Probe::Full);
         }
         let dirty: Vec<_> = b.dirty().collect();
         assert_eq!(dirty.len(), words as usize);
@@ -451,7 +526,7 @@ mod tests {
         );
         b.clear();
         assert!(b.is_empty());
-        assert!(!b.would_overflow(Addr(0)));
+        assert!(b.probe(Addr(0)) != Probe::Full);
     }
 
     #[test]
@@ -472,7 +547,7 @@ mod tests {
     fn epoch_wraparound_resets_stamps_safely() {
         let mut b = SpecBuffer::new(2, 4);
         // Force the epoch counter all the way around.
-        b.record_write(Addr(0), 1.0, 1);
+        write(&mut b, Addr(0), 1.0, 1);
         b.epoch = u32::MAX;
         b.journal.clear();
         b.peak = 0;
@@ -488,12 +563,12 @@ mod tests {
                 ..SpecEntry::default()
             },
         ));
-        assert!(b.has_written(Addr(1)));
+        assert!(written(&b, Addr(1)));
         b.clear();
         assert_eq!(b.epoch, 1, "wrapped past 0 back to 1");
-        assert!(!b.has_written(Addr(1)), "pre-wrap entries are invisible");
+        assert!(!written(&b, Addr(1)), "pre-wrap entries are invisible");
         assert!(
-            !b.has_written(Addr(0)),
+            !written(&b, Addr(0)),
             "stamps were physically reset, no aliasing with earlier epochs"
         );
     }

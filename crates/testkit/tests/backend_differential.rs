@@ -16,7 +16,9 @@ use refidem_core::label::label_program;
 use refidem_ir::affine::AffineExpr;
 use refidem_ir::exec::{AnyExec, CountingStore, DynCounts, PlainStore, SeqInterp, TraceEvent};
 use refidem_ir::ids::{ProcId, VarId};
-use refidem_ir::lowered::{fused::fuse, lower, LowerKey, LowerUnit, LoweredCache, LoweredProc};
+use refidem_ir::lowered::{
+    fused::fuse, lower, ExecBuffers, LowerKey, LowerUnit, LoweredCache, LoweredProc,
+};
 use refidem_ir::memory::{Layout, Memory};
 use refidem_ir::program::{Procedure, Program};
 use refidem_ir::stmt::{LoopStmt, Stmt};
@@ -49,7 +51,8 @@ fn run_sequential_traced(
     let layout = Layout::new(&proc.vars);
     let mut memory = initial_memory(proc);
     let mut store = CountingStore::new(PlainStore::tracing(&mut memory));
-    let mut exec = AnyExec::new(compiled, &proc.vars, &layout, &proc.body, &[]);
+    let bufs = ExecBuffers::default();
+    let mut exec = AnyExec::new(compiled, &proc.vars, &layout, &proc.body, &[], bufs);
     exec.run(&mut store, 200_000_000).expect("runs");
     let steps = exec.steps();
     let trace = trace_key(&store.inner.trace);
@@ -295,14 +298,21 @@ fn check_while_segments(proc: &Procedure, at: usize, region: &LoopStmt) -> (usiz
     let (plain, fused) = (compile(LowerUnit::Prologue), compile(LowerUnit::RegionBody));
     assert_eq!(fused.disasm(), fuse(&plain).disasm(), "{label}");
     let mut execs = [
-        AnyExec::segment(None, vars, &layout, region),
-        AnyExec::segment(Some(&plain), vars, &layout, region),
-        AnyExec::segment(Some(&fused), vars, &layout, region),
+        AnyExec::segment(None, vars, &layout, region, ExecBuffers::default()),
+        AnyExec::segment(Some(&plain), vars, &layout, region, ExecBuffers::default()),
+        AnyExec::segment(Some(&fused), vars, &layout, region, ExecBuffers::default()),
     ];
     let mut memory = initial_memory(proc);
-    AnyExec::new(None, vars, &layout, &proc.body[..at], &[])
-        .run(&mut PlainStore::new(&mut memory), 200_000_000)
-        .expect("the statements before the region run");
+    AnyExec::new(
+        None,
+        vars,
+        &layout,
+        &proc.body[..at],
+        &[],
+        ExecBuffers::default(),
+    )
+    .run(&mut PlainStore::new(&mut memory), 200_000_000)
+    .expect("the statements before the region run");
     let mut exits = 0;
     for value in (0..trips).map(|t| lo + t as i64 * region.step) {
         let mut next = memory.clone();
