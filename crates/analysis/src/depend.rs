@@ -46,12 +46,30 @@
 //!   subscript coefficient vectors) is interned into a dedup table, and
 //!   the test verdict is memoized per canonical signature *pair*: the
 //!   hundreds of same-shape references of a giant block pay for each
-//!   distinct test once. Verdicts and emission share one single-threaded
-//!   pass over the pairs, in the original pair order.
+//!   distinct test once.
 //!
-//! The emitted set is immutable and shared: cloning it copies one `Arc`,
-//! and its per-reference sink and source indexes are CSR arrays built in
-//! one pass after emission.
+//! # Facts first, the list on demand
+//!
+//! Algorithm 2 and the region flags ask three things about a reference:
+//! is it the sink of a cross-segment dependence, is it a sink at all, and
+//! what are the sources of its intra-segment flow and output dependences.
+//! [`DependenceSet::analyze`] answers exactly these in one sink-major pass:
+//! for every sink in table order it walks the partners the partition pairs
+//! it with, looks each pair's verdict up through the memo, and records
+//! per-reference flags, the intra-segment sources, whether any dependence
+//! crosses segments and the exact dependence count. No [`Dependence`]
+//! record is built.
+//!
+//! The ordered dependence list and its per-reference sink and source
+//! indexes (CSR arrays) are built only when something asks for them —
+//! [`DependenceSet::deps`], [`DependenceSet::deps_into`],
+//! [`DependenceSet::deps_from`], `==` or `Debug`, i.e. tests and tools. The
+//! set keeps what re-emitting the list needs (each site's id, access,
+//! order, signature and partition, the partitions, and the verdicts of the
+//! keys the pass met) and replays the original source-major pair loop
+//! over them, so order and contents are those of an eager emission. The
+//! set is immutable and shared: cloning it copies one `Arc`, and the list,
+//! once built, is shared by every clone.
 
 use crate::bounds::IndexBounds;
 use refidem_ir::affine::{gcd, AffineExpr};
@@ -60,7 +78,7 @@ use refidem_ir::sites::{AccessKind, RefSite, RefTable};
 use refidem_ir::stmt::{LoopStmt, Stmt};
 use refidem_ir::var::VarTable;
 use std::collections::HashMap;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 /// The kind of a data dependence.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
@@ -100,26 +118,114 @@ pub struct Dependence {
     pub distance: Option<i64>,
 }
 
-/// The set of may-dependences of one region: the dependences in emission
-/// order plus per-reference sink and source indexes, immutable once built
-/// and shared behind one `Arc` — cloning a set (a cache hit, a labeling
-/// input) copies a pointer, not the dependences.
+/// The set of may-dependences of one region: per-reference sink facts,
+/// answered in O(1), and the dependences themselves in emission order,
+/// built on first use. Immutable once built and shared behind one `Arc` —
+/// cloning a set (a cache hit, a labeling input) copies a pointer.
 #[derive(Clone, Default)]
 pub struct DependenceSet {
     shared: Arc<DepTable>,
 }
 
-/// The shared body of a [`DependenceSet`]. Both indexes are CSR arrays over
-/// a dense `RefId` range starting at `base`: the dependences into reference
-/// `base + k` are
+/// The shared body of a [`DependenceSet`].
+#[derive(Default)]
+struct DepTable {
+    facts: Facts,
+    /// What re-emitting the analyzer's list needs; `None` for a set built
+    /// from an explicit list, whose `list` is filled at construction.
+    replay: Option<Replay>,
+    list: OnceLock<DepList>,
+}
+
+/// The per-reference facts, over a dense `RefId` range starting at
+/// `base`: the facts of reference `base + k` are `sinks[k]`, and the
+/// sources of its intra-segment flow and output dependences are
+/// `sources[sinks[k].start..sinks[k].end]`.
+#[derive(Default)]
+struct Facts {
+    base: u32,
+    sinks: Vec<SinkFacts>,
+    sources: Vec<RefId>,
+    /// The exact number of dependences.
+    len: usize,
+    /// Some dependence crosses segments.
+    has_cross: bool,
+}
+
+#[derive(Clone, Copy, Default)]
+struct SinkFacts {
+    start: u32,
+    end: u32,
+    /// The sink of some dependence.
+    any: bool,
+    /// The sink of some cross-segment dependence.
+    cross: bool,
+}
+
+impl Facts {
+    /// Facts for references `lo ..= hi`, none a sink yet.
+    fn new(lo: u32, hi: u32) -> Self {
+        Facts {
+            base: lo,
+            sinks: vec![SinkFacts::default(); (hi - lo) as usize + 1],
+            ..Facts::default()
+        }
+    }
+
+    /// Derives the facts of an explicit list over references `lo ..= hi`,
+    /// keeping each sink's intra-segment sources in list order.
+    fn from_list(lo: u32, hi: u32, deps: &[Dependence]) -> Self {
+        let mut facts = Facts::new(lo, hi);
+        facts.len = deps.len();
+        for d in deps {
+            let sink = &mut facts.sinks[(d.sink.0 - lo) as usize];
+            sink.any = true;
+            if d.scope == DepScope::CrossSegment {
+                sink.cross = true;
+                facts.has_cross = true;
+            }
+        }
+        let mut intra: Vec<(u32, RefId)> = deps
+            .iter()
+            .filter(|d| d.scope == DepScope::IntraSegment && d.kind != DepKind::Anti)
+            .map(|d| (d.sink.0 - lo, d.source))
+            .collect();
+        // Stable: within one sink the sources keep list order.
+        intra.sort_by_key(|&(k, _)| k);
+        for (k, source) in intra {
+            let sink = &mut facts.sinks[k as usize];
+            if sink.start == sink.end {
+                sink.start = facts.sources.len() as u32;
+            }
+            facts.sources.push(source);
+            sink.end = facts.sources.len() as u32;
+        }
+        facts
+    }
+
+    fn sink(&self, r: RefId) -> Option<&SinkFacts> {
+        let k = r.0.checked_sub(self.base)?;
+        self.sinks.get(k as usize)
+    }
+}
+
+/// The dependence list with its per-reference indexes. Both indexes are
+/// CSR arrays over a dense `RefId` range starting at `base`: the
+/// dependences into reference `base + k` are
 /// `deps[by_sink.items[by_sink.offsets[k]..by_sink.offsets[k + 1]]]`, in
 /// emission order, and likewise out of it through `by_source`.
 #[derive(Default)]
-struct DepTable {
+struct DepList {
     deps: Vec<Dependence>,
     base: u32,
     by_sink: Csr,
     by_source: Csr,
+}
+
+impl DepList {
+    fn key(&self, r: RefId) -> Option<usize> {
+        r.0.checked_sub(self.base).map(|k| k as usize)
+    }
 }
 
 #[derive(Default)]
@@ -139,9 +245,9 @@ impl Csr {
     }
 }
 
-/// Builds a [`DependenceSet`]'s indexes: per-reference counts accumulate
-/// while the dependences are emitted, then one pass places every
-/// dependence in both indexes.
+/// Builds a [`DepList`]'s indexes: per-reference counts accumulate while
+/// the dependences are emitted, then one pass places every dependence in
+/// both indexes.
 struct Indexer {
     base: u32,
     sinks: Vec<u32>,
@@ -165,7 +271,7 @@ impl Indexer {
     }
 
     /// Indexes `deps`, every one of which was counted.
-    fn finish(self, deps: Vec<Dependence>) -> DependenceSet {
+    fn finish(self, deps: Vec<Dependence>) -> DepList {
         let Indexer {
             base,
             mut sinks,
@@ -194,26 +300,18 @@ impl Indexer {
             offsets.copy_within(..last, 1);
             offsets[0] = 0;
         }
-        DependenceSet {
-            shared: Arc::new(DepTable {
-                deps,
-                base,
-                by_sink: Csr {
-                    offsets: sinks,
-                    items: sink_items,
-                },
-                by_source: Csr {
-                    offsets: sources,
-                    items: source_items,
-                },
-            }),
+        DepList {
+            deps,
+            base,
+            by_sink: Csr {
+                offsets: sinks,
+                items: sink_items,
+            },
+            by_source: Csr {
+                offsets: sources,
+                items: source_items,
+            },
         }
-    }
-}
-
-impl DepTable {
-    fn key(&self, r: RefId) -> Option<usize> {
-        r.0.checked_sub(self.base).map(|k| k as usize)
     }
 }
 
@@ -235,51 +333,76 @@ impl std::fmt::Debug for DependenceSet {
 
 impl DependenceSet {
     /// Builds a dependence set from an explicit list of dependences, kept in
-    /// the given order. Used by the analyzer and by front-ends (e.g. the
-    /// abstract segment-graph regions of the paper's Figures 1–3) that
-    /// compute dependences themselves. Reference ids need not be
-    /// contiguous; the indexes take memory in proportion to the span of ids
-    /// the dependences mention.
+    /// the given order. Used by front-ends (e.g. the abstract segment-graph
+    /// regions of the paper's Figures 1–3) that compute dependences
+    /// themselves, and by tests. The facts are derived from the list, so
+    /// every query answers as it would for an analyzed set. Reference ids
+    /// need not be contiguous; the facts and indexes take memory in
+    /// proportion to the span of ids the dependences mention.
     pub fn from_deps(deps: Vec<Dependence>) -> Self {
         let mut ids = deps.iter().flat_map(|d| [d.source.0, d.sink.0]);
         let Some(first) = ids.next() else {
             return DependenceSet::default();
         };
         let (lo, hi) = ids.fold((first, first), |(lo, hi), id| (lo.min(id), hi.max(id)));
+        let facts = Facts::from_list(lo, hi, &deps);
         let mut index = Indexer::new(lo, hi);
         for d in &deps {
             index.count(d);
         }
-        index.finish(deps)
+        DependenceSet {
+            shared: Arc::new(DepTable {
+                facts,
+                replay: None,
+                list: OnceLock::from(index.finish(deps)),
+            }),
+        }
     }
 
-    /// All dependences.
+    /// The list with its indexes, built on first use.
+    fn list(&self) -> &DepList {
+        let t = &*self.shared;
+        t.list.get_or_init(|| match &t.replay {
+            Some(replay) => replay.emit(&t.facts),
+            None => DepList::default(),
+        })
+    }
+
+    /// True once the dependence list has been built. Analysis, labeling
+    /// and simulation never build it; tests use this to pin that.
+    pub fn is_list_built(&self) -> bool {
+        self.shared.list.get().is_some()
+    }
+
+    /// All dependences, in emission order (built on first use).
     pub fn deps(&self) -> &[Dependence] {
-        &self.shared.deps
+        &self.list().deps
     }
 
     /// Number of dependences.
     pub fn len(&self) -> usize {
-        self.shared.deps.len()
+        self.shared.facts.len
     }
 
     /// True when the region has no dependences at all.
     pub fn is_empty(&self) -> bool {
-        self.shared.deps.is_empty()
+        self.len() == 0
     }
 
-    /// Dependences whose sink is `r`, in emission order.
+    /// Dependences whose sink is `r`, in emission order (builds the list
+    /// on first use).
     pub fn deps_into(&self, r: RefId) -> impl Iterator<Item = &Dependence> {
-        let t = &*self.shared;
+        let t = self.list();
         t.by_sink
             .slot(t.key(r))
             .iter()
             .map(move |&i| &t.deps[i as usize])
     }
 
-    /// Dependences whose source is `r`, in emission order.
+    /// Dependences whose source is `r`, in emission order (builds the list
+    /// on first use).
     pub fn deps_from(&self, r: RefId) -> impl Iterator<Item = &Dependence> {
-        let t = &*self.shared;
+        let t = self.list();
         t.by_source
             .slot(t.key(r))
             .iter()
@@ -289,65 +412,125 @@ impl DependenceSet {
     /// True when `r` is the sink of a cross-segment dependence (Lemma 3's
     /// condition).
     pub fn is_sink_of_cross_segment(&self, r: RefId) -> bool {
-        self.deps_into(r).any(|d| d.scope == DepScope::CrossSegment)
+        self.shared.facts.sink(r).is_some_and(|s| s.cross)
     }
 
     /// True when `r` is the sink of any dependence.
     pub fn is_sink_of_any(&self, r: RefId) -> bool {
-        self.deps_into(r).next().is_some()
+        self.shared.facts.sink(r).is_some_and(|s| s.any)
+    }
+
+    /// The sources of the intra-segment flow and output dependences into
+    /// `r` — every intra-segment dependence except anti — one entry per
+    /// dependence. Theorem 2 and the write-ordering refinement of
+    /// Algorithm 2 ask that all of them be idempotent.
+    pub fn intra_sources(&self, r: RefId) -> &[RefId] {
+        let facts = &self.shared.facts;
+        match facts.sink(r) {
+            Some(s) => &facts.sources[s.start as usize..s.end as usize],
+            None => &[],
+        }
     }
 
     /// True when the region carries at least one cross-segment dependence.
     pub fn has_cross_segment_deps(&self) -> bool {
-        self.deps()
-            .iter()
-            .any(|d| d.scope == DepScope::CrossSegment)
+        self.shared.facts.has_cross
     }
 
     /// True when the region carries at least one cross-segment dependence
     /// on a variable outside `ignored` (used to model compiler
-    /// parallelization after privatization).
+    /// parallelization after privatization): some cross-segment sink's
+    /// variable is not ignored.
     pub fn has_cross_segment_deps_excluding(
         &self,
         table: &RefTable,
         ignored: &dyn Fn(VarId) -> bool,
     ) -> bool {
-        self.deps().iter().any(|d| {
-            d.scope == DepScope::CrossSegment
+        let facts = &self.shared.facts;
+        facts.sinks.iter().enumerate().any(|(k, s)| {
+            s.cross
                 && table
-                    .get(d.sink)
+                    .get(RefId(facts.base + k as u32))
                     .map(|site| !ignored(site.var))
                     .unwrap_or(true)
         })
     }
 
     /// Analyzes the dependences of a region loop given the reference table
-    /// of its body.
+    /// of its body, computing the per-reference facts (see the module
+    /// docs); the list itself is emitted only on demand.
     pub fn analyze(vars: &VarTable, region: &LoopStmt, table: &RefTable) -> Self {
         let tester = Tester::new(vars, region);
         let sites = table.sites();
-        let ids = sites.iter().map(|s| s.id.0);
-        let (Some(lo), Some(hi)) = (ids.clone().min(), ids.max()) else {
-            return DependenceSet::default();
-        };
 
         // --- Partition sites by base variable (in table order). Only
         // partitions of a data variable with at least one write site can
         // produce a dependence; every other site — notably the giant
         // blocks' read-only coefficient arrays — skips pairing, signature
-        // interning and the bounds walk entirely.
-        let mut groups: HashMap<VarId, VarGroup> = HashMap::new();
-        for (i, s) in sites.iter().enumerate() {
-            if !vars.kind(s.var).is_data() {
+        // interning and the bounds walk entirely. The pairable sites are
+        // gathered in table order; partitions list them by that index.
+        // Everything the set keeps is allocated at its exact size.
+        let mut group_of: HashMap<VarId, u32> = HashMap::new();
+        // Per variable: (members, writes).
+        let mut counts: Vec<(u32, u32)> = Vec::new();
+        let site_var: Vec<Option<u32>> = sites
+            .iter()
+            .map(|s| {
+                if !vars.kind(s.var).is_data() {
+                    return None;
+                }
+                let next = counts.len() as u32;
+                let v = *group_of.entry(s.var).or_insert(next);
+                if v == next {
+                    counts.push((0, 0));
+                }
+                let count = &mut counts[v as usize];
+                count.0 += 1;
+                count.1 += (s.access == AccessKind::Write) as u32;
+                Some(v)
+            })
+            .collect();
+        let with_writes = counts.iter().filter(|c| c.1 > 0);
+        let mut groups: Vec<VarGroup> = Vec::with_capacity(with_writes.clone().count());
+        let mut pairing: Vec<PairSite> =
+            Vec::with_capacity(with_writes.map(|c| c.0 as usize).sum());
+        // Per variable: its partition, when it has a write.
+        let partition: Vec<Option<u32>> = counts
+            .iter()
+            .map(|&(members, writes)| {
+                (writes > 0).then(|| {
+                    groups.push(VarGroup {
+                        members: Vec::with_capacity(members as usize),
+                        writes: Vec::with_capacity(writes as usize),
+                    });
+                    groups.len() as u32 - 1
+                })
+            })
+            .collect();
+        let mut pairable: Vec<&RefSite> = Vec::with_capacity(pairing.capacity());
+        for (s, v) in sites.iter().zip(site_var) {
+            let Some(group) = v.and_then(|v| partition[v as usize]) else {
                 continue;
+            };
+            let p = pairing.len() as u32;
+            let write = s.access == AccessKind::Write;
+            groups[group as usize].members.push(p);
+            if write {
+                groups[group as usize].writes.push(p);
             }
-            let group = groups.entry(s.var).or_default();
-            group.members.push(i);
-            if s.access == AccessKind::Write {
-                group.writes.push(i);
-            }
+            pairing.push(PairSite {
+                id: s.id,
+                order: u32::try_from(s.order).expect("site orders fit in u32"),
+                sig: 0,
+                group,
+                write,
+            });
+            pairable.push(s);
         }
-        groups.retain(|_, g| !g.writes.is_empty());
+        let ids = pairing.iter().map(|p| p.id.0);
+        let (Some(lo), Some(hi)) = (ids.clone().min(), ids.max()) else {
+            return DependenceSet::default();
+        };
 
         // --- Flat site-arena pass: intern each pairable site's access
         // signature into a dedup table and precompute, once per *distinct
@@ -358,77 +541,134 @@ impl DependenceSet {
         // block's hundreds of same-shape references pay for one walk.)
         let mut interner: HashMap<Vec<i64>, u32> = HashMap::new();
         let mut tokens: Vec<i64> = Vec::new();
-        let mut sig: Vec<u32> = vec![0; sites.len()];
         let mut pre: Vec<SitePre> = Vec::new();
-        for group in groups.values() {
-            for &i in &group.members {
-                let s = &sites[i];
-                signature_tokens(s, &mut tokens);
-                let id = match interner.get(tokens.as_slice()) {
-                    Some(&id) => id,
-                    None => {
-                        let id = interner.len() as u32;
-                        interner.insert(tokens.clone(), id);
-                        id
-                    }
-                };
-                sig[i] = id;
-                if id as usize == pre.len() {
+        for (p, s) in pairing.iter_mut().zip(&pairable) {
+            signature_tokens(s, &mut tokens);
+            p.sig = match interner.get(tokens.as_slice()) {
+                Some(&id) => id,
+                None => {
+                    let id = interner.len() as u32;
+                    interner.insert(tokens.clone(), id);
                     pre.push(SitePre::new(vars, region, s));
+                    id
                 }
-            }
+            };
         }
 
-        // --- One fused pass: the original nested-loop pair order,
-        // restricted to a variable's own partition (the inner loop visits
-        // exactly the sites the unpartitioned scan kept: a write pairs with
-        // every member, a read with the writes only). Each distinct
-        // signature pair's verdict is computed on first encounter. `a.order
-        // < b.order` is the only pair-level fact the tester reads beyond the
-        // two signatures (site orders are unique, so it also subsumes the
-        // `a.id != b.id` gate) — together they form the memo key. Per pair,
-        // the cross-segment dependence (if feasible) precedes the
-        // intra-segment one, exactly as the unmemoized tester pushed them.
-        // The sink and source indexes count as dependences are emitted and
-        // fill in one pass afterwards.
+        // --- One sink-major pass: for every sink in table order, the
+        // partners the partition pairs it with (a write is the sink of
+        // every member, a read of the writes only — exactly the pairs the
+        // unpartitioned scan kept). Each distinct signature pair's verdict
+        // is computed on first encounter. `a.order < b.order` is the only
+        // pair-level fact the tester reads beyond the two signatures (site
+        // orders are unique, so it also subsumes the `a.id != b.id` gate) —
+        // together they form the memo key. A feasible verdict contributes
+        // one dependence per scope; only the facts are kept.
         let mut memo = MemoTable::new(interner.len());
-        let mut verdicts: Vec<Verdict> = Vec::new();
+        let mut verdicts: Vec<(MemoKey, Verdict)> = Vec::new();
         let mut scratch = Scratch::default();
-        let mut deps: Vec<Dependence> = Vec::new();
-        let mut index = Indexer::new(lo, hi);
-        for (a_idx, a) in sites.iter().enumerate() {
-            let Some(group) = groups.get(&a.var) else {
-                continue;
+        let mut facts = Facts::new(lo, hi);
+        for (b, &sb) in pairing.iter().zip(&pairable) {
+            let group = &groups[b.group as usize];
+            let partners = if b.write {
+                &group.members
+            } else {
+                &group.writes
             };
-            let partners = match a.access {
-                AccessKind::Write => &group.members,
-                AccessKind::Read => &group.writes,
+            let mut sink = SinkFacts {
+                start: facts.sources.len() as u32,
+                ..SinkFacts::default()
             };
-            let sa = sig[a_idx];
-            for &b_idx in partners {
-                let b = &sites[b_idx];
-                let (sb, lt) = (sig[b_idx], a.order < b.order);
-                let slot = match memo.slot(sa, sb, lt) {
-                    Some(slot) => slot as usize,
-                    None => {
-                        let slot = verdicts.len();
-                        memo.record(sa, sb, lt, slot as u32);
-                        let (pa, pb) = (&pre[sa as usize], &pre[sb as usize]);
-                        verdicts.push(tester.test_pair_verdict(a, b, pa, pb, &mut scratch));
-                        slot
+            for &a_idx in partners {
+                let a = &pairing[a_idx as usize];
+                let key = (a.sig, b.sig, a.order < b.order);
+                let effect = memo.get(key).unwrap_or_else(|| {
+                    let (pa, pb) = (&pre[a.sig as usize], &pre[b.sig as usize]);
+                    let sa = pairable[a_idx as usize];
+                    let verdict = tester.test_pair_verdict(sa, sb, pa, pb, &mut scratch);
+                    verdicts.push((key, verdict));
+                    memo.record(key, Effect::of(verdict))
+                });
+                facts.len += effect.count();
+                sink.cross |= effect.cross();
+                if effect.intra() {
+                    sink.any = true;
+                    // Flow or output: the anti dependences of a read
+                    // source never gate a label.
+                    if a.write {
+                        facts.sources.push(a.id);
                     }
-                };
-                let verdict = verdicts[slot];
-                if verdict.cross.is_none() && !verdict.intra {
-                    continue;
                 }
-                let kind = match (a.access, b.access) {
-                    (AccessKind::Write, AccessKind::Read) => DepKind::Flow,
-                    (AccessKind::Read, AccessKind::Write) => DepKind::Anti,
-                    (AccessKind::Write, AccessKind::Write) => DepKind::Output,
-                    (AccessKind::Read, AccessKind::Read) => {
-                        unreachable!("reads pair only with writes")
-                    }
+            }
+            sink.any |= sink.cross;
+            sink.end = facts.sources.len() as u32;
+            facts.has_cross |= sink.cross;
+            facts.sinks[(b.id.0 - lo) as usize] = sink;
+        }
+        if facts.len == 0 {
+            return DependenceSet::default();
+        }
+        verdicts.shrink_to_fit();
+        DependenceSet {
+            shared: Arc::new(DepTable {
+                facts,
+                replay: Some(Replay {
+                    sites: pairing,
+                    groups,
+                    verdicts,
+                }),
+                list: OnceLock::new(),
+            }),
+        }
+    }
+}
+
+/// What the pair loops read of one pairable site.
+struct PairSite {
+    id: RefId,
+    order: u32,
+    /// Interned access signature.
+    sig: u32,
+    /// Index of the site's variable partition.
+    group: u32,
+    write: bool,
+}
+
+/// What re-emitting an analyzed set's list needs: the pairable sites in
+/// table order, the partitions and the verdict of every key the facts
+/// pass met, in the order it met them.
+struct Replay {
+    sites: Vec<PairSite>,
+    groups: Vec<VarGroup>,
+    verdicts: Vec<(MemoKey, Verdict)>,
+}
+
+impl Replay {
+    /// The original source-major pair loop over the retained verdicts: per
+    /// pair, the cross-segment dependence (if feasible) precedes the
+    /// intra-segment one, exactly as the unmemoized tester pushed them.
+    fn emit(&self, facts: &Facts) -> DepList {
+        let verdicts: HashMap<MemoKey, Verdict> = self.verdicts.iter().copied().collect();
+        let mut deps: Vec<Dependence> = Vec::with_capacity(facts.len);
+        let mut index = Indexer::new(facts.base, facts.base + facts.sinks.len() as u32 - 1);
+        for a in &self.sites {
+            let group = &self.groups[a.group as usize];
+            let partners = if a.write {
+                &group.members
+            } else {
+                &group.writes
+            };
+            for &b_idx in partners {
+                let b = &self.sites[b_idx as usize];
+                let key = (a.sig, b.sig, a.order < b.order);
+                let verdict = *verdicts
+                    .get(&key)
+                    .expect("the facts pass met every pair's key");
+                let kind = match (a.write, b.write) {
+                    (true, false) => DepKind::Flow,
+                    (false, true) => DepKind::Anti,
+                    (true, true) => DepKind::Output,
+                    (false, false) => unreachable!("reads pair only with writes"),
                 };
                 let mut emit = |scope, distance| {
                     let d = Dependence {
@@ -453,64 +693,95 @@ impl DependenceSet {
     }
 }
 
-/// Memo table mapping a canonical signature pair `(sig_a, sig_b,
-/// a.order < b.order)` to its verdict slot. Dense (a flat
-/// `2·S²`-entry array) while the distinct-signature count `S` is small —
-/// the giant-block case, where pair enumeration is the hot loop — and a
+/// A canonical signature pair `(sig_a, sig_b, a.order < b.order)`.
+type MemoKey = (u32, u32, bool);
+
+/// What a verdict contributes to the facts: bit 0 set when a
+/// cross-segment dependence may exist, bit 1 when an intra-segment one may.
+#[derive(Clone, Copy)]
+struct Effect(u8);
+
+impl Effect {
+    fn of(v: Verdict) -> Self {
+        Effect(v.cross.is_some() as u8 | (v.intra as u8) << 1)
+    }
+
+    fn cross(self) -> bool {
+        self.0 & 1 != 0
+    }
+
+    fn intra(self) -> bool {
+        self.0 & 2 != 0
+    }
+
+    /// The dependences the pair contributes.
+    fn count(self) -> usize {
+        (self.0 & 1) as usize + (self.0 >> 1) as usize
+    }
+}
+
+/// Memo table mapping a [`MemoKey`] to its verdict's [`Effect`]. Dense (a
+/// flat `2·S²`-byte array) while the distinct-signature count `S` is small
+/// — the giant-block case, where pair enumeration is the hot loop — and a
 /// hash map beyond [`MemoTable::DENSE_SIG_LIMIT`], where verdict
-/// computation dominates anyway.
+/// computation dominates anyway. Lives only while the facts pass runs; the
+/// verdicts themselves are kept apart, for re-emission.
 enum MemoTable {
-    Dense { sigs: usize, table: Vec<u32> },
-    Sparse(HashMap<(u32, u32, bool), u32>),
+    Dense { sigs: usize, table: Vec<u8> },
+    Sparse(HashMap<MemoKey, Effect>),
 }
 
 impl MemoTable {
-    /// Above this many distinct signatures the dense table (which costs
-    /// `8·S²` bytes) gives way to a hash map.
+    /// Above this many distinct signatures the dense table gives way to a
+    /// hash map.
     const DENSE_SIG_LIMIT: usize = 512;
-    const EMPTY: u32 = u32::MAX;
+    /// A dense entry no verdict has filled yet.
+    const UNKNOWN: u8 = u8::MAX;
 
     fn new(sigs: usize) -> Self {
         if sigs <= Self::DENSE_SIG_LIMIT {
             MemoTable::Dense {
                 sigs,
-                table: vec![Self::EMPTY; 2 * sigs * sigs],
+                table: vec![Self::UNKNOWN; 2 * sigs * sigs],
             }
         } else {
             MemoTable::Sparse(HashMap::new())
         }
     }
 
-    fn slot(&self, sa: u32, sb: u32, lt: bool) -> Option<u32> {
+    fn get(&self, key: MemoKey) -> Option<Effect> {
         match self {
             MemoTable::Dense { sigs, table } => {
-                let i = ((sa as usize * sigs) + sb as usize) * 2 + lt as usize;
-                (table[i] != Self::EMPTY).then_some(table[i])
+                let e = table[Self::dense_index(*sigs, key)];
+                (e != Self::UNKNOWN).then_some(Effect(e))
             }
-            MemoTable::Sparse(map) => map.get(&(sa, sb, lt)).copied(),
+            MemoTable::Sparse(map) => map.get(&key).copied(),
         }
     }
 
-    fn record(&mut self, sa: u32, sb: u32, lt: bool, slot: u32) {
+    /// Records `effect` under `key` and returns it.
+    fn record(&mut self, key: MemoKey, effect: Effect) -> Effect {
         match self {
-            MemoTable::Dense { sigs, table } => {
-                let i = ((sa as usize * *sigs) + sb as usize) * 2 + lt as usize;
-                table[i] = slot;
-            }
+            MemoTable::Dense { sigs, table } => table[Self::dense_index(*sigs, key)] = effect.0,
             MemoTable::Sparse(map) => {
-                map.insert((sa, sb, lt), slot);
+                map.insert(key, effect);
             }
         }
+        effect
+    }
+
+    fn dense_index(sigs: usize, (sa, sb, lt): MemoKey) -> usize {
+        ((sa as usize * sigs) + sb as usize) * 2 + lt as usize
     }
 }
 
-/// Per-variable partition of the site list: member site indices in table
-/// order, and the write members among them (a partition with no write
-/// never produces a dependence and is skipped wholesale).
+/// Per-variable partition of the pairable sites: member indices in table
+/// order, and the write members among them (a variable with no write
+/// never produces a dependence and gets no partition).
 #[derive(Default)]
 struct VarGroup {
-    members: Vec<usize>,
-    writes: Vec<usize>,
+    members: Vec<u32>,
+    writes: Vec<u32>,
 }
 
 /// Per-site precomputed facts (the flat site arena): the per-site bounds
@@ -1466,6 +1737,29 @@ mod tests {
         let reference = analyze_reference(b.vars(), &region, &table);
         assert_eq!(DependenceSet::analyze(b.vars(), &region, &table), reference);
         assert!(!reference.is_empty());
+    }
+
+    /// Analysis and every fact query leave the list unbuilt; the first
+    /// list query builds it once, for every clone of the set.
+    #[test]
+    fn fact_queries_leave_the_list_unbuilt() {
+        let (b, body) = giant_block(32);
+        let region = find_region(&body, "G").expect("region").clone();
+        let table = RefTable::collect(&region.body);
+        let deps = DependenceSet::analyze(b.vars(), &region, &table);
+        let clone = deps.clone();
+        let mut facts = 0;
+        for s in table.sites() {
+            facts += deps.is_sink_of_cross_segment(s.id) as usize
+                + deps.is_sink_of_any(s.id) as usize
+                + deps.intra_sources(s.id).len();
+        }
+        assert!(facts > 0);
+        assert!(!deps.is_empty() && deps.has_cross_segment_deps());
+        assert!(deps.has_cross_segment_deps_excluding(&table, &|_| false));
+        assert!(!deps.is_list_built(), "a fact query built the list");
+        assert_eq!(deps.deps().len(), deps.len());
+        assert!(clone.is_list_built(), "clones share the built list");
     }
 
     /// The dense-row tester and the reference `BTreeMap` tester agree on

@@ -22,7 +22,7 @@ use crate::model::AbstractRegion;
 use crate::rfw::{rfw_for_abstract, rfw_for_loop_region};
 use crate::stats::{DynLabelStats, LabelStats};
 use refidem_analysis::classify::VarClass;
-use refidem_analysis::depend::{DepKind, DepScope, DependenceSet};
+use refidem_analysis::depend::DependenceSet;
 use refidem_analysis::region::{AnalysisError, RegionAnalysis};
 use refidem_analysis::schedule::{discover_regions, RegionSchedule};
 use refidem_ir::exec::DynCounts;
@@ -235,8 +235,8 @@ impl Labeling {
 }
 
 /// Labels under construction, in a dense table over the sites' reference
-/// id range (`None` off the sites), so Algorithm 2's per-dependence source
-/// lookups are array reads.
+/// id range (`None` off the sites), so Algorithm 2's per-source lookups
+/// are array reads.
 struct SiteLabels {
     base: u32,
     labels: Vec<Option<Label>>,
@@ -269,6 +269,12 @@ impl SiteLabels {
         r.0.checked_sub(self.base)
             .and_then(|k| self.labels.get(k as usize).copied().flatten())
             .is_some_and(|l| l.is_idempotent())
+    }
+
+    /// True when every reference in `sources` is a site already labeled
+    /// idempotent.
+    fn all_idempotent(&self, sources: &[RefId]) -> bool {
+        sources.iter().all(|&r| self.is_idempotent(r))
     }
 
     fn into_map(self) -> BTreeMap<RefId, Label> {
@@ -313,6 +319,10 @@ pub fn label_refs(input: &LabelInput) -> Labeling {
             labels.set(s.id, Label::Idempotent(IdemCategory::Private));
         }
     }
+    // Both rules below read the dependence facts, never the list:
+    // `intra_sources` holds the sources of every intra-segment dependence
+    // into a site except anti ones.
+    let deps = &input.deps;
     // RFW writes that are not sinks of cross-segment dependences
     // (Theorem 1). One refinement the bounded-storage execution model
     // forces: a speculative write is buffered and only reaches
@@ -321,7 +331,8 @@ pub fn label_refs(input: &LabelInput) -> Labeling {
     // segment may alias this one and stays speculative, labeling this one
     // idempotent would invert their program order at commit. Mirroring
     // Theorem 2's condition for reads, every intra-segment output source
-    // must itself be idempotent. (Sites are visited in program order and
+    // (a write's intra sources) must itself be idempotent; its anti
+    // sources never matter. (Sites are visited in program order and
     // intra-segment sources precede their sinks, so the source's final
     // label is already decided.)
     for s in &input.sites {
@@ -329,28 +340,22 @@ pub fn label_refs(input: &LabelInput) -> Labeling {
             continue;
         }
         if input.rfw.contains(&s.id)
-            && input.deps.deps_into(s.id).all(|d| {
-                d.scope == DepScope::IntraSegment
-                    && (d.kind != DepKind::Output || labels.is_idempotent(d.source))
-            })
+            && !deps.is_sink_of_cross_segment(s.id)
+            && labels.all_idempotent(deps.intra_sources(s.id))
         {
             labels.set(s.id, Label::Idempotent(IdemCategory::SharedDependent));
         }
     }
     // Reads (Theorem 2): idempotent when the read is the sink of no
     // dependence, or of intra-segment dependences only whose sources are
-    // all idempotent. Writes were labeled above, so covered reads can look
-    // their sources up; the first dependence that fails the condition
-    // decides.
+    // all idempotent. Every dependence into a read is a flow dependence,
+    // so its intra sources are all of them. Writes were labeled above, so
+    // covered reads can look their sources up.
     for s in &input.sites {
         if s.access != AccessKind::Read || labels.is_idempotent(s.id) {
             continue;
         }
-        let idempotent = input
-            .deps
-            .deps_into(s.id)
-            .all(|d| d.scope == DepScope::IntraSegment && labels.is_idempotent(d.source));
-        if idempotent {
+        if !deps.is_sink_of_cross_segment(s.id) && labels.all_idempotent(deps.intra_sources(s.id)) {
             labels.set(s.id, Label::Idempotent(IdemCategory::SharedDependent));
         }
     }

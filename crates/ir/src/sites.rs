@@ -10,7 +10,6 @@ use crate::affine::AffineExpr;
 use crate::expr::Reference;
 use crate::ids::{RefId, StmtId, VarId};
 use crate::stmt::Stmt;
-use std::collections::BTreeMap;
 
 /// Whether a reference site reads or writes memory.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
@@ -78,10 +77,17 @@ impl RefSite {
 }
 
 /// The table of all reference sites of a scope (usually a region body).
+///
+/// Lookup by id goes through a dense index over the span of the table's
+/// ids: the site with id `base + k` is `sites[by_id[k]]`, and a sentinel
+/// marks the ids in that span no site has. Ids need not be contiguous or
+/// in table order, but the index takes memory in proportion to their
+/// span.
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct RefTable {
     sites: Vec<RefSite>,
-    by_id: BTreeMap<RefId, usize>,
+    base: u32,
+    by_id: Vec<u32>,
 }
 
 impl RefTable {
@@ -99,10 +105,27 @@ impl RefTable {
         table
     }
 
+    /// Marks an id in the index's span that names no site.
+    const NO_SITE: u32 = u32::MAX;
+
     /// Adds a site (used by the walker and by tests constructing tables by
-    /// hand).
+    /// hand). A site whose id is already in the table shadows the earlier
+    /// one in [`RefTable::get`].
     pub fn push(&mut self, site: RefSite) {
-        self.by_id.insert(site.id, self.sites.len());
+        let id = site.id.0;
+        if self.by_id.is_empty() {
+            self.base = id;
+        } else if id < self.base {
+            let grow = (self.base - id) as usize;
+            self.by_id
+                .splice(0..0, std::iter::repeat(Self::NO_SITE).take(grow));
+            self.base = id;
+        }
+        let k = (id - self.base) as usize;
+        if k >= self.by_id.len() {
+            self.by_id.resize(k + 1, Self::NO_SITE);
+        }
+        self.by_id[k] = u32::try_from(self.sites.len()).expect("fewer than 2^32 sites");
         self.sites.push(site);
     }
 
@@ -123,7 +146,11 @@ impl RefTable {
 
     /// Looks a site up by id.
     pub fn get(&self, id: RefId) -> Option<&RefSite> {
-        self.by_id.get(&id).map(|&i| &self.sites[i])
+        let k = id.0.checked_sub(self.base)?;
+        match self.by_id.get(k as usize) {
+            Some(&i) if i != Self::NO_SITE => Some(&self.sites[i as usize]),
+            _ => None,
+        }
     }
 
     /// All sites referencing `var`.
@@ -172,22 +199,16 @@ impl Walker<'_> {
     fn walk_stmt(&mut self, s: &Stmt) {
         match s {
             Stmt::Assign(a) => {
-                let mut reads = Vec::new();
-                a.rhs.for_each_read(&mut |r| reads.push(r));
-                for r in reads {
-                    self.record(r, AccessKind::Read, a.id);
-                }
+                a.rhs
+                    .for_each_read(&mut |r| self.record(r, AccessKind::Read, a.id));
                 for inner in a.lhs.indirect_reads() {
                     self.record(inner, AccessKind::Read, a.id);
                 }
                 self.record(&a.lhs, AccessKind::Write, a.id);
             }
             Stmt::If(i) => {
-                let mut reads = Vec::new();
-                i.cond.for_each_read(&mut |r| reads.push(r));
-                for r in reads {
-                    self.record(r, AccessKind::Read, i.id);
-                }
+                i.cond
+                    .for_each_read(&mut |r| self.record(r, AccessKind::Read, i.id));
                 self.conditional_depth += 1;
                 self.walk_stmts(&i.then_branch);
                 self.walk_stmts(&i.else_branch);
@@ -205,11 +226,7 @@ impl Walker<'_> {
                 // reads belong to the loop statement, and the body becomes
                 // conditional (it may run zero times).
                 if let Some(c) = &l.while_cond {
-                    let mut reads = Vec::new();
-                    c.for_each_read(&mut |r| reads.push(r));
-                    for r in reads {
-                        self.record(r, AccessKind::Read, l.id);
-                    }
+                    c.for_each_read(&mut |r| self.record(r, AccessKind::Read, l.id));
                     self.conditional_depth += 1;
                     self.walk_stmts(&l.body);
                     self.conditional_depth -= 1;
@@ -278,6 +295,38 @@ mod tests {
         assert!(table.get(RefId(1)).unwrap().order < write_site.order);
         assert_eq!(table.referenced_vars(), vec![VarId(0), VarId(1), VarId(2)]);
         assert_eq!(table.sites_of(VarId(1)).count(), 2);
+    }
+
+    #[test]
+    fn lookup_by_id_handles_out_of_order_and_sparse_ids() {
+        let site = |id: u32, var: u32, order: usize| RefSite {
+            id: RefId(id),
+            var: VarId(var),
+            access: AccessKind::Read,
+            stmt: StmtId(0),
+            order,
+            conditional: false,
+            loops: vec![],
+            reference: sref(id, var),
+        };
+        let mut table = RefTable::default();
+        assert!(table.get(RefId(0)).is_none());
+        // Pushed out of id order, with holes, and once below the first id.
+        for (order, id) in [20u32, 23, 17, 30].into_iter().enumerate() {
+            table.push(site(id, id % 3, order));
+        }
+        assert_eq!(table.len(), 4);
+        for (order, id) in [20u32, 23, 17, 30].into_iter().enumerate() {
+            let got = table.get(RefId(id)).expect("pushed site");
+            assert_eq!((got.id, got.order), (RefId(id), order));
+        }
+        // Below the base, in a hole, and past the end.
+        for missing in [0, 16, 18, 21, 22, 29, 31, u32::MAX] {
+            assert!(table.get(RefId(missing)).is_none(), "id {missing}");
+        }
+        // Table order is push order, whatever the ids.
+        let ids: Vec<u32> = table.sites().iter().map(|s| s.id.0).collect();
+        assert_eq!(ids, vec![20, 23, 17, 30]);
     }
 
     #[test]
