@@ -64,12 +64,13 @@
 //! indexes (CSR arrays) are built only when something asks for them —
 //! [`DependenceSet::deps`], [`DependenceSet::deps_into`],
 //! [`DependenceSet::deps_from`], `==` or `Debug`, i.e. tests and tools. The
-//! set keeps what re-emitting the list needs (each site's id, access,
-//! order, signature and partition, the partitions, and the verdicts of the
-//! keys the pass met) and replays the original source-major pair loop
-//! over them, so order and contents are those of an eager emission. The
-//! set is immutable and shared: cloning it copies one `Arc`, and the list,
-//! once built, is shared by every clone.
+//! set keeps what re-emitting the list needs (each pairable site's id,
+//! access, order, signature and partition, the partitions, and the
+//! verdicts of the keys the pass met; the memo itself is dropped) and
+//! replays the original source-major pair loop over them, so order and
+//! contents are those of an eager emission. A set with no dependence keeps
+//! nothing. The set is immutable and shared: cloning it copies one `Arc`,
+//! and the list, once built, is shared by every clone.
 
 use crate::bounds::IndexBounds;
 use refidem_ir::affine::{gcd, AffineExpr};
