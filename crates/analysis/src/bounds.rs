@@ -104,14 +104,6 @@ pub fn constant_loop_bounds(vars: &VarTable, l: &LoopStmt) -> Option<(i64, i64)>
     }
 }
 
-/// Conservative maximum trip count of a loop within a bounds environment.
-/// Returns `None` when the bounds cannot be evaluated.
-pub fn max_trip_count(vars: &VarTable, bounds: &IndexBounds, l: &LoopContext) -> Option<usize> {
-    let (llo, _lhi) = bounds.range(vars, &l.lower)?;
-    let (_ulo, uhi) = bounds.range(vars, &l.upper)?;
-    Some(LoopStmt::trip_count(llo, uhi, l.step))
-}
-
 /// True when the loop executes at least one iteration on every execution
 /// (its minimum trip count is at least one).
 pub fn always_executes(

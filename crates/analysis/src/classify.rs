@@ -63,16 +63,6 @@ impl VarClassification {
         self.map.get(&v).copied().unwrap_or(VarClass::Shared)
     }
 
-    /// True when the variable is read-only in the region.
-    pub fn is_read_only(&self, v: VarId) -> bool {
-        self.class(v) == VarClass::ReadOnly
-    }
-
-    /// True when the variable is private to segments.
-    pub fn is_private(&self, v: VarId) -> bool {
-        self.class(v) == VarClass::Private
-    }
-
     /// All variables of a given class.
     pub fn vars_of(&self, class: VarClass) -> Vec<VarId> {
         self.map

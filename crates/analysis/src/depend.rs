@@ -48,38 +48,34 @@
 //!   hundreds of same-shape references of a giant block pay for each
 //!   distinct test once.
 //!
-//! # Facts first, the list on demand
+//! # The set is its facts
 //!
-//! Algorithm 2 and the region flags ask three things about a reference:
-//! is it the sink of a cross-segment dependence, is it a sink at all, and
-//! what are the sources of its intra-segment flow and output dependences.
-//! [`DependenceSet::analyze`] answers exactly these in one sink-major pass:
-//! for every sink in table order it walks the partners the partition pairs
-//! it with, looks each pair's verdict up through the memo, and records
-//! per-reference flags, the intra-segment sources, whether any dependence
-//! crosses segments and the exact dependence count. No [`Dependence`]
-//! record is built.
+//! Algorithm 2 and the region flags ask two things about a reference: is
+//! it the sink of a cross-segment dependence, and what are the sources of
+//! its intra-segment flow and output dependences. [`DependenceSet::analyze`]
+//! answers exactly these in one sink-major pass: for every sink in table
+//! order it walks the partners the partition pairs it with, looks each
+//! pair's verdict up through the memo, and records the sink's cross flag
+//! and intra-segment sources, whether any dependence crosses segments and
+//! the exact dependence count. That is all a [`DependenceSet`] holds; no
+//! [`Dependence`] record is built, and a set with no dependence holds
+//! nothing. The set is immutable and shared: cloning it copies one `Arc`.
 //!
-//! The ordered dependence list and its per-reference sink and source
-//! indexes (CSR arrays) are built only when something asks for them —
-//! [`DependenceSet::deps`], [`DependenceSet::deps_into`],
-//! [`DependenceSet::deps_from`], `==` or `Debug`, i.e. tests and tools. The
-//! set keeps what re-emitting the list needs (each pairable site's id,
-//! access, order, signature and partition, the partitions, and the
-//! verdicts of the keys the pass met; the memo itself is dropped) and
-//! replays the original source-major pair loop over them, so order and
-//! contents are those of an eager emission. A set with no dependence keeps
-//! nothing. The set is immutable and shared: cloning it copies one `Arc`,
-//! and the list, once built, is shared by every clone.
+//! Tests and tools that want the dependences themselves call
+//! [`dependence_list`] (or `RegionAnalysis::dependence_list`). It shares
+//! the partition, the signature arena and the pair tester with `analyze`,
+//! walks the same pairs source-major and returns the ordered list an
+//! unpruned pair loop over the table emits;
+//! [`DependenceSet::from_deps`] of that list equals the analyzed set.
 
 use crate::bounds::IndexBounds;
 use refidem_ir::affine::{gcd, AffineExpr};
-use refidem_ir::ids::{RefId, StmtId, VarId};
+use refidem_ir::ids::{RefId, VarId};
 use refidem_ir::sites::{AccessKind, RefSite, RefTable};
 use refidem_ir::stmt::{LoopStmt, Stmt};
 use refidem_ir::var::VarTable;
 use std::collections::HashMap;
-use std::sync::{Arc, OnceLock};
+use std::sync::Arc;
 
 /// The kind of a data dependence.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
@@ -119,30 +115,23 @@ pub struct Dependence {
     pub distance: Option<i64>,
 }
 
-/// The set of may-dependences of one region: per-reference sink facts,
-/// answered in O(1), and the dependences themselves in emission order,
-/// built on first use. Immutable once built and shared behind one `Arc` —
-/// cloning a set (a cache hit, a labeling input) copies a pointer.
-#[derive(Clone, Default)]
+/// The may-dependences of one region, as the facts labeling reads: per
+/// reference, whether it is the sink of a cross-segment dependence and the
+/// sources of its intra-segment flow and output dependences; per region,
+/// the exact dependence count and whether any dependence crosses segments.
+/// Immutable once built and shared behind one `Arc` — cloning a set (a
+/// cache hit, a labeling input) copies a pointer. The dependences
+/// themselves come from [`dependence_list`].
+#[derive(Clone, Debug, Default)]
 pub struct DependenceSet {
-    shared: Arc<DepTable>,
+    facts: Arc<Facts>,
 }
 
-/// The shared body of a [`DependenceSet`].
-#[derive(Default)]
-struct DepTable {
-    facts: Facts,
-    /// What re-emitting the analyzer's list needs; `None` for a set built
-    /// from an explicit list, whose `list` is filled at construction.
-    replay: Option<Replay>,
-    list: OnceLock<DepList>,
-}
-
-/// The per-reference facts, over a dense `RefId` range starting at
-/// `base`: the facts of reference `base + k` are `sinks[k]`, and the
-/// sources of its intra-segment flow and output dependences are
+/// The facts, over a dense `RefId` range starting at `base`: reference
+/// `base + k` is described by `sinks[k]`, and the sources of its
+/// intra-segment flow and output dependences are
 /// `sources[sinks[k].start..sinks[k].end]`.
-#[derive(Default)]
+#[derive(Debug, Default)]
 struct Facts {
     base: u32,
     sinks: Vec<SinkFacts>,
@@ -153,12 +142,10 @@ struct Facts {
     has_cross: bool,
 }
 
-#[derive(Clone, Copy, Default)]
+#[derive(Clone, Copy, Debug, Default)]
 struct SinkFacts {
     start: u32,
     end: u32,
-    /// The sink of some dependence.
-    any: bool,
     /// The sink of some cross-segment dependence.
     cross: bool,
 }
@@ -173,18 +160,55 @@ impl Facts {
         }
     }
 
-    /// Derives the facts of an explicit list over references `lo ..= hi`,
-    /// keeping each sink's intra-segment sources in list order.
-    fn from_list(lo: u32, hi: u32, deps: &[Dependence]) -> Self {
+    fn sink(&self, r: RefId) -> Option<&SinkFacts> {
+        let k = r.0.checked_sub(self.base)?;
+        self.sinks.get(k as usize)
+    }
+
+    /// The references the facts cover.
+    fn ids(&self) -> impl Iterator<Item = RefId> + '_ {
+        (0..self.sinks.len()).map(|k| RefId(self.base + k as u32))
+    }
+}
+
+/// Two sets are equal when they answer alike: the same count and region
+/// cross flag, and for every reference the same cross flag and the same
+/// intra-segment sources in the same order — whatever `RefId` range each
+/// set's facts happen to cover.
+impl PartialEq for DependenceSet {
+    fn eq(&self, other: &Self) -> bool {
+        let (a, b) = (&*self.facts, &*other.facts);
+        Arc::ptr_eq(&self.facts, &other.facts)
+            || (a.len == b.len
+                && a.has_cross == b.has_cross
+                && a.ids().chain(b.ids()).all(|r| {
+                    self.is_sink_of_cross_segment(r) == other.is_sink_of_cross_segment(r)
+                        && self.intra_sources(r) == other.intra_sources(r)
+                }))
+    }
+}
+
+impl Eq for DependenceSet {}
+
+impl DependenceSet {
+    /// Builds a dependence set from an explicit list of dependences. Used
+    /// by front-ends (e.g. the abstract segment-graph regions of the
+    /// paper's Figures 1–3) that compute dependences themselves, and by
+    /// tests. The facts are derived from the list, each sink's
+    /// intra-segment sources in list order, so every query answers as it
+    /// would for an analyzed set. Reference ids need not be contiguous; the
+    /// facts take memory in proportion to the span of sink ids.
+    pub fn from_deps(deps: &[Dependence]) -> Self {
+        let mut sinks = deps.iter().map(|d| d.sink.0);
+        let Some(first) = sinks.next() else {
+            return DependenceSet::default();
+        };
+        let (lo, hi) = sinks.fold((first, first), |(lo, hi), id| (lo.min(id), hi.max(id)));
         let mut facts = Facts::new(lo, hi);
         facts.len = deps.len();
-        for d in deps {
-            let sink = &mut facts.sinks[(d.sink.0 - lo) as usize];
-            sink.any = true;
-            if d.scope == DepScope::CrossSegment {
-                sink.cross = true;
-                facts.has_cross = true;
-            }
+        for d in deps.iter().filter(|d| d.scope == DepScope::CrossSegment) {
+            facts.sinks[(d.sink.0 - lo) as usize].cross = true;
+            facts.has_cross = true;
         }
         let mut intra: Vec<(u32, RefId)> = deps
             .iter()
@@ -201,188 +225,14 @@ impl Facts {
             facts.sources.push(source);
             sink.end = facts.sources.len() as u32;
         }
-        facts
-    }
-
-    fn sink(&self, r: RefId) -> Option<&SinkFacts> {
-        let k = r.0.checked_sub(self.base)?;
-        self.sinks.get(k as usize)
-    }
-}
-
-/// The dependence list with its per-reference indexes. Both indexes are
-/// CSR arrays over a dense `RefId` range starting at `base`: the
-/// dependences into reference `base + k` are
-/// `deps[by_sink.items[by_sink.offsets[k]..by_sink.offsets[k + 1]]]`, in
-/// emission order, and likewise out of it through `by_source`.
-#[derive(Default)]
-struct DepList {
-    deps: Vec<Dependence>,
-    base: u32,
-    by_sink: Csr,
-    by_source: Csr,
-}
-
-impl DepList {
-    fn key(&self, r: RefId) -> Option<usize> {
-        r.0.checked_sub(self.base).map(|k| k as usize)
-    }
-}
-
-#[derive(Default)]
-struct Csr {
-    offsets: Vec<u32>,
-    items: Vec<u32>,
-}
-
-impl Csr {
-    fn slot(&self, k: Option<usize>) -> &[u32] {
-        match k {
-            Some(k) if k + 1 < self.offsets.len() => {
-                &self.items[self.offsets[k] as usize..self.offsets[k + 1] as usize]
-            }
-            _ => &[],
-        }
-    }
-}
-
-/// Builds a [`DepList`]'s indexes: per-reference counts accumulate while
-/// the dependences are emitted, then one pass places every dependence in
-/// both indexes.
-struct Indexer {
-    base: u32,
-    sinks: Vec<u32>,
-    sources: Vec<u32>,
-}
-
-impl Indexer {
-    /// An indexer for dependences between references `lo ..= hi`.
-    fn new(lo: u32, hi: u32) -> Self {
-        let slots = (hi - lo) as usize + 2;
-        Indexer {
-            base: lo,
-            sinks: vec![0; slots],
-            sources: vec![0; slots],
-        }
-    }
-
-    fn count(&mut self, d: &Dependence) {
-        self.sinks[(d.sink.0 - self.base) as usize + 1] += 1;
-        self.sources[(d.source.0 - self.base) as usize + 1] += 1;
-    }
-
-    /// Indexes `deps`, every one of which was counted.
-    fn finish(self, deps: Vec<Dependence>) -> DepList {
-        let Indexer {
-            base,
-            mut sinks,
-            mut sources,
-        } = self;
-        for offsets in [&mut sinks, &mut sources] {
-            for k in 1..offsets.len() {
-                offsets[k] += offsets[k - 1];
-            }
-        }
-        // Fill through `offsets[k]` as the cursor of slot `k`; afterwards
-        // every cursor sits at its slot's end, which is the next slot's
-        // start, so shifting right by one restores the offsets.
-        let mut sink_items = vec![0u32; deps.len()];
-        let mut source_items = vec![0u32; deps.len()];
-        for (i, d) in deps.iter().enumerate() {
-            let cursor = &mut sinks[(d.sink.0 - base) as usize];
-            sink_items[*cursor as usize] = i as u32;
-            *cursor += 1;
-            let cursor = &mut sources[(d.source.0 - base) as usize];
-            source_items[*cursor as usize] = i as u32;
-            *cursor += 1;
-        }
-        for offsets in [&mut sinks, &mut sources] {
-            let last = offsets.len() - 1;
-            offsets.copy_within(..last, 1);
-            offsets[0] = 0;
-        }
-        DepList {
-            deps,
-            base,
-            by_sink: Csr {
-                offsets: sinks,
-                items: sink_items,
-            },
-            by_source: Csr {
-                offsets: sources,
-                items: source_items,
-            },
-        }
-    }
-}
-
-impl PartialEq for DependenceSet {
-    fn eq(&self, other: &Self) -> bool {
-        Arc::ptr_eq(&self.shared, &other.shared) || self.deps() == other.deps()
-    }
-}
-
-impl Eq for DependenceSet {}
-
-impl std::fmt::Debug for DependenceSet {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("DependenceSet")
-            .field("deps", &self.deps())
-            .finish()
-    }
-}
-
-impl DependenceSet {
-    /// Builds a dependence set from an explicit list of dependences, kept in
-    /// the given order. Used by front-ends (e.g. the abstract segment-graph
-    /// regions of the paper's Figures 1–3) that compute dependences
-    /// themselves, and by tests. The facts are derived from the list, so
-    /// every query answers as it would for an analyzed set. Reference ids
-    /// need not be contiguous; the facts and indexes take memory in
-    /// proportion to the span of ids the dependences mention.
-    pub fn from_deps(deps: Vec<Dependence>) -> Self {
-        let mut ids = deps.iter().flat_map(|d| [d.source.0, d.sink.0]);
-        let Some(first) = ids.next() else {
-            return DependenceSet::default();
-        };
-        let (lo, hi) = ids.fold((first, first), |(lo, hi), id| (lo.min(id), hi.max(id)));
-        let facts = Facts::from_list(lo, hi, &deps);
-        let mut index = Indexer::new(lo, hi);
-        for d in &deps {
-            index.count(d);
-        }
         DependenceSet {
-            shared: Arc::new(DepTable {
-                facts,
-                replay: None,
-                list: OnceLock::from(index.finish(deps)),
-            }),
+            facts: Arc::new(facts),
         }
-    }
-
-    /// The list with its indexes, built on first use.
-    fn list(&self) -> &DepList {
-        let t = &*self.shared;
-        t.list.get_or_init(|| match &t.replay {
-            Some(replay) => replay.emit(&t.facts),
-            None => DepList::default(),
-        })
-    }
-
-    /// True once the dependence list has been built. Analysis, labeling
-    /// and simulation never build it; tests use this to pin that.
-    pub fn is_list_built(&self) -> bool {
-        self.shared.list.get().is_some()
-    }
-
-    /// All dependences, in emission order (built on first use).
-    pub fn deps(&self) -> &[Dependence] {
-        &self.list().deps
     }
 
     /// Number of dependences.
     pub fn len(&self) -> usize {
-        self.shared.facts.len
+        self.facts.len
     }
 
     /// True when the region has no dependences at all.
@@ -390,35 +240,10 @@ impl DependenceSet {
         self.len() == 0
     }
 
-    /// Dependences whose sink is `r`, in emission order (builds the list
-    /// on first use).
-    pub fn deps_into(&self, r: RefId) -> impl Iterator<Item = &Dependence> {
-        let t = self.list();
-        t.by_sink
-            .slot(t.key(r))
-            .iter()
-            .map(move |&i| &t.deps[i as usize])
-    }
-
-    /// Dependences whose source is `r`, in emission order (builds the list
-    /// on first use).
-    pub fn deps_from(&self, r: RefId) -> impl Iterator<Item = &Dependence> {
-        let t = self.list();
-        t.by_source
-            .slot(t.key(r))
-            .iter()
-            .map(move |&i| &t.deps[i as usize])
-    }
-
     /// True when `r` is the sink of a cross-segment dependence (Lemma 3's
     /// condition).
     pub fn is_sink_of_cross_segment(&self, r: RefId) -> bool {
-        self.shared.facts.sink(r).is_some_and(|s| s.cross)
-    }
-
-    /// True when `r` is the sink of any dependence.
-    pub fn is_sink_of_any(&self, r: RefId) -> bool {
-        self.shared.facts.sink(r).is_some_and(|s| s.any)
+        self.facts.sink(r).is_some_and(|s| s.cross)
     }
 
     /// The sources of the intra-segment flow and output dependences into
@@ -426,16 +251,15 @@ impl DependenceSet {
     /// dependence. Theorem 2 and the write-ordering refinement of
     /// Algorithm 2 ask that all of them be idempotent.
     pub fn intra_sources(&self, r: RefId) -> &[RefId] {
-        let facts = &self.shared.facts;
-        match facts.sink(r) {
-            Some(s) => &facts.sources[s.start as usize..s.end as usize],
+        match self.facts.sink(r) {
+            Some(s) => &self.facts.sources[s.start as usize..s.end as usize],
             None => &[],
         }
     }
 
     /// True when the region carries at least one cross-segment dependence.
     pub fn has_cross_segment_deps(&self) -> bool {
-        self.shared.facts.has_cross
+        self.facts.has_cross
     }
 
     /// True when the region carries at least one cross-segment dependence
@@ -447,21 +271,135 @@ impl DependenceSet {
         table: &RefTable,
         ignored: &dyn Fn(VarId) -> bool,
     ) -> bool {
-        let facts = &self.shared.facts;
-        facts.sinks.iter().enumerate().any(|(k, s)| {
-            s.cross
-                && table
-                    .get(RefId(facts.base + k as u32))
-                    .map(|site| !ignored(site.var))
-                    .unwrap_or(true)
+        self.facts.ids().any(|r| {
+            self.is_sink_of_cross_segment(r)
+                && table.get(r).map(|site| !ignored(site.var)).unwrap_or(true)
         })
     }
 
     /// Analyzes the dependences of a region loop given the reference table
     /// of its body, computing the per-reference facts (see the module
-    /// docs); the list itself is emitted only on demand.
+    /// docs).
     pub fn analyze(vars: &VarTable, region: &LoopStmt, table: &RefTable) -> Self {
-        let tester = Tester::new(vars, region);
+        let pairing = Pairing::new(vars, region, table);
+        let ids = pairing.sites.iter().map(|p| p.id.0);
+        let (Some(lo), Some(hi)) = (ids.clone().min(), ids.max()) else {
+            return DependenceSet::default();
+        };
+        // One sink-major pass: for every sink in table order, its partners.
+        // Each distinct signature pair's verdict is computed on first
+        // encounter; `a.order < b.order` is the only pair-level fact the
+        // tester reads beyond the two signatures (site orders are unique,
+        // so it also subsumes the `a.id != b.id` gate) — together they
+        // form the memo key. A feasible verdict contributes one dependence
+        // per scope; only the facts are kept.
+        let mut memo = MemoTable::new(pairing.pre.len());
+        let mut scratch = Scratch::default();
+        let mut facts = Facts::new(lo, hi);
+        for (b_idx, b) in pairing.sites.iter().enumerate() {
+            let start = facts.sources.len() as u32;
+            let mut cross = false;
+            for &a_idx in pairing.partners(b) {
+                let a = &pairing.sites[a_idx as usize];
+                let key = (a.sig, b.sig, a.order < b.order);
+                let effect = memo.get(key).unwrap_or_else(|| {
+                    let verdict = pairing.verdict(a_idx as usize, b_idx, &mut scratch);
+                    memo.record(key, Effect::of(verdict))
+                });
+                facts.len += effect.count();
+                cross |= effect.cross();
+                // Flow or output: the anti dependences of a read source
+                // never gate a label.
+                if effect.intra() && a.write {
+                    facts.sources.push(a.id);
+                }
+            }
+            facts.has_cross |= cross;
+            facts.sinks[(b.id.0 - lo) as usize] = SinkFacts {
+                start,
+                end: facts.sources.len() as u32,
+                cross,
+            };
+        }
+        if facts.len == 0 {
+            return DependenceSet::default();
+        }
+        DependenceSet {
+            facts: Arc::new(facts),
+        }
+    }
+}
+
+/// The dependences of a region loop given the reference table of its
+/// body, in emission order: source-major over the table (each pairable
+/// site in table order, its partners in table order), a pair's
+/// cross-segment dependence before its intra-segment one — the order of
+/// an unpruned pair loop over every ordered same-variable pair.
+/// [`DependenceSet::analyze`] keeps only the facts of this list
+/// (`analyze(..) == DependenceSet::from_deps(&dependence_list(..))`);
+/// tests and tools call this for the records themselves.
+pub fn dependence_list(vars: &VarTable, region: &LoopStmt, table: &RefTable) -> Vec<Dependence> {
+    let pairing = Pairing::new(vars, region, table);
+    let mut verdicts: HashMap<MemoKey, Verdict> = HashMap::new();
+    let mut scratch = Scratch::default();
+    let mut deps = Vec::new();
+    for (a_idx, a) in pairing.sites.iter().enumerate() {
+        for &b_idx in pairing.partners(a) {
+            let b = &pairing.sites[b_idx as usize];
+            let verdict = *verdicts
+                .entry((a.sig, b.sig, a.order < b.order))
+                .or_insert_with(|| pairing.verdict(a_idx, b_idx as usize, &mut scratch));
+            let kind = match (a.write, b.write) {
+                (true, false) => DepKind::Flow,
+                (false, true) => DepKind::Anti,
+                (true, true) => DepKind::Output,
+                (false, false) => unreachable!("reads pair only with writes"),
+            };
+            let dep = |scope, distance| Dependence {
+                source: a.id,
+                sink: b.id,
+                kind,
+                scope,
+                distance,
+            };
+            if let Some(distance) = verdict.cross {
+                deps.push(dep(DepScope::CrossSegment, distance));
+            }
+            if verdict.intra {
+                deps.push(dep(DepScope::IntraSegment, None));
+            }
+        }
+    }
+    deps
+}
+
+/// What [`DependenceSet::analyze`] and [`dependence_list`] share: the
+/// pairable sites in table order, partitioned by base variable, with each
+/// site's access signature interned into the flat arena of per-signature
+/// facts, and the pair tester.
+struct Pairing<'a> {
+    tester: Tester<'a>,
+    sites: Vec<PairSite>,
+    /// The table entry of each of `sites`.
+    refs: Vec<&'a RefSite>,
+    groups: Vec<VarGroup>,
+    /// Per distinct signature, the tester's precomputed site facts.
+    pre: Vec<SitePre>,
+}
+
+/// What the pair loops read of one pairable site.
+struct PairSite {
+    id: RefId,
+    order: u32,
+    /// Interned access signature.
+    sig: u32,
+    /// Index of the site's variable partition.
+    group: u32,
+    write: bool,
+}
+
+impl<'a> Pairing<'a> {
+    fn new(vars: &'a VarTable, region: &'a LoopStmt, table: &'a RefTable) -> Self {
         let sites = table.sites();
 
         // --- Partition sites by base variable (in table order). Only
@@ -470,7 +408,6 @@ impl DependenceSet {
         // blocks' read-only coefficient arrays — skips pairing, signature
         // interning and the bounds walk entirely. The pairable sites are
         // gathered in table order; partitions list them by that index.
-        // Everything the set keeps is allocated at its exact size.
         let mut group_of: HashMap<VarId, u32> = HashMap::new();
         // Per variable: (members, writes).
         let mut counts: Vec<(u32, u32)> = Vec::new();
@@ -493,8 +430,9 @@ impl DependenceSet {
             .collect();
         let with_writes = counts.iter().filter(|c| c.1 > 0);
         let mut groups: Vec<VarGroup> = Vec::with_capacity(with_writes.clone().count());
-        let mut pairing: Vec<PairSite> =
-            Vec::with_capacity(with_writes.map(|c| c.0 as usize).sum());
+        let pairable = with_writes.map(|c| c.0 as usize).sum();
+        let mut pair_sites: Vec<PairSite> = Vec::with_capacity(pairable);
+        let mut refs: Vec<&RefSite> = Vec::with_capacity(pairable);
         // Per variable: its partition, when it has a write.
         let partition: Vec<Option<u32>> = counts
             .iter()
@@ -508,30 +446,25 @@ impl DependenceSet {
                 })
             })
             .collect();
-        let mut pairable: Vec<&RefSite> = Vec::with_capacity(pairing.capacity());
         for (s, v) in sites.iter().zip(site_var) {
             let Some(group) = v.and_then(|v| partition[v as usize]) else {
                 continue;
             };
-            let p = pairing.len() as u32;
+            let p = pair_sites.len() as u32;
             let write = s.access == AccessKind::Write;
             groups[group as usize].members.push(p);
             if write {
                 groups[group as usize].writes.push(p);
             }
-            pairing.push(PairSite {
+            pair_sites.push(PairSite {
                 id: s.id,
                 order: u32::try_from(s.order).expect("site orders fit in u32"),
                 sig: 0,
                 group,
                 write,
             });
-            pairable.push(s);
+            refs.push(s);
         }
-        let ids = pairing.iter().map(|p| p.id.0);
-        let (Some(lo), Some(hi)) = (ids.clone().min(), ids.max()) else {
-            return DependenceSet::default();
-        };
 
         // --- Flat site-arena pass: intern each pairable site's access
         // signature into a dedup table and precompute, once per *distinct
@@ -543,7 +476,7 @@ impl DependenceSet {
         let mut interner: HashMap<Vec<i64>, u32> = HashMap::new();
         let mut tokens: Vec<i64> = Vec::new();
         let mut pre: Vec<SitePre> = Vec::new();
-        for (p, s) in pairing.iter_mut().zip(&pairable) {
+        for (p, s) in pair_sites.iter_mut().zip(&refs) {
             signature_tokens(s, &mut tokens);
             p.sig = match interner.get(tokens.as_slice()) {
                 Some(&id) => id,
@@ -555,142 +488,37 @@ impl DependenceSet {
                 }
             };
         }
-
-        // --- One sink-major pass: for every sink in table order, the
-        // partners the partition pairs it with (a write is the sink of
-        // every member, a read of the writes only — exactly the pairs the
-        // unpartitioned scan kept). Each distinct signature pair's verdict
-        // is computed on first encounter. `a.order < b.order` is the only
-        // pair-level fact the tester reads beyond the two signatures (site
-        // orders are unique, so it also subsumes the `a.id != b.id` gate) —
-        // together they form the memo key. A feasible verdict contributes
-        // one dependence per scope; only the facts are kept.
-        let mut memo = MemoTable::new(interner.len());
-        let mut verdicts: Vec<(MemoKey, Verdict)> = Vec::new();
-        let mut scratch = Scratch::default();
-        let mut facts = Facts::new(lo, hi);
-        for (b, &sb) in pairing.iter().zip(&pairable) {
-            let group = &groups[b.group as usize];
-            let partners = if b.write {
-                &group.members
-            } else {
-                &group.writes
-            };
-            let mut sink = SinkFacts {
-                start: facts.sources.len() as u32,
-                ..SinkFacts::default()
-            };
-            for &a_idx in partners {
-                let a = &pairing[a_idx as usize];
-                let key = (a.sig, b.sig, a.order < b.order);
-                let effect = memo.get(key).unwrap_or_else(|| {
-                    let (pa, pb) = (&pre[a.sig as usize], &pre[b.sig as usize]);
-                    let sa = pairable[a_idx as usize];
-                    let verdict = tester.test_pair_verdict(sa, sb, pa, pb, &mut scratch);
-                    verdicts.push((key, verdict));
-                    memo.record(key, Effect::of(verdict))
-                });
-                facts.len += effect.count();
-                sink.cross |= effect.cross();
-                if effect.intra() {
-                    sink.any = true;
-                    // Flow or output: the anti dependences of a read
-                    // source never gate a label.
-                    if a.write {
-                        facts.sources.push(a.id);
-                    }
-                }
-            }
-            sink.any |= sink.cross;
-            sink.end = facts.sources.len() as u32;
-            facts.has_cross |= sink.cross;
-            facts.sinks[(b.id.0 - lo) as usize] = sink;
-        }
-        if facts.len == 0 {
-            return DependenceSet::default();
-        }
-        verdicts.shrink_to_fit();
-        DependenceSet {
-            shared: Arc::new(DepTable {
-                facts,
-                replay: Some(Replay {
-                    sites: pairing,
-                    groups,
-                    verdicts,
-                }),
-                list: OnceLock::new(),
-            }),
+        Pairing {
+            tester: Tester::new(vars, region),
+            sites: pair_sites,
+            refs,
+            groups,
+            pre,
         }
     }
-}
 
-/// What the pair loops read of one pairable site.
-struct PairSite {
-    id: RefId,
-    order: u32,
-    /// Interned access signature.
-    sig: u32,
-    /// Index of the site's variable partition.
-    group: u32,
-    write: bool,
-}
-
-/// What re-emitting an analyzed set's list needs: the pairable sites in
-/// table order, the partitions and the verdict of every key the facts
-/// pass met, in the order it met them.
-struct Replay {
-    sites: Vec<PairSite>,
-    groups: Vec<VarGroup>,
-    verdicts: Vec<(MemoKey, Verdict)>,
-}
-
-impl Replay {
-    /// The original source-major pair loop over the retained verdicts: per
-    /// pair, the cross-segment dependence (if feasible) precedes the
-    /// intra-segment one, exactly as the unmemoized tester pushed them.
-    fn emit(&self, facts: &Facts) -> DepList {
-        let verdicts: HashMap<MemoKey, Verdict> = self.verdicts.iter().copied().collect();
-        let mut deps: Vec<Dependence> = Vec::with_capacity(facts.len);
-        let mut index = Indexer::new(facts.base, facts.base + facts.sinks.len() as u32 - 1);
-        for a in &self.sites {
-            let group = &self.groups[a.group as usize];
-            let partners = if a.write {
-                &group.members
-            } else {
-                &group.writes
-            };
-            for &b_idx in partners {
-                let b = &self.sites[b_idx as usize];
-                let key = (a.sig, b.sig, a.order < b.order);
-                let verdict = *verdicts
-                    .get(&key)
-                    .expect("the facts pass met every pair's key");
-                let kind = match (a.write, b.write) {
-                    (true, false) => DepKind::Flow,
-                    (false, true) => DepKind::Anti,
-                    (true, true) => DepKind::Output,
-                    (false, false) => unreachable!("reads pair only with writes"),
-                };
-                let mut emit = |scope, distance| {
-                    let d = Dependence {
-                        source: a.id,
-                        sink: b.id,
-                        kind,
-                        scope,
-                        distance,
-                    };
-                    index.count(&d);
-                    deps.push(d);
-                };
-                if let Some(distance) = verdict.cross {
-                    emit(DepScope::CrossSegment, distance);
-                }
-                if verdict.intra {
-                    emit(DepScope::IntraSegment, None);
-                }
-            }
+    /// The sites `x` pairs with, in table order: every member of its
+    /// partition when `x` writes, the partition's writes when it reads —
+    /// exactly the same-variable pairs with at least one write. The rule
+    /// is symmetric (`y` is a partner of `x` exactly when `x` is one of
+    /// `y`), so it yields a sink's sources as well as a source's sinks.
+    fn partners(&self, x: &PairSite) -> &[u32] {
+        let group = &self.groups[x.group as usize];
+        if x.write {
+            &group.members
+        } else {
+            &group.writes
         }
-        index.finish(deps)
+    }
+
+    /// The verdict for source `sites[a]` and sink `sites[b]`.
+    fn verdict(&self, a: usize, b: usize, scratch: &mut Scratch) -> Verdict {
+        let (pa, pb) = (
+            &self.pre[self.sites[a].sig as usize],
+            &self.pre[self.sites[b].sig as usize],
+        );
+        self.tester
+            .test_pair_verdict(self.refs[a], self.refs[b], pa, pb, scratch)
     }
 }
 
@@ -725,8 +553,7 @@ impl Effect {
 /// flat `2·S²`-byte array) while the distinct-signature count `S` is small
 /// — the giant-block case, where pair enumeration is the hot loop — and a
 /// hash map beyond [`MemoTable::DENSE_SIG_LIMIT`], where verdict
-/// computation dominates anyway. Lives only while the facts pass runs; the
-/// verdicts themselves are kept apart, for re-emission.
+/// computation dominates anyway. Lives only while the facts pass runs.
 enum MemoTable {
     Dense { sigs: usize, table: Vec<u8> },
     Sparse(HashMap<MemoKey, Effect>),
@@ -1277,12 +1104,6 @@ pub fn find_region<'p>(body: &'p [Stmt], label: &str) -> Option<&'p LoopStmt> {
     None
 }
 
-/// Returns the id of the statement containing a site (convenience for
-/// diagnostics).
-pub fn site_stmt(table: &RefTable, r: RefId) -> Option<StmtId> {
-    table.get(r).map(|s| s.stmt)
-}
-
 /// The map-based pair tester: per-level `BTreeMap<VarId, AffineExpr>`
 /// substitution maps and affine-expression algebra over a per-pair
 /// meta-variable allocator. Kept as the reference implementation the dense
@@ -1567,12 +1388,17 @@ mod tests {
         find_region(body, label).expect("region").clone()
     }
 
+    /// The dependences of `list` whose sink is `r`.
+    fn into(list: &[Dependence], r: RefId) -> impl Iterator<Item = &Dependence> {
+        list.iter().filter(move |d| d.sink == r)
+    }
+
     /// The pre-pruning pair loop over the reference tester, kept as a
     /// reference implementation: every ordered same-variable pair is
     /// tested individually, with per-pair arena facts and no memoization.
-    /// The pruned [`DependenceSet::analyze`] must be structurally identical
-    /// to this — including the emission order of `deps()`.
-    fn analyze_reference(vars: &VarTable, region: &LoopStmt, table: &RefTable) -> DependenceSet {
+    /// [`dependence_list`] must return exactly this list, order included,
+    /// and [`DependenceSet::analyze`] must equal its facts.
+    fn analyze_reference(vars: &VarTable, region: &LoopStmt, table: &RefTable) -> Vec<Dependence> {
         let tester = Tester::new(vars, region);
         let site_pre = |s: &RefSite| reference::SitePre::new(vars, region, s);
         let mut out = Vec::new();
@@ -1616,7 +1442,23 @@ mod tests {
                 }
             }
         }
-        DependenceSet::from_deps(out)
+        out
+    }
+
+    /// Asserts that the pruned list equals the reference pair loop's and
+    /// the analyzed set equals the facts of that list; returns the list.
+    fn assert_matches_reference(
+        vars: &VarTable,
+        region: &LoopStmt,
+        table: &RefTable,
+    ) -> Vec<Dependence> {
+        let reference = analyze_reference(vars, region, table);
+        assert_eq!(dependence_list(vars, region, table), reference);
+        assert_eq!(
+            DependenceSet::analyze(vars, region, table),
+            DependenceSet::from_deps(&reference)
+        );
+        reference
     }
 
     /// A TWLDRV-shaped giant block: `stmts` straight-line statements
@@ -1722,9 +1564,7 @@ mod tests {
         for (b, body, label) in &cases {
             let region = find_region(body, label).expect("region").clone();
             let table = RefTable::collect(&region.body);
-            let reference = analyze_reference(b.vars(), &region, &table);
-            let pruned = DependenceSet::analyze(b.vars(), &region, &table);
-            assert_eq!(pruned, reference);
+            assert_matches_reference(b.vars(), &region, &table);
         }
     }
 
@@ -1735,32 +1575,110 @@ mod tests {
         let (b, body) = giant_block(96);
         let region = find_region(&body, "G").expect("region").clone();
         let table = RefTable::collect(&region.body);
-        let reference = analyze_reference(b.vars(), &region, &table);
-        assert_eq!(DependenceSet::analyze(b.vars(), &region, &table), reference);
+        let reference = assert_matches_reference(b.vars(), &region, &table);
         assert!(!reference.is_empty());
     }
 
-    /// Analysis and every fact query leave the list unbuilt; the first
-    /// list query builds it once, for every clone of the set.
+    /// A region with more distinct signatures than the dense memo holds —
+    /// 260 arrays, each written at `v_i(k+i)` and read twice at
+    /// `v_i(k+i-1)` — takes the sparse memo, and still matches the
+    /// reference: the second read's pair is a memo hit, and each read is
+    /// the sink of one cross flow, nothing else.
     #[test]
-    fn fact_queries_leave_the_list_unbuilt() {
-        let (b, body) = giant_block(32);
-        let region = find_region(&body, "G").expect("region").clone();
-        let table = RefTable::collect(&region.body);
-        let deps = DependenceSet::analyze(b.vars(), &region, &table);
-        let clone = deps.clone();
-        let mut facts = 0;
-        for s in table.sites() {
-            facts += deps.is_sink_of_cross_segment(s.id) as usize
-                + deps.is_sink_of_any(s.id) as usize
-                + deps.intra_sources(s.id).len();
+    fn sparse_memo_matches_reference_above_the_dense_limit() {
+        const ARRAYS: i64 = 260;
+        let mut b = ProcBuilder::new("wide");
+        let k = b.index("k");
+        let mut body = Vec::new();
+        for i in 0..ARRAYS {
+            let v = b.array(&format!("v{i}"), &[ARRAYS as usize + 8]);
+            let read = |b: &mut ProcBuilder| b.load_elem(v, vec![av(k) + ac(i - 1)]);
+            let rhs = add(read(&mut b), read(&mut b));
+            body.push(b.assign_elem(v, vec![av(k) + ac(i)], rhs));
         }
-        assert!(facts > 0);
-        assert!(!deps.is_empty() && deps.has_cross_segment_deps());
-        assert!(deps.has_cross_segment_deps_excluding(&table, &|_| false));
-        assert!(!deps.is_list_built(), "a fact query built the list");
-        assert_eq!(deps.deps().len(), deps.len());
-        assert!(clone.is_list_built(), "clones share the built list");
+        let body = vec![b.do_loop_labeled("W", k, ac(2), ac(5), body)];
+        let region = find_region(&body, "W").expect("region").clone();
+        let table = RefTable::collect(&region.body);
+        let mut tokens = Vec::new();
+        let signatures: std::collections::HashSet<Vec<i64>> = table
+            .sites()
+            .iter()
+            .map(|s| {
+                signature_tokens(s, &mut tokens);
+                tokens.clone()
+            })
+            .collect();
+        assert!(signatures.len() > MemoTable::DENSE_SIG_LIMIT);
+        let reference = assert_matches_reference(b.vars(), &region, &table);
+        assert_eq!(reference.len(), 2 * ARRAYS as usize);
+        assert!(reference
+            .iter()
+            .all(|d| d.kind == DepKind::Flow && d.distance == Some(1)));
+    }
+
+    /// `==` compares what two sets answer: lists that differ only in what
+    /// no query reads give equal sets, and a different count, intra-segment
+    /// source, source order, cross sink or scope gives unequal ones.
+    #[test]
+    fn equality_compares_answers() {
+        use DepKind::{Anti, Flow, Output};
+        use DepScope::{CrossSegment as Cross, IntraSegment as Intra};
+        let set = |deps: &[(u32, u32, DepKind, DepScope)]| {
+            let deps: Vec<Dependence> = deps
+                .iter()
+                .map(|&(source, sink, kind, scope)| Dependence {
+                    source: RefId(source),
+                    sink: RefId(sink),
+                    kind,
+                    scope,
+                    distance: None,
+                })
+                .collect();
+            DependenceSet::from_deps(&deps)
+        };
+        let list = [
+            (1, 3, Flow, Intra),
+            (2, 3, Output, Intra),
+            (5, 6, Output, Cross),
+        ];
+        let base = set(&list);
+        // A cross-segment dependence's kind and source are no answer.
+        let alike = [
+            (1, 3, Flow, Intra),
+            (2, 3, Output, Intra),
+            (9, 6, Anti, Cross),
+        ];
+        assert_eq!(set(&alike), base);
+        // An intra-segment anti dependence only counts: its sink widens
+        // the id span the facts cover, to either side, and nothing else.
+        let below = [list[0], list[1], list[2], (7, 0, Anti, Intra)];
+        let above = [alike[0], alike[1], alike[2], (8, 10, Anti, Intra)];
+        assert_eq!(set(&below), set(&above));
+        for differs in [
+            &[(1, 3, Flow, Intra), (2, 3, Output, Intra)][..],
+            &[
+                (1, 3, Flow, Intra),
+                (4, 3, Output, Intra),
+                (5, 6, Output, Cross),
+            ],
+            &[
+                (2, 3, Output, Intra),
+                (1, 3, Flow, Intra),
+                (5, 6, Output, Cross),
+            ],
+            &[
+                (1, 3, Flow, Intra),
+                (2, 3, Output, Intra),
+                (5, 7, Output, Cross),
+            ],
+            &[
+                (1, 3, Flow, Intra),
+                (2, 3, Output, Intra),
+                (5, 6, Output, Intra),
+            ],
+        ] {
+            assert_ne!(set(differs), base, "{differs:?}");
+        }
     }
 
     /// The dense-row tester and the reference `BTreeMap` tester agree on
@@ -1850,8 +1768,8 @@ mod tests {
             .find(|s| s.access == AccessKind::Write)
             .unwrap();
         assert!(deps.is_sink_of_cross_segment(read.id));
-        let flow: Vec<_> = deps
-            .deps_into(read.id)
+        let list = dependence_list(b.vars(), &region, &table);
+        let flow: Vec<_> = into(&list, read.id)
             .filter(|d| d.kind == DepKind::Flow && d.scope == DepScope::CrossSegment)
             .collect();
         assert_eq!(flow.len(), 1);
@@ -1907,12 +1825,13 @@ mod tests {
             .find(|s| s.var == t && s.access == AccessKind::Read)
             .unwrap();
         // Intra-segment flow dependence t_write -> t_read.
-        assert!(deps.deps_into(t_read.id).any(|d| d.kind == DepKind::Flow
+        let list = dependence_list(b.vars(), &region, &table);
+        assert!(into(&list, t_read.id).any(|d| d.kind == DepKind::Flow
             && d.scope == DepScope::IntraSegment
             && d.source == t_write.id));
+        assert_eq!(deps.intra_sources(t_read.id), [t_write.id]);
         // The write is the sink of cross-segment anti and output deps.
-        let kinds: Vec<DepKind> = deps
-            .deps_into(t_write.id)
+        let kinds: Vec<DepKind> = into(&list, t_write.id)
             .filter(|d| d.scope == DepScope::CrossSegment)
             .map(|d| d.kind)
             .collect();
@@ -1966,13 +1885,14 @@ mod tests {
             })
             .collect();
         assert_eq!(v_reads_s1.len(), 3);
+        let list = dependence_list(b.vars(), &region, &table);
         for site in &v_reads_s1 {
             assert!(
-                !deps.is_sink_of_any(site.id),
+                into(&list, site.id).next().is_none(),
                 "S1 read {} must be a dependence source only",
                 site.id
             );
-            assert!(deps.deps_from(site.id).count() > 0);
+            assert!(list.iter().any(|d| d.source == site.id));
         }
         let v_write = table
             .sites()
@@ -2013,12 +1933,13 @@ mod tests {
         // In the descending loop, iteration k reads a(k+1) which was written
         // by iteration k+1 — an OLDER segment. So the read is the sink of a
         // cross-segment flow dependence.
-        assert!(deps.deps_into(read.id).any(|d| d.kind == DepKind::Flow
+        let list = dependence_list(b.vars(), &region, &table);
+        assert!(into(&list, read.id).any(|d| d.kind == DepKind::Flow
             && d.scope == DepScope::CrossSegment
             && d.source == write.id));
+        assert!(deps.is_sink_of_cross_segment(read.id));
         // And the write is NOT the sink of a cross-segment anti dependence.
-        assert!(!deps
-            .deps_into(write.id)
+        assert!(!into(&list, write.id)
             .any(|d| d.kind == DepKind::Anti && d.scope == DepScope::CrossSegment));
     }
 
@@ -2074,7 +1995,8 @@ mod tests {
             .iter()
             .find(|s| s.var == a && s.access == AccessKind::Read)
             .unwrap();
-        assert!(!deps.is_sink_of_any(read.id));
+        let list = dependence_list(b.vars(), &region, &table);
+        assert!(into(&list, read.id).next().is_none());
         // a(1) = ... is still the sink of a cross-segment output dependence
         // with itself (same element every iteration).
         let write = table
@@ -2082,9 +2004,9 @@ mod tests {
             .iter()
             .find(|s| s.var == a && s.access == AccessKind::Write)
             .unwrap();
-        assert!(deps
-            .deps_into(write.id)
+        assert!(into(&list, write.id)
             .any(|d| d.kind == DepKind::Output && d.scope == DepScope::CrossSegment));
+        assert!(deps.is_sink_of_cross_segment(write.id));
     }
 
     /// Strided accesses: a(2k) vs a(2k+1) never alias (GCD test).
@@ -2105,10 +2027,12 @@ mod tests {
             .iter()
             .find(|s| s.var == a && s.access == AccessKind::Read)
             .unwrap();
+        let list = dependence_list(b.vars(), &region, &table);
         assert!(
-            !deps.is_sink_of_any(read.id),
+            into(&list, read.id).next().is_none(),
             "even/odd elements never alias"
         );
+        assert!(deps.intra_sources(read.id).is_empty() && !deps.is_sink_of_cross_segment(read.id));
     }
 
     #[test]
@@ -2120,8 +2044,9 @@ mod tests {
         let s = b.assign_elem(a, vec![av(k)], rhs);
         let body = vec![b.do_loop_labeled("R", k, ac(1), ac(10), vec![s])];
         let region = region_of(&b, &body, "R");
-        let (table, deps) = analyze_region_loop(b.vars(), &region);
-        let text = dependence_to_string(&table, b.vars(), &deps.deps()[0]);
+        let table = RefTable::collect(&region.body);
+        let list = dependence_list(b.vars(), &region, &table);
+        let text = dependence_to_string(&table, b.vars(), &list[0]);
         assert!(text.contains("a="));
     }
 }

@@ -27,17 +27,6 @@ pub fn region_live_out(proc: &Procedure, region_label: &str) -> Option<BTreeSet<
     Some(live)
 }
 
-/// Computes the set of variables live at the *entry* of the labeled region:
-/// the union of the region body's upward-exposed reads and everything live
-/// at its exit (conservative, ignoring kills by the region itself).
-pub fn region_live_in(proc: &Procedure, region_label: &str) -> Option<BTreeSet<VarId>> {
-    let (_before, region, _after) = proc.split_at_loop(region_label)?;
-    let body_summary = BodySummary::analyze(&proc.vars, Some(region), &region.body);
-    let mut live = body_summary.exposed_read_vars();
-    live.extend(region_live_out(proc, region_label)?);
-    Some(live)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -99,20 +88,5 @@ mod tests {
         let proc = b.build(vec![region, kill, use_stmt]);
         let live = region_live_out(&proc, "R").unwrap();
         assert!(!live.contains(&t), "t is killed before its use");
-    }
-
-    #[test]
-    fn live_in_includes_body_exposed_reads() {
-        let mut b = ProcBuilder::new("t");
-        let x = b.scalar("x");
-        let y = b.scalar("y");
-        let k = b.index("k");
-        let rhs = b.load(y);
-        let s1 = b.assign_scalar(x, rhs);
-        let region = b.do_loop_labeled("R", k, ac(1), ac(8), vec![s1]);
-        let proc = b.build(vec![region]);
-        let live_in = region_live_in(&proc, "R").unwrap();
-        assert!(live_in.contains(&y));
-        assert!(!live_in.contains(&x));
     }
 }

@@ -16,7 +16,7 @@
 //!   parallel").
 
 use crate::classify::{VarClass, VarClassification};
-use crate::depend::DependenceSet;
+use crate::depend::{self, Dependence, DependenceSet};
 use crate::liveness::region_live_out;
 use crate::summary::BodySummary;
 use refidem_ir::ids::VarId;
@@ -142,6 +142,25 @@ impl RegionAnalysis {
     pub fn static_ref_count(&self) -> usize {
         self.table.len()
     }
+
+    /// The region's dependences in emission order (see
+    /// [`depend::dependence_list`]), recomputed from `program`, which must
+    /// be the analyzed one: the analysis keeps only the facts labeling
+    /// reads. The list is the one for the loop and the table this analysis
+    /// saw — the top-level loop of the label, as [`RegionAnalysis::analyze`]
+    /// finds it (a nested loop sharing the label is not it), and for a
+    /// WHILE region the table of its segment view. For tests and tools.
+    ///
+    /// # Panics
+    ///
+    /// When `program` has no top-level loop where the analysis found one.
+    pub fn dependence_list(&self, program: &Program) -> Vec<Dependence> {
+        let proc = program.procedure(self.spec.proc);
+        let (_, region, _) = proc
+            .split_at_loop(&self.spec.loop_label)
+            .expect("the analyzed region is a top-level loop of the program");
+        depend::dependence_list(&proc.vars, region, &self.table)
+    }
 }
 
 /// The statements one segment of `region` executes. A WHILE region is
@@ -226,6 +245,32 @@ mod tests {
         assert!(!analysis.fully_independent);
         assert!(analysis.compiler_parallelizable);
         assert_eq!(analysis.classes.class(t), VarClass::Private);
+    }
+
+    /// The list is the analyzed loop's even when a nested loop that comes
+    /// first shares its label (`RegionSpec::resolve` would find that one).
+    #[test]
+    fn dependence_list_follows_the_analyzed_loop() {
+        let mut b = ProcBuilder::new("main");
+        let a = b.array("a", &[16]);
+        let c = b.array("c", &[16]);
+        let (k, j) = (b.index("k"), b.index("j"));
+        b.live_out(&[a, c]);
+        let nested_rhs = add(b.load_elem(c, vec![av(k)]), num(1.0));
+        let nested = b.assign_elem(c, vec![av(k)], nested_rhs);
+        // One trip: analyzed as the region, this loop carries nothing.
+        let inner = b.do_loop_labeled("R", k, ac(1), ac(1), vec![nested]);
+        let outer = b.do_loop(j, ac(1), ac(2), vec![inner]);
+        let rhs = add(b.load_elem(a, vec![av(k) - ac(1)]), num(1.0));
+        let s = b.assign_elem(a, vec![av(k)], rhs);
+        let region = b.do_loop_labeled("R", k, ac(2), ac(10), vec![s]);
+        let mut p = Program::new("shadowed");
+        p.add_procedure(b.build(vec![outer, region]));
+        let analysis = RegionAnalysis::analyze_labeled(&p, "R").unwrap();
+        let list = analysis.dependence_list(&p);
+        assert!(list.iter().all(|d| analysis.table.get(d.sink).is_some()));
+        assert_eq!(analysis.deps, DependenceSet::from_deps(&list));
+        assert!(analysis.deps.has_cross_segment_deps());
     }
 
     #[test]

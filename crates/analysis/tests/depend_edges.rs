@@ -1,7 +1,7 @@
 //! Edge cases of the dependence analysis (`depend.rs`): zero-coefficient
 //! subscripts, negative strides, coupled subscripts, and loops of extent 1.
 
-use refidem_analysis::depend::{DepKind, DepScope};
+use refidem_analysis::depend::{DepKind, DepScope, Dependence};
 use refidem_analysis::region::RegionAnalysis;
 use refidem_ir::affine::AffineExpr;
 use refidem_ir::build::{ac, add, av, num, ProcBuilder};
@@ -34,6 +34,13 @@ fn one_stmt_loop(
     (p, write_id, read_id)
 }
 
+/// True when `deps` holds a cross-segment dependence from `source` to
+/// `sink`.
+fn has_cross(deps: &[Dependence], source: RefId, sink: RefId) -> bool {
+    deps.iter()
+        .any(|d| d.source == source && d.sink == sink && d.scope == DepScope::CrossSegment)
+}
+
 #[test]
 fn zero_coefficient_subscripts_depend_across_every_segment_pair() {
     // do k = 1, 8: a(5) = a(5) + 1 — the same element every iteration:
@@ -41,10 +48,11 @@ fn zero_coefficient_subscripts_depend_across_every_segment_pair() {
     // (the ZIV case of the hierarchical tester).
     let (p, w, r) = one_stmt_loop(16, 1, 8, 1, |_| ac(5), |_| ac(5));
     let a = RegionAnalysis::analyze_labeled(&p, "R").expect("analyzes");
+    let deps = a.dependence_list(&p);
     let has = |src: RefId, snk: RefId, kind: DepKind| {
-        a.deps
-            .deps_into(snk)
-            .any(|d| d.source == src && d.kind == kind && d.scope == DepScope::CrossSegment)
+        deps.iter().any(|d| {
+            d.source == src && d.sink == snk && d.kind == kind && d.scope == DepScope::CrossSegment
+        })
     };
     assert!(has(w, r, DepKind::Flow), "missing cross-segment flow");
     assert!(has(r, w, DepKind::Anti), "missing cross-segment anti");
@@ -60,9 +68,7 @@ fn zero_coefficient_against_moving_subscript_still_collides() {
     let (p, w, r) = one_stmt_loop(16, 1, 12, 1, av, |_| ac(6));
     let a = RegionAnalysis::analyze_labeled(&p, "R").expect("analyzes");
     assert!(
-        a.deps
-            .deps_into(r)
-            .any(|d| d.source == w && d.scope == DepScope::CrossSegment),
+        has_cross(&a.dependence_list(&p), w, r),
         "missed the strong-SIV vs ZIV collision at k = 6"
     );
 }
@@ -75,9 +81,10 @@ fn negative_step_recurrence_is_a_cross_segment_flow() {
     let (p, w, r) = one_stmt_loop(16, 12, 2, -1, av, |k| av(k) + ac(1));
     let a = RegionAnalysis::analyze_labeled(&p, "R").expect("analyzes");
     assert!(
-        a.deps
-            .deps_into(r)
-            .any(|d| d.source == w && d.kind == DepKind::Flow && d.scope == DepScope::CrossSegment),
+        a.dependence_list(&p).iter().any(|d| d.source == w
+            && d.sink == r
+            && d.kind == DepKind::Flow
+            && d.scope == DepScope::CrossSegment),
         "missed the flow recurrence under a negative step"
     );
     assert!(!a.fully_independent);
@@ -89,13 +96,10 @@ fn negative_step_independent_loop_stays_independent() {
     // cross-segment dependences regardless of iteration direction.
     let (p, _, _) = one_stmt_loop(16, 12, 2, -1, av, av);
     let a = RegionAnalysis::analyze_labeled(&p, "R").expect("analyzes");
+    let deps = a.dependence_list(&p);
     assert!(
-        !a.deps
-            .deps()
-            .iter()
-            .any(|d| d.scope == DepScope::CrossSegment),
-        "spurious cross-segment dependence on an element-wise negative-step loop: {:?}",
-        a.deps.deps()
+        !deps.iter().any(|d| d.scope == DepScope::CrossSegment),
+        "spurious cross-segment dependence on an element-wise negative-step loop: {deps:?}"
     );
     assert!(a.fully_independent);
 }
@@ -108,9 +112,7 @@ fn negative_coefficient_reflection_collides_in_the_middle() {
     let (p, w, r) = one_stmt_loop(16, 1, 9, 1, av, |k| AffineExpr::scaled_var(k, -1) + ac(10));
     let a = RegionAnalysis::analyze_labeled(&p, "R").expect("analyzes");
     assert!(
-        a.deps
-            .deps_into(r)
-            .any(|d| d.source == w && d.scope == DepScope::CrossSegment),
+        has_cross(&a.dependence_list(&p), w, r),
         "missed the reflected collision"
     );
 }
@@ -135,7 +137,8 @@ fn coupled_subscripts_with_unit_shift_in_both_dims() {
     p.add_procedure(b.build(vec![region]));
     let a = RegionAnalysis::analyze_labeled(&p, "R").expect("analyzes");
     assert!(
-        a.deps.deps_into(read_id).any(|d| d.source == write_id
+        a.dependence_list(&p).iter().any(|d| d.source == write_id
+            && d.sink == read_id
             && d.kind == DepKind::Flow
             && d.scope == DepScope::CrossSegment),
         "missed the diagonal recurrence"
@@ -165,7 +168,7 @@ fn coupled_subscripts_may_be_conservative_but_never_unsound() {
     // least the intra-segment flow m(k,k-1)… none exists either (different
     // elements in the same iteration). Just require no panic and a
     // consistent dependence set.
-    for d in a.deps.deps() {
+    for d in a.dependence_list(&p) {
         assert_ne!(d.source, RefId(u32::MAX));
     }
 }
@@ -177,13 +180,10 @@ fn extent_one_loops_carry_no_cross_segment_dependences() {
     // iterations.
     let (p, _, _) = one_stmt_loop(16, 5, 5, 1, av, |k| av(k) - ac(1));
     let a = RegionAnalysis::analyze_labeled(&p, "R").expect("analyzes");
+    let deps = a.dependence_list(&p);
     assert!(
-        !a.deps
-            .deps()
-            .iter()
-            .any(|d| d.scope == DepScope::CrossSegment),
-        "a one-iteration region cannot carry cross-segment dependences: {:?}",
-        a.deps.deps()
+        !deps.iter().any(|d| d.scope == DepScope::CrossSegment),
+        "a one-iteration region cannot carry cross-segment dependences: {deps:?}"
     );
 }
 
@@ -204,8 +204,7 @@ fn extent_one_inner_loop_analyzes_cleanly() {
     p.add_procedure(b.build(vec![region]));
     let a = RegionAnalysis::analyze_labeled(&p, "R").expect("analyzes");
     assert!(
-        !a.deps
-            .deps()
+        !a.dependence_list(&p)
             .iter()
             .any(|d| d.scope == DepScope::CrossSegment),
         "element-wise body must not depend across segments"

@@ -280,20 +280,21 @@ mod tests {
         }
     }
 
-    /// `DEP`: `a(k) = a(k-1) + c(k)`, a cross-segment flow dependence
-    /// plus a read-only (idempotent) reference.
+    /// `DEP`: `t = c(k); a(k) = a(k-1) + t`, a cross-segment flow
+    /// dependence, an intra-segment flow through the private scalar `t`
+    /// and a read-only (idempotent) reference.
     fn dependent_program() -> Program {
         let mut b = ProcBuilder::new("main");
         let a = b.array("a", &[16]);
         let c = b.array("c", &[16]);
+        let t = b.scalar("t");
         let k = b.index("k");
         b.live_out(&[a]);
-        let rhs = refidem_ir::build::add(
-            b.load_elem(a, vec![av(k) - ac(1)]),
-            b.load_elem(c, vec![av(k)]),
-        );
-        let s = b.assign_elem(a, vec![av(k)], rhs);
-        let r = b.do_loop_labeled("DEP", k, ac(2), ac(16), vec![s]);
+        let c_k = b.load_elem(c, vec![av(k)]);
+        let s1 = b.assign_scalar(t, c_k);
+        let rhs = refidem_ir::build::add(b.load_elem(a, vec![av(k) - ac(1)]), b.load(t));
+        let s2 = b.assign_elem(a, vec![av(k)], rhs);
+        let r = b.do_loop_labeled("DEP", k, ac(2), ac(16), vec![s1, s2]);
         let mut program = Program::new("dep");
         program.add_procedure(b.build(vec![r]));
         program
@@ -317,10 +318,19 @@ mod tests {
                 .label_region_by_name_cached(&program, "DEP")
                 .expect("labels")
                 .region;
-            assert!(!region.analysis.deps.is_empty());
+            let deps = &region.analysis.deps;
+            assert!(!deps.is_empty());
+            let t_read = region
+                .analysis
+                .table
+                .sites()
+                .iter()
+                .map(|s| s.id)
+                .find(|&r| !deps.intra_sources(r).is_empty())
+                .expect("the read of t has an intra-segment source");
             assert!(std::ptr::eq(
-                region.analysis.deps.deps().as_ptr(),
-                cached.analysis.deps.deps().as_ptr()
+                deps.intra_sources(t_read).as_ptr(),
+                cached.analysis.deps.intra_sources(t_read).as_ptr()
             ));
             assert!(std::ptr::eq(
                 region.analysis.table.sites().as_ptr(),

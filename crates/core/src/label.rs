@@ -420,7 +420,7 @@ pub fn label_abstract_region(region: &AbstractRegion) -> Labeling {
     let input = LabelInput {
         region_name: region.name.clone(),
         sites,
-        deps: region.compute_deps(),
+        deps: DependenceSet::from_deps(&region.compute_deps()),
         read_only: region.read_only_vars(),
         private: region.private_vars(),
         rfw: rfw_for_abstract(region),

@@ -11,12 +11,13 @@
 //! control-flow edges, an optional set of live-out variables, and explicit
 //! cross-segment control dependences.
 //!
-//! The abstract front-end computes its own dependence set (scalar,
-//! reachability-filtered may-dependences) and per-segment/per-variable node
-//! reference types, which feed Algorithm 1 ([`crate::rfw`]) and Algorithm 2
+//! The abstract front-end computes its own dependence list (scalar,
+//! reachability-filtered may-dependences; Algorithm 2 reads it through
+//! `DependenceSet::from_deps`) and per-segment/per-variable node reference
+//! types, which feed Algorithm 1 ([`crate::rfw`]) and Algorithm 2
 //! ([`crate::label`]).
 
-use refidem_analysis::depend::{DepKind, DepScope, Dependence, DependenceSet};
+use refidem_analysis::depend::{DepKind, DepScope, Dependence};
 use refidem_ir::ids::{RefId, VarId};
 use refidem_ir::sites::AccessKind;
 use refidem_ir::var::{VarKind, VarTable};
@@ -204,13 +205,6 @@ impl AbstractRegion {
             .flat_map(|(i, s)| s.refs.iter().map(move |r| (SegmentId(i), r)))
     }
 
-    /// The segment containing a reference.
-    pub fn segment_of(&self, r: RefId) -> Option<SegmentId> {
-        self.all_refs()
-            .find(|(_, ar)| ar.id == r)
-            .map(|(seg, _)| seg)
-    }
-
     /// Finds a reference by segment, variable name and direction (first
     /// match in program order). Convenience for tests and examples.
     pub fn find_ref(&self, seg: SegmentId, var: &str, access: AccessKind) -> Option<RefId> {
@@ -279,7 +273,7 @@ impl AbstractRegion {
     ///   in a younger segment that is reachable from it through the
     ///   control-flow edges (references on mutually exclusive paths never
     ///   execute together, so they do not depend on each other).
-    pub fn compute_deps(&self) -> DependenceSet {
+    pub fn compute_deps(&self) -> Vec<Dependence> {
         let mut deps = Vec::new();
         // Intra-segment.
         for seg in &self.segments {
@@ -324,13 +318,17 @@ impl AbstractRegion {
                 }
             }
         }
-        DependenceSet::from_deps(deps)
+        deps
     }
 
     /// True when segments carry neither data nor control dependences
     /// (Lemma 7 applies).
     pub fn fully_independent(&self) -> bool {
-        !self.has_control_deps() && !self.compute_deps().has_cross_segment_deps()
+        !self.has_control_deps()
+            && !self
+                .compute_deps()
+                .iter()
+                .any(|d| d.scope == DepScope::CrossSegment)
     }
 
     /// Variables never written inside the region.
@@ -462,8 +460,8 @@ mod tests {
         // The read of A in segment 2 is the sink of a cross-segment flow
         // dependence from the write in segment 1.
         assert!(deps
-            .deps_into(a_read)
-            .any(|d| d.source == a_write && d.scope == DepScope::CrossSegment));
+            .iter()
+            .any(|d| d.source == a_write && d.sink == a_read && d.scope == DepScope::CrossSegment));
         // B is read-only; C is private (written before read, not live-out).
         let b = r.var_id("B").unwrap();
         let c = r.var_id("C").unwrap();
@@ -488,8 +486,7 @@ mod tests {
         let w1 = r.write(s1, "X");
         let w2 = r.write(s2, "X");
         let deps = r.compute_deps();
-        assert!(!deps.is_sink_of_any(w2));
-        assert!(!deps.is_sink_of_any(w1));
+        assert!(!deps.iter().any(|d| d.sink == w1 || d.sink == w2));
         assert!(r.reachable(s0, s3));
         assert!(!r.reachable(s1, s2));
         assert!(!r.reachable(s3, s0));

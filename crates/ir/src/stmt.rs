@@ -170,21 +170,6 @@ impl Stmt {
     }
 }
 
-/// Visits every reference site in a statement list (see
-/// [`Stmt::for_each_ref`]).
-pub fn for_each_ref_in<'a>(stmts: &'a [Stmt], f: &mut impl FnMut(&'a Reference, bool)) {
-    for s in stmts {
-        s.for_each_ref(f);
-    }
-}
-
-/// Visits every statement in a statement list, outer first.
-pub fn for_each_stmt_in<'a>(stmts: &'a [Stmt], f: &mut impl FnMut(&'a Stmt)) {
-    for s in stmts {
-        s.for_each_stmt(f);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -130,11 +130,6 @@ impl SimError {
             _ => None,
         }
     }
-
-    /// Whether [`SimError::degrade_reason`] is `Some`.
-    pub fn is_degradable(&self) -> bool {
-        self.degrade_reason().is_some()
-    }
 }
 
 impl std::fmt::Display for SimError {

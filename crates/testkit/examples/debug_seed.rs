@@ -26,7 +26,7 @@ fn main() {
         }
         println!("classes: {:?}", region.analysis.classes);
         println!("deps: {} total", region.analysis.deps.len());
-        for d in region.analysis.deps.deps() {
+        for d in region.analysis.dependence_list(&g.program) {
             println!("  {:?}", d);
         }
     }

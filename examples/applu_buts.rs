@@ -33,7 +33,7 @@ fn main() {
 
     println!("\n=== Cross-segment dependences on v ===");
     let v = proc.vars.lookup("v").expect("v exists");
-    for dep in labeled.analysis.deps.deps() {
+    for dep in &labeled.analysis.dependence_list(&bench.program) {
         let involves_v = labeled
             .analysis
             .table

@@ -57,13 +57,13 @@ impl AnalysisDigest {
         }
     }
 
-    fn analysis(&mut self, analysis: &RegionAnalysis) {
+    fn analysis(&mut self, program: &Program, analysis: &RegionAnalysis) {
         self.regions += 1;
         self.text(&analysis.spec.loop_label);
         for site in analysis.table.sites() {
             self.text(&format!("{site:?}"));
         }
-        for d in analysis.deps.deps() {
+        for d in analysis.dependence_list(program) {
             self.text(&format!(
                 "{} {} {:?} {:?} {:?}",
                 d.source.0, d.sink.0, d.kind, d.scope, d.distance
@@ -86,7 +86,7 @@ impl AnalysisDigest {
             match label_program(program, ProcId::from_index(p)) {
                 Ok(labeled) => {
                     for region in &labeled.regions {
-                        self.analysis(&region.analysis);
+                        self.analysis(program, &region.analysis);
                         self.labels(&region.labeling);
                     }
                 }
@@ -104,7 +104,7 @@ impl AnalysisDigest {
             self.text(&format!("{} {r:?}", seg.index()));
         }
         let deps = region.compute_deps();
-        for d in deps.deps() {
+        for d in &deps {
             self.text(&format!(
                 "{} {} {:?} {:?} {:?}",
                 d.source.0, d.sink.0, d.kind, d.scope, d.distance

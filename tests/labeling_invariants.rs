@@ -52,6 +52,7 @@ fn idempotent_writes_are_rfw_and_reads_have_idempotent_intra_sources() {
                 continue;
             }
             let rfw = rfw_for_loop_region(&labeled.analysis);
+            let deps = labeled.analysis.dependence_list(&bench.program);
             for site in labeled.analysis.table.sites() {
                 let label = labeled.labeling.label(site.id);
                 let Label::Idempotent(IdemCategory::SharedDependent) = label else {
@@ -68,7 +69,7 @@ fn idempotent_writes_are_rfw_and_reads_have_idempotent_intra_sources() {
                         );
                     }
                     AccessKind::Read => {
-                        for dep in labeled.analysis.deps.deps_into(site.id) {
+                        for dep in deps.iter().filter(|d| d.sink == site.id) {
                             assert_eq!(dep.scope, DepScope::IntraSegment);
                             assert!(
                                 labeled.labeling.is_idempotent(dep.source),

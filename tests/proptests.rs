@@ -97,33 +97,32 @@ fn dependence_analysis_is_sound_exhaustively() {
                     let (program, write_id, read_id) = oracle_program(cw, dw, cr, dr);
                     let analysis =
                         RegionAnalysis::analyze_labeled(&program, "R").expect("analyzes");
+                    let deps = analysis.dependence_list(&program);
+                    let cross = |source, sink| {
+                        deps.iter().any(|d| {
+                            d.source == source
+                                && d.sink == sink
+                                && d.scope == DepScope::CrossSegment
+                        })
+                    };
                     // Real flow dependence: write earlier, read later.
                     if oracle_cross_dep((cw, dw), (cr, dr)) {
                         assert!(
-                            analysis
-                                .deps
-                                .deps_into(read_id)
-                                .any(|d| d.source == write_id && d.scope == DepScope::CrossSegment),
+                            cross(write_id, read_id),
                             "missed flow dependence for a({cw}k+{dw}) -> a({cr}k+{dr})"
                         );
                     }
                     // Real anti dependence: read earlier, write later.
                     if oracle_cross_dep((cr, dr), (cw, dw)) {
                         assert!(
-                            analysis
-                                .deps
-                                .deps_into(write_id)
-                                .any(|d| d.source == read_id && d.scope == DepScope::CrossSegment),
+                            cross(read_id, write_id),
                             "missed anti dependence for a({cr}k+{dr}) -> a({cw}k+{dw})"
                         );
                     }
                     // Real output dependence of the write with itself.
                     if oracle_cross_dep((cw, dw), (cw, dw)) {
                         assert!(
-                            analysis
-                                .deps
-                                .deps_into(write_id)
-                                .any(|d| d.source == write_id && d.scope == DepScope::CrossSegment),
+                            cross(write_id, write_id),
                             "missed output dependence for a({cw}k+{dw})"
                         );
                     }
