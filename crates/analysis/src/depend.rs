@@ -324,6 +324,8 @@ impl DependenceSet {
         if facts.len == 0 {
             return DependenceSet::default();
         }
+        // `sources` grew by doubling: drop the slack before the set is shared.
+        facts.sources.shrink_to_fit();
         DependenceSet {
             facts: Arc::new(facts),
         }
@@ -1577,6 +1579,19 @@ mod tests {
         let table = RefTable::collect(&region.body);
         let reference = assert_matches_reference(b.vars(), &region, &table);
         assert!(!reference.is_empty());
+    }
+
+    /// The analyzed set keeps its intra-segment sources without the slack
+    /// of the vector that collected them.
+    #[test]
+    fn giant_block_sources_are_kept_without_slack() {
+        let (b, body) = giant_block(128);
+        let region = find_region(&body, "G").expect("region").clone();
+        let table = RefTable::collect(&region.body);
+        let deps = DependenceSet::analyze(b.vars(), &region, &table);
+        let sources = &deps.facts.sources;
+        assert!(!sources.is_empty());
+        assert_eq!(sources.capacity(), sources.len());
     }
 
     /// A region with more distinct signatures than the dense memo holds —

@@ -2,8 +2,8 @@
 //!
 //! [`RegionAnalysis`] packages everything the idempotency labeling
 //! (Algorithm 2 in `refidem-core`) needs for one region: the reference
-//! table of the loop body, the body summary, the dependence set, the
-//! variable classification and the live-out set, plus two derived flags:
+//! table of the loop body, the body summary, the dependence set and the
+//! variable classification, plus two derived flags:
 //!
 //! * `fully_independent` — the region carries no cross-segment data
 //!   dependences at all (Lemma 7 applies: every reference can be labeled
@@ -19,12 +19,10 @@ use crate::classify::{VarClass, VarClassification};
 use crate::depend::{self, Dependence, DependenceSet};
 use crate::liveness::region_live_out;
 use crate::summary::BodySummary;
-use refidem_ir::ids::VarId;
 use refidem_ir::program::{Procedure, Program, RegionSpec};
 use refidem_ir::sites::RefTable;
 use refidem_ir::stmt::{IfStmt, LoopStmt, Stmt};
 use std::borrow::Cow;
-use std::collections::BTreeSet;
 use std::sync::Arc;
 
 /// Errors produced while analyzing a region.
@@ -77,8 +75,6 @@ pub struct RegionAnalysis {
     pub deps: DependenceSet,
     /// Read-only / private / shared classification.
     pub classes: VarClassification,
-    /// Variables live after the region.
-    pub live_out: BTreeSet<VarId>,
     /// No cross-segment data dependences at all (Lemma 7).
     pub fully_independent: bool,
     /// No cross-segment data dependences except on privatizable variables.
@@ -132,7 +128,6 @@ impl RegionAnalysis {
             summary,
             deps,
             classes,
-            live_out,
             fully_independent,
             compiler_parallelizable,
         })

@@ -301,9 +301,9 @@ mod tests {
     }
 
     /// `label_program_cached` hands out copies of the cached bundles whose
-    /// dependence set, reference table and body summary are the cached
-    /// ones, shared — a regression to deep copies fails here, not only in
-    /// a benchmark.
+    /// dependence set, reference table, body summary and label table are
+    /// the cached ones, shared — a regression to deep copies fails here,
+    /// not only in a benchmark.
     #[test]
     fn cached_regions_share_their_analysis_products() {
         let program = dependent_program();
@@ -344,6 +344,7 @@ mod tests {
                 assert_eq!(v, cached_v);
                 assert!(std::ptr::eq(entry, cached_entry), "{v:?} was copied");
             }
+            assert!(region.labeling.shares_table_with(&cached.labeling));
         }
     }
 

@@ -31,7 +31,7 @@ use refidem_ir::memory::Layout;
 use refidem_ir::program::{Program, RegionSpec};
 use refidem_ir::sites::AccessKind;
 use refidem_ir::var::VarTable;
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeSet;
 use std::sync::Arc;
 
 /// The idempotency categories of Section 4.1.
@@ -119,11 +119,13 @@ pub struct LabelInput {
 
 /// The result of Algorithm 2: a label for every reference site.
 ///
-/// The label and access maps are shared behind `Arc`, so cloning a
-/// labeling (every analysis-cache hit does) copies two pointers. The
-/// mutators are copy-on-write: [`Labeling::override_label`] and
+/// The labels live in one dense table over the sites' `RefId` span,
+/// shared behind an `Arc`: cloning a labeling (every analysis-cache hit
+/// does) copies a pointer, and [`Labeling::label`] — which both runtimes
+/// call on every access — is an indexed load. The mutators are
+/// copy-on-write: [`Labeling::override_label`] and
 /// [`Labeling::retain_idempotent`] give the labeling they are called on a
-/// private copy of its labels first, so tampering a clone never reaches
+/// private copy of its table first, so tampering a clone never reaches
 /// the labeling it was cloned from.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct Labeling {
@@ -131,15 +133,89 @@ pub struct Labeling {
     pub region_name: String,
     /// Lemma 7 applied (every reference idempotent).
     pub fully_independent: bool,
-    labels: Arc<BTreeMap<RefId, Label>>,
-    access: Arc<BTreeMap<RefId, AccessKind>>,
+    table: Arc<SiteTable>,
+}
+
+/// One labeled site: its label and its access direction (`None` for a
+/// site that only [`Labeling::override_label`] named).
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+struct SiteLabel {
+    label: Label,
+    access: Option<AccessKind>,
+}
+
+/// Algorithm 2's per-site table: `sites[k]` describes `RefId(base + k)`,
+/// `None` where no site is. The span runs from the lowest labeled id to
+/// the highest, so two tables that label the same sites alike are equal.
+#[derive(Clone, Debug, PartialEq, Eq)]
+struct SiteTable {
+    base: u32,
+    sites: Vec<Option<SiteLabel>>,
+}
+
+impl SiteTable {
+    /// Every one of `sites` labeled `label`.
+    fn new(sites: &[SiteDesc], label: Label) -> Self {
+        let ids = sites.iter().map(|s| s.id.0);
+        let (base, span) = match (ids.clone().min(), ids.max()) {
+            (Some(lo), Some(hi)) => (lo, (hi - lo) as usize + 1),
+            _ => (0, 0),
+        };
+        let mut table = SiteTable {
+            base,
+            sites: vec![None; span],
+        };
+        for s in sites {
+            table.sites[(s.id.0 - base) as usize] = Some(SiteLabel {
+                label,
+                access: Some(s.access),
+            });
+        }
+        table
+    }
+
+    /// The entry of `r`, when `r` is labeled.
+    #[inline]
+    fn get(&self, r: RefId) -> Option<&SiteLabel> {
+        let k = r.0.checked_sub(self.base)?;
+        self.sites.get(k as usize)?.as_ref()
+    }
+
+    /// Labels `r`, widening the span when `r` lies outside it.
+    fn set(&mut self, r: RefId, label: Label) {
+        if self.sites.is_empty() {
+            self.base = r.0;
+        } else if r.0 < self.base {
+            let holes = (self.base - r.0) as usize;
+            self.sites.splice(0..0, std::iter::repeat(None).take(holes));
+            self.base = r.0;
+        }
+        let k = (r.0 - self.base) as usize;
+        if k >= self.sites.len() {
+            self.sites.resize(k + 1, None);
+        }
+        let access = self.sites[k].and_then(|s| s.access);
+        self.sites[k] = Some(SiteLabel { label, access });
+    }
+
+    /// True when `r` is a site already labeled idempotent.
+    fn is_idempotent(&self, r: RefId) -> bool {
+        self.get(r).is_some_and(|s| s.label.is_idempotent())
+    }
+
+    /// True when every reference in `sources` is a site already labeled
+    /// idempotent.
+    fn all_idempotent(&self, sources: &[RefId]) -> bool {
+        sources.iter().all(|&r| self.is_idempotent(r))
+    }
 }
 
 impl Labeling {
     /// The label of a site (`Speculative` for unknown sites — the
     /// conservative answer).
+    #[inline]
     pub fn label(&self, r: RefId) -> Label {
-        self.labels.get(&r).copied().unwrap_or(Label::Speculative)
+        self.table.get(r).map_or(Label::Speculative, |s| s.label)
     }
 
     /// True when the site is labeled idempotent.
@@ -147,24 +223,30 @@ impl Labeling {
         self.label(r).is_idempotent()
     }
 
-    /// Iterates over `(site, label)` pairs.
+    /// Iterates over `(site, label)` pairs in ascending site order.
     pub fn iter(&self) -> impl Iterator<Item = (RefId, Label)> + '_ {
-        self.labels.iter().map(|(r, l)| (*r, *l))
+        let base = self.table.base;
+        self.table
+            .sites
+            .iter()
+            .enumerate()
+            .filter_map(move |(k, s)| Some((RefId(base + k as u32), s.as_ref()?.label)))
     }
 
     /// Number of labeled sites.
     pub fn len(&self) -> usize {
-        self.labels.len()
+        self.table.sites.iter().flatten().count()
     }
 
     /// True when no site was labeled.
     pub fn is_empty(&self) -> bool {
-        self.labels.is_empty()
+        // The span ends at labeled sites, so a nonempty span labels some.
+        self.table.sites.is_empty()
     }
 
     /// The access direction of a labeled site.
     pub fn access(&self, r: RefId) -> Option<AccessKind> {
-        self.access.get(&r).copied()
+        self.table.get(r)?.access
     }
 
     /// Demotes every idempotent label whose site is not in `keep` to
@@ -174,9 +256,13 @@ impl Labeling {
     /// Copy-on-write: labelings cloned from this one keep their labels.
     pub fn retain_idempotent(&mut self, keep: &std::collections::BTreeSet<RefId>) {
         self.fully_independent = false;
-        for (id, label) in Arc::make_mut(&mut self.labels).iter_mut() {
-            if label.is_idempotent() && !keep.contains(id) {
-                *label = Label::Speculative;
+        let table = Arc::make_mut(&mut self.table);
+        let base = table.base;
+        for (k, site) in table.sites.iter_mut().enumerate() {
+            if let Some(site) = site {
+                if site.label.is_idempotent() && !keep.contains(&RefId(base + k as u32)) {
+                    site.label = Label::Speculative;
+                }
             }
         }
     }
@@ -185,15 +271,24 @@ impl Labeling {
     /// fast path. Unlike [`Labeling::retain_idempotent`], promoting a
     /// speculative reference to idempotent is **unsound** — this hook exists
     /// for fault-injection testing (`refidem-testkit` corrupts labelings to
-    /// prove its differential runner and shrinker detect bad labels).
+    /// prove its differential runner and shrinker detect bad labels). A
+    /// site the labeling did not cover becomes labeled, with no access
+    /// direction; the table widens to reach it.
     ///
-    /// Copy-on-write: when the labels are shared (this labeling is a clone,
+    /// Copy-on-write: when the table is shared (this labeling is a clone,
     /// say of an analysis-cache hit), this labeling first takes a private
     /// copy, so the override never reaches the labeling it was cloned from
     /// or the cached entry.
     pub fn override_label(&mut self, r: RefId, label: Label) {
         self.fully_independent = false;
-        Arc::make_mut(&mut self.labels).insert(r, label);
+        Arc::make_mut(&mut self.table).set(r, label);
+    }
+
+    /// True when `self` and `other` share one label table (an analysis
+    /// cache hit shares the cached entry's).
+    #[cfg(test)]
+    pub(crate) fn shares_table_with(&self, other: &Labeling) -> bool {
+        Arc::ptr_eq(&self.table, &other.table)
     }
 
     /// Static labeling statistics (per syntactic reference site).
@@ -217,7 +312,7 @@ impl Labeling {
     pub fn dynamic_stats(&self, counts: &DynCounts) -> DynLabelStats {
         let mut stats = DynLabelStats::default();
         for (site, (reads, writes)) in counts {
-            let Some(&label) = self.labels.get(&site) else {
+            let Some(&SiteLabel { label, .. }) = self.table.get(site) else {
                 continue;
             };
             let n = reads + writes;
@@ -234,83 +329,25 @@ impl Labeling {
     }
 }
 
-/// Labels under construction, in a dense table over the sites' reference
-/// id range (`None` off the sites), so Algorithm 2's per-source lookups
-/// are array reads.
-struct SiteLabels {
-    base: u32,
-    labels: Vec<Option<Label>>,
-}
-
-impl SiteLabels {
-    /// Every site labeled speculative.
-    fn speculative(sites: &[SiteDesc]) -> Self {
-        let ids = sites.iter().map(|s| s.id.0);
-        let (base, span) = match (ids.clone().min(), ids.max()) {
-            (Some(lo), Some(hi)) => (lo, (hi - lo) as usize + 1),
-            _ => (0, 0),
-        };
-        let mut out = SiteLabels {
-            base,
-            labels: vec![None; span],
-        };
-        for s in sites {
-            out.set(s.id, Label::Speculative);
-        }
-        out
-    }
-
-    fn set(&mut self, r: RefId, label: Label) {
-        self.labels[(r.0 - self.base) as usize] = Some(label);
-    }
-
-    /// True when `r` is a site already labeled idempotent.
-    fn is_idempotent(&self, r: RefId) -> bool {
-        r.0.checked_sub(self.base)
-            .and_then(|k| self.labels.get(k as usize).copied().flatten())
-            .is_some_and(|l| l.is_idempotent())
-    }
-
-    /// True when every reference in `sources` is a site already labeled
-    /// idempotent.
-    fn all_idempotent(&self, sources: &[RefId]) -> bool {
-        sources.iter().all(|&r| self.is_idempotent(r))
-    }
-
-    fn into_map(self) -> BTreeMap<RefId, Label> {
-        let base = self.base;
-        self.labels
-            .into_iter()
-            .enumerate()
-            .filter_map(|(k, l)| Some((RefId(base + k as u32), l?)))
-            .collect()
-    }
-}
-
 /// Algorithm 2: labels every reference of a region.
 pub fn label_refs(input: &LabelInput) -> Labeling {
-    let access: BTreeMap<RefId, AccessKind> =
-        input.sites.iter().map(|s| (s.id, s.access)).collect();
-
     if input.fully_independent {
         // Step 2: a fully independent region needs no speculative storage at
         // all (Lemma 7).
-        let labels = input
-            .sites
-            .iter()
-            .map(|s| (s.id, Label::Idempotent(IdemCategory::FullyIndependent)))
-            .collect();
+        let table = SiteTable::new(
+            &input.sites,
+            Label::Idempotent(IdemCategory::FullyIndependent),
+        );
         return Labeling {
             region_name: input.region_name.clone(),
             fully_independent: true,
-            labels: Arc::new(labels),
-            access: Arc::new(access),
+            table: Arc::new(table),
         };
     }
 
     // Step 3 (dependent region). Initially, all references are labeled
     // speculative.
-    let mut labels = SiteLabels::speculative(&input.sites);
+    let mut labels = SiteTable::new(&input.sites, Label::Speculative);
     // Read-only and private references.
     for s in &input.sites {
         if input.read_only.contains(&s.var) {
@@ -363,8 +400,7 @@ pub fn label_refs(input: &LabelInput) -> Labeling {
     Labeling {
         region_name: input.region_name.clone(),
         fully_independent: false,
-        labels: Arc::new(labels.into_map()),
-        access: Arc::new(access),
+        table: Arc::new(labels),
     }
 }
 
@@ -785,6 +821,59 @@ mod tests {
         assert_eq!(dyn_stats.total, 110);
         assert!(dyn_stats.idempotent >= 100);
         assert!(dyn_stats.fraction_idempotent() > 0.9);
+    }
+
+    /// An override outside the labeled span, below it, inside a hole or
+    /// above it, labels the site as a map insert would: the site joins
+    /// `iter` in id order and `len`, with no access direction, and the
+    /// labeling it was cloned from keeps its table.
+    #[test]
+    fn overrides_outside_the_span_label_the_site() {
+        let label = |ids: &[u32]| {
+            label_refs(&LabelInput {
+                region_name: "span".to_string(),
+                sites: ids
+                    .iter()
+                    .map(|&id| SiteDesc {
+                        id: RefId(id),
+                        var: VarId::from_index(0),
+                        access: AccessKind::Read,
+                    })
+                    .collect(),
+                deps: DependenceSet::default(),
+                read_only: BTreeSet::new(),
+                private: BTreeSet::new(),
+                rfw: BTreeSet::new(),
+                fully_independent: false,
+            })
+        };
+        let original = label(&[10, 12]);
+        let shared = Label::Idempotent(IdemCategory::SharedDependent);
+        let forced = Label::Idempotent(IdemCategory::Private);
+        let mut labeling = original.clone();
+        for id in [11, 3, 40] {
+            labeling.override_label(RefId(id), forced);
+        }
+        let ids: Vec<u32> = labeling.iter().map(|(r, _)| r.0).collect();
+        assert_eq!(ids, [3, 10, 11, 12, 40]);
+        assert_eq!(labeling.len(), 5);
+        assert_eq!(labeling.label(RefId(3)), forced);
+        assert_eq!(labeling.label(RefId(10)), shared);
+        assert_eq!(labeling.label(RefId(4)), Label::Speculative);
+        assert_eq!(labeling.access(RefId(40)), None);
+        assert_eq!(labeling.access(RefId(12)), Some(AccessKind::Read));
+        assert_eq!(original.len(), 2);
+        assert_eq!(original.label(RefId(11)), Label::Speculative);
+        // Equal answers, equal labelings, whatever order built them.
+        let mut again = original.clone();
+        for id in [40, 11, 3] {
+            again.override_label(RefId(id), forced);
+        }
+        assert_eq!(again, labeling);
+        let mut empty = label(&[]);
+        assert!(empty.is_empty());
+        empty.override_label(RefId(7), forced);
+        assert_eq!(empty.iter().collect::<Vec<_>>(), [(RefId(7), forced)]);
     }
 
     #[test]

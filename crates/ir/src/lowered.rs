@@ -941,8 +941,6 @@ pub enum LowerUnit {
     /// The whole procedure body (sequential interpretation, no region
     /// split; the key's region label is empty).
     WholeProcedure,
-    /// The statements preceding the region loop.
-    Prologue,
     /// The whole region loop statement (the sequential baseline runs it).
     RegionLoop,
     /// The region loop's body — one speculative segment — lowered with the
@@ -950,25 +948,22 @@ pub enum LowerUnit {
     /// region's continuation check compiles ahead of the body as the
     /// segment's first statement unit.
     RegionBody,
-    /// The statements following the region loop.
-    Epilogue,
-    /// A serial span of a schedule that no single-region split covers,
-    /// identified by the span's starting index in the procedure's
-    /// top-level body (the key's region label is empty): an interior span
-    /// between two scheduled region loops, or (start 0) the whole body of
-    /// a region-free schedule. The index pins down the exact statement
-    /// list for an immutable procedure, so the key cannot collide with the
-    /// single-region [`LowerUnit::Prologue`]/[`LowerUnit::Epilogue`] spans
-    /// or with the fused [`LowerUnit::WholeProcedure`], which cover
-    /// different statements or take a different form.
-    SerialSpan(usize),
+    /// The top-level statements `start..end` of the procedure body, a
+    /// serial span of a schedule (the key's region label is empty). The
+    /// range pins down the statement list for an immutable procedure.
+    SerialSpan {
+        /// Index of the span's first statement.
+        start: usize,
+        /// Index one past the span's last statement.
+        end: usize,
+    },
 }
 
 impl LowerUnit {
     /// Whether the unit's one compiled form runs [`fused::fuse`] over the
     /// [`lower`] output. Units that repeat fuse: a region body runs once
     /// per segment attempt, and a region loop or a whole procedure
-    /// iterates. Serial spans (prologue, epilogue and the spans between
+    /// iterates. Serial spans (the statements before, between and after
     /// regions) run once per call, so fusing them would cost more compile
     /// time than it saves; they stay plain bytecode.
     pub fn fuses(self) -> bool {
@@ -2132,7 +2127,7 @@ mod tests {
         // Distinct regions and distinct units get their own entries, each
         // in its unit's one form: repeating units fuse, serial spans not.
         let other = get(&p2, "R2", LowerUnit::RegionLoop);
-        let span = get(&p1, "R1", LowerUnit::Prologue);
+        let span = get(&p1, "", LowerUnit::SerialSpan { start: 0, end: 1 });
         assert!(!other.hit && !span.hit);
         assert!(first.value.superinst_count() > 0);
         assert_eq!(span.value.superinst_count(), 0);

@@ -79,49 +79,6 @@ struct SlotData {
     private: PrivateStore,
 }
 
-/// Dense per-site label table indexed by `RefId::index`, shared by the
-/// simulator and the real-thread runtime. Under CASE it holds the
-/// labeling; under HOSE it is empty, so every site is speculative (as is
-/// any site beyond the table, like `Labeling::label`).
-#[derive(Debug)]
-pub(crate) struct LabelTable(Vec<Label>);
-
-impl LabelTable {
-    /// The table of `labeling` under `mode`, built in `labels` (a pooled
-    /// buffer whose contents are discarded, or an empty one).
-    pub(crate) fn new(mode: ExecMode, labeling: &Labeling, mut labels: Vec<Label>) -> Self {
-        labels.clear();
-        if mode == ExecMode::Case {
-            for (site, label) in labeling.iter() {
-                if site.index() >= labels.len() {
-                    labels.resize(site.index() + 1, Label::Speculative);
-                }
-                labels[site.index()] = label;
-            }
-        }
-        LabelTable(labels)
-    }
-
-    /// The routing label of `site`.
-    #[inline]
-    pub(crate) fn get(&self, site: RefId) -> Label {
-        self.0
-            .get(site.index())
-            .copied()
-            .unwrap_or(Label::Speculative)
-    }
-
-    /// True when some site is labeled private (never under HOSE).
-    fn has_private(&self) -> bool {
-        self.0.contains(&Label::Idempotent(IdemCategory::Private))
-    }
-
-    /// Hands the table's buffer back for the next table.
-    fn into_buffer(self) -> Vec<Label> {
-        self.0
-    }
-}
-
 /// Per-address presence masks over the in-flight slots: bit `p` of
 /// `write[a]` / `read[a]` is set when processor `p`'s buffer holds a
 /// written / exposed-read entry for address `a`. The common case — no
@@ -224,8 +181,10 @@ impl DepMasks {
 /// * a pool of compiled-executor buffers ([`ExecBuffers`]). The engine's
 ///   per-processor segment executors and the schedule's serial spans take
 ///   theirs from it and return them at region or span end; each executor
-///   resizes what it takes to its own unit;
-/// * the dense label table's buffer.
+///   resizes what it takes to its own unit.
+///
+/// Labels need no buffer: accesses route by the region's [`Labeling`] in
+/// place.
 ///
 /// Obtain one from a [`ScratchPool`] with [`ScratchPool::take`] and hand it
 /// back with [`ScratchPool::restore`] after a *successful* run; on error,
@@ -241,8 +200,6 @@ pub struct EngineScratch {
     masks: DepMasks,
     /// Pooled executor buffers, taken last-in first-out.
     execs: Vec<ExecBuffers>,
-    /// The label table's buffer.
-    labels: Vec<Label>,
 }
 
 impl EngineScratch {
@@ -286,8 +243,8 @@ impl EngineScratch {
     }
 
     /// The pooled storage-buffer pairs, the pooled executor-buffer sets,
-    /// and the heap address of every buffer they and the label table hold
-    /// (pool-reuse tests compare them).
+    /// and the heap address of every buffer they hold (pool-reuse tests
+    /// compare them).
     #[cfg(test)]
     pub(crate) fn heap_addrs(&self) -> (usize, usize, Vec<usize>) {
         let mut addrs = Vec::new();
@@ -298,7 +255,6 @@ impl EngineScratch {
         for bufs in &self.execs {
             addrs.extend(bufs.heap_addrs());
         }
-        addrs.push(self.labels.as_ptr() as usize);
         let stores = self.stores.iter().flatten().count();
         (stores, self.execs.len(), addrs)
     }
@@ -318,8 +274,8 @@ impl EngineScratch {
 /// Each `simulate_program` or `simulate_region` call takes one scratch at
 /// the start and, when it succeeds, restores it at the end. A warm call
 /// therefore finds every buffer it needs already sized: each processor's
-/// storage buffers, the dependence masks, the executor buffers of its
-/// segments and serial spans, and the label table (see [`EngineScratch`]).
+/// storage buffers, the dependence masks, and the executor buffers of its
+/// segments and serial spans (see [`EngineScratch`]).
 ///
 /// The engine's scratch reuse was originally a bare `thread_local!`, which
 /// [`SweepExec`](crate::sweep::SweepExec) silently defeated: every
@@ -405,7 +361,9 @@ impl ScratchPool {
 pub(crate) struct Engine<'p> {
     cfg: &'p SimConfig,
     region: &'p LoopStmt,
-    labels: LabelTable,
+    /// The labeling accesses route by: the region's under CASE, `None`
+    /// under HOSE, where every site is speculative.
+    labels: Option<&'p Labeling>,
     iter_values: Vec<i64>,
     has_private_labels: bool,
     /// `cfg.faults` injects something (read once, not per statement).
@@ -455,8 +413,11 @@ impl<'p> Engine<'p> {
         let processors = cfg.processors.max(1);
         let words = layout.total_words();
         scratch.prepare(processors, cfg.spec_capacity, words);
-        let labels = LabelTable::new(mode, labeling, std::mem::take(&mut scratch.labels));
-        let has_private_labels = labels.has_private();
+        let labels = (mode == ExecMode::Case).then_some(labeling);
+        let has_private_labels = labels.is_some_and(|l| {
+            l.iter()
+                .any(|(_, label)| label == Label::Idempotent(IdemCategory::Private))
+        });
         // Only the processors that will run a segment get an executor and
         // the processor's storage buffers.
         let busy = processors.min(iter_values.len());
@@ -499,7 +460,6 @@ impl<'p> Engine<'p> {
         let Engine {
             execs,
             slots,
-            labels,
             scratch,
             report,
             ..
@@ -510,7 +470,6 @@ impl<'p> Engine<'p> {
             scratch.restore_exec(exec.into_buffers());
             scratch.stores[p] = Some((slot.spec, slot.private));
         }
-        scratch.labels = labels.into_buffer();
         Ok(report)
     }
 
@@ -678,7 +637,7 @@ impl<'p> Engine<'p> {
         let exec = &mut execs[p];
         let mut ctx = AccessCtx {
             cfg,
-            labels,
+            labels: *labels,
             memory,
             slots,
             masks: &mut scratch.masks,
@@ -842,7 +801,7 @@ impl<'p> Engine<'p> {
 /// and overflows.
 struct AccessCtx<'a> {
     cfg: &'a SimConfig,
-    labels: &'a LabelTable,
+    labels: Option<&'a Labeling>,
     memory: &'a mut Memory,
     slots: &'a mut [SlotData],
     masks: &'a mut DepMasks,
@@ -852,6 +811,12 @@ struct AccessCtx<'a> {
 }
 
 impl AccessCtx<'_> {
+    /// The label `site`'s access routes by.
+    #[inline]
+    fn label(&self, site: RefId) -> Label {
+        self.labels.map_or(Label::Speculative, |l| l.label(site))
+    }
+
     /// The stepping segment's slot.
     #[inline]
     fn own(&self) -> &SlotData {
@@ -921,7 +886,7 @@ impl AccessCtx<'_> {
 
 impl DataStore for AccessCtx<'_> {
     fn read(&mut self, site: RefId, addr: Addr) -> f64 {
-        let label = self.labels.get(site);
+        let label = self.label(site);
         let own_seg = self.own().seg;
         let is_head = own_seg == self.head;
         match label {
@@ -1013,7 +978,7 @@ impl DataStore for AccessCtx<'_> {
     }
 
     fn write(&mut self, site: RefId, addr: Addr, value: f64) {
-        let label = self.labels.get(site);
+        let label = self.label(site);
         let own_seg = self.own().seg;
         let is_head = own_seg == self.head;
         match label {

@@ -17,7 +17,7 @@
 //! before the runtime stops speculating: per-segment restart budgets, a
 //! per-region rollback budget, and a livelock watchdog counting statements
 //! executed without a commit. When a budget trips, the run-level pipeline
-//! (`simulate_schedule`) transparently re-executes the region
+//! (`Schedule::simulate`) transparently re-executes the region
 //! *sequentially* — the paper's serial fallback made real — and records a
 //! [`DegradeReason`] in the region's report, so results stay byte-exact
 //! against the oracle even at 100% injected misspeculation.
@@ -338,10 +338,10 @@ impl std::fmt::Display for DegradeReason {
 
 /// Degradation budgets: how much misspeculation a region may absorb before
 /// the runtime gives up on speculation. When a budget trips, the region
-/// run fails with the corresponding typed [`SimError`](crate::SimError);
-/// if `degrade_serially` is set (the default), the run-level pipeline
-/// catches it and transparently re-executes the region sequentially,
-/// recording the [`DegradeReason`] in the region's report.
+/// run fails with the corresponding typed [`SimError`](crate::SimError),
+/// and the run-level pipeline catches it and transparently re-executes the
+/// region sequentially, recording the [`DegradeReason`] in the region's
+/// report.
 ///
 /// Budget semantics are `count > budget`: a budget of 0 trips on the very
 /// first restart/rollback, which is how the chaos campaigns prove that the
@@ -355,9 +355,6 @@ pub struct Governor {
     /// Maximum statements a region may execute without committing a
     /// segment before the livelock watchdog fires.
     pub livelock_statements: u64,
-    /// Whether budget exhaustion degrades to sequential re-execution
-    /// (true) or surfaces the typed error to the caller (false).
-    pub degrade_serially: bool,
 }
 
 impl Default for Governor {
@@ -368,7 +365,6 @@ impl Default for Governor {
             max_segment_restarts: 100_000,
             max_region_rollbacks: 10_000_000,
             livelock_statements: 100_000_000,
-            degrade_serially: true,
         }
     }
 }
@@ -507,13 +503,11 @@ mod tests {
     }
 
     #[test]
-    fn governor_default_is_generous_and_degrades() {
+    fn governor_default_is_generous() {
         let g = Governor::default();
-        assert!(g.degrade_serially);
         assert!(g.max_segment_restarts >= 100_000);
         let tight = Governor::with_restart_budget(0);
         assert_eq!(tight.max_segment_restarts, 0);
-        assert!(tight.degrade_serially);
     }
 
     #[test]

@@ -83,7 +83,6 @@
 //! on every schedule.
 
 use crate::config::SimConfig;
-use crate::engine::LabelTable;
 use crate::fault::PerturbEdge;
 use crate::report::SimReport;
 use crate::run::{ExecMode, SimError};
@@ -192,7 +191,9 @@ enum Failure {
 /// Everything the workers share.
 struct Shared<'p> {
     cfg: &'p SimConfig,
-    labels: LabelTable,
+    /// The labeling accesses route by: the region's under CASE, `None`
+    /// under HOSE, where every site is speculative.
+    labels: Option<&'p Labeling>,
     memory: AtomicMemory,
     read_mask: Vec<AtomicU32>,
     write_mask: Vec<AtomicU32>,
@@ -273,7 +274,7 @@ pub(crate) fn run_region(
     let words = layout.total_words() as usize;
     let shared = Shared {
         cfg,
-        labels: LabelTable::new(mode, labeling, Vec::new()),
+        labels: (mode == ExecMode::Case).then_some(labeling),
         memory: AtomicMemory::from_memory(memory),
         read_mask: (0..words).map(|_| AtomicU32::new(0)).collect(),
         write_mask: (0..words).map(|_| AtomicU32::new(0)).collect(),
@@ -728,6 +729,14 @@ struct ParCtx<'a, 'p> {
 }
 
 impl ParCtx<'_, '_> {
+    /// The label `site`'s access routes by.
+    #[inline]
+    fn label(&self, site: RefId) -> Label {
+        self.shared
+            .labels
+            .map_or(Label::Speculative, |l| l.label(site))
+    }
+
     /// Forwards from the youngest older in-flight segment holding a
     /// written entry for `addr`. Candidates come from the write mask;
     /// each is verified under its own lock (entry present *and* the slot
@@ -887,7 +896,7 @@ impl ParCtx<'_, '_> {
 
 impl DataStore for ParCtx<'_, '_> {
     fn read(&mut self, site: RefId, addr: Addr) -> f64 {
-        match self.shared.labels.get(site) {
+        match self.label(site) {
             Label::Speculative => self.speculative_read(addr),
             Label::Idempotent(IdemCategory::Private) => {
                 self.shared.tallies.private_reads.fetch_add(1, Relaxed);
@@ -903,7 +912,7 @@ impl DataStore for ParCtx<'_, '_> {
     }
 
     fn write(&mut self, site: RefId, addr: Addr, value: f64) {
-        match self.shared.labels.get(site) {
+        match self.label(site) {
             Label::Speculative => self.speculative_write(addr, value),
             Label::Idempotent(IdemCategory::Private) => {
                 self.shared.tallies.private_writes.fetch_add(1, Relaxed);

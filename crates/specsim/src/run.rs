@@ -70,8 +70,7 @@ pub enum SimError {
     StatementBudgetExceeded,
     /// One segment exhausted the governor's per-segment restart budget
     /// (degradable: the run-level pipeline re-executes the region
-    /// sequentially when [`Governor::degrade_serially`](crate::Governor)
-    /// is set).
+    /// sequentially).
     RestartBudget {
         /// The segment that kept restarting.
         segment: usize,
@@ -376,34 +375,6 @@ impl<'a> Schedule<'a> {
         }
     }
 
-    /// The cache key of the serial span preceding region `i` (or trailing
-    /// the last region), which starts at body index `start`.
-    ///
-    /// The leading span (everything before the first region) and the
-    /// trailing span (everything after the last) carry the classic
-    /// single-region `Prologue`/`Epilogue` keys — they cover exactly the
-    /// statements those keys always covered, so a thin one-region schedule
-    /// and the whole-program schedule share those entries. Every other
-    /// span gets its own [`LowerUnit::SerialSpan`] key, pinned by the
-    /// span's start index: an *interior* gap between two regions covers a
-    /// statement list no single-region split ever compiles (a one-region
-    /// prologue reaches back to the procedure start, through any earlier
-    /// region loops), and the whole body of a region-free schedule is a
-    /// plain serial span, not the fused [`LowerUnit::WholeProcedure`] the
-    /// sequential interpreter caches. Sharing either key would serve
-    /// whichever caller came second the wrong bytecode.
-    fn span_key(&self, i: usize, start: usize) -> LowerKey {
-        let last = self.regions.len();
-        let (region, unit) = if last > 0 && i == 0 {
-            (self.label(0), LowerUnit::Prologue)
-        } else if last > 0 && i == last {
-            (self.label(last - 1), LowerUnit::Epilogue)
-        } else {
-            ("", LowerUnit::SerialSpan(start))
-        };
-        LowerKey::new(self.proc, region, unit)
-    }
-
     /// The one backend dispatch of a run: the compiled form of `key`'s
     /// unit (`stmts` behind an optional WHILE `guard`, lowered under
     /// `index_ranges`), looked up in the config's cache and counted in
@@ -469,12 +440,10 @@ impl<'a> Schedule<'a> {
         accesses * self.cfg.lat_nonspec + steps as u64 * self.cfg.stmt_cost
     }
 
-    /// Runs the serial span `start..end` of the body (the one preceding
-    /// region `i`, or trailing the last) on one processor, on the executor
-    /// buffers `bufs`, and returns its cycle cost.
+    /// Runs the serial span `start..end` of the body on one processor, on
+    /// the executor buffers `bufs`, and returns its cycle cost.
     fn serial_span(
         &self,
-        i: usize,
         start: usize,
         end: usize,
         memory: &mut Memory,
@@ -489,7 +458,7 @@ impl<'a> Schedule<'a> {
             inner: PlainStore::new(memory),
             accesses: 0,
         };
-        let key = self.span_key(i, start);
+        let key = LowerKey::new(self.proc, "", LowerUnit::SerialSpan { start, end });
         let steps = self.run_unit(key, stmts, &mut store, SEQ_STEP_BUDGET, tally, bufs)?;
         Ok(self.seq_cycles(store.accesses, steps))
     }
@@ -541,13 +510,11 @@ impl<'a> Schedule<'a> {
         // The real-thread runtime only writes memory back on success, so its
         // failures leave memory untouched and need no snapshot. One snapshot
         // buffer serves every region of the call.
-        let degrade_armed = cfg.governor.degrade_serially;
-        let snapshot_armed = degrade_armed && cfg.runtime == SpecRuntime::Simulated;
+        let snapshot_armed = cfg.runtime == SpecRuntime::Simulated;
         let mut snapshot = Memory::default();
         let mut cursor = 0usize;
         for (i, &(stmt_index, labeled)) in self.regions.iter().enumerate() {
             report.serial_cycles += self.serial_span(
-                i,
                 cursor,
                 stmt_index,
                 &mut memory,
@@ -608,7 +575,7 @@ impl<'a> Schedule<'a> {
             let mut region_report = match run_result {
                 Ok(r) => r,
                 Err(err) => match err.degrade_reason() {
-                    Some(reason) if degrade_armed => {
+                    Some(reason) => {
                         if snapshot_armed {
                             std::mem::swap(&mut memory, &mut snapshot);
                         }
@@ -630,7 +597,7 @@ impl<'a> Schedule<'a> {
                             ..Default::default()
                         }
                     }
-                    _ => return Err(err),
+                    None => return Err(err),
                 },
             };
             region_report.lowering_cache_hits = region_tally.hits;
@@ -642,7 +609,6 @@ impl<'a> Schedule<'a> {
             report.regions.push(region_report);
         }
         report.serial_cycles += self.serial_span(
-            self.regions.len(),
             cursor,
             self.proc.body.len(),
             &mut memory,
@@ -678,7 +644,7 @@ impl<'a> Schedule<'a> {
         let mut cursor = 0usize;
         for (i, &(stmt_index, _)) in self.regions.iter().enumerate() {
             serial_cycles +=
-                self.serial_span(i, cursor, stmt_index, &mut memory, &mut tally, &mut bufs)?;
+                self.serial_span(cursor, stmt_index, &mut memory, &mut tally, &mut bufs)?;
             cursor = stmt_index + 1;
             self.loop_stmt(i)?;
             let (cycles, _, counts) = self.region_loop(i, &mut memory, &mut tally, &mut bufs)?;
@@ -686,7 +652,6 @@ impl<'a> Schedule<'a> {
             region_counts.push(counts);
         }
         serial_cycles += self.serial_span(
-            self.regions.len(),
             cursor,
             self.proc.body.len(),
             &mut memory,
@@ -1439,9 +1404,11 @@ mod tests {
         let cfg = SimConfig::default().cache(cache.clone());
         simulate_program(&p, &labeled, ExecMode::Case, &cfg).unwrap();
         let proc = &p.procedures[0];
-        let entry = |unit| cache.lookup(LowerKey::new(proc, "R1", unit), || unreachable!());
-        assert!(entry(LowerUnit::RegionBody).value.superinst_count() > 0);
-        assert_eq!(entry(LowerUnit::Prologue).value.superinst_count(), 0);
+        let entry =
+            |region, unit| cache.lookup(LowerKey::new(proc, region, unit), || unreachable!());
+        assert!(entry("R1", LowerUnit::RegionBody).value.superinst_count() > 0);
+        let before_r1 = LowerUnit::SerialSpan { start: 0, end: 1 };
+        assert_eq!(entry("", before_r1).value.superinst_count(), 0);
     }
 
     #[test]
@@ -1642,9 +1609,9 @@ mod tests {
     #[test]
     fn warm_calls_leave_every_pooled_buffer_in_place() {
         // After one warm call, an identical call finds every buffer it
-        // needs in the pool — each processor's storage buffers, the
-        // executor buffers of the segments and serial spans, the label
-        // table — and hands each back at the same heap address.
+        // needs in the pool — each processor's storage buffers and the
+        // executor buffers of the segments and serial spans — and hands
+        // each back at the same heap address.
         use crate::engine::ScratchPool;
         let p = shapes_program();
         let labeled = labeled_program(&p);

@@ -294,8 +294,12 @@ fn check_while_segments(proc: &Procedure, at: usize, region: &LoopStmt) -> (usiz
             .compile(key, vars, &layout, guard, &region.body, &ranges)
             .value
     };
-    assert!(!LowerUnit::Prologue.fuses());
-    let (plain, fused) = (compile(LowerUnit::Prologue), compile(LowerUnit::RegionBody));
+    let span = LowerUnit::SerialSpan {
+        start: at,
+        end: at + 1,
+    };
+    assert!(!span.fuses());
+    let (plain, fused) = (compile(span), compile(LowerUnit::RegionBody));
     assert_eq!(fused.disasm(), fuse(&plain).disasm(), "{label}");
     let mut execs = [
         AnyExec::segment(None, vars, &layout, region, ExecBuffers::default()),
