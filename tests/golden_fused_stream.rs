@@ -1,23 +1,31 @@
 //! Golden snapshots of the fused superinstruction stream: the head of the
 //! FPPPP `TWLDRV_DO100` giant block — the tentpole workload of the fused
-//! execution tier — as readable disassembly, and a digest of every compiled
-//! unit of the differential corpus and the benchmark suite. Any change to
-//! lowering or to the fuse pipeline (peeling, superinstruction merging,
-//! advance-and-load) shows up as an instruction-stream diff rather than a
-//! bare perf delta.
+//! execution tier — as readable disassembly, a digest of every compiled
+//! unit of the differential corpus and the benchmark suite, and a digest of
+//! every compiled unit's full plans. Any change to lowering or to the fuse
+//! pipeline (peeling, superinstruction merging, advance-and-load) shows up
+//! as an instruction-stream diff rather than a bare perf delta.
+//!
+//! The disassembly prints a fused address only as `r3:fused`, so the plan
+//! digest renders each unit with `{:?}`: the instructions, each reference
+//! plan's constant and `(slot, coeff)` terms, the loop plans and the
+//! induction registers. A wrong folded constant or coefficient fails it
+//! directly instead of surfacing as a memory divergence downstream.
 //!
 //! To regenerate after an intentional fuse-pipeline change:
 //! `cargo test --test golden_fused_stream -- --ignored --nocapture print_golden`
 //! and paste the printed blocks over the constants below.
 
+use refidem::analysis::schedule::discover_regions;
 use refidem::ir::affine::AffineExpr;
 use refidem::ir::expr::Expr;
-use refidem::ir::ids::VarId;
+use refidem::ir::ids::{ProcId, VarId};
 use refidem::ir::lowered::{fused::fuse, lower, LowerKey, LowerUnit, LoweredCache};
 use refidem::ir::memory::Layout;
 use refidem::ir::program::{Procedure, Program};
 use refidem::ir::stmt::{LoopStmt, Stmt};
 use refidem_benchmarks::suite::fpppp;
+use refidem_testkit::{giant_block, Rng};
 
 /// Lines of disassembly kept in the snapshot. The peeled giant block is
 /// hundreds of fused statements, each collapsed to one whole-statement
@@ -97,9 +105,20 @@ impl Fnv1a {
     }
 }
 
+/// What a digest folds in of each compiled unit.
+#[derive(Clone, Copy)]
+enum Render {
+    /// The disassembly.
+    Disasm,
+    /// The `{:?}` form: instructions, reference plans with their constants
+    /// and terms, loop plans and induction registers.
+    Plans,
+}
+
 /// Totals over a run of compiled units, plus the digest of their
-/// disassembly in compile order.
+/// rendering in compile order.
 struct StreamDigest {
+    render: Render,
     units: usize,
     insts: usize,
     superinsts: usize,
@@ -107,8 +126,18 @@ struct StreamDigest {
 }
 
 impl StreamDigest {
+    fn new(render: Render) -> Self {
+        StreamDigest {
+            render,
+            units: 0,
+            insts: 0,
+            superinsts: 0,
+            fnv: Fnv1a(0xcbf2_9ce4_8422_2325),
+        }
+    }
+
     /// Compiles one unit through a fresh cache, as the runtimes do, and
-    /// folds its disassembly into the digest.
+    /// folds its rendering into the digest.
     fn add(
         &mut self,
         proc: &Procedure,
@@ -124,7 +153,11 @@ impl StreamDigest {
         self.units += 1;
         self.insts += compiled.inst_count();
         self.superinsts += compiled.superinst_count();
-        self.fnv.write(compiled.disasm().as_bytes());
+        let rendered = match self.render {
+            Render::Disasm => compiled.disasm(),
+            Render::Plans => format!("{compiled:?}"),
+        };
+        self.fnv.write(rendered.as_bytes());
     }
 
     /// Every unit of `program` that fuses: each procedure whole, and each
@@ -151,6 +184,32 @@ impl StreamDigest {
             }
         }
     }
+
+    /// The plain serial-span units of every procedure's region schedule:
+    /// the non-empty statement runs before, between and after its regions.
+    fn add_serial_spans(&mut self, program: &Program) {
+        for (i, proc) in program.procedures.iter().enumerate() {
+            let schedule = discover_regions(program, ProcId::from_index(i));
+            for span in schedule.serial_spans() {
+                if span.is_empty() {
+                    continue;
+                }
+                let unit = LowerUnit::SerialSpan {
+                    start: span.start,
+                    end: span.end,
+                };
+                let key = LowerKey::new(proc, "", unit);
+                self.add(proc, key, None, &proc.body[span], &[]);
+            }
+        }
+    }
+
+    fn line(&self) -> String {
+        format!(
+            "units={} insts={} superinsts={} fnv1a={:016x}",
+            self.units, self.insts, self.superinsts, self.fnv.0
+        )
+    }
 }
 
 /// The interval of a region loop's index values, which the simulator lowers
@@ -175,31 +234,52 @@ fn region_range(proc: &Procedure, l: &LoopStmt) -> Vec<(VarId, (i64, i64))> {
 /// Digests the compiled units of corpus seeds `0..1024` and the benchmark
 /// suite into one line.
 fn render_corpus_digest() -> String {
-    let mut d = StreamDigest {
-        units: 0,
-        insts: 0,
-        superinsts: 0,
-        fnv: Fnv1a(0xcbf2_9ce4_8422_2325),
-    };
+    let mut d = StreamDigest::new(Render::Disasm);
     for seed in 0..1024 {
         d.add_program(&refidem_testkit::generate(seed).program);
     }
     for bench in refidem_benchmarks::all_benchmarks() {
         d.add_program(&bench.program);
     }
-    format!(
-        "units={} insts={} superinsts={} fnv1a={:016x}",
-        d.units, d.insts, d.superinsts, d.fnv.0
-    )
+    d.line()
 }
 
 const GOLDEN_CORPUS_DIGEST: &str = "units=4126 insts=95160 superinsts=29144 fnv1a=9d35a4c91b57cfaa";
+
+/// Giant blocks in the plan digest, and the statements of each.
+const GIANT_BLOCKS: usize = 32;
+const GIANT_STMTS: usize = 128;
+
+/// Digests the full plans of the units [`render_corpus_digest`] covers,
+/// plus every program's serial spans and 32 giant blocks drawn from
+/// `Rng::new(1)`, into one line.
+fn render_plan_digest() -> String {
+    let mut d = StreamDigest::new(Render::Plans);
+    let mut programs: Vec<Program> = (0..1024)
+        .map(|seed| refidem_testkit::generate(seed).program)
+        .collect();
+    programs.extend(
+        refidem_benchmarks::all_benchmarks()
+            .into_iter()
+            .map(|b| b.program),
+    );
+    let mut rng = Rng::new(1);
+    programs.extend((0..GIANT_BLOCKS).map(|_| giant_block(rng.next_u64(), GIANT_STMTS).0));
+    for program in &programs {
+        d.add_program(program);
+        d.add_serial_spans(program);
+    }
+    d.line()
+}
+
+const GOLDEN_PLAN_DIGEST: &str = "units=6088 insts=135155 superinsts=41528 fnv1a=5b6880f221c3e552";
 
 #[test]
 #[ignore = "prints the current golden for regeneration"]
 fn print_golden() {
     println!("=== twldrv fused stream ===\n{}", render_fused_stream());
     println!("=== corpus digest ===\n{}", render_corpus_digest());
+    println!("=== plan digest ===\n{}", render_plan_digest());
 }
 
 #[test]
@@ -210,4 +290,9 @@ fn twldrv_fused_stream_matches_golden() {
 #[test]
 fn corpus_fused_streams_match_golden() {
     assert_eq!(render_corpus_digest(), GOLDEN_CORPUS_DIGEST);
+}
+
+#[test]
+fn compiled_plans_match_golden() {
+    assert_eq!(render_plan_digest(), GOLDEN_PLAN_DIGEST);
 }
