@@ -11,12 +11,13 @@ use refidem_ir::ids::VarId;
 use refidem_ir::sites::LoopContext;
 use refidem_ir::stmt::LoopStmt;
 use refidem_ir::var::VarTable;
-use std::collections::BTreeMap;
 
 /// A map from index variables to conservative `[lo, hi]` value intervals.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct IndexBounds {
-    map: BTreeMap<VarId, (i64, i64)>,
+    /// `(variable, (lo, hi))` sorted by variable: a site binds its region
+    /// index and a few enclosing loops, so a short list beats a map.
+    bound: Vec<(VarId, (i64, i64))>,
 }
 
 impl IndexBounds {
@@ -27,12 +28,20 @@ impl IndexBounds {
 
     /// Returns the interval of an index variable, if known.
     pub fn get(&self, v: VarId) -> Option<(i64, i64)> {
-        self.map.get(&v).copied()
+        self.find(v).ok().map(|i| self.bound[i].1)
     }
 
     /// Binds an index variable to an interval.
     pub fn bind(&mut self, v: VarId, lo: i64, hi: i64) {
-        self.map.insert(v, (lo.min(hi), lo.max(hi)));
+        let interval = (lo.min(hi), lo.max(hi));
+        match self.find(v) {
+            Ok(i) => self.bound[i].1 = interval,
+            Err(i) => self.bound.insert(i, (v, interval)),
+        }
+    }
+
+    fn find(&self, v: VarId) -> Result<usize, usize> {
+        self.bound.binary_search_by_key(&v, |&(w, _)| w)
     }
 
     /// Evaluates an affine expression to an interval, folding parameters

@@ -410,7 +410,9 @@ impl<'a> Pairing<'a> {
         // blocks' read-only coefficient arrays — skips pairing, signature
         // interning and the bounds walk entirely. The pairable sites are
         // gathered in table order; partitions list them by that index.
-        let mut group_of: HashMap<VarId, u32> = HashMap::new();
+        // Per variable id: its index into `counts` in first-seen order, or
+        // `u32::MAX` while unseen.
+        let mut group_of: Vec<u32> = vec![u32::MAX; vars.len()];
         // Per variable: (members, writes).
         let mut counts: Vec<(u32, u32)> = Vec::new();
         let site_var: Vec<Option<u32>> = sites
@@ -419,11 +421,12 @@ impl<'a> Pairing<'a> {
                 if !vars.kind(s.var).is_data() {
                     return None;
                 }
-                let next = counts.len() as u32;
-                let v = *group_of.entry(s.var).or_insert(next);
-                if v == next {
+                let slot = &mut group_of[s.var.index()];
+                if *slot == u32::MAX {
+                    *slot = counts.len() as u32;
                     counts.push((0, 0));
                 }
+                let v = *slot;
                 let count = &mut counts[v as usize];
                 count.0 += 1;
                 count.1 += (s.access == AccessKind::Write) as u32;
@@ -651,7 +654,7 @@ impl SitePre {
                     by_pos: vec![0; positions.len()],
                     program: Vec::new(),
                 };
-                for (&v, &c) in &folded.terms {
+                for &(v, c) in &folded.terms {
                     match positions.iter().rposition(|&p| p == v) {
                         Some(p) => dim.by_pos[p] = c,
                         None => dim.program.push((v, c)),
@@ -688,7 +691,7 @@ fn signature_tokens(s: &RefSite, t: &mut Vec<i64>) {
     fn push_affine(t: &mut Vec<i64>, e: &AffineExpr) {
         t.push(e.constant);
         t.push(e.terms.len() as i64);
-        for (&v, &c) in &e.terms {
+        for &(v, c) in &e.terms {
             t.push(v.index() as i64);
             t.push(c);
         }
@@ -1333,7 +1336,7 @@ mod reference {
 
     fn substitute_folded(folded: &AffineExpr, map: &BTreeMap<VarId, AffineExpr>) -> AffineExpr {
         let mut out = AffineExpr::constant(folded.constant);
-        for (&v, &c) in &folded.terms {
+        for &(v, c) in &folded.terms {
             match map.get(&v) {
                 Some(meta) => out = out + meta.clone() * c,
                 None => out.add_term(v, c),
@@ -1357,7 +1360,7 @@ mod reference {
             };
         }
         if diff.terms.len() == 1 {
-            let (&v, &c) = diff.terms.iter().next().expect("one term");
+            let (v, c) = diff.terms[0];
             if diff.constant % c != 0 {
                 return Feasibility::Infeasible;
             }
@@ -1369,7 +1372,7 @@ mod reference {
             }
             return Feasibility::Exact(v, value);
         }
-        let g = diff.terms.values().fold(0i64, |acc, &c| gcd(acc, c));
+        let g = diff.terms.iter().fold(0i64, |acc, &(_, c)| gcd(acc, c));
         if g != 0 && diff.constant % g != 0 {
             return Feasibility::Infeasible;
         }

@@ -213,7 +213,7 @@ fn push_folded(vars: &VarTable, e: &AffineExpr, key: &mut Vec<i64>) {
     let folded = e.substitute_params(&|v| vars.param_value(v));
     key.push(folded.constant);
     key.push(folded.terms.len() as i64);
-    for (&v, &c) in &folded.terms {
+    for &(v, c) in &folded.terms {
         key.push(v.index() as i64);
         key.push(c);
     }
@@ -284,7 +284,7 @@ impl<'a> Walker<'a> {
             let count_at = key.len();
             key.push(0);
             let (mut constant, mut terms) = (e.constant, 0);
-            for (&v, &c) in &e.terms {
+            for &(v, c) in &e.terms {
                 if let Some(value) = self.vars.param_value(v) {
                     constant += c * value;
                     continue;
@@ -533,7 +533,7 @@ mod reference {
     fn canon_affine(w: &Walker<'_>, e: &AffineExpr) -> String {
         let folded = e.substitute_params(&|v| w.vars.param_value(v));
         let mut rendered: Vec<String> = Vec::new();
-        for (&v, &c) in &folded.terms {
+        for &(v, c) in &folded.terms {
             let name = w
                 .loop_stack
                 .iter()

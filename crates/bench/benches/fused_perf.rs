@@ -12,13 +12,16 @@
 //!   induction references fuse to advance-and-load instead of peeling.
 //! * `fused_compile/*` — one-time compilation cost: plain lowering vs the
 //!   post-lowering `fuse` pass (paid once per cache key, amortized across
-//!   every sweep point by the compile-once cache).
+//!   every sweep point by the compile-once cache), on the whole TWLDRV
+//!   procedure and on the unit a cold compile lowers most: the region body
+//!   of a 128-statement giant block under its index range.
 
+use refidem_analysis::bounds::constant_loop_bounds;
 use refidem_bench::microbench::Harness;
 use refidem_benchmarks::suite::{fpppp, mgrid};
 use refidem_benchmarks::LoopBenchmark;
 use refidem_ir::exec::{PlainStore, SeqInterp};
-use refidem_ir::lowered::{fused::fuse, lower, ExecBuffers, LoweredSegmentExec};
+use refidem_ir::lowered::{fused::fuse, lower, lower_with_ranges, ExecBuffers, LoweredSegmentExec};
 use refidem_ir::memory::{Layout, Memory};
 use std::hint::black_box;
 
@@ -62,6 +65,23 @@ fn bench_compile_cost(c: &mut Harness, bench: &LoopBenchmark) {
     });
     let base = lower(&proc.vars, &layout, &proc.body);
     group.bench_function("fuse_twldrv", |b| {
+        b.iter(|| black_box(fuse(black_box(&base))).inst_count())
+    });
+    // The giant block's `RegionBody` unit, lowered under the region index's
+    // interval as the runtimes compile it (the seed `analysis_perf` uses).
+    let (program, region) = refidem_testkit::giant_block(0x9e3779b9, 128);
+    let proc = &program.procedures[region.proc.index()];
+    let l = proc
+        .find_loop(&region.loop_label)
+        .expect("giant block region");
+    let (lo, hi) = constant_loop_bounds(&proc.vars, l).expect("constant bounds");
+    let ranges = [(l.index, (lo.min(hi), lo.max(hi)))];
+    let layout = Layout::new(&proc.vars);
+    group.bench_function("lower_giant_block_128", |b| {
+        b.iter(|| black_box(lower_with_ranges(&proc.vars, &layout, &l.body, &ranges)).inst_count())
+    });
+    let base = lower_with_ranges(&proc.vars, &layout, &l.body, &ranges);
+    group.bench_function("fuse_giant_block_128", |b| {
         b.iter(|| black_box(fuse(black_box(&base))).inst_count())
     });
     group.finish();

@@ -375,7 +375,7 @@ impl<'p> SegmentExec<'p> {
 
     fn eval_affine(&self, e: &AffineExpr) -> Result<i64, ExecError> {
         let mut acc = e.constant;
-        for (&v, &c) in &e.terms {
+        for &(v, c) in &e.terms {
             acc += c * self.lookup(v)?;
         }
         Ok(acc)

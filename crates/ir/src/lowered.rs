@@ -2,8 +2,9 @@
 //!
 //! The tree-walking [`SegmentExec`](crate::exec::SegmentExec) re-traverses
 //! the `Expr`/`Stmt` structures on every statement execution: every affine
-//! subscript walks a `BTreeMap` of terms, every array access allocates a
-//! subscript vector, and every expression evaluation chases `Box` pointers.
+//! subscript looks each of its variables up in the environment, every array
+//! access allocates a subscript vector, and every expression evaluation
+//! chases `Box` pointers.
 //! For the simulator — which executes the same segment body millions of
 //! times across capacity points and label configurations — that traversal
 //! is pure overhead.
@@ -14,7 +15,10 @@
 //! * expression trees are flattened to register operations, each value
 //!   in the register at its depth of the expression's evaluation stack,
 //! * affine subscripts are pre-resolved against the [`Layout`] into
-//!   `(base, Σ stride·index)` plans with compile-time parameter folding,
+//!   `(base, Σ stride·index)` plans with compile-time parameter folding:
+//!   a provably in-bounds reference's flat address is built term by term
+//!   straight into the plan's inline [`Terms`] list, which allocates
+//!   nothing for the one- and two-index subscripts that dominate,
 //! * structured control flow (`IF`, `DO`) is jump-threaded into branch and
 //!   loop-back instructions over the flat array.
 //!
@@ -29,7 +33,7 @@
 //! the differential suite in `refidem-testkit` asserts this across
 //! hundreds of generated programs and the whole named-benchmark suite.
 
-use crate::affine::AffineExpr;
+use crate::affine::{AffineExpr, Terms};
 use crate::cache::{KeyedCache, Lookup};
 use crate::exec::{DataStore, ExecError};
 use crate::expr::{BinOp, CmpOp, Expr, Reference, Subscript};
@@ -55,49 +59,61 @@ pub enum ExecBackend {
 
 /// An affine integer expression compiled against an environment: constant
 /// term (with all compile-time parameters folded in) plus `coeff * slot`
-/// terms over runtime index variables, kept in `VarId` order so unbound
+/// terms over runtime index variables, in one inline [`Terms`] list, so a
+/// plan of up to [`INLINE_TERMS`](crate::affine::INLINE_TERMS) terms
+/// allocates nothing. The list keeps its terms in `VarId` order, so unbound
 /// errors surface on the same variable as the tree-walking interpreter.
 #[derive(Clone, Debug)]
 struct AffinePlan {
     constant: i64,
-    terms: Box<[(u32, i64)]>,
+    terms: Terms,
 }
 
 impl AffinePlan {
-    fn compile(e: &AffineExpr, vars: &VarTable) -> AffinePlan {
-        let mut constant = e.constant;
-        let mut terms = Vec::new();
-        for (&v, &c) in &e.terms {
-            match vars.param_value(v) {
-                Some(value) => constant += c * value,
-                None => terms.push((v.index() as u32, c)),
-            }
-        }
+    /// The plan of the constant `constant`.
+    fn constant(constant: i64) -> AffinePlan {
         AffinePlan {
             constant,
-            terms: terms.into_boxed_slice(),
+            terms: Terms::new(),
+        }
+    }
+
+    fn compile(e: &AffineExpr, vars: &VarTable) -> AffinePlan {
+        let mut plan = AffinePlan::constant(0);
+        plan.add_scaled(e, 1, vars);
+        plan
+    }
+
+    /// Adds `scale * e`, folding its parameters into the constant.
+    fn add_scaled(&mut self, e: &AffineExpr, scale: i64, vars: &VarTable) {
+        self.constant += scale * e.constant;
+        for &(v, c) in &e.terms {
+            match vars.param_value(v) {
+                Some(value) => self.constant += scale * c * value,
+                None => self.terms.add(v, scale * c),
+            }
         }
     }
 
     #[inline]
     fn eval(&self, env: &[i64], bound: &[bool]) -> Result<i64, ExecError> {
-        match self.terms.as_ref() {
+        match self.terms.as_slice() {
             // The overwhelmingly common shapes: constant-only and
             // single-index subscripts.
             [] => Ok(self.constant),
-            [(slot, c)] => {
-                let i = *slot as usize;
+            [(v, c)] => {
+                let i = v.index();
                 if !bound[i] {
-                    return Err(ExecError::UnboundVariable(VarId::from_index(i)));
+                    return Err(ExecError::UnboundVariable(*v));
                 }
                 Ok(self.constant + c * env[i])
             }
             terms => {
                 let mut acc = self.constant;
-                for &(slot, c) in terms {
-                    let i = slot as usize;
+                for &(v, c) in terms {
+                    let i = v.index();
                     if !bound[i] {
-                        return Err(ExecError::UnboundVariable(VarId::from_index(i)));
+                        return Err(ExecError::UnboundVariable(v));
                     }
                     acc += c * env[i];
                 }
@@ -112,8 +128,8 @@ impl AffinePlan {
     #[inline]
     fn eval_bound(&self, env: &[i64]) -> i64 {
         let mut acc = self.constant;
-        for &(slot, c) in self.terms.iter() {
-            acc += c * env[slot as usize];
+        for &(v, c) in &self.terms {
+            acc += c * env[v.index()];
         }
         acc
     }
@@ -222,16 +238,19 @@ impl RefPlan {
             return None;
         }
         let bounds = |v: VarId| vars.param_value(v).map(|c| (c, c)).or(ranges[v.index()]);
-        let mut flat = AffineExpr::constant(layout.base(r.var).0 as i64);
+        // base + Σ (sub - 1) · stride, built straight into the plan.
+        let mut flat = AffinePlan::constant(layout.base(r.var).0 as i64);
         for (sub, d) in r.subs.iter().zip(dims) {
             let e = sub.as_affine()?;
             let (lo, hi) = e.range(&bounds)?;
             if lo < 1 || hi > d.extent {
                 return None;
             }
-            flat = flat + (e.clone() - AffineExpr::constant(1)) * (d.stride as i64);
+            let stride = d.stride as i64;
+            flat.constant -= stride;
+            flat.add_scaled(e, stride, vars);
         }
-        Some(AffinePlan::compile(&flat, vars))
+        Some(flat)
     }
 
     fn compile(
@@ -691,7 +710,7 @@ impl Lowerer<'_> {
             .find_map(|(i, ctx)| {
                 ap.terms
                     .iter()
-                    .find(|(slot, _)| *slot == ctx.index_slot)
+                    .find(|(v, _)| v.0 == ctx.index_slot)
                     .map(|&(_, c)| (i, c))
             })?;
         let ctx = &self.loop_ctx[ctx_pos];
@@ -702,7 +721,7 @@ impl Lowerer<'_> {
             && ap
                 .terms
                 .iter()
-                .all(|(slot, _)| *slot == ctx.index_slot || !ctx.rebound.contains(slot));
+                .all(|(v, _)| v.0 == ctx.index_slot || !ctx.rebound.contains(&v.0));
         if !legal {
             return None;
         }
@@ -1032,7 +1051,7 @@ impl Fingerprint {
     fn affine(&mut self, e: &AffineExpr) {
         self.mix(0xA0);
         self.mix(e.constant as u64);
-        for (&v, &c) in &e.terms {
+        for &(v, c) in &e.terms {
             self.mix(v.index() as u64);
             self.mix(c as u64);
         }

@@ -64,18 +64,14 @@ fn lookup(subst: &[(u32, Option<i64>)], slot: u32) -> Option<i64> {
 
 /// Folds every substituted slot of an affine plan into its constant term.
 fn fold_plan(ap: &AffinePlan, subst: &[(u32, Option<i64>)]) -> AffinePlan {
-    let mut constant = ap.constant;
-    let mut terms = Vec::new();
-    for &(s, c) in ap.terms.iter() {
-        match lookup(subst, s) {
-            Some(v) => constant += c * v,
-            None => terms.push((s, c)),
+    let mut out = AffinePlan::constant(ap.constant);
+    for &(v, c) in &ap.terms {
+        match lookup(subst, v.0) {
+            Some(value) => out.constant += c * value,
+            None => out.terms.add(v, c),
         }
     }
-    AffinePlan {
-        constant,
-        terms: terms.into_boxed_slice(),
-    }
+    out
 }
 
 struct Peeler<'a> {
@@ -104,7 +100,7 @@ impl Peeler<'_> {
         }
         let folded = match &self.base.refs[r as usize] {
             RefPlan::Fused { site, plan } => {
-                if !plan.terms.iter().any(|(s, _)| lookup(subst, *s).is_some()) {
+                if !plan.terms.iter().any(|(v, _)| lookup(subst, v.0).is_some()) {
                     return r;
                 }
                 let plan = fold_plan(plan, subst);

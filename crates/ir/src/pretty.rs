@@ -118,7 +118,7 @@ fn stmt_to_string(vars: &VarTable, s: &Stmt, depth: usize, out: &mut String) {
 pub fn affine_to_string(vars: &VarTable, e: &crate::affine::AffineExpr) -> String {
     let mut out = String::new();
     let mut first = true;
-    for (&v, &c) in &e.terms {
+    for &(v, c) in &e.terms {
         let name = vars.name(v);
         if first {
             match c {

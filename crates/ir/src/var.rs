@@ -69,12 +69,20 @@ impl VarTable {
     }
 
     /// Declares a variable and returns its id.
+    ///
+    /// # Panics
+    ///
+    /// If `kind` is an array with a zero extent: such an array has no
+    /// element for a subscript to clamp into.
     pub fn declare(&mut self, name: impl Into<String>, kind: VarKind) -> VarId {
+        let name = name.into();
+        if let VarKind::Array { dims } = &kind {
+            if let Some(d) = dims.iter().position(|&extent| extent == 0) {
+                panic!("array `{name}` has a zero extent in dimension {}", d + 1);
+            }
+        }
         let id = VarId::from_index(self.vars.len());
-        self.vars.push(VarInfo {
-            name: name.into(),
-            kind,
-        });
+        self.vars.push(VarInfo { name, kind });
         id
     }
 
@@ -180,6 +188,12 @@ mod tests {
         assert_eq!(t.param_value(nz), Some(10));
         assert_eq!(t.param_value(a), None);
         assert_eq!(t.data_vars().count(), 2);
+    }
+
+    #[test]
+    #[should_panic(expected = "array `a` has a zero extent in dimension 2")]
+    fn zero_extent_arrays_are_rejected() {
+        crate::build::ProcBuilder::new("t").array("a", &[4, 0]);
     }
 
     #[test]
