@@ -7,11 +7,23 @@
 //! line, so a change to the dependence analysis or to labeling that moves
 //! any of them — even only the order of the dependence list — fails here.
 //!
+//! A second digest pins the analysis products labeling and classification
+//! are computed from, through their public queries only: per region every
+//! variable's body summary, its classes, the variables live at its exit
+//! and each reference's dependence facts (cross-segment sink flag and
+//! intra-segment sources in order), plus the summary of every top-level
+//! suffix of every procedure — the code liveness reads. A change to how
+//! the summary, the facts or liveness are represented or computed must
+//! leave it unmoved.
+//!
 //! To regenerate after an intentional change to the analysis, run
 //! `cargo test --release --test golden_analysis -- --include-ignored`
 //! and paste each failure's `left` line over its constant below.
 
+use refidem::analysis::liveness::region_live_out;
 use refidem::analysis::region::RegionAnalysis;
+use refidem::analysis::schedule::discover_regions;
+use refidem::analysis::summary::BodySummary;
 use refidem::core::label::{label_abstract_region, label_program, Labeling};
 use refidem::core::model::AbstractRegion;
 use refidem::ir::ids::ProcId;
@@ -169,6 +181,107 @@ fn render_wide_digest() -> String {
     line
 }
 
+/// The products behind labeling, folded in through public queries: per
+/// region the body summary, the classes, the live-out set and every
+/// reference's dependence facts; per procedure the summary of each
+/// top-level suffix.
+struct ProductDigest {
+    units: usize,
+    fnv: Fnv1a,
+}
+
+impl ProductDigest {
+    fn new() -> Self {
+        ProductDigest {
+            units: 0,
+            fnv: Fnv1a(0xcbf2_9ce4_8422_2325),
+        }
+    }
+
+    fn text(&mut self, s: &str) {
+        self.fnv.write(s.as_bytes());
+        self.fnv.write(&[0]);
+    }
+
+    fn summary(&mut self, summary: &BodySummary) {
+        for (v, s) in summary.iter() {
+            self.text(&format!("{v:?} {s:?}"));
+        }
+    }
+
+    fn add_program(&mut self, program: &Program) {
+        for (p, proc) in program.procedures.iter().enumerate() {
+            for region in discover_regions(program, ProcId::from_index(p)).regions {
+                let label = &region.spec.loop_label;
+                self.units += 1;
+                self.text(label);
+                let analysis = match RegionAnalysis::analyze(program, &region.spec) {
+                    Ok(analysis) => analysis,
+                    Err(e) => {
+                        self.text(&format!("analysis error: {e:?}"));
+                        continue;
+                    }
+                };
+                self.summary(&analysis.summary);
+                for (v, class) in analysis.classes.iter() {
+                    self.text(&format!("{v:?} {class:?}"));
+                }
+                let live = region_live_out(proc, label);
+                self.text(&format!("live_out={live:?}"));
+                for site in analysis.table.sites() {
+                    self.text(&format!(
+                        "{} cross={} intra={:?}",
+                        site.id.0,
+                        analysis.deps.is_sink_of_cross_segment(site.id),
+                        analysis.deps.intra_sources(site.id)
+                    ));
+                }
+            }
+            for start in 0..proc.body.len() {
+                self.units += 1;
+                self.text(&format!("{} {start}..", proc.name));
+                self.summary(&BodySummary::analyze(&proc.vars, None, &proc.body[start..]));
+            }
+        }
+    }
+
+    fn line(&self) -> String {
+        format!("units={} fnv1a={:016x}", self.units, self.fnv.0)
+    }
+}
+
+/// Corpus seeds `0..1024`, the benchmark suite and the first `giants`
+/// giant blocks drawn from `Rng::new(1)`.
+fn render_product_digest(giants: usize) -> ProductDigest {
+    let mut d = ProductDigest::new();
+    for seed in 0..1024 {
+        d.add_program(&generate(seed).program);
+    }
+    for bench in refidem_benchmarks::all_benchmarks() {
+        d.add_program(&bench.program);
+    }
+    let mut rng = Rng::new(1);
+    for _ in 0..giants {
+        let (program, _) = giant_block(rng.next_u64(), GIANT_STMTS);
+        d.add_program(&program);
+    }
+    d
+}
+
+/// [`render_product_digest`] with 64 more giant blocks, plus the
+/// 3072-seed out-of-corpus sample drawn from `Rng::new(42)`.
+fn render_wide_product_digest() -> String {
+    let mut line = render_product_digest(GIANT_BLOCKS + 64).line();
+    let mut d = ProductDigest::new();
+    let mut rng = Rng::new(42);
+    for _ in 0..3072 {
+        d.add_program(&generate(rng.next_u64()).program);
+    }
+    line.push_str(" sample ");
+    line.push_str(&d.line());
+    line
+}
+
 const GOLDEN_ANALYSIS_DIGEST: &str = "regions=1579 fnv1a=b88d37813be4bd4d";
 
 const GOLDEN_WIDE_ANALYSIS_DIGEST: &str =
@@ -183,4 +296,23 @@ fn region_analyses_match_golden() {
 #[ignore = "release-mode widening; run with --ignored"]
 fn widened_region_analyses_match_golden() {
     assert_eq!(render_wide_digest(), GOLDEN_WIDE_ANALYSIS_DIGEST);
+}
+
+const GOLDEN_PRODUCT_DIGEST: &str = "units=6354 fnv1a=5a8fb4e6ad78f4bd";
+
+const GOLDEN_WIDE_PRODUCT_DIGEST: &str =
+    "units=6482 fnv1a=02a0134b12d05d1a sample units=19127 fnv1a=b3e8a707ef4d0d4f";
+
+#[test]
+fn analysis_products_match_golden() {
+    assert_eq!(
+        render_product_digest(GIANT_BLOCKS).line(),
+        GOLDEN_PRODUCT_DIGEST
+    );
+}
+
+#[test]
+#[ignore = "release-mode widening; run with --ignored"]
+fn widened_analysis_products_match_golden() {
+    assert_eq!(render_wide_product_digest(), GOLDEN_WIDE_PRODUCT_DIGEST);
 }
