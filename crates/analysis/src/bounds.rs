@@ -87,7 +87,20 @@ impl IndexBounds {
     /// index interval plus the site's enclosing inner loops.
     pub fn for_site(vars: &VarTable, region: &LoopStmt, site_loops: &[LoopContext]) -> IndexBounds {
         let mut b = IndexBounds::new();
-        b.enter_loop(
+        b.reset_to_site(vars, region, site_loops);
+        b
+    }
+
+    /// Makes `self` the environment [`IndexBounds::for_site`] builds,
+    /// reusing its storage.
+    pub fn reset_to_site(
+        &mut self,
+        vars: &VarTable,
+        region: &LoopStmt,
+        site_loops: &[LoopContext],
+    ) {
+        self.bound.clear();
+        self.enter_loop(
             vars,
             region.index,
             &region.lower,
@@ -95,9 +108,8 @@ impl IndexBounds {
             region.step,
         );
         for l in site_loops {
-            b.enter_loop(vars, l.index, &l.lower, &l.upper, l.step);
+            self.enter_loop(vars, l.index, &l.lower, &l.upper, l.step);
         }
-        b
     }
 }
 

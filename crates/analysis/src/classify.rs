@@ -12,7 +12,7 @@
 //!   dependences and are thus not live at the end of the segment").
 //! * **Shared** — everything else.
 
-use crate::summary::BodySummary;
+use crate::summary::{BodySummary, VarSummary};
 use refidem_ir::ids::VarId;
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
@@ -37,17 +37,14 @@ pub struct VarClassification {
 
 impl VarClassification {
     /// Classifies the variables of a region from its body summary and its
-    /// live-out set.
+    /// live-out set. Only the [private candidates](Self::private_candidates)
+    /// are looked up in the live-out set.
     pub fn classify(summary: &BodySummary, live_out: &BTreeSet<VarId>) -> Self {
         let mut map = BTreeMap::new();
         for (v, s) in summary.iter() {
             let class = if !s.has_write {
                 VarClass::ReadOnly
-            } else if s.exposed_reads.is_empty()
-                && s.all_precise
-                && s.has_write
-                && !live_out.contains(&v)
-            {
+            } else if is_private_candidate(s) && !live_out.contains(&v) {
                 VarClass::Private
             } else {
                 VarClass::Shared
@@ -55,6 +52,16 @@ impl VarClassification {
             map.insert(v, class);
         }
         VarClassification { map: Arc::new(map) }
+    }
+
+    /// The variables of `summary` whose class the live-out set decides:
+    /// written, address-precise and never read exposed — private when dead
+    /// at the region's exit, shared when live.
+    pub fn private_candidates(summary: &BodySummary) -> impl Iterator<Item = VarId> + '_ {
+        summary
+            .iter()
+            .filter(|(_, s)| s.has_write && is_private_candidate(s))
+            .map(|(v, _)| v)
     }
 
     /// The class of a variable (`Shared` for unknown variables, the
@@ -76,6 +83,12 @@ impl VarClassification {
     pub fn iter(&self) -> impl Iterator<Item = (VarId, VarClass)> + '_ {
         self.map.iter().map(|(v, c)| (*v, *c))
     }
+}
+
+/// A written variable is private unless live when every read of it in a
+/// segment is covered and its every reference is address-precise.
+fn is_private_candidate(s: &VarSummary) -> bool {
+    s.exposed_reads.is_empty() && s.all_precise
 }
 
 #[cfg(test)]

@@ -33,48 +33,56 @@
 //! * **Partition by base variable** — references to different variables
 //!   never alias under the layout, so cross-variable pairs are never
 //!   enumerated, and a variable with no write site skips pairing entirely.
-//! * **Flat site arena** — per-site facts the tester would otherwise
-//!   recompute per pair per level (the [`IndexBounds`] walk and every
-//!   subscript, parameter-folded and split into one coefficient per
-//!   enclosing loop) are computed once per site into dense,
-//!   index-addressed vectors.
+//! * **Signature interning + verdict memoization** — each site's access
+//!   signature (access kind, guard context, enclosing-loop vector,
+//!   subscript coefficient vectors) is interned as a token stream, and the
+//!   test verdict is memoized per canonical signature *pair*: the hundreds
+//!   of same-shape references of a giant block pay for each distinct test
+//!   once.
+//! * **Flat signature arena** — per-signature facts the tester would
+//!   otherwise recompute per pair per level (the [`IndexBounds`] walk and
+//!   every subscript, parameter-folded and split into one coefficient per
+//!   enclosing loop) are computed once per distinct signature into a few
+//!   flat vectors shared by all signatures.
 //! * **Dense difference rows** — per level, each subscript dimension's
 //!   difference is a row of meta-variable coefficients in reused scratch
 //!   buffers, so testing a pair allocates nothing.
-//! * **Signature interning + verdict memoization** — each site's access
-//!   signature (access kind, guard context, enclosing-loop vector,
-//!   subscript coefficient vectors) is interned into a dedup table, and
-//!   the test verdict is memoized per canonical signature *pair*: the
-//!   hundreds of same-shape references of a giant block pay for each
-//!   distinct test once.
 //!
 //! # The set is its facts
 //!
 //! Algorithm 2 and the region flags ask two things about a reference: is
 //! it the sink of a cross-segment dependence, and what are the sources of
 //! its intra-segment flow and output dependences. [`DependenceSet::analyze`]
-//! answers exactly these in one sink-major pass: for every sink in table
-//! order it walks the partners the partition pairs it with, looks each
-//! pair's verdict up through the memo, and records the sink's cross flag
-//! and intra-segment sources, whether any dependence crosses segments and
-//! the exact dependence count. That is all a [`DependenceSet`] holds; no
+//! answers exactly these in one sink-major pass. Each partition is split
+//! into *runs*, its members of one signature. A pair's verdict depends
+//! only on the two signatures and on which of the two sites comes first,
+//! so for every sink in table order the pass splits each partner run once
+//! at the sink's position — the older members, then the rest — and looks
+//! up one verdict per half through the memo: the half contributes that
+//! verdict's dependences once per member, and, when the verdict has an
+//! intra-segment dependence and the run writes, its members as sources.
+//! The pass records each sink's cross flag and intra-segment sources (in
+//! table order), whether any dependence crosses segments and the exact
+//! dependence count. That is all a [`DependenceSet`] holds; no
 //! [`Dependence`] record is built, and a set with no dependence holds
 //! nothing. The set is immutable and shared: cloning it copies one `Arc`.
 //!
 //! Tests and tools that want the dependences themselves call
 //! [`dependence_list`] (or `RegionAnalysis::dependence_list`). It shares
 //! the partition, the signature arena and the pair tester with `analyze`,
-//! walks the same pairs source-major and returns the ordered list an
+//! walks every pair source-major and returns the ordered list an
 //! unpruned pair loop over the table emits;
 //! [`DependenceSet::from_deps`] of that list equals the analyzed set.
 
 use crate::bounds::IndexBounds;
+use crate::intern::Interner;
 use refidem_ir::affine::{gcd, AffineExpr};
 use refidem_ir::ids::{RefId, VarId};
-use refidem_ir::sites::{AccessKind, RefSite, RefTable};
+use refidem_ir::sites::{AccessKind, LoopContext, RefSite, RefTable};
 use refidem_ir::stmt::{LoopStmt, Stmt};
 use refidem_ir::var::VarTable;
 use std::collections::HashMap;
+use std::ops::Range;
 use std::sync::Arc;
 
 /// The kind of a data dependence.
@@ -286,32 +294,72 @@ impl DependenceSet {
         let (Some(lo), Some(hi)) = (ids.clone().min(), ids.max()) else {
             return DependenceSet::default();
         };
-        // One sink-major pass: for every sink in table order, its partners.
-        // Each distinct signature pair's verdict is computed on first
-        // encounter; `a.order < b.order` is the only pair-level fact the
-        // tester reads beyond the two signatures (site orders are unique,
-        // so it also subsumes the `a.id != b.id` gate) — together they
-        // form the memo key. A feasible verdict contributes one dependence
-        // per scope; only the facts are kept.
+        // One sink-major pass: for every sink in table order, its partner
+        // runs. `a.order < b.order` is the only pair-level fact the tester
+        // reads beyond the two signatures (site orders are unique, so it
+        // also subsumes the `a.id != b.id` gate) — together they form the
+        // memo key, and they are shared by every member of a run's half.
+        // Each distinct key's verdict is computed on first encounter, on
+        // the half's first member. A feasible verdict contributes one
+        // dependence per scope and pair; only the facts are kept.
         let mut memo = MemoTable::new(pairing.pre.len());
         let mut scratch = Scratch::default();
         let mut facts = Facts::new(lo, hi);
+        // The current sink's intra-segment sources: per contributing partner
+        // run, the span of `members` its contributing halves cover.
+        let mut spans: Vec<(&Run, Range<usize>)> = Vec::new();
+        // Sources to merge into table order, as indices into `sites`.
+        let mut picked: Vec<u32> = Vec::new();
         for (b_idx, b) in pairing.sites.iter().enumerate() {
-            let start = facts.sources.len() as u32;
             let mut cross = false;
-            for &a_idx in pairing.partners(b) {
-                let a = &pairing.sites[a_idx as usize];
-                let key = (a.sig, b.sig, a.order < b.order);
-                let effect = memo.get(key).unwrap_or_else(|| {
-                    let verdict = pairing.verdict(a_idx as usize, b_idx, &mut scratch);
-                    memo.record(key, Effect::of(verdict))
-                });
-                facts.len += effect.count();
-                cross |= effect.cross();
-                // Flow or output: the anti dependences of a read source
-                // never gate a label.
-                if effect.intra() && a.write {
-                    facts.sources.push(a.id);
+            spans.clear();
+            for run in pairing.partner_runs(b) {
+                let (start, end) = (run.start as usize, run.end as usize);
+                let older =
+                    start + pairing.members[start..end].partition_point(|m| m.order < b.order);
+                for (half, lt) in [(start..older, true), (older..end, false)] {
+                    if half.is_empty() {
+                        continue;
+                    }
+                    let key = (run.sig, b.sig, lt);
+                    let effect = memo.get(key).unwrap_or_else(|| {
+                        let first = pairing.members[half.start].site as usize;
+                        let verdict = pairing.verdict(first, b_idx, &mut scratch);
+                        memo.record(key, Effect::of(verdict))
+                    });
+                    facts.len += effect.count() * half.len();
+                    cross |= effect.cross();
+                    // Flow or output: the anti dependences of a read source
+                    // never gate a label.
+                    if effect.intra() && run.write {
+                        match spans.last_mut() {
+                            // The run's older half, then the rest.
+                            Some((last, span)) if std::ptr::eq(*last, run) => span.end = half.end,
+                            _ => spans.push((run, half)),
+                        }
+                    }
+                }
+            }
+            let start = facts.sources.len() as u32;
+            match spans.as_slice() {
+                [] => {}
+                // One run's members by site order, which is table order
+                // when the run keeps it.
+                [(run, span)] if run.in_table_order => {
+                    let sources = pairing.members[span.clone()].iter().map(|m| m.id);
+                    facts.sources.extend(sources);
+                }
+                // Several runs interleave in table order, and a hand-built
+                // table's site order need not follow it: merge by table
+                // position.
+                _ => {
+                    picked.clear();
+                    for (_, span) in &spans {
+                        picked.extend(pairing.members[span.clone()].iter().map(|m| m.site));
+                    }
+                    picked.sort_unstable();
+                    let sources = picked.iter().map(|&m| pairing.sites[m as usize].id);
+                    facts.sources.extend(sources);
                 }
             }
             facts.has_cross |= cross;
@@ -342,15 +390,27 @@ impl DependenceSet {
 /// tests and tools call this for the records themselves.
 pub fn dependence_list(vars: &VarTable, region: &LoopStmt, table: &RefTable) -> Vec<Dependence> {
     let pairing = Pairing::new(vars, region, table);
+    // Each partition's members, and its writes, in table order. A site
+    // pairs with every member when it writes and with the writes when it
+    // reads — exactly the same-variable pairs with at least one write.
+    let mut members: Vec<Vec<usize>> = vec![Vec::new(); pairing.groups.len()];
+    let mut writes = members.clone();
+    for (i, p) in pairing.sites.iter().enumerate() {
+        members[p.group as usize].push(i);
+        if p.write {
+            writes[p.group as usize].push(i);
+        }
+    }
     let mut verdicts: HashMap<MemoKey, Verdict> = HashMap::new();
     let mut scratch = Scratch::default();
     let mut deps = Vec::new();
     for (a_idx, a) in pairing.sites.iter().enumerate() {
-        for &b_idx in pairing.partners(a) {
-            let b = &pairing.sites[b_idx as usize];
+        let partners = if a.write { &members } else { &writes };
+        for &b_idx in &partners[a.group as usize] {
+            let b = &pairing.sites[b_idx];
             let verdict = *verdicts
                 .entry((a.sig, b.sig, a.order < b.order))
-                .or_insert_with(|| pairing.verdict(a_idx, b_idx as usize, &mut scratch));
+                .or_insert_with(|| pairing.verdict(a_idx, b_idx, &mut scratch));
             let kind = match (a.write, b.write) {
                 (true, false) => DepKind::Flow,
                 (false, true) => DepKind::Anti,
@@ -376,21 +436,24 @@ pub fn dependence_list(vars: &VarTable, region: &LoopStmt, table: &RefTable) -> 
 }
 
 /// What [`DependenceSet::analyze`] and [`dependence_list`] share: the
-/// pairable sites in table order, partitioned by base variable, with each
-/// site's access signature interned into the flat arena of per-signature
-/// facts, and the pair tester.
+/// pairable sites in table order, partitioned by base variable and each
+/// partition split into runs of one access signature, the per-signature
+/// facts of the pair tester, and the tester itself.
 struct Pairing<'a> {
     tester: Tester<'a>,
-    sites: Vec<PairSite>,
-    /// The table entry of each of `sites`.
-    refs: Vec<&'a RefSite>,
+    sites: Vec<PairSite<'a>>,
+    /// Per partition, its range of `runs`.
     groups: Vec<VarGroup>,
+    runs: Vec<Run>,
+    /// The runs' members, run after run, each run's members by site order.
+    members: Vec<Member>,
     /// Per distinct signature, the tester's precomputed site facts.
-    pre: Vec<SitePre>,
+    pre: SigArena,
 }
 
 /// What the pair loops read of one pairable site.
-struct PairSite {
+struct PairSite<'a> {
+    site: &'a RefSite,
     id: RefId,
     order: u32,
     /// Interned access signature.
@@ -400,130 +463,175 @@ struct PairSite {
     write: bool,
 }
 
+/// A member of a run: a pairable site's order, index into the pairable
+/// sites and id.
+#[derive(Clone, Copy)]
+struct Member {
+    order: u32,
+    site: u32,
+    id: RefId,
+}
+
+/// One partition's runs, `runs[start..end]`: its write runs first, up to
+/// `writes_end`. (A variable with no write never produces a dependence
+/// and gets no partition.)
+#[derive(Clone, Copy)]
+struct VarGroup {
+    start: u32,
+    writes_end: u32,
+    end: u32,
+}
+
+/// The members of one partition that share one access signature,
+/// `members[start..end]`. The signature records the access kind, so a run
+/// is all writes or all reads.
+struct Run {
+    sig: u32,
+    write: bool,
+    start: u32,
+    end: u32,
+    /// Site order is table order among the members, as in every table
+    /// `RefTable::collect` builds.
+    in_table_order: bool,
+}
+
 impl<'a> Pairing<'a> {
     fn new(vars: &'a VarTable, region: &'a LoopStmt, table: &'a RefTable) -> Self {
         let sites = table.sites();
 
-        // --- Partition sites by base variable (in table order). Only
-        // partitions of a data variable with at least one write site can
-        // produce a dependence; every other site — notably the giant
-        // blocks' read-only coefficient arrays — skips pairing, signature
-        // interning and the bounds walk entirely. The pairable sites are
-        // gathered in table order; partitions list them by that index.
-        // Per variable id: its index into `counts` in first-seen order, or
-        // `u32::MAX` while unseen.
+        // --- Partition sites by base variable. Only a data variable with
+        // at least one write site can produce a dependence; every other
+        // site — notably the giant blocks' read-only coefficient arrays —
+        // skips pairing, signature interning and the bounds walk entirely.
+        // Per variable id: its partition, numbered in order of first
+        // write, or `u32::MAX` when it has none.
         let mut group_of: Vec<u32> = vec![u32::MAX; vars.len()];
-        // Per variable: (members, writes).
-        let mut counts: Vec<(u32, u32)> = Vec::new();
-        let site_var: Vec<Option<u32>> = sites
-            .iter()
-            .map(|s| {
-                if !vars.kind(s.var).is_data() {
-                    return None;
+        let mut groups = 0;
+        for s in sites {
+            if s.access == AccessKind::Write && vars.kind(s.var).is_data() {
+                let group = &mut group_of[s.var.index()];
+                if *group == u32::MAX {
+                    *group = groups;
+                    groups += 1;
                 }
-                let slot = &mut group_of[s.var.index()];
-                if *slot == u32::MAX {
-                    *slot = counts.len() as u32;
-                    counts.push((0, 0));
-                }
-                let v = *slot;
-                let count = &mut counts[v as usize];
-                count.0 += 1;
-                count.1 += (s.access == AccessKind::Write) as u32;
-                Some(v)
-            })
-            .collect();
-        let with_writes = counts.iter().filter(|c| c.1 > 0);
-        let mut groups: Vec<VarGroup> = Vec::with_capacity(with_writes.clone().count());
-        let pairable = with_writes.map(|c| c.0 as usize).sum();
-        let mut pair_sites: Vec<PairSite> = Vec::with_capacity(pairable);
-        let mut refs: Vec<&RefSite> = Vec::with_capacity(pairable);
-        // Per variable: its partition, when it has a write.
-        let partition: Vec<Option<u32>> = counts
-            .iter()
-            .map(|&(members, writes)| {
-                (writes > 0).then(|| {
-                    groups.push(VarGroup {
-                        members: Vec::with_capacity(members as usize),
-                        writes: Vec::with_capacity(writes as usize),
-                    });
-                    groups.len() as u32 - 1
-                })
-            })
-            .collect();
-        for (s, v) in sites.iter().zip(site_var) {
-            let Some(group) = v.and_then(|v| partition[v as usize]) else {
-                continue;
-            };
-            let p = pair_sites.len() as u32;
-            let write = s.access == AccessKind::Write;
-            groups[group as usize].members.push(p);
-            if write {
-                groups[group as usize].writes.push(p);
             }
-            pair_sites.push(PairSite {
-                id: s.id,
-                order: u32::try_from(s.order).expect("site orders fit in u32"),
-                sig: 0,
-                group,
-                write,
-            });
-            refs.push(s);
         }
 
-        // --- Flat site-arena pass: intern each pairable site's access
-        // signature into a dedup table and precompute, once per *distinct
-        // signature*, what the tester used to recompute per pair per level
-        // — the `IndexBounds` walk and the parameter-folded affine view of
-        // each subscript. (Sites with equal signatures have identical loop
-        // nests and subscripts, so they share one arena entry: a giant
-        // block's hundreds of same-shape references pay for one walk.)
-        let mut interner: HashMap<Vec<i64>, u32> = HashMap::new();
-        let mut tokens: Vec<i64> = Vec::new();
-        let mut pre: Vec<SitePre> = Vec::new();
-        for (p, s) in pair_sites.iter_mut().zip(&refs) {
-            signature_tokens(s, &mut tokens);
-            p.sig = match interner.get(tokens.as_slice()) {
-                Some(&id) => id,
-                None => {
-                    let id = interner.len() as u32;
-                    interner.insert(tokens.clone(), id);
-                    pre.push(SitePre::new(vars, region, s));
-                    id
-                }
+        // --- Gather the pairable sites in table order, interning each
+        // one's access signature and precomputing, once per *distinct
+        // signature*, what the tester would otherwise recompute per pair
+        // per level — the `IndexBounds` walk and the parameter-folded
+        // affine view of each subscript. (Sites with equal signatures have
+        // identical loop nests and subscripts, so they share one arena
+        // entry: a giant block's hundreds of same-shape references pay for
+        // one walk.)
+        let pairable = sites.iter().filter(|s| group_of[s.var.index()] != u32::MAX);
+        let mut pair_sites: Vec<PairSite> = Vec::with_capacity(pairable.clone().count());
+        let mut interner = Interner::with_capacity(pair_sites.capacity());
+        let mut pre = SigArena::default();
+        for s in pairable {
+            let signature = |t: &mut Vec<i64>| {
+                signature_tokens(s, t);
+                true
             };
+            let (sig, new) = interner
+                .intern_with(signature)
+                .expect("a site has a signature");
+            if new {
+                pre.push(vars, region, s);
+            }
+            pair_sites.push(PairSite {
+                site: s,
+                id: s.id,
+                order: u32::try_from(s.order).expect("site orders fit in u32"),
+                sig,
+                group: group_of[s.var.index()],
+                write: s.access == AccessKind::Write,
+            });
+        }
+
+        // --- Split each partition into runs, write runs first, each run's
+        // members by site order. One sort of packed keys: the run (the
+        // partition, reads after writes, the signature), then the site
+        // order and the member. Partitions are numbered densely and each
+        // has a member, so the sorted keys meet them in number order.
+        assert!(groups < 1 << 31, "partition numbers fit in 31 bits");
+        let mut keys: Vec<(u64, u64)> = pair_sites
+            .iter()
+            .enumerate()
+            .map(|(i, p)| {
+                let run = u64::from(p.group) << 33 | u64::from(!p.write) << 32 | u64::from(p.sig);
+                (run, u64::from(p.order) << 32 | i as u64)
+            })
+            .collect();
+        keys.sort_unstable();
+        let members: Vec<Member> = keys
+            .iter()
+            .map(|&(_, m)| {
+                let site = m as u32;
+                let id = pair_sites[site as usize].id;
+                let order = (m >> 32) as u32;
+                Member { order, site, id }
+            })
+            .collect();
+        let mut var_groups: Vec<VarGroup> = Vec::with_capacity(groups as usize);
+        let mut runs: Vec<Run> = Vec::new();
+        let mut start = 0;
+        while start < keys.len() {
+            let run = keys[start].0;
+            let end = start + keys[start..].iter().take_while(|k| k.0 == run).count();
+            let first = &pair_sites[members[start].site as usize];
+            let r = runs.len() as u32;
+            if var_groups.len() == first.group as usize {
+                var_groups.push(VarGroup {
+                    start: r,
+                    writes_end: r,
+                    end: r,
+                });
+            }
+            let group = var_groups.last_mut().expect("the run's partition");
+            group.end = r + 1;
+            if first.write {
+                group.writes_end = r + 1;
+            }
+            runs.push(Run {
+                sig: first.sig,
+                write: first.write,
+                start: start as u32,
+                end: end as u32,
+                in_table_order: members[start..end]
+                    .windows(2)
+                    .all(|w| w[0].site < w[1].site),
+            });
+            start = end;
         }
         Pairing {
             tester: Tester::new(vars, region),
             sites: pair_sites,
-            refs,
-            groups,
+            groups: var_groups,
+            runs,
+            members,
             pre,
         }
     }
 
-    /// The sites `x` pairs with, in table order: every member of its
-    /// partition when `x` writes, the partition's writes when it reads —
-    /// exactly the same-variable pairs with at least one write. The rule
-    /// is symmetric (`y` is a partner of `x` exactly when `x` is one of
-    /// `y`), so it yields a sink's sources as well as a source's sinks.
-    fn partners(&self, x: &PairSite) -> &[u32] {
-        let group = &self.groups[x.group as usize];
-        if x.write {
-            &group.members
-        } else {
-            &group.writes
-        }
+    /// The runs `x` pairs with: every run of its partition when `x`
+    /// writes, the partition's write runs when it reads — exactly the
+    /// same-variable pairs with at least one write. The rule is symmetric
+    /// (`y` is a partner of `x` exactly when `x` is one of `y`), so it
+    /// yields a sink's sources as well as a source's sinks.
+    fn partner_runs(&self, x: &PairSite) -> &[Run] {
+        let group = self.groups[x.group as usize];
+        let end = if x.write { group.end } else { group.writes_end };
+        &self.runs[group.start as usize..end as usize]
     }
 
     /// The verdict for source `sites[a]` and sink `sites[b]`.
     fn verdict(&self, a: usize, b: usize, scratch: &mut Scratch) -> Verdict {
-        let (pa, pb) = (
-            &self.pre[self.sites[a].sig as usize],
-            &self.pre[self.sites[b].sig as usize],
-        );
+        let (a, b) = (&self.sites[a], &self.sites[b]);
+        let (pa, pb) = (self.pre.get(a.sig), self.pre.get(b.sig));
         self.tester
-            .test_pair_verdict(self.refs[a], self.refs[b], pa, pb, scratch)
+            .test_pair_verdict(a.site, b.site, pa, pb, scratch)
     }
 }
 
@@ -608,65 +716,125 @@ impl MemoTable {
     }
 }
 
-/// Per-variable partition of the pairable sites: member indices in table
-/// order, and the write members among them (a variable with no write
-/// never produces a dependence and gets no partition).
+/// Per distinct signature, what the pair tester reads of its sites, in
+/// flat vectors shared by all signatures: the interval of each enclosing
+/// inner loop's index after the site's bounds walk, and each subscript
+/// split by loop position (`None` for an indirect subscript, which stays
+/// conservatively may-dependent).
 #[derive(Default)]
-struct VarGroup {
-    members: Vec<u32>,
-    writes: Vec<u32>,
-}
-
-/// Per-site precomputed facts (the flat site arena): the per-site bounds
-/// walk and each subscript split by loop position (`None` for indirect
-/// subscripts, which stay conservatively may-dependent).
-struct SitePre {
-    bounds: IndexBounds,
-    subs: Vec<Option<DimPre>>,
+struct SigArena {
+    /// Per signature, its ranges of `bounds` and `dims`.
+    sigs: Vec<(Range<u32>, Range<u32>)>,
+    /// Per signature, one interval per enclosing inner loop, outermost
+    /// first (`None` where the bounds walk could not evaluate it).
+    bounds: Vec<Option<(i64, i64)>>,
+    /// Per signature, one entry per subscript.
+    dims: Vec<Option<DimPre>>,
+    /// Per affine subscript, one coefficient per loop position.
+    by_pos: Vec<i64>,
+    /// Per affine subscript, its terms over variables that index no
+    /// enclosing loop, sorted by variable.
+    program: Vec<(VarId, i64)>,
+    /// The bounds walk, reused from signature to signature.
+    walk: IndexBounds,
 }
 
 /// One parameter-folded affine subscript,
 /// `constant + Σ by_pos[p]·index(p) + Σ program`, where loop position 0 is
 /// the region loop and position `p` is the site's `loops[p - 1]`. An index
 /// variable re-bound by an inner loop of the same nest belongs to its
-/// innermost position, the binding the tester's substitution sees.
+/// innermost position, the binding the tester's substitution sees. The
+/// ranges index [`SigArena`]'s vectors.
 struct DimPre {
     constant: i64,
-    by_pos: Vec<i64>,
-    /// Terms over variables that index no enclosing loop, sorted by
-    /// variable.
-    program: Vec<(VarId, i64)>,
+    by_pos: Range<u32>,
+    program: Range<u32>,
 }
 
-impl SitePre {
-    fn new(vars: &VarTable, region: &LoopStmt, s: &RefSite) -> Self {
-        let positions: Vec<VarId> = std::iter::once(region.index)
-            .chain(s.loops.iter().map(|l| l.index))
-            .collect();
-        let subs = s
-            .reference
-            .subs
-            .iter()
-            .map(|sub| {
-                let folded = sub.as_affine()?.substitute_params(&|v| vars.param_value(v));
-                let mut dim = DimPre {
-                    constant: folded.constant,
-                    by_pos: vec![0; positions.len()],
-                    program: Vec::new(),
-                };
-                for &(v, c) in &folded.terms {
-                    match positions.iter().rposition(|&p| p == v) {
-                        Some(p) => dim.by_pos[p] = c,
-                        None => dim.program.push((v, c)),
+/// One signature's facts in a [`SigArena`], as the pair tester reads them.
+#[derive(Clone, Copy)]
+struct SitePre<'p> {
+    /// Per enclosing inner loop, its index's interval.
+    bounds: &'p [Option<(i64, i64)>],
+    /// Per subscript.
+    dims: &'p [Option<DimPre>],
+    arena: &'p SigArena,
+}
+
+impl SitePre<'_> {
+    fn by_pos(&self, dim: &DimPre) -> &[i64] {
+        &self.arena.by_pos[dim.by_pos.start as usize..dim.by_pos.end as usize]
+    }
+
+    fn program(&self, dim: &DimPre) -> &[(VarId, i64)] {
+        &self.arena.program[dim.program.start as usize..dim.program.end as usize]
+    }
+}
+
+impl SigArena {
+    /// Appends the facts of `s`'s signature; they are
+    /// `get(len() - 1)` after.
+    fn push(&mut self, vars: &VarTable, region: &LoopStmt, s: &RefSite) {
+        let arena_len = |len: usize| u32::try_from(len).expect("arena fits in u32");
+        self.walk.reset_to_site(vars, region, &s.loops);
+        let bounds_start = arena_len(self.bounds.len());
+        let walk = &self.walk;
+        self.bounds
+            .extend(s.loops.iter().map(|l| walk.get(l.index)));
+        let dims_start = arena_len(self.dims.len());
+        let positions = s.loops.len() + 1;
+        for sub in &s.reference.subs {
+            let dim = sub.as_affine().map(|e| {
+                let by_pos = self.by_pos.len();
+                self.by_pos.resize(by_pos + positions, 0);
+                let program = arena_len(self.program.len());
+                let mut constant = e.constant;
+                for &(v, c) in &e.terms {
+                    if let Some(value) = vars.param_value(v) {
+                        constant += c * value;
+                    } else if let Some(p) = loop_position(region, &s.loops, v) {
+                        self.by_pos[by_pos + p] = c;
+                    } else {
+                        self.program.push((v, c));
                     }
                 }
-                Some(dim)
-            })
-            .collect();
-        SitePre {
-            bounds: IndexBounds::for_site(vars, region, &s.loops),
-            subs,
+                DimPre {
+                    constant,
+                    by_pos: arena_len(by_pos)..arena_len(by_pos + positions),
+                    program: program..arena_len(self.program.len()),
+                }
+            });
+            self.dims.push(dim);
         }
+        self.sigs.push((
+            bounds_start..arena_len(self.bounds.len()),
+            dims_start..arena_len(self.dims.len()),
+        ));
+    }
+
+    /// The number of signatures.
+    fn len(&self) -> usize {
+        self.sigs.len()
+    }
+
+    /// The facts of signature `sig`.
+    fn get(&self, sig: u32) -> SitePre<'_> {
+        let (bounds, dims) = &self.sigs[sig as usize];
+        SitePre {
+            bounds: &self.bounds[bounds.start as usize..bounds.end as usize],
+            dims: &self.dims[dims.start as usize..dims.end as usize],
+            arena: self,
+        }
+    }
+}
+
+/// The loop position `v` indexes for a site nested in `loops` inside
+/// `region`: 0 for the region loop, `p` for `loops[p - 1]`, the innermost
+/// where an index is re-bound; `None` for any other variable.
+fn loop_position(region: &LoopStmt, loops: &[LoopContext], v: VarId) -> Option<usize> {
+    match loops.iter().rposition(|l| l.index == v) {
+        Some(p) => Some(p + 1),
+        None => (region.index == v).then_some(0),
     }
 }
 
@@ -679,8 +847,8 @@ struct Verdict {
     intra: bool,
 }
 
-/// Serializes everything the hierarchical tester reads from one site into
-/// an internable token stream: access kind, guard context, the
+/// Appends everything the hierarchical tester reads from one site to `t`
+/// as an internable token stream: access kind, guard context, the
 /// enclosing-loop vector (loop identity, index variable, affine bounds,
 /// step) and each subscript's affine coefficient vector (indirect
 /// subscripts contribute a bare marker — the tester never looks inside
@@ -696,7 +864,6 @@ fn signature_tokens(s: &RefSite, t: &mut Vec<i64>) {
             t.push(c);
         }
     }
-    t.clear();
     t.push((s.access == AccessKind::Write) as i64);
     t.push(s.conditional as i64);
     t.push(s.loops.len() as i64);
@@ -720,8 +887,8 @@ fn signature_tokens(s: &RefSite, t: &mut Vec<i64>) {
 }
 
 /// Internal: hierarchical dependence tester for one region. Parameter
-/// folding happens in the site arena ([`SitePre`]), so the tester only
-/// needs the region loop and its bounds.
+/// folding happens in the signature arena ([`SigArena`]), so the tester
+/// only needs the region loop and its bounds.
 struct Tester<'a> {
     region: &'a LoopStmt,
     region_bounds: IndexBounds,
@@ -791,8 +958,8 @@ impl<'a> Tester<'a> {
         &self,
         a: &RefSite,
         b: &RefSite,
-        pa: &SitePre,
-        pb: &SitePre,
+        pa: SitePre,
+        pb: SitePre,
         scratch: &mut Scratch,
     ) -> Verdict {
         // Common inner loops: the longest common prefix of the two nests
@@ -841,8 +1008,8 @@ impl<'a> Tester<'a> {
         &self,
         a: &RefSite,
         b: &RefSite,
-        pa: &SitePre,
-        pb: &SitePre,
+        pa: SitePre,
+        pb: SitePre,
         common: usize,
         level: usize,
         scratch: &mut Scratch,
@@ -859,9 +1026,10 @@ impl<'a> Tester<'a> {
                 let bounds = self.region_bounds.get(self.region.index);
                 (bounds.unwrap_or(UNBOUNDED), self.region.step)
             } else {
-                let l = &a.loops[pos - 1];
-                let bounds = pa.bounds.get(l.index).or_else(|| pb.bounds.get(l.index));
-                (bounds.unwrap_or(UNBOUNDED), l.step)
+                // A common loop is one statement, at this position in both
+                // sites' nests.
+                let bounds = pa.bounds[pos - 1].or(pb.bounds[pos - 1]);
+                (bounds.unwrap_or(UNBOUNDED), a.loops[pos - 1].step)
             };
             let relation = match pos.cmp(&level) {
                 std::cmp::Ordering::Less => LevelRelation::Equal,
@@ -895,12 +1063,12 @@ impl<'a> Tester<'a> {
             }
         }
         // Non-common inner loops: always independent.
-        for l in &a.loops[common..] {
-            let m = scratch.meta(pa.bounds.get(l.index).unwrap_or(UNBOUNDED));
+        for bounds in &pa.bounds[common..] {
+            let m = scratch.meta(bounds.unwrap_or(UNBOUNDED));
             scratch.src.push(m);
         }
-        for l in &b.loops[common..] {
-            let m = scratch.meta(pb.bounds.get(l.index).unwrap_or(UNBOUNDED));
+        for bounds in &pb.bounds[common..] {
+            let m = scratch.meta(bounds.unwrap_or(UNBOUNDED));
             scratch.sink.push((m, None));
         }
 
@@ -917,7 +1085,7 @@ impl<'a> Tester<'a> {
         }
 
         let mut exact_distance: Option<i64> = None;
-        for (sa, sb) in pa.subs.iter().zip(&pb.subs) {
+        for (sa, sb) in pa.dims.iter().zip(pb.dims) {
             let (Some(da), Some(db)) = (sa, sb) else {
                 // An indirect subscript: may-dependent in this dimension.
                 continue;
@@ -931,16 +1099,16 @@ impl<'a> Tester<'a> {
             } = &mut *scratch;
             row.clear();
             row.resize(metas.len(), 0);
-            for (&m, &c) in src.iter().zip(&da.by_pos) {
+            for (&m, &c) in src.iter().zip(pa.by_pos(da)) {
                 row[m] += c;
             }
-            for (&(m, carried), &c) in sink.iter().zip(&db.by_pos) {
+            for (&(m, carried), &c) in sink.iter().zip(pb.by_pos(db)) {
                 row[m] -= c;
                 if let Some((t, step)) = carried {
                     row[t] -= step * c;
                 }
             }
-            merge_difference(&da.program, &db.program, program);
+            merge_difference(pa.program(da), pb.program(db), program);
             match feasible(da.constant - db.constant, program, row, metas) {
                 Feasibility::Infeasible => return None,
                 Feasibility::Feasible => {}
@@ -1584,6 +1752,79 @@ mod tests {
         assert!(!reference.is_empty());
     }
 
+    /// The facts pass splits each partner run at the sink's site order,
+    /// which a hand-built table need not keep in step with table position.
+    /// Here orders fall and rise along the table, ids are out of table
+    /// order, `a`'s partition holds two write runs and three read runs, and
+    /// every write is its own partner. The set must equal the facts of the
+    /// unpruned pair loop, every sink's sources in table order.
+    #[test]
+    fn run_split_matches_the_pair_loop_on_a_hand_built_table() {
+        use refidem_ir::expr::{Reference, Subscript};
+        use refidem_ir::ids::StmtId;
+        use AccessKind::{Read, Write};
+        let mut b = ProcBuilder::new("runs");
+        let a = b.array("a", &[16]);
+        let t = b.scalar("t");
+        let k = b.index("k");
+        let Stmt::Loop(region) = b.do_loop_labeled("R", k, ac(1), ac(10), vec![]) else {
+            unreachable!("a loop")
+        };
+        // (id, variable, access, order, subscript: `a(k + c)`, or `a(1)`
+        // for `None`; `t` takes none).
+        let a_k = Some(Some(0));
+        let a_k1 = Some(Some(-1));
+        let a_1 = Some(None);
+        let rows = [
+            (12, t, Write, 6, None),
+            (3, a, Write, 2, a_k),
+            (7, t, Read, 11, None),
+            (20, a, Read, 0, a_k1),
+            (5, t, Write, 1, None),
+            (9, a, Write, 8, a_1),
+            (1, a, Read, 10, a_k),
+            (15, t, Read, 3, None),
+            (30, a, Write, 4, a_k),
+            (2, a, Read, 7, a_k1),
+            (11, t, Write, 9, None),
+            (40, a, Read, 5, a_1),
+        ];
+        let mut table = RefTable::default();
+        for (id, var, access, order, sub) in rows {
+            let subs = match sub {
+                None => vec![],
+                Some(Some(c)) => vec![Subscript::Affine(av(k) + ac(c))],
+                Some(None) => vec![Subscript::Affine(ac(1))],
+            };
+            table.push(RefSite {
+                id: RefId(id),
+                var,
+                access,
+                stmt: StmtId(order as u32),
+                order,
+                conditional: false,
+                loops: vec![],
+                reference: Reference {
+                    id: RefId(id),
+                    var,
+                    subs,
+                },
+            });
+        }
+        assert_matches_reference(b.vars(), &region, &table);
+        let deps = DependenceSet::analyze(b.vars(), &region, &table);
+        let ids = |ids: &[u32]| ids.iter().copied().map(RefId).collect::<Vec<_>>();
+        // `t`'s writes by site order are 5, 12, 11; by table order 12, 5, 11.
+        assert_eq!(deps.intra_sources(RefId(7)), ids(&[12, 5, 11]));
+        // `a(k)` read: both `a(k)` writes and the `a(1)` write, merged.
+        assert_eq!(deps.intra_sources(RefId(1)), ids(&[3, 9, 30]));
+        let position = |r: &RefId| table.sites().iter().position(|s| s.id == *r);
+        for s in table.sites() {
+            let at: Vec<_> = deps.intra_sources(s.id).iter().map(position).collect();
+            assert!(at.windows(2).all(|w| w[0] < w[1]), "{}: {at:?}", s.id);
+        }
+    }
+
     /// The analyzed set keeps its intra-segment sources without the slack
     /// of the vector that collected them.
     #[test]
@@ -1622,6 +1863,7 @@ mod tests {
             .sites()
             .iter()
             .map(|s| {
+                tokens.clear();
                 signature_tokens(s, &mut tokens);
                 tokens.clone()
             })
@@ -1716,10 +1958,11 @@ mod tests {
                 let vars = &proc.vars;
                 let tester = Tester::new(vars, region);
                 let sites = table.sites();
-                let dense: Vec<SitePre> = sites
-                    .iter()
-                    .map(|s| SitePre::new(vars, region, s))
-                    .collect();
+                // One arena entry per site, uninterned.
+                let mut dense = SigArena::default();
+                for s in sites {
+                    dense.push(vars, region, s);
+                }
                 let refs: Vec<reference::SitePre> = sites
                     .iter()
                     .map(|s| reference::SitePre::new(vars, region, s))
@@ -1728,6 +1971,7 @@ mod tests {
                 let sigs: Vec<Vec<i64>> = sites
                     .iter()
                     .map(|s| {
+                        tokens.clear();
                         signature_tokens(s, &mut tokens);
                         tokens.clone()
                     })
@@ -1742,8 +1986,8 @@ mod tests {
                         {
                             continue;
                         }
-                        let got =
-                            tester.test_pair_verdict(a, b, &dense[i], &dense[j], &mut scratch);
+                        let (pa, pb) = (dense.get(i as u32), dense.get(j as u32));
+                        let got = tester.test_pair_verdict(a, b, pa, pb, &mut scratch);
                         let want = *expected
                             .entry((&sigs[i], &sigs[j], a.order < b.order))
                             .or_insert_with(|| {

@@ -33,6 +33,7 @@
 pub mod bounds;
 pub mod classify;
 pub mod depend;
+mod intern;
 pub mod liveness;
 pub mod region;
 pub mod schedule;

@@ -9,10 +9,23 @@
 //! A variable is live at the exit of a region if the code following the
 //! region (within the same procedure) has an upward-exposed read of it, or
 //! if it is listed in the procedure's `live_out` set (a program output).
+//!
+//! Within a region analysis the live-out set has one reader,
+//! [`VarClassification::classify`], and it asks only whether each
+//! *private candidate* — a written, address-precise variable with no
+//! exposed read in the body — is live. (RFW for a loop region reads the
+//! body summary alone.) So `RegionAnalysis::analyze` asks `live_among`
+//! for its candidates only, and not at all when it has none: a program
+//! output is live without a walk, and the code after the region is walked
+//! for the remaining candidates only. [`region_live_out`] answers through
+//! the same walk for every variable.
+//!
+//! [`VarClassification::classify`]: crate::classify::VarClassification::classify
 
-use crate::summary::BodySummary;
+use crate::summary::exposed_vars;
 use refidem_ir::ids::VarId;
 use refidem_ir::program::Procedure;
+use refidem_ir::stmt::Stmt;
 use std::collections::BTreeSet;
 
 /// Computes the set of variables live at the exit of the labeled region.
@@ -21,10 +34,26 @@ use std::collections::BTreeSet;
 /// procedure.
 pub fn region_live_out(proc: &Procedure, region_label: &str) -> Option<BTreeSet<VarId>> {
     let (_before, _loop, after) = proc.split_at_loop(region_label)?;
-    let after_summary = BodySummary::analyze(&proc.vars, None, after);
-    let mut live: BTreeSet<VarId> = after_summary.exposed_read_vars();
-    live.extend(proc.live_out.iter().copied());
-    Some(live)
+    Some(live_among(proc, after, |_| true))
+}
+
+/// The variables `wanted` selects that are live where the code `after`
+/// (the rest of `proc`'s body) begins: the selected program outputs, and
+/// the other selected variables `after` reads exposed.
+pub(crate) fn live_among(
+    proc: &Procedure,
+    after: &[Stmt],
+    wanted: impl Fn(VarId) -> bool,
+) -> BTreeSet<VarId> {
+    let mut live: BTreeSet<VarId> = proc
+        .live_out
+        .iter()
+        .copied()
+        .filter(|&v| wanted(v))
+        .collect();
+    let exposed = exposed_vars(&proc.vars, after, |v| wanted(v) && !live.contains(&v));
+    live.extend(exposed);
+    live
 }
 
 #[cfg(test)]

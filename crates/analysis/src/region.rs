@@ -17,12 +17,14 @@
 
 use crate::classify::{VarClass, VarClassification};
 use crate::depend::{self, Dependence, DependenceSet};
-use crate::liveness::region_live_out;
+use crate::liveness::live_among;
 use crate::summary::BodySummary;
+use refidem_ir::ids::VarId;
 use refidem_ir::program::{Procedure, Program, RegionSpec};
 use refidem_ir::sites::RefTable;
 use refidem_ir::stmt::{IfStmt, LoopStmt, Stmt};
 use std::borrow::Cow;
+use std::collections::BTreeSet;
 use std::sync::Arc;
 
 /// Errors produced while analyzing a region.
@@ -103,15 +105,21 @@ impl RegionAnalysis {
         if proc.find_loop(&spec.loop_label).is_none() {
             return Err(AnalysisError::RegionNotFound(spec.loop_label));
         }
-        let Some((_before, region, _after)) = proc.split_at_loop(&spec.loop_label) else {
+        let Some((_before, region, after)) = proc.split_at_loop(&spec.loop_label) else {
             return Err(AnalysisError::RegionNotTopLevel(spec.loop_label));
         };
         let view = segment_view(region);
         let table = RefTable::collect(&view);
         let summary = BodySummary::analyze(&proc.vars, Some(region), &view);
         let deps = DependenceSet::analyze(&proc.vars, region, &table);
-        let live_out =
-            region_live_out(proc, &spec.loop_label).expect("region is top-level (checked above)");
+        // Classification reads the live-out set for the private candidates
+        // only, so liveness is computed for them alone.
+        let candidates: Vec<VarId> = VarClassification::private_candidates(&summary).collect();
+        let live_out = if candidates.is_empty() {
+            BTreeSet::new()
+        } else {
+            live_among(proc, after, |v| candidates.binary_search(&v).is_ok())
+        };
         let classes = VarClassification::classify(&summary, &live_out);
         // A while region's trip count is data-dependent, so the region is
         // never "provably parallel": later segments may be discarded by an
@@ -240,6 +248,40 @@ mod tests {
         assert!(!analysis.fully_independent);
         assert!(analysis.compiler_parallelizable);
         assert_eq!(analysis.classes.class(t), VarClass::Private);
+    }
+
+    /// Liveness is computed for the private candidates only, but the walk
+    /// after the region still visits every statement: a candidate read
+    /// only inside another variable's subscript there stays live, so it
+    /// is shared, not private.
+    #[test]
+    fn candidate_read_in_a_later_subscript_stays_live() {
+        let mut b = ProcBuilder::new("main");
+        let x = b.array("x", &[8]);
+        let t = b.scalar("t");
+        let u = b.scalar("u");
+        let k = b.index("k");
+        b.live_out(&[x]);
+        // Region R writes t and u before any read: both are candidates.
+        let wt = b.assign_scalar(t, num(2.0));
+        let wu = b.assign_scalar(u, num(3.0));
+        let region = b.do_loop_labeled("R", k, ac(1), ac(4), vec![wt, wu]);
+        // After R: x(t) = 1 reads t only as x's subscript; u is dead.
+        let read_t = b.sref(t);
+        let sub = b.indirect(read_t);
+        let lhs = b.aref_subs(x, vec![sub]);
+        let after = b.assign(lhs, num(1.0));
+        let proc = b.build(vec![region, after]);
+        let mut p = Program::new("subscript");
+        p.add_procedure(proc);
+        let analysis = RegionAnalysis::analyze_labeled(&p, "R").unwrap();
+        assert_eq!(analysis.classes.class(t), VarClass::Shared);
+        assert_eq!(analysis.classes.class(u), VarClass::Private);
+        let live = crate::liveness::region_live_out(&p.procedures[0], "R").unwrap();
+        assert_eq!(
+            analysis.classes,
+            VarClassification::classify(&analysis.summary, &live)
+        );
     }
 
     /// The list is the analyzed loop's even when a nested loop that comes

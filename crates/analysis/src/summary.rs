@@ -27,14 +27,31 @@
 //! `do l = 1, 5` — the pattern the paper's private arrays exhibit.
 //! References with indirect (subscripted) subscripts are never covered and
 //! never cover anything, mirroring the paper's treatment of `K(E)`.
+//!
+//! ### Representation
+//!
+//! The walker keeps its per-variable state in dense vectors indexed by
+//! variable id. Locations are interned as token streams, so a location is
+//! a number; one sorted list holds the locations must-written on the
+//! current path (a location names its variable, so the list serves every
+//! variable), and an `IF` merge intersects the two branches' lists. Reads
+//! and writes are recorded in walk order and dealt out to their variables
+//! at the end, each variable's vectors allocated at their final size.
+//!
+//! Liveness asks only which variables the code after a region reads
+//! exposed, and only for some variables. Exposure of a variable depends on
+//! its own references and the control structure alone, so the liveness
+//! walk (`exposed_vars`) is this walk with every other variable untracked.
 
 use crate::bounds::{always_executes, IndexBounds};
+use crate::intern::Interner;
 use refidem_ir::affine::AffineExpr;
 use refidem_ir::expr::{Reference, Subscript};
 use refidem_ir::ids::{RefId, VarId};
 use refidem_ir::stmt::{LoopStmt, Stmt};
 use refidem_ir::var::VarTable;
-use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::collections::BTreeSet;
+use std::ops::Range;
 use std::sync::Arc;
 
 /// Facts about one write site gathered by the body walk.
@@ -92,16 +109,6 @@ pub struct VarSummary {
 }
 
 impl VarSummary {
-    /// A summary with no facts yet: vacuously all-precise until an
-    /// imprecise reference is recorded (NOT the `Default`, which is the
-    /// conservative all-false answer for unseen variables).
-    fn fresh() -> Self {
-        VarSummary {
-            all_precise: true,
-            ..Default::default()
-        }
-    }
-
     /// Algorithm 1 node reference type `Write`: the variable is defined on
     /// all paths through the segment without an exposed read.
     pub fn is_write_typed(&self) -> bool {
@@ -118,33 +125,37 @@ impl VarSummary {
 /// abstract segment).
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct BodySummary {
-    /// Shared, so copies of an analysis (cache hits) share one map.
-    per_var: Arc<BTreeMap<VarId, VarSummary>>,
+    /// The referenced variables' summaries, sorted by variable; shared, so
+    /// copies of an analysis (cache hits) share one list.
+    per_var: Arc<[(VarId, VarSummary)]>,
 }
 
 impl BodySummary {
     /// Summary of a variable ([`VarSummary::default`] when unreferenced).
     pub fn var(&self, v: VarId) -> VarSummary {
-        self.per_var.get(&v).cloned().unwrap_or_default()
+        match self.per_var.binary_search_by_key(&v, |&(w, _)| w) {
+            Ok(i) => self.per_var[i].1.clone(),
+            Err(_) => VarSummary::default(),
+        }
     }
 
-    /// Iterates over the referenced variables and their summaries.
+    /// Iterates over the referenced variables and their summaries, in
+    /// variable order.
     pub fn iter(&self) -> impl Iterator<Item = (VarId, &VarSummary)> {
         self.per_var.iter().map(|(v, s)| (*v, s))
     }
 
     /// Variables with at least one reference in the body.
     pub fn referenced_vars(&self) -> Vec<VarId> {
-        self.per_var.keys().copied().collect()
+        self.per_var.iter().map(|&(v, _)| v).collect()
     }
 
     /// Variables with at least one exposed (upward-exposed) read — the gen
     /// set of a backward liveness analysis over this body.
     pub fn exposed_read_vars(&self) -> BTreeSet<VarId> {
-        self.per_var
-            .iter()
+        self.iter()
             .filter(|(_, s)| !s.exposed_reads.is_empty())
-            .map(|(v, _)| *v)
+            .map(|(v, _)| v)
             .collect()
     }
 
@@ -153,8 +164,32 @@ impl BodySummary {
     /// summarizing code outside any region (e.g. the statements after a
     /// region for liveness purposes).
     pub fn analyze(vars: &VarTable, region: Option<&LoopStmt>, stmts: &[Stmt]) -> Self {
-        Walker::new(vars, region).summarize(stmts)
+        Walker::new(vars, region, |_| true).summarize(stmts)
     }
+}
+
+/// The variables `track` selects that `stmts`, code outside any region,
+/// read exposed: [`BodySummary::exposed_read_vars`] of
+/// `BodySummary::analyze(vars, None, stmts)`, restricted to them. The walk
+/// visits every statement (the control structure, the reads inside other
+/// variables' subscripts, a WHILE loop's continuation condition) but
+/// records references of the selected variables only, which changes no
+/// answer for them.
+pub(crate) fn exposed_vars(
+    vars: &VarTable,
+    stmts: &[Stmt],
+    track: impl Fn(VarId) -> bool,
+) -> BTreeSet<VarId> {
+    let mut walker = Walker::new(vars, None, track);
+    for s in stmts {
+        walker.walk_stmt(s);
+    }
+    // Exposure meets by union, so the final flow holds every exposed read.
+    let flags = walker.flow.flags.iter().enumerate();
+    flags
+        .filter(|&(_, &f)| f & EXPOSED != 0)
+        .map(|(v, _)| VarId::from_index(v))
+        .collect()
 }
 
 /// A canonical location descriptor — variable plus canonicalized
@@ -162,45 +197,82 @@ impl BodySummary {
 /// location exactly when their ids are equal.
 type LocId = u32;
 
-/// Path-sensitive state per variable (cloned and merged across `IF`
-/// branches).
-#[derive(Clone, Debug, Default)]
-struct FlowState {
-    /// Canonical locations must-written so far on every path.
-    must_locs: BTreeSet<LocId>,
-    /// An exposed read has occurred so far on some path.
-    exposed_so_far: bool,
-    /// The variable is must-written (by a precise write) on every path so
-    /// far.
-    must_written: bool,
+/// Flow flag: an exposed read of the variable has occurred so far on some
+/// path.
+const EXPOSED: u8 = 1;
+/// Flow flag: the variable is must-written (by a precise write) on every
+/// path so far.
+const MUST_WRITTEN: u8 = 2;
+
+/// Path-sensitive state (copied at an `IF` or WHILE loop and met after).
+#[derive(Debug, Default)]
+struct Flow {
+    /// Canonical locations must-written so far on every path, sorted.
+    must_locs: Vec<LocId>,
+    /// Per variable id: its [`EXPOSED`] and [`MUST_WRITTEN`] flags.
+    flags: Vec<u8>,
+}
+
+impl Flow {
+    /// What holds after two paths join: locations must-written on both,
+    /// exposure on either, must-written on both.
+    fn meet(&mut self, other: &Flow) {
+        self.must_locs
+            .retain(|loc| other.must_locs.binary_search(loc).is_ok());
+        for (f, &o) in self.flags.iter_mut().zip(&other.flags) {
+            *f = ((*f | o) & EXPOSED) | (*f & o & MUST_WRITTEN);
+        }
+    }
+}
+
+/// What the walk has recorded of one variable's references.
+#[derive(Clone, Copy, Debug, Default)]
+struct Seen {
+    /// The walk records the variable's references.
+    tracked: bool,
+    reads: u32,
+    exposed: u32,
+    writes: u32,
+    /// Some reference has an indirect subscript.
+    imprecise: bool,
+    /// The variable's index in the finished summary.
+    slot: usize,
+}
+
+/// One recorded reference: a read, or a write with its canonical location.
+#[derive(Debug)]
+enum Fact {
+    Read(ReadFacts),
+    Write(WriteFacts, Option<LocId>),
 }
 
 #[derive(Clone, Debug)]
 struct LoopLevel<'a> {
     stmt: &'a LoopStmt,
     always_executes: bool,
-    /// The loop's canonical name tokens: parameter-folded lower and upper
-    /// bounds, then the step (the stack position is added per use).
-    name: Vec<i64>,
+    /// The loop's canonical name tokens in the walker's `names`:
+    /// parameter-folded lower and upper bounds, then the step (the stack
+    /// position is added per use).
+    name: Range<usize>,
 }
 
 struct Walker<'a> {
     vars: &'a VarTable,
-    /// Append-only per-reference facts (each syntactic site is visited
-    /// exactly once).
-    facts: BTreeMap<VarId, VarSummary>,
-    /// Path-sensitive flow state.
-    flow: BTreeMap<VarId, FlowState>,
-    /// Canonical location of every write site (for the final
-    /// `location_must_written` resolution).
-    write_locs: BTreeMap<RefId, Option<LocId>>,
+    /// Per variable id.
+    seen: Vec<Seen>,
+    /// Every recorded reference with its variable, in walk order (each
+    /// syntactic site is visited exactly once).
+    facts: Vec<(VarId, Fact)>,
+    flow: Flow,
+    /// Flow copies the merges are done with, kept for the next one.
+    spare: Vec<Flow>,
     bounds: IndexBounds,
     loop_stack: Vec<LoopLevel<'a>>,
+    /// The loop levels' name tokens, level after level.
+    names: Vec<i64>,
     conditional_depth: usize,
-    /// The walk's interned canonical locations, keyed by token stream.
-    locs: HashMap<Vec<i64>, LocId>,
-    /// Reused buffer for the token stream of the location being named.
-    key: Vec<i64>,
+    /// The walk's interned canonical locations.
+    locs: Interner,
     /// Name locations with the `format!`-built strings of the reference
     /// canonicalizer instead of token streams.
     #[cfg(test)]
@@ -210,31 +282,51 @@ struct Walker<'a> {
 /// Appends a parameter-folded affine expression as tokens: constant, term
 /// count, then `(variable, coefficient)` pairs in variable order.
 fn push_folded(vars: &VarTable, e: &AffineExpr, key: &mut Vec<i64>) {
-    let folded = e.substitute_params(&|v| vars.param_value(v));
-    key.push(folded.constant);
-    key.push(folded.terms.len() as i64);
-    for &(v, c) in &folded.terms {
-        key.push(v.index() as i64);
-        key.push(c);
+    let at = key.len();
+    key.extend([0, 0]);
+    let (mut constant, mut terms) = (e.constant, 0);
+    for &(v, c) in &e.terms {
+        match vars.param_value(v) {
+            Some(value) => constant += c * value,
+            None => {
+                key.extend([v.index() as i64, c]);
+                terms += 1;
+            }
+        }
     }
+    key[at] = constant;
+    key[at + 1] = terms;
 }
 
 impl<'a> Walker<'a> {
-    fn new(vars: &'a VarTable, region: Option<&LoopStmt>) -> Self {
+    /// A walker recording the references of the data variables `track`
+    /// selects.
+    fn new(vars: &'a VarTable, region: Option<&LoopStmt>, track: impl Fn(VarId) -> bool) -> Self {
         let mut bounds = IndexBounds::new();
         if let Some(r) = region {
             bounds.enter_loop(vars, r.index, &r.lower, &r.upper, r.step);
         }
+        let seen = vars
+            .iter()
+            .map(|(v, info)| Seen {
+                tracked: info.kind.is_data() && track(v),
+                ..Seen::default()
+            })
+            .collect();
         Walker {
             vars,
-            facts: BTreeMap::new(),
-            flow: BTreeMap::new(),
-            write_locs: BTreeMap::new(),
+            seen,
+            facts: Vec::new(),
+            flow: Flow {
+                must_locs: Vec::new(),
+                flags: vec![0; vars.len()],
+            },
+            spare: Vec::new(),
             bounds,
             loop_stack: Vec::new(),
+            names: Vec::new(),
             conditional_depth: 0,
-            locs: HashMap::new(),
-            key: Vec::new(),
+            locs: Interner::default(),
             #[cfg(test)]
             string_names: false,
         }
@@ -244,25 +336,62 @@ impl<'a> Walker<'a> {
         for s in stmts {
             self.walk_stmt(s);
         }
-        // Finalize: copy the path-sensitive must facts into the summaries
-        // and resolve each write's `location_must_written` flag against the
-        // final must-location sets.
-        let mut per_var = self.facts;
-        for (v, flow) in &self.flow {
-            let entry = per_var.entry(*v).or_insert_with(VarSummary::fresh);
-            entry.must_written = flow.must_written;
-            for w in &mut entry.writes {
-                if let Some(Some(loc)) = self.write_locs.get(&w.id) {
-                    w.location_must_written = flow.must_locs.contains(loc);
+        // Finalize: one summary per referenced variable, in variable order,
+        // its vectors at their final size; the references dealt out in
+        // walk order, each write's `location_must_written` resolved against
+        // the final must-location list. (Collecting a counted range builds
+        // the shared list in place, without a vector to copy from.)
+        let referenced = self.seen.iter().filter(|s| s.reads + s.writes > 0);
+        let mut per_var: Arc<[(VarId, VarSummary)]> = (0..referenced.count())
+            .map(|_| (VarId::from_index(0), VarSummary::default()))
+            .collect();
+        let entries = Arc::get_mut(&mut per_var).expect("not shared yet");
+        let mut next = 0;
+        for (v, s) in self.seen.iter_mut().enumerate() {
+            if s.reads + s.writes == 0 {
+                continue;
+            }
+            s.slot = next;
+            next += 1;
+            let (reads, exposed, writes) =
+                (s.reads as usize, s.exposed as usize, s.writes as usize);
+            entries[s.slot] = (
+                VarId::from_index(v),
+                VarSummary {
+                    exposed_reads: Vec::with_capacity(exposed),
+                    covered_reads: Vec::with_capacity(reads - exposed),
+                    must_written: self.flow.flags[v] & MUST_WRITTEN != 0,
+                    has_write: writes > 0,
+                    has_read: reads > 0,
+                    all_precise: !s.imprecise,
+                    writes: Vec::with_capacity(writes),
+                    reads: Vec::with_capacity(reads),
+                },
+            );
+        }
+        let must_locs = &self.flow.must_locs;
+        for (v, fact) in self.facts {
+            let summary = &mut entries[self.seen[v.index()].slot].1;
+            match fact {
+                Fact::Read(read) => {
+                    if read.covered {
+                        summary.covered_reads.push(read.id);
+                    } else {
+                        summary.exposed_reads.push(read.id);
+                    }
+                    summary.reads.push(read);
+                }
+                Fact::Write(mut write, loc) => {
+                    write.location_must_written =
+                        loc.is_some_and(|loc| must_locs.binary_search(&loc).is_ok());
+                    summary.writes.push(write);
                 }
             }
         }
-        BodySummary {
-            per_var: Arc::new(per_var),
-        }
+        BodySummary { per_var }
     }
 
-    /// Writes `r`'s canonical location into `key` as a token stream; false
+    /// Appends `r`'s canonical location to `key` as a token stream; false
     /// for a reference with an indirect subscript, which has none. The
     /// stream is the variable, then per subscript its parameter-folded
     /// terms and constant. An inner-loop index is named by its loop's
@@ -274,7 +403,6 @@ impl<'a> Walker<'a> {
         if self.string_names {
             return reference::loc_key(self, r, key);
         }
-        key.clear();
         key.push(r.var.index() as i64);
         key.push(r.subs.len() as i64);
         for sub in &r.subs {
@@ -295,7 +423,7 @@ impl<'a> Walker<'a> {
                     Some(pos) => {
                         key.push(1);
                         key.push(pos as i64);
-                        key.extend_from_slice(&self.loop_stack[pos].name);
+                        key.extend_from_slice(&self.names[self.loop_stack[pos].name.clone()]);
                     }
                     None => {
                         key.push(0);
@@ -311,23 +439,16 @@ impl<'a> Walker<'a> {
 
     /// The id of `r`'s canonical location: interned when `intern`, else
     /// only looked up (`None` when no write named it yet, so it is in no
-    /// must-location set). `None` for indirect subscripts.
+    /// must-location list). `None` for indirect subscripts.
     fn loc_id(&mut self, r: &Reference, intern: bool) -> Option<LocId> {
-        let mut key = std::mem::take(&mut self.key);
-        let id = if self.loc_key(r, &mut key) {
-            match self.locs.get(key.as_slice()) {
-                Some(&id) => Some(id),
-                None if intern => {
-                    let id = self.locs.len() as LocId;
-                    self.locs.insert(key.clone(), id);
-                    Some(id)
-                }
-                None => None,
-            }
+        let mut locs = std::mem::take(&mut self.locs);
+        let key = |key: &mut Vec<i64>| self.loc_key(r, key);
+        let id = if intern {
+            locs.intern_with(key).map(|(id, _)| id)
         } else {
-            None
+            locs.get_with(key)
         };
-        self.key = key;
+        self.locs = locs;
         id
     }
 
@@ -346,81 +467,65 @@ impl<'a> Walker<'a> {
         })
     }
 
-    /// True when the reference executes on every path through the body:
-    /// not nested under an `IF` and guaranteed by its enclosing loops.
-    fn in_must_context(&self, r: &Reference) -> bool {
-        self.conditional_depth == 0 && self.loops_guarantee_execution(r)
-    }
-
-    fn facts_entry(&mut self, v: VarId) -> &mut VarSummary {
-        self.facts.entry(v).or_insert_with(VarSummary::fresh)
+    /// A copy of the current flow, in storage left by an earlier merge.
+    fn snapshot(&mut self) -> Flow {
+        let mut copy = self.spare.pop().unwrap_or_default();
+        copy.must_locs.clone_from(&self.flow.must_locs);
+        copy.flags.clone_from(&self.flow.flags);
+        copy
     }
 
     fn record_read_flat(&mut self, r: &Reference) {
-        if !self.vars.kind(r.var).is_data() {
+        let v = r.var.index();
+        if !self.seen[v].tracked {
             return;
         }
-        let precise = r.is_address_precise();
-        let may_be_covered = self
-            .flow
-            .get(&r.var)
-            .is_some_and(|f| !f.must_locs.is_empty());
-        let covered = may_be_covered
+        // Only a must-written variable has must-written locations.
+        let covered = self.flow.flags[v] & MUST_WRITTEN != 0
             && self
                 .loc_id(r, false)
-                .is_some_and(|loc| self.flow[&r.var].must_locs.contains(&loc));
-        let summary = self.facts_entry(r.var);
-        summary.has_read = true;
-        if !precise {
-            summary.all_precise = false;
-        }
-        if covered {
-            summary.covered_reads.push(r.id);
-        } else {
-            summary.exposed_reads.push(r.id);
-        }
-        summary.reads.push(ReadFacts { id: r.id, covered });
+                .is_some_and(|loc| self.flow.must_locs.binary_search(&loc).is_ok());
+        let seen = &mut self.seen[v];
+        seen.reads += 1;
+        seen.imprecise |= !r.is_address_precise();
         if !covered {
-            self.flow.entry(r.var).or_default().exposed_so_far = true;
+            seen.exposed += 1;
+            self.flow.flags[v] |= EXPOSED;
         }
+        self.facts
+            .push((r.var, Fact::Read(ReadFacts { id: r.id, covered })));
     }
 
     fn record_write(&mut self, r: &Reference) {
         for inner in r.indirect_reads() {
             self.record_read_flat(inner);
         }
-        if !self.vars.kind(r.var).is_data() {
+        let v = r.var.index();
+        if !self.seen[v].tracked {
             return;
         }
         let precise = r.is_address_precise();
-        let must_context = self.in_must_context(r);
+        // Conditionality is handled by the branch merge, so any write that
+        // its loops guarantee contributes to the path-local must facts.
         let on_path_guaranteed = self.loops_guarantee_execution(r);
         let loc = self.loc_id(r, true);
-        let preceded_by_exposed_read = self
-            .flow
-            .get(&r.var)
-            .map(|f| f.exposed_so_far)
-            .unwrap_or(false);
-        self.write_locs.insert(r.id, loc);
-        let summary = self.facts_entry(r.var);
-        summary.has_write = true;
-        if !precise {
-            summary.all_precise = false;
-        }
-        summary.writes.push(WriteFacts {
+        let seen = &mut self.seen[v];
+        seen.writes += 1;
+        seen.imprecise |= !precise;
+        let write = WriteFacts {
             id: r.id,
             precise,
-            must_context,
-            preceded_by_exposed_read,
+            must_context: self.conditional_depth == 0 && on_path_guaranteed,
+            preceded_by_exposed_read: self.flow.flags[v] & EXPOSED != 0,
             location_must_written: false, // resolved at finalization
-        });
-        // Path-local must facts: conditionality is handled by the branch
-        // merge, so any write that its loops guarantee contributes here.
+        };
+        self.facts.push((r.var, Fact::Write(write, loc)));
         if on_path_guaranteed && precise {
-            let flow = self.flow.entry(r.var).or_default();
-            flow.must_written = true;
+            self.flow.flags[v] |= MUST_WRITTEN;
             if let Some(loc) = loc {
-                flow.must_locs.insert(loc);
+                if let Err(at) = self.flow.must_locs.binary_search(&loc) {
+                    self.flow.must_locs.insert(at, loc);
+                }
             }
         }
     }
@@ -436,21 +541,21 @@ impl<'a> Walker<'a> {
             }
             Stmt::If(i) => {
                 i.cond.for_each_read(&mut |r| self.record_read_flat(r));
-                // Walk both branches from the pre-flow and merge: a location
+                // Walk both branches from the pre-flow and meet: a location
                 // is must-written after the IF only if it is must-written on
                 // both branches; exposure is the union.
-                let pre = self.flow.clone();
+                let pre = self.snapshot();
                 self.conditional_depth += 1;
                 for st in &i.then_branch {
                     self.walk_stmt(st);
                 }
-                let then_flow = std::mem::replace(&mut self.flow, pre.clone());
+                let then_flow = std::mem::replace(&mut self.flow, pre);
                 for st in &i.else_branch {
                     self.walk_stmt(st);
                 }
                 self.conditional_depth -= 1;
-                let else_flow = std::mem::replace(&mut self.flow, pre);
-                self.flow = merge_flows(then_flow, else_flow);
+                self.flow.meet(&then_flow);
+                self.spare.push(then_flow);
             }
             Stmt::Loop(l) => {
                 // A data-dependent continuation condition makes the loop a
@@ -463,58 +568,35 @@ impl<'a> Walker<'a> {
                     && always_executes(self.vars, &self.bounds, &l.lower, &l.upper, l.step);
                 self.bounds
                     .enter_loop(self.vars, l.index, &l.lower, &l.upper, l.step);
-                let mut name = Vec::new();
-                push_folded(self.vars, &l.lower, &mut name);
-                push_folded(self.vars, &l.upper, &mut name);
-                name.push(l.step);
+                let name = self.names.len();
+                push_folded(self.vars, &l.lower, &mut self.names);
+                push_folded(self.vars, &l.upper, &mut self.names);
+                self.names.push(l.step);
                 self.loop_stack.push(LoopLevel {
                     stmt: l,
                     always_executes: always,
-                    name,
+                    name: name..self.names.len(),
                 });
                 if let Some(cond) = &l.while_cond {
                     cond.for_each_read(&mut |r| self.record_read_flat(r));
-                    let pre = self.flow.clone();
+                    let pre = self.snapshot();
                     self.conditional_depth += 1;
                     for st in &l.body {
                         self.walk_stmt(st);
                     }
                     self.conditional_depth -= 1;
-                    let body_flow = std::mem::replace(&mut self.flow, pre.clone());
-                    self.flow = merge_flows(body_flow, pre);
+                    self.flow.meet(&pre);
+                    self.spare.push(pre);
                 } else {
                     for st in &l.body {
                         self.walk_stmt(st);
                     }
                 }
                 self.loop_stack.pop();
+                self.names.truncate(name);
             }
         }
     }
-}
-
-fn merge_flows(
-    then_flow: BTreeMap<VarId, FlowState>,
-    else_flow: BTreeMap<VarId, FlowState>,
-) -> BTreeMap<VarId, FlowState> {
-    let mut all_vars: BTreeSet<VarId> = BTreeSet::new();
-    all_vars.extend(then_flow.keys());
-    all_vars.extend(else_flow.keys());
-    let default = FlowState::default();
-    let mut out = BTreeMap::new();
-    for v in all_vars {
-        let t = then_flow.get(&v).unwrap_or(&default);
-        let e = else_flow.get(&v).unwrap_or(&default);
-        out.insert(
-            v,
-            FlowState {
-                must_locs: t.must_locs.intersection(&e.must_locs).copied().collect(),
-                exposed_so_far: t.exposed_so_far || e.exposed_so_far,
-                must_written: t.must_written && e.must_written,
-            },
-        );
-    }
-    out
 }
 
 /// The `format!`-built string canonicalizer, kept as the reference
@@ -550,7 +632,7 @@ mod reference {
         format!("{}+{}", folded.constant, rendered.join("+"))
     }
 
-    /// The string name of `r`'s location, as bytes in `key`.
+    /// The string name of `r`'s location, as bytes appended to `key`.
     pub(super) fn loc_key(w: &Walker<'_>, r: &Reference, key: &mut Vec<i64>) -> bool {
         let mut subs = Vec::with_capacity(r.subs.len());
         for s in &r.subs {
@@ -560,7 +642,6 @@ mod reference {
             }
         }
         let name = format!("{}[{}]", r.var, subs.join(";"));
-        key.clear();
         key.extend(name.bytes().map(i64::from));
         true
     }
@@ -572,7 +653,7 @@ mod reference {
         region: Option<&LoopStmt>,
         stmts: &[Stmt],
     ) -> super::BodySummary {
-        let mut walker = Walker::new(vars, region);
+        let mut walker = Walker::new(vars, region, |_| true);
         walker.string_names = true;
         walker.summarize(stmts)
     }

@@ -1,10 +1,12 @@
 //! Benchmarks of the compiler-side analyses — reference-table collection,
-//! dependence analysis, RFW analysis (Algorithm 1), idempotency labeling
-//! (Algorithm 2) — and of the sequential interpreter on both execution
-//! backends (`interp/*` measures the tree-walking oracle against the
-//! lowered bytecode engine).
+//! the body summary, dependence analysis, RFW analysis (Algorithm 1),
+//! idempotency labeling (Algorithm 2) — and of the sequential interpreter
+//! on both execution backends (`interp/*` measures the tree-walking oracle
+//! against the lowered bytecode engine).
 
+use refidem_analysis::depend::DependenceSet;
 use refidem_analysis::region::RegionAnalysis;
+use refidem_analysis::summary::BodySummary;
 use refidem_bench::microbench::Harness;
 use refidem_benchmarks::{all_named_loops, examples};
 use refidem_core::label::{label_abstract_region, label_region};
@@ -59,6 +61,48 @@ fn bench_ref_table(c: &mut Harness) {
         .body;
     group.bench_function("synthetic giant_block_128", |b| {
         b.iter(|| black_box(RefTable::collect(black_box(body))).len())
+    });
+    group.finish();
+}
+
+/// The body summary alone, on FPPPP's giant block and the synthetic one.
+fn bench_body_summary(c: &mut Harness) {
+    let mut group = c.benchmark_group("body_summary");
+    let twldrv = all_named_loops()
+        .into_iter()
+        .find(|bench| bench.name == "FPPPP TWLDRV_DO100")
+        .expect("the FPPPP giant block");
+    let (giant_program, giant_region) = giant_block_128();
+    let cases = [
+        (twldrv.name, &twldrv.program, &twldrv.region),
+        ("synthetic giant_block_128", &giant_program, &giant_region),
+    ];
+    for (name, program, spec) in cases {
+        let proc = &program.procedures[spec.proc.index()];
+        let region = proc.find_loop(&spec.loop_label).expect("region loop");
+        group.bench_function(name, |b| {
+            b.iter(|| {
+                let summary =
+                    BodySummary::analyze(&proc.vars, Some(region), black_box(&region.body));
+                black_box(summary.iter().count())
+            })
+        });
+    }
+    group.finish();
+}
+
+/// The dependence facts alone, on the synthetic giant block's prebuilt
+/// reference table.
+fn bench_dependence_facts(c: &mut Harness) {
+    let mut group = c.benchmark_group("dependence_facts");
+    let (giant_program, giant_region) = giant_block_128();
+    let proc = &giant_program.procedures[giant_region.proc.index()];
+    let region = proc
+        .find_loop(&giant_region.loop_label)
+        .expect("giant block region");
+    let table = RefTable::collect(&region.body);
+    group.bench_function("synthetic giant_block_128", |b| {
+        b.iter(|| DependenceSet::analyze(&proc.vars, region, black_box(&table)).len())
     });
     group.finish();
 }
@@ -127,6 +171,8 @@ fn bench_interp_backends(c: &mut Harness) {
 fn main() {
     let mut c = Harness::default().sample_size(20);
     bench_ref_table(&mut c);
+    bench_body_summary(&mut c);
+    bench_dependence_facts(&mut c);
     bench_region_analysis(&mut c);
     bench_labeling(&mut c);
     bench_algorithm1_on_paper_examples(&mut c);

@@ -6,9 +6,13 @@
 //! the empty set: per reference the cross-segment sink flag and
 //! `intra_sources(r)` (in list order), and `len()`, `is_empty()` and both
 //! region flags. An analyzed set also equals `from_deps` of its list.
+//!
+//! A region analysis computes liveness only for its private candidates;
+//! its classes must equal a classification against the full live-out set.
 
-use refidem_analysis::classify::VarClass;
+use refidem_analysis::classify::{VarClass, VarClassification};
 use refidem_analysis::depend::{DepKind, DepScope, Dependence, DependenceSet};
+use refidem_analysis::liveness::region_live_out;
 use refidem_analysis::region::RegionAnalysis;
 use refidem_analysis::schedule::discover_regions;
 use refidem_benchmarks::{all_benchmarks, examples};
@@ -147,4 +151,50 @@ fn the_empty_set_answers_nothing() {
         assert_facts_match_filter("empty", &deps, &[], &ids, &RefTable::default(), &|_| false);
         assert_eq!(deps, DependenceSet::default());
     }
+}
+
+/// Classification reads the live-out set only for private candidates, so
+/// a region analysis computes liveness for them alone, and not at all
+/// without one. On every corpus, giant-block and suite region its classes
+/// must equal the classification against the full live-out set, and both
+/// kinds of region must occur.
+#[test]
+fn classes_from_candidate_liveness_match_full_liveness() {
+    let (mut with, mut without) = (0, 0);
+    let mut check = |name: &str, program: &Program| {
+        for (p, proc) in program.procedures.iter().enumerate() {
+            for region in discover_regions(program, ProcId::from_index(p)).regions {
+                let label = &region.spec.loop_label;
+                let analysis = RegionAnalysis::analyze(program, &region.spec).expect("analyzes");
+                let live_out = region_live_out(proc, label).expect("a top-level region");
+                assert_eq!(
+                    analysis.classes,
+                    VarClassification::classify(&analysis.summary, &live_out),
+                    "{name} region {label}"
+                );
+                let mut candidates = VarClassification::private_candidates(&analysis.summary);
+                if candidates.next().is_some() {
+                    with += 1;
+                } else {
+                    without += 1;
+                }
+            }
+        }
+    };
+    for seed in 0..1024 {
+        check(&format!("seed {seed}"), &generate(seed).program);
+    }
+    for seed in 0..64 {
+        check(
+            &format!("giant_block({seed}, 128)"),
+            &giant_block(seed, 128).0,
+        );
+    }
+    for bench in all_benchmarks() {
+        check(bench.name, &bench.program);
+    }
+    assert!(
+        with > 0 && without > 0,
+        "{with} regions with a private candidate, {without} without"
+    );
 }
