@@ -10,10 +10,12 @@
 //! digest renders each unit with `{:?}`: the instructions, each reference
 //! plan's constant and `(slot, coeff)` terms, the loop plans and the
 //! induction registers. A wrong folded constant or coefficient fails it
-//! directly instead of surfacing as a memory divergence downstream.
+//! directly instead of surfacing as a memory divergence downstream. Its
+//! `--ignored` release variant widens the plan digest to 96 giant blocks,
+//! every named benchmark loop and the 3072-seed out-of-corpus sample.
 //!
 //! To regenerate after an intentional fuse-pipeline change:
-//! `cargo test --test golden_fused_stream -- --ignored --nocapture print_golden`
+//! `cargo test --release --test golden_fused_stream -- --ignored --nocapture print_golden`
 //! and paste the printed blocks over the constants below.
 
 use refidem::analysis::schedule::discover_regions;
@@ -251,9 +253,9 @@ const GIANT_BLOCKS: usize = 32;
 const GIANT_STMTS: usize = 128;
 
 /// Digests the full plans of the units [`render_corpus_digest`] covers,
-/// plus every program's serial spans and 32 giant blocks drawn from
-/// `Rng::new(1)`, into one line.
-fn render_plan_digest() -> String {
+/// plus every program's serial spans and the first `giants` giant blocks
+/// drawn from `Rng::new(1)`.
+fn render_plan_digest(giants: usize) -> StreamDigest {
     let mut d = StreamDigest::new(Render::Plans);
     let mut programs: Vec<Program> = (0..1024)
         .map(|seed| refidem_testkit::generate(seed).program)
@@ -264,22 +266,52 @@ fn render_plan_digest() -> String {
             .map(|b| b.program),
     );
     let mut rng = Rng::new(1);
-    programs.extend((0..GIANT_BLOCKS).map(|_| giant_block(rng.next_u64(), GIANT_STMTS).0));
+    programs.extend((0..giants).map(|_| giant_block(rng.next_u64(), GIANT_STMTS).0));
     for program in &programs {
         d.add_program(program);
         d.add_serial_spans(program);
     }
-    d.line()
+    d
+}
+
+/// The widened set: [`render_plan_digest`] with 64 more giant blocks and
+/// every named benchmark loop's program, plus the 3072-seed out-of-corpus
+/// sample the differential suite draws from `Rng::new(42)`, each with its
+/// serial spans.
+fn render_wide_plan_digest() -> String {
+    let mut d = render_plan_digest(GIANT_BLOCKS + 64);
+    for bench in refidem_benchmarks::all_named_loops() {
+        d.add_program(&bench.program);
+        d.add_serial_spans(&bench.program);
+    }
+    let mut line = d.line();
+    let mut sample = StreamDigest::new(Render::Plans);
+    let mut rng = Rng::new(42);
+    for _ in 0..3072 {
+        let program = refidem_testkit::generate(rng.next_u64()).program;
+        sample.add_program(&program);
+        sample.add_serial_spans(&program);
+    }
+    line.push_str(" sample ");
+    line.push_str(&sample.line());
+    line
 }
 
 const GOLDEN_PLAN_DIGEST: &str = "units=6088 insts=135155 superinsts=41528 fnv1a=5b6880f221c3e552";
+
+const GOLDEN_WIDE_PLAN_DIGEST: &str = "units=6458 insts=193395 superinsts=70461 \
+    fnv1a=278e95dda39fbbf1 sample units=18117 insts=343105 superinsts=87309 fnv1a=80e32862677a187f";
 
 #[test]
 #[ignore = "prints the current golden for regeneration"]
 fn print_golden() {
     println!("=== twldrv fused stream ===\n{}", render_fused_stream());
     println!("=== corpus digest ===\n{}", render_corpus_digest());
-    println!("=== plan digest ===\n{}", render_plan_digest());
+    println!(
+        "=== plan digest ===\n{}",
+        render_plan_digest(GIANT_BLOCKS).line()
+    );
+    println!("=== widened plan digest ===\n{}", render_wide_plan_digest());
 }
 
 #[test]
@@ -294,5 +326,11 @@ fn corpus_fused_streams_match_golden() {
 
 #[test]
 fn compiled_plans_match_golden() {
-    assert_eq!(render_plan_digest(), GOLDEN_PLAN_DIGEST);
+    assert_eq!(render_plan_digest(GIANT_BLOCKS).line(), GOLDEN_PLAN_DIGEST);
+}
+
+#[test]
+#[ignore = "release-mode widening; run with --ignored"]
+fn widened_compiled_plans_match_golden() {
+    assert_eq!(render_wide_plan_digest(), GOLDEN_WIDE_PLAN_DIGEST);
 }
