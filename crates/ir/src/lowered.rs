@@ -394,9 +394,6 @@ enum Inst {
     /// `stack[dst] += stack[dst+1] * stack[dst+2]` with **two** roundings
     /// (`let t = a * b; x + t`), bit-exact with the unfused Mul-then-Add.
     RMulAdd { dst: u16 },
-    /// [`Inst::RMulAdd`] followed by `store(refs[r], stack[dst])`.
-    /// Terminates the unit.
-    RMulAddStore { r: u32, dst: u16 },
     /// `stack[dst] = load(refs[ra]); stack[dst + 1] = load(refs[rb]) op v`
     /// — both operands of a two-term expression in one dispatch, loads in
     /// access order.
@@ -507,7 +504,6 @@ impl LoweredProc {
                         | Inst::RLoadStore { .. }
                         | Inst::RConstStore { .. }
                         | Inst::RMulAdd { .. }
-                        | Inst::RMulAddStore { .. }
                         | Inst::RLoad2ConstBin { .. }
                         | Inst::RLoad2ConstBinStore { .. }
                         | Inst::RAdvLoad { .. }
@@ -574,14 +570,6 @@ impl LoweredProc {
                 Inst::RConstStore { v, r } => format!("rconststore {} = {v}", kind(r)),
                 Inst::RMulAdd { dst } => {
                     format!("rmuladd v{dst} += v{} * v{}", dst + 1, dst + 2)
-                }
-                Inst::RMulAddStore { r, dst } => {
-                    format!(
-                        "rmuladdstore {} = v{dst} + v{} * v{}",
-                        kind(r),
-                        dst + 1,
-                        dst + 2
-                    )
                 }
                 Inst::RLoad2ConstBin { ra, rb, v, op, dst } => {
                     format!(
@@ -1722,15 +1710,6 @@ impl<'p> LoweredSegmentExec<'p> {
                     let t = self.stack[d + 1] * self.stack[d + 2];
                     self.stack[d] += t;
                     pc += 1;
-                }
-                Inst::RMulAddStore { r, dst } => {
-                    let d = dst as usize;
-                    let t = self.stack[d + 1] * self.stack[d + 2];
-                    let value = self.stack[d] + t;
-                    self.write_ref(r, value, pc, store)?;
-                    self.pc = pc + 1;
-                    self.steps += 1;
-                    return Ok(true);
                 }
                 Inst::RLoad2ConstBin { ra, rb, v, op, dst } => {
                     let a = self.read_ref(ra, pc, store)?;

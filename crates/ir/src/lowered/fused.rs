@@ -1,34 +1,43 @@
 //! The fused execution tier: trace-fused superinstructions, with
 //! constant-small-trip loops peeled.
 //!
-//! [`fuse`] post-processes plain lowered bytecode (see the parent
-//! [`lowered`](crate::lowered) module) through three passes:
+//! [`fuse`] compiles plain lowered bytecode (see the parent
+//! [`lowered`](crate::lowered) module) in one walk over it that peels,
+//! merges and places advance-and-load as it emits:
 //!
-//! 1. **Peel** — loops whose bounds are compile-time constants (possibly
-//!    after folding an enclosing peeled index) with at most
-//!    [`UNROLL_LIMIT`] trips are unrolled into straight-line copies of
-//!    their body. Each copy folds the induction value into `RIndex` reads
-//!    and provably-in-bounds affine addresses (often all the way down to
-//!    compile-time `RefPlan::Scalar` addresses); a `PeelEnter` /
-//!    `Rebind` per copy keeps the environment binding exact, so any plan
-//!    that is *not* folded — `Dim1`, `General` (including indirect
-//!    subscripts), inner-loop bounds — still evaluates bit-identically.
-//!    Zero-trip loops become a single `PeelNop`; WHILE loops are never
-//!    peeled.
-//! 2. **Superinstruction merge** — one pass that folds each instruction
-//!    into the last one emitted while a rule applies, so chains compose:
-//!    load-op, const-op, load-const-op, op-store, load-op-store,
-//!    load-store, const-store, the two-rounding multiply-add, and — built
-//!    from those — the whole-statement `s = a op (b opb v)` form that
-//!    retires a two-term assignment in a single dispatch. Merging never
-//!    crosses a jump target and never touches a `General`-plan reference,
-//!    so indirect subscripts always take the unfused no-shortcut path.
-//! 3. **Advance-and-load** — in straight-line loop bodies, a standalone
-//!    load through an induction address register is fused with the
-//!    register's per-trip advance (`RAdvLoad`), moving the advance off the
-//!    `LoopBack` edge.
+//! * **Peel** — loops whose bounds are compile-time constants (possibly
+//!   after folding an enclosing peeled index) with at most
+//!   [`UNROLL_LIMIT`] trips are unrolled into straight-line copies of
+//!   their body. Each copy folds the induction value into `RIndex` reads
+//!   and provably-in-bounds affine addresses (often all the way down to
+//!   compile-time `RefPlan::Scalar` addresses); a `PeelEnter` / `Rebind`
+//!   per copy keeps the environment binding exact, so any plan that is
+//!   *not* folded — `Dim1`, `General` (including indirect subscripts),
+//!   inner-loop bounds — still evaluates bit-identically. Zero-trip loops
+//!   become a single `PeelNop`; WHILE loops are never peeled.
+//! * **Superinstruction merge** — every instruction the walk emits folds
+//!   into the last one emitted while a rule applies, so chains compose:
+//!   load-op, const-op, load-const-op, op-store, load-op-store,
+//!   load-store, const-store, the two-rounding multiply-add, and — built
+//!   from those — the whole-statement `s = a op (b opb v)` form that
+//!   retires a two-term assignment in a single dispatch. A *fence* holds
+//!   the output position of the latest control-transfer target (a branch
+//!   target, a cloned loop's body or its exit); nothing at or before it
+//!   folds backwards, so merging never crosses a jump target. Merging
+//!   never touches a `General`-plan reference, so indirect subscripts
+//!   always take the unfused no-shortcut path.
+//! * **Forward landing** — structured lowering branches only forward, to
+//!   a position inside the enclosing range, so the walk keeps the emitted
+//!   branches that have not landed yet. On reaching a branch's base
+//!   target it points the branch at the next output position and raises
+//!   the fence there. A branch to the end of a peeled copy lands on the
+//!   next copy's `Rebind`, or on whatever follows the loop.
+//! * **Advance-and-load** — when a cloned loop closes with a straight-line
+//!   body, the first standalone load through each induction address
+//!   register the loop owns is fused with the register's per-trip advance
+//!   (`RAdvLoad`), moving the advance off the `LoopBack` edge.
 //!
-//! Every pass preserves the lowered tier's observable semantics exactly:
+//! The walk preserves the lowered tier's observable semantics exactly:
 //! identical memory effects, access order (traces), dynamic counts, step
 //! counting and error behavior — `backend_differential` in
 //! `refidem-testkit` proves plain and fused bytecode byte-exact with the
@@ -39,14 +48,40 @@ use super::{AffinePlan, Inst, LoopPlan, LoweredProc, RefPlan};
 use crate::expr::BinOp;
 use crate::stmt::LoopStmt;
 
-/// Largest constant trip count the peel pass fully unrolls.
+/// Largest constant trip count the walk fully unrolls.
 pub const UNROLL_LIMIT: usize = 4;
 
 /// Compiles plain lowered bytecode into the fused tier. The result runs on
 /// the same [`LoweredSegmentExec`](super::LoweredSegmentExec) with the
 /// identical resumable step/rollback contract.
 pub fn fuse(base: &LoweredProc) -> LoweredProc {
-    advance_loads(merge(peel(base)))
+    let end = base.insts.len() - 1;
+    debug_assert!(matches!(base.insts[end], Inst::End));
+    let mut w = Walk {
+        base,
+        insts: Vec::with_capacity(base.insts.len()),
+        fence: 0,
+        unlanded: Vec::new(),
+        refs: base.refs.clone(),
+        loops: Vec::new(),
+        peeled_regs: Vec::new(),
+        subst: Subst::new(),
+        loop_map: Vec::new(),
+    };
+    w.emit_range(0, end);
+    debug_assert!(w.unlanded.is_empty(), "every branch lands in its range");
+    w.push(Inst::End);
+    // The unit is cached and replayed for as long as its key lives.
+    w.insts.shrink_to_fit();
+    LoweredProc {
+        insts: w.insts,
+        refs: w.refs,
+        loops: w.loops,
+        addr_regs: base.addr_regs.clone(),
+        env_len: base.env_len,
+        max_stack: base.max_stack,
+        max_loops: base.max_loops,
+    }
 }
 
 /// A peel-time substitution entry: `Some(value)` binds an index slot to a
@@ -74,18 +109,64 @@ fn fold_plan(ap: &AffinePlan, subst: &[(u32, Option<i64>)]) -> AffinePlan {
     out
 }
 
-struct Peeler<'a> {
+/// The one walk: the fused unit emitted so far, plus what emitting the
+/// rest of it exactly needs.
+struct Walk<'a> {
     base: &'a LoweredProc,
     insts: Vec<Inst>,
+    /// Output position of the latest control-transfer target. The
+    /// instruction there never folds into the one before it.
+    fence: usize,
+    /// Emitted branches and jumps that have not landed yet, as (base
+    /// target, output position).
+    unlanded: Vec<(u32, usize)>,
     refs: Vec<RefPlan>,
     loops: Vec<LoopPlan>,
     /// Induction address registers owned by peeled loops. Their `LoopEnter`
     /// / `LoopBack` maintenance disappears with the loop, so every
     /// reference through them **must** be folded to its closed form.
     peeled_regs: Vec<u32>,
+    subst: Subst,
+    /// Enclosing cloned loops' plan indices, old → new, for `RWhileBranch`
+    /// operands.
+    loop_map: Vec<(u32, u32)>,
 }
 
-impl Peeler<'_> {
+impl Walk<'_> {
+    /// Emits `inst`, folding it into the last emitted instruction while a
+    /// merge rule applies, never back across the fence.
+    fn push(&mut self, mut inst: Inst) {
+        while self.insts.len() > self.fence {
+            let last = self.insts[self.insts.len() - 1];
+            let Some(merged) = try_merge(last, inst, &self.refs) else {
+                break;
+            };
+            self.insts.pop();
+            inst = merged;
+        }
+        self.insts.push(inst);
+    }
+
+    /// Points the branches that target base position `at` at the next
+    /// output position, and raises the fence there.
+    fn land(&mut self, at: usize) {
+        let here = self.insts.len();
+        let before = self.unlanded.len();
+        self.unlanded.retain(|&(target, pos)| {
+            if target as usize != at {
+                return true;
+            }
+            match &mut self.insts[pos] {
+                Inst::RBranch { target: t, .. } | Inst::Jump(t) => *t = here as u32,
+                other => unreachable!("landing {other:?}"),
+            }
+            false
+        });
+        if self.unlanded.len() < before {
+            self.fence = here;
+        }
+    }
+
     /// Folds the peeled-constant bindings into reference `r`'s plan,
     /// returning the (possibly new) ref index the emitted copy should use.
     ///
@@ -94,26 +175,26 @@ impl Peeler<'_> {
     /// folded closed form). `Dim1` and `General` plans — the clamped and
     /// indirect-subscript paths — are left untouched and keep evaluating
     /// through the environment, which `PeelEnter`/`Rebind` maintain.
-    fn fold_ref(&mut self, r: u32, subst: &Subst) -> u32 {
-        if subst.is_empty() {
+    fn fold_ref(&mut self, r: u32) -> u32 {
+        if self.subst.is_empty() {
             return r;
         }
-        let folded = match &self.base.refs[r as usize] {
-            RefPlan::Fused { site, plan } => {
-                if !plan.terms.iter().any(|(v, _)| lookup(subst, v.0).is_some()) {
-                    return r;
-                }
-                let plan = fold_plan(plan, subst);
-                (*site, plan)
+        let plan = match &self.base.refs[r as usize] {
+            RefPlan::Fused { plan, .. }
+                if plan
+                    .terms
+                    .iter()
+                    .any(|(v, _)| lookup(&self.subst, v.0).is_some()) =>
+            {
+                fold_plan(plan, &self.subst)
             }
-            RefPlan::Induction { site, reg } if self.peeled_regs.contains(reg) => {
-                let plan = fold_plan(&self.base.addr_regs[*reg as usize].closed, subst);
-                (*site, plan)
+            RefPlan::Induction { reg, .. } if self.peeled_regs.contains(reg) => {
+                fold_plan(&self.base.addr_regs[*reg as usize].closed, &self.subst)
             }
             _ => return r,
         };
-        let (site, plan) = folded;
-        let new = if plan.terms.is_empty() {
+        let site = self.base.refs[r as usize].site();
+        self.refs.push(if plan.terms.is_empty() {
             debug_assert!(plan.constant >= 0, "in-bounds proof guarantees the address");
             RefPlan::Scalar {
                 site,
@@ -121,35 +202,22 @@ impl Peeler<'_> {
             }
         } else {
             RefPlan::Fused { site, plan }
-        };
-        let idx = self.refs.len() as u32;
-        self.refs.push(new);
-        idx
+        });
+        self.refs.len() as u32 - 1
     }
 
-    /// Copies base instructions `[start, end)` into the output, peeling
-    /// eligible loops and folding `subst` into index reads and foldable
-    /// reference plans. `loop_map` maps enclosing cloned (non-peeled) loop
-    /// plan indices old → new for `RWhileBranch` operands.
-    fn emit_range(
-        &mut self,
-        start: usize,
-        end: usize,
-        subst: &mut Subst,
-        loop_map: &mut Vec<(u32, u32)>,
-    ) {
-        // Local old-position → new-position map for this range's branch
-        // targets; structured lowering guarantees every target of an
-        // instruction in the range lies within `[start, end]`.
-        let mut map = vec![u32::MAX; end - start + 1];
-        let mut patches: Vec<usize> = Vec::new();
+    /// Emits base instructions `[start, end)`, peeling eligible loops and
+    /// folding the substitution into index reads and foldable reference
+    /// plans. Every branch the range emits targets a position in
+    /// `(start, end]`, so it lands before the range returns.
+    fn emit_range(&mut self, start: usize, end: usize) {
         let mut i = start;
         while i < end {
-            map[i - start] = self.insts.len() as u32;
+            self.land(i);
             let inst = self.base.insts[i];
             match inst {
                 Inst::LoopEnter(l) => {
-                    let (next, rebound) = self.emit_loop(l, subst, loop_map);
+                    let (next, rebound) = self.emit_loop(l);
                     // A nested loop that can execute at least one trip
                     // leaves its index bound to its own last trip value:
                     // any peeled-constant binding of the same slot is
@@ -157,79 +225,68 @@ impl Peeler<'_> {
                     // — the loop may sit behind a branch), so mask it and
                     // let the environment carry the value.
                     if let Some(slot) = rebound {
-                        for e in subst.iter_mut().filter(|e| e.0 == slot) {
+                        for e in self.subst.iter_mut().filter(|e| e.0 == slot) {
                             e.1 = None;
                         }
                     }
                     i = next;
                     continue;
                 }
-                Inst::RBranch { .. } | Inst::Jump(_) => {
-                    patches.push(self.insts.len());
-                    self.insts.push(inst);
+                Inst::RBranch { target, .. } | Inst::Jump(target) => {
+                    debug_assert!((i + 1..=end).contains(&(target as usize)));
+                    // No merge rule takes a branch, so it stays where pushed.
+                    self.unlanded.push((target, self.insts.len()));
+                    self.push(inst);
                 }
-                Inst::RIndex { dst, slot } => match lookup(subst, slot) {
-                    Some(v) => self.insts.push(Inst::RConst { dst, v: v as f64 }),
-                    None => self.insts.push(inst),
+                Inst::RIndex { dst, slot } => match lookup(&self.subst, slot) {
+                    Some(v) => self.push(Inst::RConst { dst, v: v as f64 }),
+                    None => self.push(inst),
                 },
                 Inst::RLoad { dst, r } => {
-                    let r = self.fold_ref(r, subst);
-                    self.insts.push(Inst::RLoad { dst, r });
+                    let r = self.fold_ref(r);
+                    self.push(Inst::RLoad { dst, r });
                 }
                 Inst::RStore { r, src } => {
-                    let r = self.fold_ref(r, subst);
-                    self.insts.push(Inst::RStore { r, src });
+                    let r = self.fold_ref(r);
+                    self.push(Inst::RStore { r, src });
                 }
                 Inst::RWhileBranch { l, src } => {
-                    let l = loop_map
+                    let l = self
+                        .loop_map
                         .iter()
                         .rev()
                         .find(|(o, _)| *o == l)
                         .map(|&(_, n)| n)
                         .expect("WHILE loop cloned by an enclosing emit_loop");
-                    self.insts.push(Inst::RWhileBranch { l, src });
+                    self.push(Inst::RWhileBranch { l, src });
                 }
                 Inst::LoopBack(_) => unreachable!("LoopBack is emitted by emit_loop"),
-                _ => self.insts.push(inst),
+                _ => self.push(inst),
             }
             i += 1;
         }
-        map[end - start] = self.insts.len() as u32;
-        for p in patches {
-            match &mut self.insts[p] {
-                Inst::RBranch { target: t, .. } | Inst::Jump(t) => {
-                    debug_assert!((start..=end).contains(&(*t as usize)));
-                    *t = map[*t as usize - start];
-                }
-                _ => unreachable!(),
-            }
-        }
+        self.land(end);
     }
 
     /// Emits loop plan `l` (peeled or cloned), returning the base position
     /// just past the loop plus the index slot the emitted loop may rebind
     /// at runtime (`None` only for a statically zero-trip peeled loop,
     /// which binds nothing).
-    fn emit_loop(
-        &mut self,
-        l: u32,
-        subst: &mut Subst,
-        loop_map: &mut Vec<(u32, u32)>,
-    ) -> (usize, Option<u32>) {
-        let plan = self.base.loops[l as usize].clone();
+    fn emit_loop(&mut self, l: u32) -> (usize, Option<u32>) {
+        let base = self.base;
+        let plan = &base.loops[l as usize];
         let body = plan.body as usize;
         let exit = plan.exit as usize;
         let back = exit - 1;
-        debug_assert!(matches!(self.base.insts[back], Inst::LoopBack(x) if x == l));
-        let lower = fold_plan(&plan.lower, subst);
-        let upper = fold_plan(&plan.upper, subst);
+        debug_assert!(matches!(base.insts[back], Inst::LoopBack(x) if x == l));
+        let lower = fold_plan(&plan.lower, &self.subst);
+        let upper = fold_plan(&plan.upper, &self.subst);
         let is_while = (body..back)
-            .any(|p| matches!(self.base.insts[p], Inst::RWhileBranch { l: x, .. } if x == l));
-        let constant_bounds = lower.terms.is_empty() && upper.terms.is_empty();
-        let peelable = !is_while
-            && constant_bounds
-            && LoopStmt::trip_count(lower.constant, upper.constant, plan.step) <= UNROLL_LIMIT;
-        if !peelable {
+            .any(|p| matches!(base.insts[p], Inst::RWhileBranch { l: x, .. } if x == l));
+        let peeled_trips = (!is_while && lower.terms.is_empty() && upper.terms.is_empty())
+            .then(|| LoopStmt::trip_count(lower.constant, upper.constant, plan.step))
+            .filter(|&trips| trips <= UNROLL_LIMIT);
+        let Some(trips) = peeled_trips else {
             let nl = self.loops.len() as u32;
             self.loops.push(LoopPlan {
                 index_slot: plan.index_slot,
@@ -241,26 +298,31 @@ impl Peeler<'_> {
                 regs: plan.regs.clone(),
                 pre_regs: Box::new([]),
             });
-            self.insts.push(Inst::LoopEnter(nl));
-            let new_body = self.insts.len() as u32;
-            loop_map.push((l, nl));
+            self.push(Inst::LoopEnter(nl));
+            // `LoopBack` jumps to the body's first instruction.
+            self.fence = self.insts.len();
+            let new_body = self.fence;
+            self.loop_map.push((l, nl));
             // The clone rebinds its index per trip: mask any outer peeled
             // binding of the same slot while emitting the body.
-            subst.push((plan.index_slot, None));
-            self.emit_range(body, back, subst, loop_map);
-            subst.pop();
-            loop_map.pop();
-            self.insts.push(Inst::LoopBack(nl));
+            self.subst.push((plan.index_slot, None));
+            self.emit_range(body, back);
+            self.subst.pop();
+            self.loop_map.pop();
+            let new_back = self.insts.len();
+            self.push(Inst::LoopBack(nl));
+            // The exit is where `LoopEnter` and `LoopBack` leave to.
+            self.fence = self.insts.len();
             let p = &mut self.loops[nl as usize];
-            p.body = new_body;
-            p.exit = self.insts.len() as u32;
+            p.body = new_body as u32;
+            p.exit = self.fence as u32;
+            self.advance_loads(nl as usize, new_body..new_back);
             return (exit, Some(plan.index_slot));
-        }
-        let trips = LoopStmt::trip_count(lower.constant, upper.constant, plan.step);
+        };
         if trips == 0 {
             // A peeled zero-trip loop binds nothing (matching LoopEnter)
             // and still costs exactly one statement unit.
-            self.insts.push(Inst::PeelNop);
+            self.push(Inst::PeelNop);
             return (exit, None);
         }
         // The loop's LoopEnter/LoopBack maintenance disappears, so every
@@ -274,42 +336,62 @@ impl Peeler<'_> {
         let mut value = lower.constant;
         for trip in 0..trips {
             if trip == 0 {
-                self.insts.push(Inst::PeelEnter { slot, value });
+                self.push(Inst::PeelEnter { slot, value });
             } else {
-                self.insts.push(Inst::Rebind { slot, value });
+                self.push(Inst::Rebind { slot, value });
             }
-            subst.push((slot, Some(value)));
-            self.emit_range(body, back, subst, loop_map);
-            subst.pop();
+            self.subst.push((slot, Some(value)));
+            self.emit_range(body, back);
+            self.subst.pop();
             value += plan.step;
         }
         (exit, Some(slot))
     }
-}
 
-/// Pass 1: peel/unroll constant-small-trip loops (see the module docs).
-fn peel(base: &LoweredProc) -> LoweredProc {
-    let end = base.insts.len() - 1;
-    debug_assert!(matches!(base.insts[end], Inst::End));
-    let mut p = Peeler {
-        base,
-        insts: Vec::with_capacity(base.insts.len()),
-        refs: base.refs.clone(),
-        loops: Vec::new(),
-        peeled_regs: Vec::new(),
-    };
-    let mut subst = Subst::new();
-    let mut loop_map = Vec::new();
-    p.emit_range(0, end, &mut subst, &mut loop_map);
-    p.insts.push(Inst::End);
-    LoweredProc {
-        insts: p.insts,
-        refs: p.refs,
-        loops: p.loops,
-        addr_regs: base.addr_regs.clone(),
-        env_len: base.env_len,
-        max_stack: base.max_stack,
-        max_loops: base.max_loops,
+    /// Advance-and-load over cloned loop `l`'s emitted `body`: when it is
+    /// straight-line, each owned register's first standalone induction
+    /// load becomes an [`Inst::RAdvLoad`], and the register moves from the
+    /// loop's `regs` (advanced at `LoopBack`) to `pre_regs` (initialized
+    /// one delta early, advanced by that load). Straight-line means every
+    /// body instruction executes exactly once per trip, so the advance
+    /// count stays exact even when the body holds peeled copies that share
+    /// the register's ref across copies.
+    fn advance_loads(&mut self, l: usize, body: std::ops::Range<usize>) {
+        let plan = &mut self.loops[l];
+        let body = &mut self.insts[body];
+        let branches = |i: &Inst| {
+            matches!(
+                i,
+                Inst::RBranch { .. }
+                    | Inst::Jump(_)
+                    | Inst::LoopEnter(_)
+                    | Inst::LoopBack(_)
+                    | Inst::RWhileBranch { .. }
+            )
+        };
+        if plan.regs.is_empty() || body.iter().any(branches) {
+            return;
+        }
+        let mut moved: Vec<u32> = Vec::new();
+        for inst in body {
+            if let Inst::RLoad { dst, r } = *inst {
+                if let RefPlan::Induction { reg, .. } = self.refs[r as usize] {
+                    if plan.regs.contains(&reg) && !moved.contains(&reg) {
+                        *inst = Inst::RAdvLoad { dst, r };
+                        moved.push(reg);
+                    }
+                }
+            }
+        }
+        if !moved.is_empty() {
+            plan.regs = plan
+                .regs
+                .iter()
+                .copied()
+                .filter(|r| !moved.contains(r))
+                .collect();
+            plan.pre_regs = moved.into_boxed_slice();
+        }
     }
 }
 
@@ -321,7 +403,7 @@ fn plain_ref(refs: &[RefPlan], r: u32) -> bool {
 }
 
 /// Tries to fuse the adjacent pair `(a, b)` into one superinstruction.
-/// Caller guarantees `b` is not a jump target.
+/// Caller guarantees `b` is not a control-transfer target.
 fn try_merge(a: Inst, b: Inst, refs: &[RefPlan]) -> Option<Inst> {
     Some(match (a, b) {
         // A pushed load/const feeding the binary op that consumes it.
@@ -404,115 +486,8 @@ fn try_merge(a: Inst, b: Inst, refs: &[RefPlan]) -> Option<Inst> {
                 dst: d,
             },
         ) if d + 1 == dst => Inst::RMulAdd { dst: d },
-        (Inst::RMulAdd { dst }, Inst::RStore { r, src }) if src == dst && plain_ref(refs, r) => {
-            Inst::RMulAddStore { r, dst }
-        }
         _ => return None,
     })
-}
-
-/// Pass 2: superinstruction merge in one pass. Each instruction folds into
-/// the last one emitted while a rule applies, so chains compose (load +
-/// const-op → load-const-op, op + store → op-store, ...). An instruction a
-/// control transfer lands on — a branch target, a loop body or a loop exit
-/// — never folds into the one before it; a merged instruction starts where
-/// its first part did and inherits that part's target flag.
-fn merge(p: LoweredProc) -> LoweredProc {
-    let n = p.insts.len();
-    let mut target = vec![false; n];
-    for inst in &p.insts {
-        if let Inst::RBranch { target: t, .. } | Inst::Jump(t) = *inst {
-            target[t as usize] = true;
-        }
-    }
-    for l in &p.loops {
-        target[l.body as usize] = true;
-        target[l.exit as usize] = true;
-    }
-    // Old position → new position, read only at targets (which never
-    // fold into their predecessor, so their new position is final).
-    let mut map = Vec::with_capacity(n);
-    let mut insts: Vec<Inst> = Vec::with_capacity(n);
-    let mut starts_target: Vec<bool> = Vec::with_capacity(n);
-    for (i, &inst) in p.insts.iter().enumerate() {
-        let (mut inst, mut is_target) = (inst, target[i]);
-        while !is_target {
-            let Some(m) = insts.last().and_then(|&a| try_merge(a, inst, &p.refs)) else {
-                break;
-            };
-            insts.pop();
-            inst = m;
-            is_target = starts_target.pop().expect("one flag per instruction");
-        }
-        map.push(insts.len() as u32);
-        insts.push(inst);
-        starts_target.push(is_target);
-    }
-    for inst in &mut insts {
-        if let Inst::RBranch { target: t, .. } | Inst::Jump(t) = inst {
-            *t = map[*t as usize];
-        }
-    }
-    let mut loops = p.loops;
-    for l in &mut loops {
-        l.body = map[l.body as usize];
-        l.exit = map[l.exit as usize];
-    }
-    LoweredProc { insts, loops, ..p }
-}
-
-/// Pass 3: in straight-line loop bodies, fuse a standalone induction-ref
-/// load with its register's per-trip advance. The register moves from the
-/// loop's `regs` (advanced at `LoopBack`) to `pre_regs` (initialized one
-/// delta early, advanced by the in-body [`Inst::RAdvLoad`]). Straight-line
-/// means every body instruction executes exactly once per trip, so the
-/// advance count stays exact even when the loop body contains peeled
-/// copies that share the register's ref across copies.
-fn advance_loads(mut p: LoweredProc) -> LoweredProc {
-    for li in 0..p.loops.len() {
-        let body = p.loops[li].body as usize;
-        let exit = p.loops[li].exit as usize;
-        let back = exit - 1;
-        debug_assert!(matches!(p.insts[back], Inst::LoopBack(x) if x as usize == li));
-        let straight = (body..back).all(|i| {
-            !matches!(
-                p.insts[i],
-                Inst::RBranch { .. }
-                    | Inst::Jump(_)
-                    | Inst::LoopEnter(_)
-                    | Inst::LoopBack(_)
-                    | Inst::RWhileBranch { .. }
-            )
-        });
-        if !straight {
-            continue;
-        }
-        let mut moved: Vec<u32> = Vec::new();
-        for i in body..back {
-            if let Inst::RLoad { dst, r } = p.insts[i] {
-                if let RefPlan::Induction { reg, .. } = p.refs[r as usize] {
-                    if p.loops[li].regs.contains(&reg) && !moved.contains(&reg) {
-                        p.insts[i] = Inst::RAdvLoad { dst, r };
-                        moved.push(reg);
-                    }
-                }
-            }
-        }
-        if !moved.is_empty() {
-            let plan = &mut p.loops[li];
-            let regs: Vec<u32> = plan
-                .regs
-                .iter()
-                .copied()
-                .filter(|r| !moved.contains(r))
-                .collect();
-            let mut pre = plan.pre_regs.to_vec();
-            pre.extend(moved);
-            plan.regs = regs.into_boxed_slice();
-            plan.pre_regs = pre.into_boxed_slice();
-        }
-    }
-    p
 }
 
 #[cfg(test)]
@@ -580,8 +555,8 @@ pub(crate) mod tests {
     fn peels_constant_small_trip_loops_to_scalar_addresses() {
         // do k = 1, 4 { s = s + e(2, k) * 1.5 } — the TWLDRV shape. The
         // peel folds k into the in-bounds e subscript, collapsing it to a
-        // compile-time scalar address, and the merge pass fuses each
-        // statement into load + load-const-mul + op-store superinsts.
+        // compile-time scalar address, and the merge fuses each statement
+        // into load + load-const-mul + op-store superinsts.
         let mut b = ProcBuilder::new("twl");
         let e = b.array("e", &[8, 4]);
         let s = b.scalar("s");
@@ -818,6 +793,31 @@ pub(crate) mod tests {
         let mut store = PlainStore::new(&mut mem_fresh);
         fresh.run(&mut store, 10_000).unwrap();
         assert!(mem_replay.diff(&mem_fresh, 10).is_empty());
+
+        // do k = 2, 64, 2 { a(k) = k }; do k = 1, 50 { if (a(k) > 0)
+        // s = (a(k) + s) + s } — the guarded load is skipped on odd trips,
+        // so its register must keep advancing on the `LoopBack` edge.
+        let mut b = ProcBuilder::new("guarded");
+        let a = b.array("a", &[64]);
+        let s = b.scalar("s");
+        let k = b.index("k");
+        let init = b.assign_elem(a, vec![av(k)], idx(k));
+        let stmt = {
+            let rhs = add(add(b.load_elem(a, vec![av(k)]), b.load(s)), b.load(s));
+            b.assign_scalar(s, rhs)
+        };
+        let cond = cmp(CmpOp::Gt, b.load_elem(a, vec![av(k)]), num(0.0));
+        let guarded = b.if_then(cond, vec![stmt]);
+        let body = vec![
+            b.do_loop_step(None, k, ac(2), ac(64), 2, vec![init]),
+            b.do_loop(k, ac(1), ac(50), vec![guarded]),
+        ];
+        let fused = assert_fused_agrees(&b.build(body));
+        let asm = fused.disasm();
+        assert!(
+            !asm.contains("radvload"),
+            "branchy bodies keep loads:\n{asm}"
+        );
     }
 
     #[test]
@@ -862,6 +862,79 @@ pub(crate) mod tests {
         let body = vec![b.do_loop_step(None, k, ac(4), ac(1), -1, vec![a1])];
         let fused = assert_fused_agrees(&b.build(body));
         assert_eq!(fused.peeled_loop_count(), 1, "descending 4-trip loop peels");
+    }
+
+    #[test]
+    fn branches_in_peeled_copies_land_on_the_next_copy() {
+        // do k = 1, 3 { while (s <= 3) do j = 1, 10 { s = s + 1 };
+        //               if (s >= 2k) t = t + k }; u = 7 — the IF closes
+        // each copy, so its branch lands on the next copy's rebind and the
+        // last copy's on the statement after the loop. The WHILE loop never
+        // peels: each copy clones it onto a loop plan of its own.
+        let mut b = ProcBuilder::new("land");
+        let s = b.scalar("s");
+        let t = b.scalar("t");
+        let u = b.scalar("u");
+        let k = b.index("k");
+        let j = b.index("j");
+        let bump = {
+            let rhs = add(b.load(s), num(1.0));
+            b.assign_scalar(s, rhs)
+        };
+        let cond = cmp(CmpOp::Le, b.load(s), num(3.0));
+        let inner = b.while_loop_labeled("W", j, ac(1), ac(10), cond, vec![bump]);
+        let then = {
+            let rhs = add(b.load(t), idx(k));
+            b.assign_scalar(t, rhs)
+        };
+        let cond = cmp(CmpOp::Ge, b.load(s), mul(idx(k), num(2.0)));
+        let guarded = b.if_then(cond, vec![then]);
+        let after = b.assign_scalar(u, num(7.0));
+        let body = vec![b.do_loop(k, ac(1), ac(3), vec![inner, guarded]), after];
+        let fused = assert_fused_agrees(&b.build(body));
+        assert_eq!(fused.peeled_loop_count(), 1);
+        assert_eq!(fused.insts.capacity(), fused.insts.len(), "no spare room");
+
+        let asm = fused.disasm();
+        let at = |mnemonic: &str| -> Vec<(usize, String)> {
+            asm.lines()
+                .enumerate()
+                .filter(|(_, line)| line[6..].starts_with(mnemonic))
+                .map(|(pc, line)| (pc, line[6..].to_string()))
+                .collect()
+        };
+        let copies: Vec<usize> = at("peelenter")
+            .into_iter()
+            .chain(at("rebind"))
+            .map(|(pc, _)| pc)
+            .collect();
+        let after_loop = at("rconststore");
+        assert_eq!(copies.len(), 3, "three copies:\n{asm}");
+        assert_eq!(after_loop.len(), 1, "u = 7 after the loop:\n{asm}");
+        let lands: Vec<usize> = copies[1..]
+            .iter()
+            .copied()
+            .chain([after_loop[0].0])
+            .collect();
+        let branches = at("rbranch");
+        let enters = at("loopenter");
+        let checks = at("rwhilebranch");
+        assert_eq!(branches.len(), 3, "one IF per copy:\n{asm}");
+        assert_eq!(enters.len(), 3, "one cloned WHILE per copy:\n{asm}");
+        assert_eq!(checks.len(), 3, "one check per copy:\n{asm}");
+        for c in 0..3 {
+            let (pc, branch) = &branches[c];
+            assert!(copies[c] < *pc && *pc < lands[c], "{branch} in copy {c}");
+            assert!(
+                branch.ends_with(&format!("->{}", lands[c])),
+                "copy {c}'s {branch} lands at {}:\n{asm}",
+                lands[c]
+            );
+            let plan = format!("loop{c}");
+            assert_eq!(enters[c].1, format!("loopenter {plan}"));
+            assert!(checks[c].1.ends_with(&plan), "{}", checks[c].1);
+            assert!(copies[c] < enters[c].0 && checks[c].0 < *pc);
+        }
     }
 
     #[test]

@@ -24,13 +24,40 @@ pub enum SpecRuntime {
     Threads,
 }
 
+/// Latency of a speculative-storage access (hit), in cycles. The
+/// speculative storage is small, not faster than the L1 of the
+/// conventional hierarchy: both hit in the same number of cycles (the
+/// default [`SimConfig::lat_nonspec`]). CASE's advantage comes from
+/// avoiding overflow, not from cheaper accesses.
+pub const LAT_SPEC: u64 = 3;
+
+/// Latency of forwarding a value from an older segment's speculative
+/// storage, in cycles.
+pub const LAT_FORWARD: u64 = 4;
+
+/// Penalty applied to a segment when it is rolled back, in cycles.
+pub const ROLLBACK_PENALTY: u64 = 20;
+
+/// Cost of committing one dirty speculative-storage entry, in cycles.
+pub const COMMIT_PER_ENTRY: u64 = 1;
+
+/// Fixed cost of dispatching a segment to a processor, in cycles.
+pub const DISPATCH_COST: u64 = 4;
+
+/// Per-segment cost of setting up the private stack when the labeling
+/// contains private references (the paper notes "the stack setup adds a
+/// substantial number of instructions"), in cycles.
+pub const PRIVATE_SETUP_COST: u64 = 8;
+
 /// Parameters of the simulated chip multiprocessor and its memory system.
 ///
 /// Defaults follow the paper's setup where stated (4 processors,
 /// kilobyte-scale speculative storage — here expressed in words) and use
-/// simple latency ratios otherwise: speculative-storage hits are fast,
-/// non-speculative storage is slightly slower, roll-backs and commits cost
-/// a handful of cycles.
+/// simple latency ratios otherwise: speculative-storage hits cost what
+/// non-speculative ones do, roll-backs and commits cost a handful of
+/// cycles. The machine costs no run varies are this module's constants:
+/// [`LAT_SPEC`], [`LAT_FORWARD`], [`ROLLBACK_PENALTY`],
+/// [`COMMIT_PER_ENTRY`], [`DISPATCH_COST`] and [`PRIVATE_SETUP_COST`].
 ///
 /// A config also carries the [`LoweredCache`] the runs compile through
 /// and the [`AnalysisCache`] callers label through. Both default to their
@@ -53,26 +80,11 @@ pub struct SimConfig {
     /// Capacity of each processor's speculative storage, in words (entries).
     /// Both data values and reference-tracking entries occupy space.
     pub spec_capacity: usize,
-    /// Latency of a speculative-storage access (hit), in cycles.
-    pub lat_spec: u64,
     /// Latency of a non-speculative-storage (conventional memory hierarchy)
     /// access, in cycles.
     pub lat_nonspec: u64,
-    /// Latency of forwarding a value from an older segment's speculative
-    /// storage, in cycles.
-    pub lat_forward: u64,
     /// Fixed cost of executing one statement (issue/compute), in cycles.
     pub stmt_cost: u64,
-    /// Penalty applied to a segment when it is rolled back, in cycles.
-    pub rollback_penalty: u64,
-    /// Cost of committing one dirty speculative-storage entry, in cycles.
-    pub commit_per_entry: u64,
-    /// Fixed cost of dispatching a segment to a processor, in cycles.
-    pub dispatch_cost: u64,
-    /// Per-segment cost of setting up the private stack when the labeling
-    /// contains private references (the paper notes "the stack setup adds a
-    /// substantial number of instructions").
-    pub private_setup_cost: u64,
     /// Maximum total number of statement executions across the whole
     /// simulation (defensive guard against livelock in misconfigured runs).
     pub max_statements: u64,
@@ -125,18 +137,8 @@ impl Default for SimConfig {
         SimConfig {
             processors: 4,
             spec_capacity: 64,
-            // The speculative storage is small, not faster than the L1 of
-            // the conventional hierarchy: both hit in the same number of
-            // cycles. CASE's advantage comes from avoiding overflow, not
-            // from cheaper accesses.
-            lat_spec: 3,
             lat_nonspec: 3,
-            lat_forward: 4,
             stmt_cost: 1,
-            rollback_penalty: 20,
-            commit_per_entry: 1,
-            dispatch_cost: 4,
-            private_setup_cost: 8,
             max_statements: 200_000_000,
             backend: ExecBackend::default(),
             cache: LoweredCache::default(),
@@ -246,7 +248,7 @@ mod tests {
         assert_eq!(c.processors, 4);
         assert!(c.spec_capacity > 0);
         assert_eq!(
-            c.lat_nonspec, c.lat_spec,
+            c.lat_nonspec, LAT_SPEC,
             "speculative storage is small, not faster"
         );
     }

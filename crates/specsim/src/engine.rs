@@ -25,7 +25,10 @@
 //! serialization effect the paper describes. Segments commit in order
 //! (Property 6).
 
-use crate::config::SimConfig;
+use crate::config::{
+    SimConfig, COMMIT_PER_ENTRY, DISPATCH_COST, LAT_FORWARD, LAT_SPEC, PRIVATE_SETUP_COST,
+    ROLLBACK_PENALTY,
+};
 use crate::report::SimReport;
 use crate::run::{ExecMode, SimError};
 use crate::storage::{PrivateStore, Probe, SpecBuffer};
@@ -541,9 +544,9 @@ impl<'p> Engine<'p> {
     fn dispatch(&mut self, p: usize, start_time: u64) -> Result<(), SimError> {
         let seg = self.next_dispatch;
         self.next_dispatch += 1;
-        let mut clock = start_time + self.cfg.dispatch_cost;
+        let mut clock = start_time + DISPATCH_COST;
         if self.has_private_labels {
-            clock += self.cfg.private_setup_cost;
+            clock += PRIVATE_SETUP_COST;
         }
         // The slot keeps the processor's buffers from its previous
         // segment; clearing them is an O(1) epoch bump.
@@ -608,7 +611,7 @@ impl<'p> Engine<'p> {
                 if self.cfg.faults.spurious_bump(seg, attempt) {
                     // A squash with no underlying violation — counted as a
                     // rollback, like the generation bump it models.
-                    self.restart_slot(p, now + self.cfg.rollback_penalty, true)?;
+                    self.restart_slot(p, now + ROLLBACK_PENALTY, true)?;
                     return Ok(());
                 }
                 if self.cfg.faults.force_overflow(seg, attempt) {
@@ -689,7 +692,7 @@ impl<'p> Engine<'p> {
         for p in 0..self.slots.len() {
             let slot = &self.slots[p];
             if slot.active && slot.squash_requested {
-                let restart = now.max(slot.squash_not_before) + self.cfg.rollback_penalty;
+                let restart = now.max(slot.squash_not_before) + ROLLBACK_PENALTY;
                 self.restart_slot(p, restart, true)?;
             }
         }
@@ -729,7 +732,7 @@ impl<'p> Engine<'p> {
         report.max_segment_restarts = report.max_segment_restarts.max(slot.restarts);
         slot.clock = restart_time;
         if *has_private_labels {
-            slot.clock += cfg.private_setup_cost;
+            slot.clock += PRIVATE_SETUP_COST;
         }
         if slot.restarts > cfg.governor.max_segment_restarts {
             return Err(SimError::RestartBudget {
@@ -761,7 +764,7 @@ impl<'p> Engine<'p> {
             self.memory.store(addr, value);
             entries += 1;
         }
-        let commit_time = slot.clock + self.cfg.commit_per_entry * entries;
+        let commit_time = slot.clock + COMMIT_PER_ENTRY * entries;
         let terminator = slot.term_pending;
         self.report.commits += 1;
         self.report.committed_entries += entries;
@@ -911,7 +914,7 @@ impl DataStore for AccessCtx<'_> {
                 self.report.spec_reads += 1;
                 // Own buffer first. This one probe of its index also
                 // answers the overflow check and places the insert below.
-                let lat = self.cfg.lat_spec;
+                let lat = LAT_SPEC;
                 let slot = self.own_mut();
                 let probe = slot.spec.probe(addr);
                 if let Some(entry) = slot.spec.entry(probe) {
@@ -947,7 +950,7 @@ impl DataStore for AccessCtx<'_> {
                 let (value, latency) = match forwarded {
                     Some((v, _)) => {
                         self.report.forwards += 1;
-                        (v, self.cfg.lat_forward)
+                        (v, LAT_FORWARD)
                     }
                     None => (self.memory.load(addr), self.cfg.lat_nonspec),
                 };
@@ -1006,7 +1009,7 @@ impl DataStore for AccessCtx<'_> {
                     self.check_violations(addr, own_seg);
                 }
                 if self.own().overflow_poisoned {
-                    self.own_mut().clock += self.cfg.lat_spec;
+                    self.own_mut().clock += LAT_SPEC;
                     return;
                 }
                 // One probe: the overflow check, then the update or insert.
@@ -1018,14 +1021,14 @@ impl DataStore for AccessCtx<'_> {
                         self.memory.store(addr, value);
                     } else {
                         self.report.overflow_stalls += 1;
-                        let lat = self.cfg.lat_spec;
+                        let lat = LAT_SPEC;
                         let slot = self.own_mut();
                         slot.overflow_poisoned = true;
                         slot.clock += lat;
                     }
                     return;
                 }
-                let lat = self.cfg.lat_spec;
+                let lat = LAT_SPEC;
                 let slot = self.own_mut();
                 slot.clock += lat;
                 let now = slot.clock;
