@@ -20,7 +20,7 @@ use refidem_analysis::bounds::constant_loop_bounds;
 use refidem_bench::microbench::Harness;
 use refidem_benchmarks::suite::{fpppp, mgrid};
 use refidem_benchmarks::LoopBenchmark;
-use refidem_ir::exec::{PlainStore, SeqInterp};
+use refidem_ir::exec::{PlainStore, SeqInterp, STEP_BUDGET};
 use refidem_ir::lowered::{fused::fuse, lower, lower_with_ranges, ExecBuffers, LoweredSegmentExec};
 use refidem_ir::memory::{Layout, Memory};
 use std::hint::black_box;
@@ -48,7 +48,7 @@ fn bench_tier_ladder(c: &mut Harness, group_name: &str, bench: &LoopBenchmark) {
         b.iter(|| {
             let mut memory = Memory::zeroed(&layout);
             LoweredSegmentExec::new(&plain, &[], ExecBuffers::default())
-                .run(&mut PlainStore::new(&mut memory), 200_000_000)
+                .run(&mut PlainStore::new(&mut memory), STEP_BUDGET)
                 .expect("runs");
             black_box(memory.len())
         })

@@ -28,6 +28,12 @@ use crate::sites::AccessKind;
 use crate::stmt::{LoopStmt, Stmt};
 use crate::var::VarTable;
 
+/// The step budget of every whole run: statement units per
+/// [`SeqInterp`] procedure run, per sequential span or region loop of a
+/// simulation, and per speculative region (re-executions included). It is
+/// a guard against runaway loops that no legitimate run reaches.
+pub const STEP_BUDGET: usize = 200_000_000;
+
 /// Errors raised by the executor.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum ExecError {
@@ -681,8 +687,6 @@ impl<'p> AnyExec<'p> {
 /// interpreter, the cross-checking oracle of the differential suite.
 #[derive(Debug, Default)]
 pub struct SeqInterp {
-    /// Maximum number of statement units per procedure run.
-    pub max_steps: usize,
     /// Which execution backend to run on.
     pub backend: ExecBackend,
     /// Compilation cache for whole-procedure runs on the compiled backend.
@@ -690,14 +694,10 @@ pub struct SeqInterp {
 }
 
 impl SeqInterp {
-    /// Creates an interpreter with a generous default step budget, running
-    /// compiled bytecode through the process-global cache.
+    /// Creates an interpreter running compiled bytecode through the
+    /// process-global cache (the same as [`SeqInterp::default`]).
     pub fn new() -> Self {
-        SeqInterp {
-            max_steps: 200_000_000,
-            backend: ExecBackend::default(),
-            cache: LoweredCache::default(),
-        }
+        SeqInterp::default()
     }
 
     /// Creates an interpreter running on the tree-walking oracle backend.
@@ -732,7 +732,7 @@ impl SeqInterp {
             &[],
             bufs,
         )
-        .run(store, self.max_steps)
+        .run(store, STEP_BUDGET)
     }
 
     /// Runs a procedure against the given memory (which must have been built
@@ -785,6 +785,25 @@ mod tests {
         let s = proc.vars.lookup("s").unwrap();
         assert_eq!(mem.load(layout.element(a, &[3])), 3.0);
         assert_eq!(mem.load(layout.scalar(s)), 15.0);
+    }
+
+    #[test]
+    fn the_default_interpreter_runs_with_the_step_budget() {
+        // `SeqInterp::default()` is `SeqInterp::new()`: both run the
+        // five-trip, two-statement loop under `STEP_BUDGET`, on either
+        // backend.
+        let proc = sum_program();
+        let layout = Layout::new(&proc.vars);
+        let s = layout.scalar(proc.vars.lookup("s").unwrap());
+        let oracle = SeqInterp {
+            backend: ExecBackend::TreeWalk,
+            ..SeqInterp::default()
+        };
+        for interp in [SeqInterp::default(), oracle] {
+            let mut mem = Memory::zeroed(&layout);
+            interp.run_procedure(&proc, &mut mem).unwrap();
+            assert_eq!(mem.load(s), 15.0, "{:?}", interp.backend);
+        }
     }
 
     #[test]

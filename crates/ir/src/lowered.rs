@@ -176,7 +176,6 @@ enum SubPlan {
 ///   affine address function `base' + Σ stride·index` (the strides and the
 ///   `-1` Fortran offsets are folded into the plan, the per-dimension
 ///   clamps are provably no-ops and dropped);
-/// * `Dim1` — a one-dimensional affine access with one runtime clamp;
 /// * `General` — any arity, affine or indirect subscripts, clamped per
 ///   dimension exactly like `Layout::element`.
 #[derive(Clone, Debug)]
@@ -189,14 +188,6 @@ enum RefPlan {
     /// A provably in-bounds affine access collapsed to one flat affine
     /// address function.
     Fused { site: RefId, plan: AffinePlan },
-    /// A one-dimensional affine array access.
-    Dim1 {
-        site: RefId,
-        base: u64,
-        sub: AffinePlan,
-        extent: i64,
-        stride: u64,
-    },
     /// The general case: any arity, affine or indirect subscripts.
     /// `dims` may be shorter than `subs` for degenerate references; extra
     /// subscripts are evaluated for their side effects only, mirroring
@@ -215,7 +206,6 @@ impl RefPlan {
             RefPlan::Scalar { site, .. }
             | RefPlan::Induction { site, .. }
             | RefPlan::Fused { site, .. }
-            | RefPlan::Dim1 { site, .. }
             | RefPlan::General { site, .. } => *site,
         }
     }
@@ -268,16 +258,6 @@ impl RefPlan {
         if let Some(plan) = RefPlan::try_fuse(r, vars, layout, ranges) {
             return RefPlan::Fused { site: r.id, plan };
         }
-        let ldims = layout.dims(r.var);
-        if let ([Subscript::Affine(e)], [d]) = (r.subs.as_slice(), ldims) {
-            return RefPlan::Dim1 {
-                site: r.id,
-                base: layout.base(r.var).0,
-                sub: AffinePlan::compile(e, vars),
-                extent: d.extent,
-                stride: d.stride,
-            };
-        }
         let subs: Vec<SubPlan> = r
             .subs
             .iter()
@@ -288,7 +268,11 @@ impl RefPlan {
                 }
             })
             .collect();
-        let dims: Vec<(i64, u64)> = ldims.iter().map(|d| (d.extent, d.stride)).collect();
+        let dims: Vec<(i64, u64)> = layout
+            .dims(r.var)
+            .iter()
+            .map(|d| (d.extent, d.stride))
+            .collect();
         RefPlan::General {
             site: r.id,
             base: layout.base(r.var).0,
@@ -530,7 +514,6 @@ impl LoweredProc {
             RefPlan::Scalar { addr, .. } => format!("r{r}:scalar@{addr}"),
             RefPlan::Induction { reg, .. } => format!("r{r}:ind(reg{reg})"),
             RefPlan::Fused { .. } => format!("r{r}:fused"),
-            RefPlan::Dim1 { .. } => format!("r{r}:dim1"),
             RefPlan::General { .. } => format!("r{r}:general"),
         };
         let mut out = String::new();
@@ -1430,17 +1413,6 @@ impl<'p> LoweredSegmentExec<'p> {
                 debug_assert!(addr >= 0, "in-bounds proof guarantees a valid address");
                 Ok(Addr(addr as u64))
             }
-            RefPlan::Dim1 {
-                base,
-                sub,
-                extent,
-                stride,
-                ..
-            } => {
-                let s = sub.eval(&self.env, &self.bound)?;
-                let idx = (s - 1).clamp(0, extent - 1) as u64;
-                Ok(Addr(base + idx * stride))
-            }
             RefPlan::General {
                 base, subs, dims, ..
             } => {
@@ -1890,6 +1862,36 @@ mod tests {
         let write = b.assign(lhs, idx(k));
         let use_loop = b.do_loop(k, ac(1), ac(8), vec![write]);
         assert_fused_agrees(&b.build(vec![init_loop, use_loop]));
+    }
+
+    #[test]
+    fn one_dimensional_subscripts_leaving_their_extent_clamp_like_the_tree_walk() {
+        // do k = 1, 6 { a(k + 5) = a(k - 3) + k }, then a peeled
+        // do k = 1, 3 { a(2k + 4) = k }: every subscript leaves a(8)'s
+        // extent on some trip, so no plan proves it in bounds and each
+        // clamps at run time through the general plan, peeled copies too.
+        let mut b = ProcBuilder::new("clamp1d");
+        let a = b.array("a", &[8]);
+        let k = b.index("k");
+        let rhs = add(b.load_elem(a, vec![av(k) - ac(3)]), idx(k));
+        let s = b.assign_elem(a, vec![av(k) + ac(5)], rhs);
+        let sub = crate::affine::AffineExpr::scaled_var(k, 2) + ac(4);
+        let t = b.assign_elem(a, vec![sub], idx(k));
+        let body = vec![
+            b.do_loop(k, ac(1), ac(6), vec![s]),
+            b.do_loop(k, ac(1), ac(3), vec![t]),
+        ];
+        let proc = b.build(body);
+        let plain = lowered_of(&proc).disasm();
+        assert_eq!(plain.matches(":general").count(), 3, "{plain}");
+        assert!(
+            !plain.contains(":fused") && !plain.contains(":ind("),
+            "{plain}"
+        );
+        let fused = assert_fused_agrees(&proc).disasm();
+        assert!(fused.contains("peelenter"), "{fused}");
+        assert_eq!(fused.matches(":general").count(), 5, "{fused}");
+        assert!(!fused.contains(":scalar"), "{fused}");
     }
 
     #[test]

@@ -12,7 +12,7 @@
 //!   and provably-in-bounds affine addresses (often all the way down to
 //!   compile-time `RefPlan::Scalar` addresses); a `PeelEnter` / `Rebind`
 //!   per copy keeps the environment binding exact, so any plan that is
-//!   *not* folded — `Dim1`, `General` (including indirect subscripts),
+//!   *not* folded — `General` (clamped and indirect subscripts),
 //!   inner-loop bounds — still evaluates bit-identically. Zero-trip loops
 //!   become a single `PeelNop`; WHILE loops are never peeled.
 //! * **Superinstruction merge** — every instruction the walk emits folds
@@ -73,6 +73,7 @@ pub fn fuse(base: &LoweredProc) -> LoweredProc {
     w.push(Inst::End);
     // The unit is cached and replayed for as long as its key lives.
     w.insts.shrink_to_fit();
+    w.refs.shrink_to_fit();
     LoweredProc {
         insts: w.insts,
         refs: w.refs,
@@ -172,8 +173,8 @@ impl Walk<'_> {
     ///
     /// Only provably-in-bounds plans fold (`Fused` → fewer terms, possibly
     /// a compile-time `Scalar`; `Induction` owned by a peeled loop → its
-    /// folded closed form). `Dim1` and `General` plans — the clamped and
-    /// indirect-subscript paths — are left untouched and keep evaluating
+    /// folded closed form). `General` plans — the clamped and
+    /// indirect-subscript path — are left untouched and keep evaluating
     /// through the environment, which `PeelEnter`/`Rebind` maintain.
     fn fold_ref(&mut self, r: u32) -> u32 {
         if self.subst.is_empty() {
@@ -396,8 +397,8 @@ impl Walk<'_> {
 }
 
 /// True when reference `r` may participate in a superinstruction. The
-/// `General` plan — clamped multi-dimensional and indirect subscripts —
-/// always takes the unfused no-shortcut path.
+/// `General` plan — clamped and indirect subscripts — always takes the
+/// unfused no-shortcut path.
 fn plain_ref(refs: &[RefPlan], r: u32) -> bool {
     !matches!(refs[r as usize], RefPlan::General { .. })
 }

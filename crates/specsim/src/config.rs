@@ -85,9 +85,6 @@ pub struct SimConfig {
     pub lat_nonspec: u64,
     /// Fixed cost of executing one statement (issue/compute), in cycles.
     pub stmt_cost: u64,
-    /// Maximum total number of statement executions across the whole
-    /// simulation (defensive guard against livelock in misconfigured runs).
-    pub max_statements: u64,
     /// Which execution backend the runs use: compiled bytecode (default —
     /// each unit in its one compiled form, see
     /// [`LowerUnit::fuses`](refidem_ir::lowered::LowerUnit::fuses)) or the
@@ -139,7 +136,6 @@ impl Default for SimConfig {
             spec_capacity: 64,
             lat_nonspec: 3,
             stmt_cost: 1,
-            max_statements: 200_000_000,
             backend: ExecBackend::default(),
             cache: LoweredCache::default(),
             analysis_cache: AnalysisCache::default(),
@@ -226,14 +222,6 @@ impl SimConfig {
     /// modified config.
     pub fn governor(mut self, governor: Governor) -> Self {
         self.governor = governor;
-        self
-    }
-
-    /// Convenience: sets only the per-segment restart budget of the
-    /// governor (0 degrades on the very first restart) and returns the
-    /// modified config.
-    pub fn restart_budget(mut self, budget: u32) -> Self {
-        self.governor.max_segment_restarts = budget;
         self
     }
 }

@@ -88,6 +88,12 @@ struct SlotData {
 /// other in-flight segment has touched an address — is then a single load
 /// instead of a probe of every slot's buffer. Disabled (always-scan) for
 /// machines with more than 32 processors.
+///
+/// The scan alone would be correct at every width, but the masks pay for
+/// themselves: on a shared 2-core host, a copy with them forced off read
+/// perfbench `warm-ladder` `op_ms_p50` 14% higher (medians 0.0528 →
+/// 0.0602 ms, slower in 8 of 8 alternating 15 s pairs) and `ops_per_s`
+/// 7.6% lower.
 #[derive(Debug, Default)]
 struct DepMasks {
     write: Vec<u32>,
@@ -534,9 +540,7 @@ impl<'p> Engine<'p> {
                 return Err(SimError::Deadlock);
             };
             self.step_slot(p)?;
-            if self.report.statements > self.cfg.max_statements {
-                return Err(SimError::StatementBudgetExceeded);
-            }
+            self.cfg.governor.check_statements(self.report.statements)?;
         }
         Ok(())
     }
@@ -656,11 +660,7 @@ impl<'p> Engine<'p> {
         let exited = exec.exited();
         self.report.statements += 1;
         self.stmts_since_commit += 1;
-        if self.stmts_since_commit > self.cfg.governor.livelock_statements {
-            return Err(SimError::Livelock {
-                statements: self.stmts_since_commit,
-            });
-        }
+        self.cfg.governor.check_livelock(self.stmts_since_commit)?;
         let slot = &mut self.slots[p];
         if !more {
             slot.done = true;
@@ -734,20 +734,11 @@ impl<'p> Engine<'p> {
         if *has_private_labels {
             slot.clock += PRIVATE_SETUP_COST;
         }
-        if slot.restarts > cfg.governor.max_segment_restarts {
-            return Err(SimError::RestartBudget {
-                segment: slot.seg,
-                restarts: slot.restarts,
-            });
-        }
+        cfg.governor.check_restarts(slot.seg, slot.restarts)?;
         execs[p].reset();
         if count_rollback {
             report.rollbacks += 1;
-            if report.rollbacks > cfg.governor.max_region_rollbacks {
-                return Err(SimError::RollbackBudget {
-                    rollbacks: report.rollbacks,
-                });
-            }
+            cfg.governor.check_rollbacks(report.rollbacks)?;
         }
         Ok(())
     }

@@ -22,6 +22,9 @@
 //! [`DegradeReason`] in the region's report, so results stay byte-exact
 //! against the oracle even at 100% injected misspeculation.
 
+use crate::run::SimError;
+use refidem_ir::exec::STEP_BUDGET;
+
 /// SplitMix64 finalizer: the bijective avalanche at the heart of every
 /// fault decision. Distinct operands are folded in by the callers with
 /// distinct odd multipliers before finalizing.
@@ -338,14 +341,15 @@ impl std::fmt::Display for DegradeReason {
 
 /// Degradation budgets: how much misspeculation a region may absorb before
 /// the runtime gives up on speculation. When a budget trips, the region
-/// run fails with the corresponding typed [`SimError`](crate::SimError),
+/// run fails with [`SimError::Degrade`] carrying the [`DegradeReason`],
 /// and the run-level pipeline catches it and transparently re-executes the
-/// region sequentially, recording the [`DegradeReason`] in the region's
-/// report.
+/// region sequentially, recording the reason in the region's report.
 ///
 /// Budget semantics are `count > budget`: a budget of 0 trips on the very
 /// first restart/rollback, which is how the chaos campaigns prove that the
-/// serial fallback alone reproduces the oracle image bit for bit.
+/// serial fallback alone reproduces the oracle image bit for bit. Both
+/// runtimes keep their own counts and pass them to the `check_*` methods
+/// below, so every budget comparison is made here and only here.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct Governor {
     /// Maximum restarts any single segment may perform.
@@ -370,15 +374,6 @@ impl Default for Governor {
 }
 
 impl Governor {
-    /// A governor with the given per-segment restart budget and the other
-    /// budgets at their defaults.
-    pub fn with_restart_budget(budget: u32) -> Self {
-        Governor {
-            max_segment_restarts: budget,
-            ..Governor::default()
-        }
-    }
-
     /// Sets the per-segment restart budget and returns the modified
     /// governor (builder style).
     pub fn restart_budget(mut self, budget: u32) -> Self {
@@ -398,6 +393,51 @@ impl Governor {
     pub fn livelock_budget(mut self, statements: u64) -> Self {
         self.livelock_statements = statements;
         self
+    }
+
+    /// Fails once `segment` has restarted more than the per-segment budget.
+    #[inline]
+    pub(crate) fn check_restarts(&self, segment: usize, restarts: u32) -> Result<(), SimError> {
+        if restarts > self.max_segment_restarts {
+            return Err(SimError::Degrade(DegradeReason::RestartBudget {
+                segment,
+                restarts,
+            }));
+        }
+        Ok(())
+    }
+
+    /// Fails once the region has rolled back more than its budget.
+    #[inline]
+    pub(crate) fn check_rollbacks(&self, rollbacks: u64) -> Result<(), SimError> {
+        if rollbacks > self.max_region_rollbacks {
+            return Err(SimError::Degrade(DegradeReason::RollbackBudget {
+                rollbacks,
+            }));
+        }
+        Ok(())
+    }
+
+    /// Fails once `statements` ran without a commit: since the last commit
+    /// in the simulated engine, across one segment's attempts in the
+    /// real-thread runtime.
+    #[inline]
+    pub(crate) fn check_livelock(&self, statements: u64) -> Result<(), SimError> {
+        if statements > self.livelock_statements {
+            return Err(SimError::Degrade(DegradeReason::Livelock { statements }));
+        }
+        Ok(())
+    }
+
+    /// Fails once a region has executed more than [`STEP_BUDGET`]
+    /// statements. This guard is not a degradation budget: it surfaces as
+    /// [`SimError::StatementBudgetExceeded`] instead of a serial fallback.
+    #[inline]
+    pub(crate) fn check_statements(&self, statements: u64) -> Result<(), SimError> {
+        if statements > STEP_BUDGET as u64 {
+            return Err(SimError::StatementBudgetExceeded);
+        }
+        Ok(())
     }
 }
 
@@ -506,8 +546,16 @@ mod tests {
     fn governor_default_is_generous() {
         let g = Governor::default();
         assert!(g.max_segment_restarts >= 100_000);
-        let tight = Governor::with_restart_budget(0);
+        let tight = Governor::default().restart_budget(0);
         assert_eq!(tight.max_segment_restarts, 0);
+        assert_eq!(tight.check_restarts(3, 0), Ok(()));
+        assert_eq!(
+            tight.check_restarts(3, 1),
+            Err(SimError::Degrade(DegradeReason::RestartBudget {
+                segment: 3,
+                restarts: 1
+            }))
+        );
     }
 
     #[test]

@@ -23,6 +23,10 @@
 //! * **Speculative storage** is one `Mutex<SpecBuffer>` per processor
 //!   slot. Locks guard only buffer *contents*; the masks are probed
 //!   lock-free first, so uncontended addresses never touch a peer's lock.
+//! * **Counts** go into each worker's own [`SimReport`], added up after
+//!   the workers join. Only the two region-wide budget counters are
+//!   shared (relaxed) atomics: statements, bumped once per statement, and
+//!   rollbacks, bumped once per rollback.
 //!
 //! The reader and writer sides form a Dekker-style handshake: a
 //! speculative read marks its read-mask bit *before* probing the write
@@ -155,28 +159,6 @@ struct Slot {
     spec: Mutex<SpecBuffer>,
 }
 
-/// Shared execution tallies, merged into the [`SimReport`]. Plain
-/// counters use relaxed ordering — they never order the protocol.
-#[derive(Default)]
-struct Tallies {
-    statements: AtomicU64,
-    violations: AtomicU64,
-    rollbacks: AtomicU64,
-    overflow_stalls: AtomicU64,
-    overflow_writethrough: AtomicU64,
-    commits: AtomicU64,
-    committed_entries: AtomicU64,
-    spec_peak: AtomicUsize,
-    max_restarts: AtomicU32,
-    spec_reads: AtomicU64,
-    spec_writes: AtomicU64,
-    nonspec_reads: AtomicU64,
-    nonspec_writes: AtomicU64,
-    private_reads: AtomicU64,
-    private_writes: AtomicU64,
-    forwards: AtomicU64,
-}
-
 /// The first failure a worker hit; peers drain via `abort` and the
 /// coordinator surfaces it on the calling thread.
 enum Failure {
@@ -212,7 +194,14 @@ struct Shared<'p> {
     /// Raised on any failure: every spin loop checks it and drains.
     abort: AtomicBool,
     failure: Mutex<Option<Failure>>,
-    tallies: Tallies,
+    /// Each worker's counts, pushed as it exits and added up after the
+    /// workers join.
+    counts: Mutex<Vec<SimReport>>,
+    /// Statements executed region-wide: the statement budget's counter.
+    /// Relaxed, like `rollbacks` — neither orders the protocol.
+    statements: AtomicU64,
+    /// Squash-driven restarts region-wide: the rollback budget's counter.
+    rollbacks: AtomicU64,
 }
 
 impl Shared<'_> {
@@ -236,10 +225,11 @@ struct RegionCtx<'p> {
     iter_values: &'p [i64],
 }
 
-/// Runs one region under the real-thread runtime and merges the tallies
-/// into a report. Mirrors the simulator's `Engine::new(..).run()` contract:
-/// `lowered` is the region body's compiled form (`None` tree-walks it), and
-/// `memory` holds the live-in state and receives the final state.
+/// Runs one region under the real-thread runtime and adds the workers'
+/// counts up into a report. Mirrors the simulator's `Engine::new(..).run()`
+/// contract: `lowered` is the region body's compiled form (`None`
+/// tree-walks it), and `memory` holds the live-in state and receives the
+/// final state.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn run_region(
     cfg: &SimConfig,
@@ -291,7 +281,9 @@ pub(crate) fn run_region(
         total,
         abort: AtomicBool::new(false),
         failure: Mutex::new(None),
-        tallies: Tallies::default(),
+        counts: Mutex::new(Vec::with_capacity(threads)),
+        statements: AtomicU64::new(0),
+        rollbacks: AtomicU64::new(0),
     };
     let ctx = RegionCtx {
         vars,
@@ -306,7 +298,9 @@ pub(crate) fn run_region(
             let shared = &shared;
             let ctx = &ctx;
             scope.spawn(move || {
-                let outcome = catch_unwind(AssertUnwindSafe(|| worker(shared, ctx, p)));
+                let mut counts = SimReport::default();
+                let outcome =
+                    catch_unwind(AssertUnwindSafe(|| worker(shared, ctx, p, &mut counts)));
                 match outcome {
                     Ok(Ok(())) => {}
                     Ok(Err(err)) => shared.fail(Failure::Error(err)),
@@ -326,6 +320,7 @@ pub(crate) fn run_region(
                         });
                     }
                 }
+                shared.counts.lock().expect("counts mutex").push(counts);
             });
         }
     });
@@ -354,29 +349,36 @@ pub(crate) fn run_region(
     if term != usize::MAX {
         report.segments = term + 1;
     }
-    let t = &shared.tallies;
-    report.statements = t.statements.load(SeqCst);
-    report.violations = t.violations.load(SeqCst);
-    report.rollbacks = t.rollbacks.load(SeqCst);
-    report.overflow_stalls = t.overflow_stalls.load(SeqCst);
-    report.overflow_writethrough = t.overflow_writethrough.load(SeqCst);
-    report.max_segment_restarts = t.max_restarts.load(SeqCst);
-    report.commits = t.commits.load(SeqCst);
-    report.committed_entries = t.committed_entries.load(SeqCst);
-    report.spec_peak_occupancy = t.spec_peak.load(SeqCst);
-    report.spec_reads = t.spec_reads.load(SeqCst);
-    report.spec_writes = t.spec_writes.load(SeqCst);
-    report.nonspec_reads = t.nonspec_reads.load(SeqCst);
-    report.nonspec_writes = t.nonspec_writes.load(SeqCst);
-    report.private_reads = t.private_reads.load(SeqCst);
-    report.private_writes = t.private_writes.load(SeqCst);
-    report.forwards = t.forwards.load(SeqCst);
+    for w in &shared.counts.into_inner().expect("counts mutex") {
+        report.violations += w.violations;
+        report.overflow_stalls += w.overflow_stalls;
+        report.overflow_writethrough += w.overflow_writethrough;
+        report.commits += w.commits;
+        report.committed_entries += w.committed_entries;
+        report.spec_reads += w.spec_reads;
+        report.spec_writes += w.spec_writes;
+        report.nonspec_reads += w.nonspec_reads;
+        report.nonspec_writes += w.nonspec_writes;
+        report.private_reads += w.private_reads;
+        report.private_writes += w.private_writes;
+        report.forwards += w.forwards;
+        report.spec_peak_occupancy = report.spec_peak_occupancy.max(w.spec_peak_occupancy);
+        report.max_segment_restarts = report.max_segment_restarts.max(w.max_segment_restarts);
+    }
+    report.statements = shared.statements.into_inner();
+    report.rollbacks = shared.rollbacks.into_inner();
     Ok(report)
 }
 
 /// One worker: claims segments in program order and runs each to commit,
-/// all on one executor that it restarts per segment.
-fn worker(shared: &Shared<'_>, ctx: &RegionCtx<'_>, p: usize) -> Result<(), SimError> {
+/// all on one executor that it restarts per segment, counting into
+/// `counts`.
+fn worker(
+    shared: &Shared<'_>,
+    ctx: &RegionCtx<'_>,
+    p: usize,
+    counts: &mut SimReport,
+) -> Result<(), SimError> {
     let mut private = PrivateStore::new(ctx.layout.total_words());
     let bufs = ExecBuffers::default();
     let mut exec = AnyExec::segment(ctx.lowered, ctx.vars, ctx.layout, ctx.region, bufs);
@@ -399,7 +401,7 @@ fn worker(shared: &Shared<'_>, ctx: &RegionCtx<'_>, p: usize) -> Result<(), SimE
             return Err(SimError::Injected { segment: seg });
         }
         exec.restart(&[(ctx.region.index, ctx.iter_values[seg])]);
-        run_segment(shared, p, seg, &mut exec, &mut private)?;
+        run_segment(shared, p, seg, &mut exec, &mut private, counts)?;
     }
 }
 
@@ -409,47 +411,6 @@ fn worker(shared: &Shared<'_>, ctx: &RegionCtx<'_>, p: usize) -> Result<(), SimE
 #[inline]
 fn past_termination(shared: &Shared<'_>, seg: usize) -> bool {
     seg > shared.term.load(SeqCst)
-}
-
-/// Drops a beyond-termination segment: discard the attempt's speculative
-/// state (cascading squashes to any younger reader, though those are being
-/// dropped too) and idle the slot so the region can finish.
-fn drop_past_termination(shared: &Shared<'_>, p: usize, seg: usize) {
-    discard_attempt(shared, p, seg);
-    shared.slots[p].seg.store(IDLE, SeqCst);
-}
-
-/// Tallies one squash-driven restart and enforces the governor's restart
-/// and rollback budgets (the degradation ladder's first two rungs).
-fn note_rollback(shared: &Shared<'_>, seg: usize, restarts: u32) -> Result<(), SimError> {
-    let rollbacks = shared.tallies.rollbacks.fetch_add(1, Relaxed) + 1;
-    shared.tallies.max_restarts.fetch_max(restarts, Relaxed);
-    let gov = &shared.cfg.governor;
-    if restarts > gov.max_segment_restarts {
-        return Err(SimError::RestartBudget {
-            segment: seg,
-            restarts,
-        });
-    }
-    if rollbacks > gov.max_region_rollbacks {
-        return Err(SimError::RollbackBudget { rollbacks });
-    }
-    Ok(())
-}
-
-/// Tallies one overflow-driven restart. Overflow restarts count toward the
-/// per-segment restart budget but not the region rollback budget (an
-/// overflow stall is capacity pressure, not misspeculation).
-fn note_overflow(shared: &Shared<'_>, seg: usize, restarts: u32) -> Result<(), SimError> {
-    shared.tallies.overflow_stalls.fetch_add(1, Relaxed);
-    shared.tallies.max_restarts.fetch_max(restarts, Relaxed);
-    if restarts > shared.cfg.governor.max_segment_restarts {
-        return Err(SimError::RestartBudget {
-            segment: seg,
-            restarts,
-        });
-    }
-    Ok(())
 }
 
 /// A scheduler-perturbation point inside a drain/stall spin loop: when the
@@ -463,6 +424,22 @@ fn perturb_drain(shared: &Shared<'_>, seg: usize, spin: u64) {
     }
 }
 
+/// What a segment must do next, as [`ParCtx::poll`] answers it before each
+/// statement and while the segment waits.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+enum Poll {
+    /// A peer failed: leave without committing.
+    Abort,
+    /// An older segment terminated the region: drop this segment.
+    Dropped,
+    /// A peer bumped the attempt's squash generation: restart it.
+    Squashed,
+    /// The segment is the head: run on (or commit) as the head.
+    Head,
+    /// None of the above yet: run on, or keep waiting.
+    Wait,
+}
+
 /// Runs one claimed segment to commit (or to a cooperative abort exit),
 /// restarting attempts on squash bumps and overflow stalls. A WHILE
 /// segment's first step is its continuation check; a failed check ends the
@@ -473,21 +450,22 @@ fn run_segment(
     seg: usize,
     exec: &mut AnyExec<'_>,
     private: &mut PrivateStore,
+    counts: &mut SimReport,
 ) -> Result<(), SimError> {
     let slot = &shared.slots[p];
-    let perturb = shared.cfg.faults.perturb_active();
+    let governor = &shared.cfg.governor;
     let mut restarts: u32 = 0;
     // Livelock watchdog: statements this segment executed across all of
     // its attempts without reaching a commit.
     let mut seg_statements: u64 = 0;
-    'attempt: loop {
+    loop {
         if shared.abort.load(SeqCst) {
             return Ok(());
         }
         // Sample the generation *before* cleaning state: any bump issued
         // up to this point is answered by this (fresh) attempt.
         let squash_seen = slot.squash.load(SeqCst);
-        discard_attempt(shared, p, seg);
+        discard_attempt(shared, p, seg, counts);
         private.clear();
         exec.reset();
         // Entering an attempt as the head needs no generation check: the
@@ -501,20 +479,22 @@ fn run_segment(
             // advanced past us *because* the previous segment terminated
             // the region — such a segment must never act as the head.
             head_mode: shared.head.load(SeqCst) == seg && !past_termination(shared, seg),
+            squash_seen: Some(squash_seen),
             private,
+            counts,
             overflow: false,
             events: 0,
         };
         // Fault injection rides the ordinary recovery paths: a forced
         // violation or spurious squash bumps the segment's own generation
-        // (the generation check below restarts it), a forced overflow
-        // poisons the attempt (the discard-and-stall path below runs).
-        // The head is never injected — it models the oldest segment,
-        // which real misspeculation cannot touch either.
+        // (the first poll restarts it), a forced overflow poisons the
+        // attempt (the discard-and-stall path below runs). The head is
+        // never injected — it models the oldest segment, which real
+        // misspeculation cannot touch either.
         if !shared.cfg.faults.is_empty() && !store.head_mode {
             let faults = &shared.cfg.faults;
             if faults.force_violation(seg, restarts) {
-                shared.tallies.violations.fetch_add(1, Relaxed);
+                store.counts.violations += 1;
                 slot.squash.fetch_add(1, SeqCst);
             } else if faults.spurious_bump(seg, restarts) {
                 slot.squash.fetch_add(1, SeqCst);
@@ -522,136 +502,92 @@ fn run_segment(
                 store.overflow = true;
             }
         }
-        loop {
-            if shared.abort.load(SeqCst) {
-                return Ok(());
-            }
-            if past_termination(shared, seg) {
-                drop_past_termination(shared, p, seg);
-                return Ok(());
-            }
-            if !store.head_mode {
-                if slot.squash.load(SeqCst) != squash_seen {
-                    restarts += 1;
-                    note_rollback(shared, seg, restarts)?;
-                    continue 'attempt;
-                }
-                if shared.head.load(SeqCst) == seg {
-                    // Head handover: the head advanced to us — unless it
-                    // advanced past a terminator, in which case we are
-                    // beyond the region's dynamic end (the `term` store is
-                    // ordered before the head advance, so this re-check
-                    // cannot miss it).
-                    if past_termination(shared, seg) {
-                        drop_past_termination(shared, p, seg);
-                        return Ok(());
-                    }
-                    // One final check (a legitimate bump is ordered before
-                    // `head` reached us), then bumps are ignored — the
-                    // head cannot be squashed.
-                    if slot.squash.load(SeqCst) != squash_seen {
-                        restarts += 1;
-                        note_rollback(shared, seg, restarts)?;
-                        continue 'attempt;
-                    }
-                    store.head_mode = true;
-                }
-            }
-            let more = exec.step(&mut store).map_err(SimError::Exec)?;
-            if shared.tallies.statements.fetch_add(1, Relaxed) + 1 > shared.cfg.max_statements {
-                return Err(SimError::StatementBudgetExceeded);
-            }
-            seg_statements += 1;
-            if seg_statements > shared.cfg.governor.livelock_statements {
-                return Err(SimError::Livelock {
-                    statements: seg_statements,
-                });
-            }
-            if store.overflow {
-                // Non-head overflow: discard (so peers cannot forward the
-                // poisoned attempt), stall until head, re-run absorbed.
-                restarts += 1;
-                note_overflow(shared, seg, restarts)?;
-                discard_attempt(shared, p, seg);
-                let mut spin: u64 = 0;
-                loop {
-                    if shared.abort.load(SeqCst) {
-                        return Ok(());
-                    }
-                    if past_termination(shared, seg) {
-                        drop_past_termination(shared, p, seg);
-                        return Ok(());
-                    }
-                    if shared.head.load(SeqCst) == seg {
-                        break;
-                    }
-                    if perturb {
-                        spin += 1;
-                        perturb_drain(shared, seg, spin);
-                    }
-                    std::thread::yield_now();
-                }
-                continue 'attempt;
-            }
-            if !more {
-                break;
-            }
-        }
-        // Executed to completion. Wait (in order) to become the head,
-        // then perform the final generation check and commit.
-        if !store.head_mode {
-            let mut spin: u64 = 0;
+        let end = 'attempt: {
             loop {
-                if shared.abort.load(SeqCst) {
-                    return Ok(());
+                match store.poll() {
+                    Poll::Wait => {}
+                    Poll::Head => store.head_mode = true,
+                    end => break 'attempt end,
                 }
-                if past_termination(shared, seg) {
-                    drop_past_termination(shared, p, seg);
-                    return Ok(());
-                }
-                if slot.squash.load(SeqCst) != squash_seen {
+                let more = exec.step(&mut store).map_err(SimError::Exec)?;
+                governor.check_statements(shared.statements.fetch_add(1, Relaxed) + 1)?;
+                seg_statements += 1;
+                governor.check_livelock(seg_statements)?;
+                if store.overflow {
+                    // Non-head overflow: discard (so peers cannot forward
+                    // the poisoned attempt), stall until head, re-run
+                    // absorbed. The discarded attempt answers no bumps.
                     restarts += 1;
-                    note_rollback(shared, seg, restarts)?;
-                    continue 'attempt;
+                    store.counts.overflow_stalls += 1;
+                    store.counts.max_segment_restarts =
+                        store.counts.max_segment_restarts.max(restarts);
+                    governor.check_restarts(seg, restarts)?;
+                    discard_attempt(shared, p, seg, store.counts);
+                    store.squash_seen = None;
+                    break 'attempt store.wait();
                 }
-                if shared.head.load(SeqCst) == seg {
-                    // Same termination re-check as the head handover: the
-                    // head reaching us via a terminator's commit means we
-                    // discard, not commit.
-                    if past_termination(shared, seg) {
-                        drop_past_termination(shared, p, seg);
-                        return Ok(());
-                    }
-                    if slot.squash.load(SeqCst) != squash_seen {
-                        restarts += 1;
-                        note_rollback(shared, seg, restarts)?;
-                        continue 'attempt;
-                    }
+                if !more {
                     break;
                 }
-                if perturb {
-                    spin += 1;
-                    perturb_drain(shared, seg, spin);
+            }
+            // Executed to completion. Wait (in order) to become the head,
+            // then commit.
+            if !store.head_mode {
+                let end = store.wait();
+                if end != Poll::Head {
+                    break 'attempt end;
                 }
+            }
+            if shared.cfg.faults.perturb(PerturbEdge::Commit, seg, 0) {
                 std::thread::yield_now();
             }
+            commit(shared, p, seg, exec.exited(), store.counts);
+            return Ok(());
+        };
+        match end {
+            Poll::Abort => return Ok(()),
+            Poll::Dropped => {
+                // Beyond the region's dynamic end: discard the attempt's
+                // state (cascading squashes to any younger reader, though
+                // those are dropped too) and idle the slot so the region
+                // can finish.
+                discard_attempt(shared, p, seg, counts);
+                slot.seg.store(IDLE, SeqCst);
+                return Ok(());
+            }
+            Poll::Squashed => {
+                restarts += 1;
+                let rollbacks = shared.rollbacks.fetch_add(1, Relaxed) + 1;
+                counts.max_segment_restarts = counts.max_segment_restarts.max(restarts);
+                governor.check_restarts(seg, restarts)?;
+                governor.check_rollbacks(rollbacks)?;
+            }
+            // An overflow stall reached the head: re-run absorbed.
+            Poll::Head | Poll::Wait => {}
         }
-        if perturb && shared.cfg.faults.perturb(PerturbEdge::Commit, seg, 0) {
-            std::thread::yield_now();
-        }
-        commit(shared, p, seg, exec.exited());
-        return Ok(());
     }
+}
+
+/// Retracts slot `p`'s mask bits for every address its buffer touched and
+/// clears the buffer, under the buffer's lock (`spec`). Discard and commit
+/// both end an attempt here.
+fn retract(shared: &Shared<'_>, p: usize, spec: &mut SpecBuffer, counts: &mut SimReport) {
+    let own_bit = 1u32 << p;
+    counts.spec_peak_occupancy = counts.spec_peak_occupancy.max(spec.peak());
+    for addr in spec.touched_addrs() {
+        shared.read_mask[addr.0 as usize].fetch_and(!own_bit, SeqCst);
+        shared.write_mask[addr.0 as usize].fetch_and(!own_bit, SeqCst);
+    }
+    spec.clear();
 }
 
 /// Discards the slot's current speculative state: cascades squashes to
 /// younger readers of its dirty values, retracts its mask bits and clears
 /// the buffer — all under the slot's own lock, so a peer probing entries
 /// either sees the full attempt or none of it.
-fn discard_attempt(shared: &Shared<'_>, p: usize, seg: usize) {
+fn discard_attempt(shared: &Shared<'_>, p: usize, seg: usize, counts: &mut SimReport) {
     let own_bit = 1u32 << p;
     let mut spec = shared.slots[p].spec.lock().expect("spec lock");
-    shared.tallies.spec_peak.fetch_max(spec.peak(), Relaxed);
     // Cascade: any younger in-flight segment that performed an exposed
     // read of an address this attempt *wrote* may have forwarded the now-
     // discarded value — bump it so it re-executes against clean state.
@@ -668,37 +604,25 @@ fn discard_attempt(shared: &Shared<'_>, p: usize, seg: usize) {
             }
         }
     }
-    for addr in spec.touched_addrs() {
-        shared.read_mask[addr.0 as usize].fetch_and(!own_bit, SeqCst);
-        shared.write_mask[addr.0 as usize].fetch_and(!own_bit, SeqCst);
-    }
-    spec.clear();
+    retract(shared, p, &mut spec, counts);
 }
 
 /// Commits the head segment occupying slot `p`: drains dirty entries to
 /// memory, retracts mask bits, clears the buffer, marks the slot idle and
 /// advances the head — in that order, so a reader that misses the write
 /// bit finds the committed value in memory.
-fn commit(shared: &Shared<'_>, p: usize, seg: usize, terminator: bool) {
-    let own_bit = 1u32 << p;
+fn commit(shared: &Shared<'_>, p: usize, seg: usize, terminator: bool, counts: &mut SimReport) {
     let mut spec = shared.slots[p].spec.lock().expect("spec lock");
     // Unsorted drain: an address has one entry per epoch, so store order
     // cannot change memory.
-    let mut entries = 0u64;
     for (addr, value) in spec.dirty() {
         shared.memory.store(addr, value);
-        entries += 1;
+        counts.committed_entries += 1;
     }
-    shared.tallies.committed_entries.fetch_add(entries, Relaxed);
-    shared.tallies.spec_peak.fetch_max(spec.peak(), Relaxed);
-    for addr in spec.touched_addrs() {
-        shared.read_mask[addr.0 as usize].fetch_and(!own_bit, SeqCst);
-        shared.write_mask[addr.0 as usize].fetch_and(!own_bit, SeqCst);
-    }
-    spec.clear();
+    retract(shared, p, &mut spec, counts);
     drop(spec);
     shared.slots[p].seg.store(IDLE, SeqCst);
-    shared.tallies.commits.fetch_add(1, Relaxed);
+    counts.commits += 1;
     if terminator {
         // Publish the dynamic end *before* advancing the head: any thread
         // that observes the head past `seg` then also observes `term` (both
@@ -718,7 +642,13 @@ struct ParCtx<'a, 'p> {
     /// This segment is the head: reads need no tracking, overflow is
     /// absorbed by reading/writing through, squash bumps are stale.
     head_mode: bool,
+    /// The squash generation sampled at attempt start, or `None` once the
+    /// attempt is discarded and waits out an overflow stall: a bump then
+    /// has nothing left to squash.
+    squash_seen: Option<u32>,
     private: &'a mut PrivateStore,
+    /// The worker's own counts.
+    counts: &'a mut SimReport,
     /// The attempt overflowed its buffer (non-head only). Subsequent
     /// references are poisoned no-ops; the segment loop discards and
     /// stalls after the current statement finishes.
@@ -729,6 +659,63 @@ struct ParCtx<'a, 'p> {
 }
 
 impl ParCtx<'_, '_> {
+    /// The one poll of every wait: before each statement, in the overflow
+    /// stall and in the commit wait. The checks run abort, termination,
+    /// squash, head, then termination and squash again at the head
+    /// handover: the head can reach a segment through a terminator's commit
+    /// (the `term` store is ordered before the head advance, so the
+    /// re-check cannot miss it), and a legitimate bump is ordered before
+    /// the head reached it. From then on the head ignores bumps — it cannot
+    /// be squashed.
+    fn poll(&self) -> Poll {
+        let shared = self.shared;
+        if shared.abort.load(SeqCst) {
+            return Poll::Abort;
+        }
+        if past_termination(shared, self.seg) {
+            return Poll::Dropped;
+        }
+        if self.head_mode {
+            return Poll::Head;
+        }
+        let squashed = || {
+            self.squash_seen
+                .is_some_and(|seen| shared.slots[self.p].squash.load(SeqCst) != seen)
+        };
+        if squashed() {
+            return Poll::Squashed;
+        }
+        if shared.head.load(SeqCst) != self.seg {
+            return Poll::Wait;
+        }
+        if past_termination(shared, self.seg) {
+            return Poll::Dropped;
+        }
+        if squashed() {
+            return Poll::Squashed;
+        }
+        Poll::Head
+    }
+
+    /// Polls until the answer is not [`Poll::Wait`], yielding between
+    /// polls (and sleeping where the perturbation plan fires at the drain
+    /// edge).
+    fn wait(&self) -> Poll {
+        let perturb = self.shared.cfg.faults.perturb_active();
+        let mut spin: u64 = 0;
+        loop {
+            let poll = self.poll();
+            if poll != Poll::Wait {
+                return poll;
+            }
+            if perturb {
+                spin += 1;
+                perturb_drain(self.shared, self.seg, spin);
+            }
+            std::thread::yield_now();
+        }
+    }
+
     /// The label `site`'s access routes by.
     #[inline]
     fn label(&self, site: RefId) -> Label {
@@ -773,7 +760,7 @@ impl ParCtx<'_, '_> {
     /// authoritative — a reader marks its bit before consuming a value,
     /// so a concurrent first-read is either ordered after this write (and
     /// forwards/reads the new value) or its bit is visible here.
-    fn check_violations(&self, addr: Addr) {
+    fn check_violations(&mut self, addr: Addr) {
         let readers = self.shared.read_mask[addr.0 as usize].load(SeqCst) & !(1u32 << self.p);
         if readers == 0 {
             return;
@@ -790,13 +777,12 @@ impl ParCtx<'_, '_> {
             }
         }
         if hit {
-            self.shared.tallies.violations.fetch_add(1, Relaxed);
+            self.counts.violations += 1;
         }
     }
 
     fn speculative_read(&mut self, addr: Addr) -> f64 {
-        let t = &self.shared.tallies;
-        t.spec_reads.fetch_add(1, Relaxed);
+        self.counts.spec_reads += 1;
         // Own buffer first — a hit (prior write or tracked read) is not a
         // new exposed read. The one probe also places the insert below:
         // only this thread changes its own buffer, so the probe stays
@@ -810,7 +796,7 @@ impl ParCtx<'_, '_> {
             if probe == Probe::Full {
                 if self.head_mode {
                     // The head absorbs overflow by reading through.
-                    t.overflow_writethrough.fetch_add(1, Relaxed);
+                    self.counts.overflow_writethrough += 1;
                     drop(spec);
                     return self.shared.memory.load(addr);
                 }
@@ -850,7 +836,7 @@ impl ParCtx<'_, '_> {
         }
         let value = match self.forward_from_ancestor(addr) {
             Some(v) => {
-                t.forwards.fetch_add(1, Relaxed);
+                self.counts.forwards += 1;
                 v
             }
             None => self.shared.memory.load(addr),
@@ -861,8 +847,7 @@ impl ParCtx<'_, '_> {
     }
 
     fn speculative_write(&mut self, addr: Addr, value: f64) {
-        let t = &self.shared.tallies;
-        t.spec_writes.fetch_add(1, Relaxed);
+        self.counts.spec_writes += 1;
         if self.overflow {
             return;
         }
@@ -876,7 +861,7 @@ impl ParCtx<'_, '_> {
                     // memory first, then the violation scan (Dekker,
                     // writer side), so a reader missing the mask bit
                     // reads the new value.
-                    t.overflow_writethrough.fetch_add(1, Relaxed);
+                    self.counts.overflow_writethrough += 1;
                     self.shared.memory.store(addr, value);
                     self.check_violations(addr);
                 } else {
@@ -899,13 +884,13 @@ impl DataStore for ParCtx<'_, '_> {
         match self.label(site) {
             Label::Speculative => self.speculative_read(addr),
             Label::Idempotent(IdemCategory::Private) => {
-                self.shared.tallies.private_reads.fetch_add(1, Relaxed);
+                self.counts.private_reads += 1;
                 self.private
                     .get(addr)
                     .unwrap_or_else(|| self.shared.memory.load(addr))
             }
             Label::Idempotent(_) => {
-                self.shared.tallies.nonspec_reads.fetch_add(1, Relaxed);
+                self.counts.nonspec_reads += 1;
                 self.shared.memory.load(addr)
             }
         }
@@ -915,11 +900,11 @@ impl DataStore for ParCtx<'_, '_> {
         match self.label(site) {
             Label::Speculative => self.speculative_write(addr, value),
             Label::Idempotent(IdemCategory::Private) => {
-                self.shared.tallies.private_writes.fetch_add(1, Relaxed);
+                self.counts.private_writes += 1;
                 self.private.insert(addr, value);
             }
             Label::Idempotent(_) => {
-                self.shared.tallies.nonspec_writes.fetch_add(1, Relaxed);
+                self.counts.nonspec_writes += 1;
                 if self.overflow {
                     return;
                 }
@@ -937,7 +922,8 @@ impl DataStore for ParCtx<'_, '_> {
 #[cfg(test)]
 mod tests {
     use crate::config::SpecRuntime;
-    use crate::fault::FaultPlan;
+    use crate::fault::{FaultPlan, Governor};
+    use crate::report::SimReport;
     use crate::run::{simulate_region, verify_against_sequential, ExecMode, SimError};
     use crate::SimConfig;
     use refidem_core::label::label_program_region_by_name;
@@ -1056,6 +1042,42 @@ mod tests {
                         "{mode} on {threads} thread(s) must match sequential: {diffs:?}"
                     );
                 }
+            }
+        }
+    }
+
+    #[test]
+    fn per_worker_counts_add_up_to_the_simulators_on_a_conflict_free_region() {
+        // WIDE at capacity 256 neither conflicts nor overflows, so no count
+        // depends on the interleaving: the workers' counts, added up at
+        // the join, must equal the simulator's at every thread count.
+        let p = wide_program();
+        let labeled = label_program_region_by_name(&p, "WIDE").unwrap();
+        let counts = |r: &SimReport| {
+            [
+                ("spec_reads", r.spec_reads),
+                ("spec_writes", r.spec_writes),
+                ("nonspec_reads", r.nonspec_reads),
+                ("nonspec_writes", r.nonspec_writes),
+                ("private_reads", r.private_reads),
+                ("private_writes", r.private_writes),
+                ("forwards", r.forwards),
+                ("commits", r.commits),
+                ("committed_entries", r.committed_entries),
+                ("statements", r.statements),
+                ("violations", r.violations),
+                ("rollbacks", r.rollbacks),
+                ("spec_peak_occupancy", r.spec_peak_occupancy as u64),
+            ]
+        };
+        for mode in [ExecMode::Hose, ExecMode::Case] {
+            for threads in [1usize, 2, 8] {
+                let cfg = SimConfig::default().processors(threads).capacity(256);
+                let sim = simulate_region(&p, &labeled, mode, &cfg).unwrap().report;
+                let real = simulate_region(&p, &labeled, mode, &cfg.threads())
+                    .unwrap()
+                    .report;
+                assert_eq!(counts(&real), counts(&sim), "{mode} on {threads} thread(s)");
             }
         }
     }
@@ -1275,7 +1297,7 @@ mod tests {
             .processors(2)
             .threads()
             .faults(FaultPlan::seeded(5).violation_rate(1000))
-            .restart_budget(0);
+            .governor(Governor::default().restart_budget(0));
         // Degradation needs a non-head claimant (injection never touches
         // the head); the slow head makes that overlap likely per run, but
         // a single-core scheduler is free to serialize the claims, so it

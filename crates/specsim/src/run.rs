@@ -24,7 +24,9 @@ use crate::fault::DegradeReason;
 use crate::report::{ProgramReport, SimReport, SpeedupComparison};
 use refidem_core::label::{LabeledProgram, LabeledRegion};
 use refidem_ir::cache::Tally;
-use refidem_ir::exec::{AnyExec, CountingStore, DataStore, DynCounts, ExecError, PlainStore};
+use refidem_ir::exec::{
+    AnyExec, CountingStore, DataStore, DynCounts, ExecError, PlainStore, STEP_BUDGET,
+};
 use refidem_ir::expr::Expr;
 use refidem_ir::ids::{RefId, VarId};
 use refidem_ir::lowered::{ExecBackend, ExecBuffers, LowerKey, LowerUnit, LoweredProc};
@@ -66,28 +68,13 @@ pub enum SimError {
     Exec(ExecError),
     /// No segment could make progress (internal invariant violation).
     Deadlock,
-    /// The configured statement budget was exhausted.
+    /// A region executed more than [`STEP_BUDGET`] statements.
     StatementBudgetExceeded,
-    /// One segment exhausted the governor's per-segment restart budget
-    /// (degradable: the run-level pipeline re-executes the region
-    /// sequentially).
-    RestartBudget {
-        /// The segment that kept restarting.
-        segment: usize,
-        /// Its restart count when the budget tripped.
-        restarts: u32,
-    },
-    /// The region exhausted the governor's rollback budget (degradable).
-    RollbackBudget {
-        /// The region's rollback count when the budget tripped.
-        rollbacks: u64,
-    },
-    /// The governor's livelock watchdog fired: too many statements
-    /// executed without a segment committing (degradable).
-    Livelock {
-        /// Statements executed since the last commit.
-        statements: u64,
-    },
+    /// A [`Governor`](crate::Governor) budget tripped. The run-level
+    /// pipeline catches this and re-executes the region sequentially,
+    /// recording the reason in the region's report, so it never reaches a
+    /// caller of the public entry points.
+    Degrade(DegradeReason),
     /// A [`FaultPlan`](crate::FaultPlan) injected a typed failure at this
     /// segment (not degradable — an injected hard failure is meant to
     /// surface).
@@ -110,27 +97,6 @@ pub enum SimError {
     },
 }
 
-impl SimError {
-    /// If this error is a tripped degradation budget, the corresponding
-    /// [`DegradeReason`] — the run-level pipeline uses this to decide
-    /// whether a failed region run may fall back to sequential
-    /// re-execution. Injected failures, worker panics and the global
-    /// statement budget are *not* degradable: they indicate a fault that
-    /// is meant to surface, not bounded misspeculation.
-    pub fn degrade_reason(&self) -> Option<DegradeReason> {
-        match *self {
-            SimError::RestartBudget { segment, restarts } => {
-                Some(DegradeReason::RestartBudget { segment, restarts })
-            }
-            SimError::RollbackBudget { rollbacks } => {
-                Some(DegradeReason::RollbackBudget { rollbacks })
-            }
-            SimError::Livelock { statements } => Some(DegradeReason::Livelock { statements }),
-            _ => None,
-        }
-    }
-}
-
 impl std::fmt::Display for SimError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
@@ -141,18 +107,7 @@ impl std::fmt::Display for SimError {
             SimError::Exec(e) => write!(f, "execution error: {e}"),
             SimError::Deadlock => write!(f, "no segment can make progress"),
             SimError::StatementBudgetExceeded => write!(f, "statement budget exceeded"),
-            SimError::RestartBudget { segment, restarts } => write!(
-                f,
-                "segment {segment} exhausted its restart budget ({restarts} restarts)"
-            ),
-            SimError::RollbackBudget { rollbacks } => write!(
-                f,
-                "region exhausted its rollback budget ({rollbacks} rollbacks)"
-            ),
-            SimError::Livelock { statements } => write!(
-                f,
-                "livelock watchdog: {statements} statements without a commit"
-            ),
+            SimError::Degrade(reason) => write!(f, "degraded: {reason}"),
             SimError::Injected { segment } => write!(f, "injected fault at segment {segment}"),
             SimError::WorkerPanic {
                 thread,
@@ -271,9 +226,6 @@ fn region_iteration_values(vars: &VarTable, region: &LoopStmt) -> Result<Vec<i64
     }
     Ok(values)
 }
-
-/// Statement budget of the sequential (non-engine) portions of a run.
-const SEQ_STEP_BUDGET: usize = 200_000_000;
 
 /// A [`PlainStore`] that additionally tallies the number of accesses, so
 /// serial spans can be *timed* (accesses × non-speculative latency +
@@ -406,15 +358,14 @@ impl<'a> Schedule<'a> {
     }
 
     /// Runs `key`'s unit (`stmts`) to completion on one processor through
-    /// `store`, within `budget` statement units, on the executor buffers
-    /// `bufs` (left in place for the next unit), and returns the units it
-    /// executed.
+    /// `store`, within [`STEP_BUDGET`] statement units, on the executor
+    /// buffers `bufs` (left in place for the next unit), and returns the
+    /// units it executed.
     fn run_unit(
         &self,
         key: LowerKey,
         stmts: &[Stmt],
         store: &mut impl DataStore,
-        budget: usize,
         tally: &mut Tally,
         bufs: &mut ExecBuffers,
     ) -> Result<usize, SimError> {
@@ -427,7 +378,7 @@ impl<'a> Schedule<'a> {
             &[],
             std::mem::take(bufs),
         );
-        let run = exec.run(store, budget);
+        let run = exec.run(store, STEP_BUDGET);
         let steps = exec.steps();
         *bufs = exec.into_buffers();
         run.map_err(SimError::Exec)?;
@@ -459,7 +410,7 @@ impl<'a> Schedule<'a> {
             accesses: 0,
         };
         let key = LowerKey::new(self.proc, "", LowerUnit::SerialSpan { start, end });
-        let steps = self.run_unit(key, stmts, &mut store, SEQ_STEP_BUDGET, tally, bufs)?;
+        let steps = self.run_unit(key, stmts, &mut store, tally, bufs)?;
         Ok(self.seq_cycles(store.accesses, steps))
     }
 
@@ -480,14 +431,7 @@ impl<'a> Schedule<'a> {
         let stmts = std::slice::from_ref(&self.proc.body[self.regions[i].0]);
         let key = LowerKey::new(self.proc, self.label(i), LowerUnit::RegionLoop);
         let mut store = CountingStore::new(PlainStore::new(memory));
-        let steps = self.run_unit(
-            key,
-            stmts,
-            &mut store,
-            self.cfg.max_statements as usize,
-            tally,
-            bufs,
-        )?;
+        let steps = self.run_unit(key, stmts, &mut store, tally, bufs)?;
         let accesses = store.counts.values().map(|(r, w)| r + w).sum();
         Ok((self.seq_cycles(accesses, steps), steps, store.counts))
     }
@@ -574,31 +518,31 @@ impl<'a> Schedule<'a> {
             };
             let mut region_report = match run_result {
                 Ok(r) => r,
-                Err(err) => match err.degrade_reason() {
-                    Some(reason) => {
-                        if snapshot_armed {
-                            std::mem::swap(&mut memory, &mut snapshot);
-                        }
-                        // The aborted engine may have left dependence-mask
-                        // marks set; a degraded schedule continues on fresh
-                        // scratch rather than parking the dirty one.
-                        scratch = EngineScratch::new();
-                        // The serial fallback reports the re-execution as a
-                        // degraded region.
-                        let (region_cycles, steps, _) =
-                            self.region_loop(i, &mut memory, &mut region_tally, &mut span_bufs)?;
-                        SimReport {
-                            mode: Some(mode),
-                            segments,
-                            commits: segments as u64,
-                            region_cycles,
-                            statements: steps as u64,
-                            degraded: Some(reason),
-                            ..Default::default()
-                        }
+                Err(SimError::Degrade(reason)) => {
+                    if snapshot_armed {
+                        std::mem::swap(&mut memory, &mut snapshot);
                     }
-                    None => return Err(err),
-                },
+                    // The aborted engine may have left dependence-mask
+                    // marks set; a degraded schedule continues on fresh
+                    // scratch rather than parking the dirty one.
+                    scratch = EngineScratch::new();
+                    // The serial fallback reports the re-execution as a
+                    // degraded region.
+                    let (region_cycles, steps, _) =
+                        self.region_loop(i, &mut memory, &mut region_tally, &mut span_bufs)?;
+                    SimReport {
+                        mode: Some(mode),
+                        segments,
+                        commits: segments as u64,
+                        region_cycles,
+                        statements: steps as u64,
+                        degraded: Some(reason),
+                        ..Default::default()
+                    }
+                }
+                // Injected failures, worker panics and the statement budget
+                // are meant to surface, not to degrade.
+                Err(err) => return Err(err),
             };
             region_report.lowering_cache_hits = region_tally.hits;
             region_report.lowering_cache_misses = region_tally.misses;
@@ -1593,7 +1537,7 @@ mod tests {
         let seq = run_program_sequential(&p, &labeled, &SimConfig::default()).unwrap();
         let degrading = SimConfig::default()
             .faults(crate::FaultPlan::seeded(1).violation_at(6, 0))
-            .restart_budget(0);
+            .governor(crate::Governor::default().restart_budget(0));
         for mode in [ExecMode::Hose, ExecMode::Case] {
             for pool in [degrading.scratch.clone(), ScratchPool::fresh()] {
                 let cfg = degrading.clone().scratch(pool);

@@ -14,7 +14,9 @@
 use refidem_benchmarks::{all_benchmarks, all_named_loops};
 use refidem_core::label::label_program;
 use refidem_ir::affine::AffineExpr;
-use refidem_ir::exec::{AnyExec, CountingStore, DynCounts, PlainStore, SeqInterp, TraceEvent};
+use refidem_ir::exec::{
+    AnyExec, CountingStore, DynCounts, PlainStore, SeqInterp, TraceEvent, STEP_BUDGET,
+};
 use refidem_ir::ids::{ProcId, VarId};
 use refidem_ir::lowered::{
     fused::fuse, lower, ExecBuffers, LowerKey, LowerUnit, LoweredCache, LoweredProc,
@@ -53,7 +55,7 @@ fn run_sequential_traced(
     let mut store = CountingStore::new(PlainStore::tracing(&mut memory));
     let bufs = ExecBuffers::default();
     let mut exec = AnyExec::new(compiled, &proc.vars, &layout, &proc.body, &[], bufs);
-    exec.run(&mut store, 200_000_000).expect("runs");
+    exec.run(&mut store, STEP_BUDGET).expect("runs");
     let steps = exec.steps();
     let trace = trace_key(&store.inner.trace);
     let counts = store.counts.clone();
@@ -315,7 +317,7 @@ fn check_while_segments(proc: &Procedure, at: usize, region: &LoopStmt) -> (usiz
         &[],
         ExecBuffers::default(),
     )
-    .run(&mut PlainStore::new(&mut memory), 200_000_000)
+    .run(&mut PlainStore::new(&mut memory), STEP_BUDGET)
     .expect("the statements before the region run");
     let mut exits = 0;
     for value in (0..trips).map(|t| lo + t as i64 * region.step) {
